@@ -173,6 +173,8 @@ def _run_inequality_case(spec, cfg, record):
             "passed": res.passed,
             "worst_value": res.worst_value,
             "n_bumps": res.n_bumps,
+            "worst_center": res.worst_center,
+            "worst_width": res.worst_width,
         }
         if not res.passed:
             record["status"] = "hypothesis-failed"

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import (
     InvalidArgumentError,
@@ -33,7 +32,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .geometry import HALF_PLANE, INTERVAL, ModelManifold
-from .grids import GridFunction, RadialGrid, cell_gauss, derivative_values
+from .grids import RadialGrid, cell_gauss, derivative_values
 
 #: relative tolerance separating quadrature noise from a genuine sign
 #: violation (calibrated for n >= 500 node grids)
@@ -60,7 +59,6 @@ class WeightSpec:
     rho_prime: Callable
     plap: Callable | None = None
     analytic_plap: bool = False
-    alpha: float = 0.0
     params: dict = field(default_factory=dict)
 
     def grad_norm(self, t):
@@ -77,7 +75,6 @@ class WeightSpec:
             rho_prime=lambda t, f=self.rho_prime: lam * f(t),
             plap=None,
             analytic_plap=False,
-            alpha=self.alpha,
             params=dict(self.params),
         )
 
@@ -361,48 +358,92 @@ def parse_weight(spec: str, model: ModelManifold, p: float) -> WeightSpec:
 
 @dataclass
 class CheckResult:
-    """Outcome of the weak-form sign check."""
+    """Outcome of the weak-form sign check; ``worst_center`` (in t) and
+    ``worst_width`` (in cells) locate the bump that gave ``worst_value``."""
 
     passed: bool
     worst_value: float
     worst_raw: float
     n_bumps: int
     sign: int
+    worst_center: float
+    worst_width: int
 
 
-def _bump_splines(grid: RadialGrid, n_tests: int):
-    """Cubic B-spline bumps with knots on grid nodes, two widths each.
+#: bumps evaluated per numpy pass; caps the scratch arrays at
+#: _BUMP_BLOCK * 2w * 8 doubles whatever the grid size
+_BUMP_BLOCK = 256
 
-    Centers are equispaced densely enough that adjacent supports of each
-    width overlap (a kink anywhere on the grid is straddled by some bump),
-    and never fewer than n_tests per width.
 
-    Yields (spline, first_cell, last_cell) with support spanning the cells
-    [first_cell, last_cell).
+def _cubic_bump(x, knots, piece, derivative: bool):
+    """Cox-de Boor recursion for cubic B-splines on 5 knots, a batch at once.
+
+    ``x`` has shape (bumps, L, q), ``knots`` shape (5, bumps, 1, 1) and
+    ``piece[l]`` is the knot interval holding ``x[:, l]`` (4: right of the
+    support).  Returns the spline values, or their derivatives.
     """
-    n = grid.n
-    out = []
-    for w in BUMP_WIDTHS:
-        if 2 * w + 1 > n:
-            continue
-        count = max(n_tests, math.ceil((n - 1) / w) + 1)
-        centers = np.linspace(w, n - 1 - w, count)
-        for c in np.unique(np.round(centers).astype(int)):
-            half = max(1, w // 2)
-            kn = [c - w, c - half, c, c + half, c + w]
-            knots = grid.nodes[kn]
-            out.append((BSpline.basis_element(knots, extrapolate=False), kn[0], kn[-1]))
-    return out
+    b = [(piece == m)[:, None].astype(float) for m in range(4)]
+    for d in (1, 2):
+        b = [
+            (x - knots[j]) / (knots[j + d] - knots[j]) * b[j]
+            + (knots[j + d + 1] - x) / (knots[j + d + 1] - knots[j + 1]) * b[j + 1]
+            for j in range(4 - d)
+        ]
+    left, right = b[0] / (knots[3] - knots[0]), b[1] / (knots[4] - knots[1])
+    if derivative:
+        return 3.0 * (left - right)
+    return (x - knots[0]) * left + (knots[4] - x) * right
 
 
-def _flux_factory(w, p, model):
-    def flux(t):
-        rp = w.rho_prime(t)
-        g = model.gradient_factor(t)
-        s = np.exp(model.log_volume_density(t))
-        return s * g ** p * np.sign(rp) * np.abs(rp) ** (p - 1.0)
+def _bump_ratios(w, grid: RadialGrid, n_tests: int, sign: int, p, model):
+    """Per-bump ``(ratio, raw, centre, width)``: raw = sign * weak integral,
+    ratio = raw / the |.| integral (0 where that is 0 or not finite).
 
-    return flux
+    Bumps are cubic B-splines on knots ``[c-w, c-half, c, c+half, c+w]``,
+    width 3 before 9, centred so that adjacent supports overlap (a kink
+    anywhere is straddled) and never fewer than n_tests per width.  The
+    flux is evaluated once: times the Gauss weights on all cells, shape
+    (n-1, 8), for a WeightSpec; one piecewise-linear value per cell for
+    samples.  Bumps of one width meet it ``_BUMP_BLOCK`` at a time: their
+    derivatives at the Gauss points, or their exact increments per cell.
+    """
+    nodes = grid.nodes
+    if isinstance(w, WeightSpec):
+        model, p = w.model, w.p if p is None else p
+        t, wts = cell_gauss(nodes, 8)
+        slope = w.rho_prime(t)
+    elif model is None or p is None:
+        raise InvalidArgumentError("raw grid weights need model= and p=")
+    else:
+        t, wts = 0.5 * (nodes[:-1] + nodes[1:]), 1.0
+        slope = np.diff(np.asarray(getattr(w, "values", w), float)) / np.diff(nodes)
+    if grid.n < 2 * min(BUMP_WIDTHS) + 1:
+        raise InvalidArgumentError("grid too coarse for any test bump")
+    s_gp = np.exp(model.log_volume_density(t)) * model.gradient_factor(t) ** p
+    flux = wts * (s_gp * np.sign(slope) * np.abs(slope) ** (p - 1.0))
+
+    raw, norm, centre, width = [], [], [], []
+    for bw in (bw for bw in BUMP_WIDTHS if 2 * bw + 1 <= grid.n):
+        count = max(n_tests, math.ceil((grid.n - 1) / bw) + 1)
+        centres = np.unique(np.round(np.linspace(bw, grid.n - 1 - bw, count)).astype(int))
+        offsets = np.array([-bw, -max(1, bw // 2), 0, max(1, bw // 2), bw])
+        local = np.arange(2 * bw + (flux.ndim == 1))  # cells, or nodes if sampled
+        piece = np.sum(local[:, None] >= offsets[1:] + bw, axis=1)
+        for c in np.split(centres, range(_BUMP_BLOCK, centres.size, _BUMP_BLOCK)):
+            knots = nodes[c + offsets[:, None]][..., None, None]
+            span = c[:, None] - bw + local
+            if flux.ndim == 2:
+                terms = (flux[span] * _cubic_bump(t[span], knots, piece, True)).reshape(c.size, -1)
+            else:
+                phi = _cubic_bump(nodes[span][..., None], knots, piece, False)[..., 0]
+                terms = flux[span[:, :-1]] * np.diff(phi, axis=1)
+            raw.append(sign * terms.sum(axis=1))
+            norm.append(np.abs(terms).sum(axis=1))
+        centre.append(nodes[centres])
+        width += [bw] * centres.size
+    raw, norm = np.concatenate(raw), np.concatenate(norm)
+    ratio = np.divide(raw, norm, out=np.zeros_like(raw), where=(norm > 0) & (norm < np.inf))
+    return ratio, raw, np.concatenate(centre), width
 
 
 def weak_superharmonicity_check(
@@ -418,77 +459,34 @@ def weak_superharmonicity_check(
     """Test sign * (-Delta_p rho) >= 0 in the weak sense over bump functions.
 
     ``w`` is a WeightSpec (closed forms integrated per-cell with Gauss
-    quadrature) or a GridFunction (piecewise-linear flux form, exact in the
-    test function).  Each bump value is normalized by the same integral
-    taken with absolute values, so ``worst_value`` is dimensionless and
-    insensitive to scaling of rho and phi.
+    quadrature) or a GridFunction/ndarray of samples (piecewise-linear flux
+    form, exact in the test function).  Each bump value is normalized by
+    the same integral taken with absolute values, so ``worst_value`` is
+    dimensionless and insensitive to scaling of rho and phi.
     """
-    if isinstance(w, WeightSpec):
-        model = w.model
-        p = w.p if p is None else p
-        flux = _flux_factory(w, p, model)
-        sampled = None
-    else:
-        if model is None or p is None:
-            raise InvalidArgumentError("raw grid weights need model= and p=")
-        sampled = np.asarray(w.values if isinstance(w, GridFunction) else w, float)
-        flux = None
-
-    nodes = grid.nodes
-    if sampled is not None:
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        h = np.diff(nodes)
-        slope = np.diff(sampled) / h
-        g = model.gradient_factor(mid)
-        s = np.exp(model.log_volume_density(mid))
-        cell_flux = s * g ** p * np.sign(slope) * np.abs(slope) ** (p - 1.0)
-
-    worst = np.inf
-    worst_raw = np.inf
-    bumps = _bump_splines(grid, n_tests)
-    for spline, i0, i1 in bumps:
-        dspline = spline.derivative()
-        if flux is not None:
-            pts, wts = cell_gauss(nodes[i0 : i1 + 1], 8)
-            dphi = np.nan_to_num(dspline(pts))
-            fx = flux(pts)
-            raw = float(np.sum(wts * fx * dphi))
-            norm = float(np.sum(np.abs(wts * fx * dphi)))
-        else:
-            phi = np.nan_to_num(spline(nodes[i0 : i1 + 1]))
-            dphi = np.diff(phi)
-            fx = cell_flux[i0:i1]
-            raw = float(np.dot(fx, dphi))
-            norm = float(np.sum(np.abs(fx * dphi)))
-        val = sign * raw
-        rel = val / norm if norm > 0 else 0.0
-        if rel < worst:
-            worst = rel
-            worst_raw = val
-    if not bumps:
-        raise InvalidArgumentError("grid too coarse for any test bump")
+    ratio, raw, centre, width = _bump_ratios(w, grid, n_tests, sign, p, model)
+    i = int(np.argmin(ratio))
     return CheckResult(
-        passed=bool(worst >= -tol),
-        worst_value=float(worst),
-        worst_raw=float(worst_raw),
-        n_bumps=len(bumps),
+        passed=bool(ratio[i] >= -tol),
+        worst_value=float(ratio[i]),
+        worst_raw=float(raw[i]),
+        n_bumps=ratio.size,
         sign=sign,
+        worst_center=float(centre[i]),
+        worst_width=width[i],
     )
 
 
 def classify_weight_sign(
-    w, grid: RadialGrid, n_tests: int = 8, **kw
+    w, grid: RadialGrid, n_tests: int = 8, *, p=None, model=None, tol: float = TOL_WEAK
 ) -> str:
     """Classify a weight as superharmonic / subharmonic / harmonic / indefinite
-    from the two one-sided weak checks."""
-    sup = weak_superharmonicity_check(w, grid, n_tests, sign=+1, **kw)
-    sub = weak_superharmonicity_check(w, grid, n_tests, sign=-1, **kw)
-    if sup.passed and sub.passed:
-        return "harmonic"
-    if sup.passed:
-        return "superharmonic"
-    if sub.passed:
-        return "subharmonic"
+    from the two one-sided weak checks, both read off one scoring pass: the
+    worst value for sign=-1 is -max(ratio)."""
+    ratio = _bump_ratios(w, grid, n_tests, +1, p, model)[0]
+    sup, sub = ratio.min() >= -tol, -ratio.max() >= -tol
+    if sup or sub:
+        return "harmonic" if sup and sub else "superharmonic" if sup else "subharmonic"
     return "indefinite"
 
 

@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the package's own discretizations: the
-eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, and the
-quadrature helpers use closed antiderivatives.
+eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, the
+quadrature helpers use closed antiderivatives, and the weak sign check is
+redone one scipy B-spline per bump.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import BSpline
 
 
 def plaplace_lambda1_shooting(p: float, length: float) -> float:
@@ -64,3 +66,54 @@ def euclidean_annulus_capacity(n_dim: int, p: float, a: float, b: float) -> floa
     else:
         integral = (b ** (expo + 1.0) - a ** (expo + 1.0)) / (expo + 1.0)
     return (sigma ** (-1.0 / (p - 1.0)) * integral) ** (1.0 - p)
+
+
+def weak_check_bspline_loop(w, grid, n_tests=8, sign=1, *, p=None, model=None):
+    """Reference weak sign check: one ``scipy.interpolate.BSpline`` bump at
+    a time, with the flux evaluated afresh at each bump's Gauss points.
+
+    Same bump set and scoring as ``phardy.weights.weak_superharmonicity_check``:
+    widths 3 and 9 cells, knots ``[c-w, c-half, c, c+half, c+w]`` on grid
+    nodes, 8 Gauss points per cell for a closed-form weight, and the
+    piecewise-linear flux form for samples.  Returns
+    ``(worst_value, worst_raw, n_bumps)``.
+    """
+    nodes = grid.nodes
+    z, gw = np.polynomial.legendre.leggauss(8)
+    if model is None:
+        model, p = w.model, w.p if p is None else p
+
+    def flux(t, slope):
+        s = np.exp(model.log_volume_density(t))
+        return s * model.gradient_factor(t) ** p * np.sign(slope) * np.abs(slope) ** (p - 1.0)
+
+    if hasattr(w, "rho_prime"):
+        sampled = None
+    else:
+        sampled = np.asarray(getattr(w, "values", w), float)
+        h = np.diff(nodes)
+        cell_flux = flux(0.5 * (nodes[:-1] + nodes[1:]), np.diff(sampled) / h)
+
+    worst, worst_raw, n_bumps = np.inf, np.inf, 0
+    for width in (3, 9):
+        if 2 * width + 1 > grid.n:
+            continue
+        half = max(1, width // 2)
+        count = max(n_tests, math.ceil((grid.n - 1) / width) + 1)
+        for c in np.unique(np.round(np.linspace(width, grid.n - 1 - width, count)).astype(int)):
+            kn = [c - width, c - half, c, c + half, c + width]
+            spline = BSpline.basis_element(nodes[kn], extrapolate=False)
+            if sampled is None:
+                xl, xr = nodes[kn[0] : kn[-1], None], nodes[kn[0] + 1 : kn[-1] + 1, None]
+                pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z
+                terms = 0.5 * (xr - xl) * gw * flux(pts, w.rho_prime(pts))
+                terms = terms * np.nan_to_num(spline.derivative()(pts))
+            else:
+                phi = np.nan_to_num(spline(nodes[kn[0] : kn[-1] + 1]))
+                terms = cell_flux[kn[0] : kn[-1]] * np.diff(phi)
+            raw, norm = sign * float(np.sum(terms)), float(np.sum(np.abs(terms)))
+            rel = raw / norm if norm > 0 else 0.0
+            n_bumps += 1
+            if rel < worst:
+                worst, worst_raw = rel, raw
+    return worst, worst_raw, n_bumps

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import phardy
 from phardy.cli import (
     bundled_config_path,
     emit_tables,
@@ -43,6 +47,23 @@ def test_run_suite_minimal_pass():
     assert case["status"] == "pass"
     assert case["hypothesis"]["passed"]
     assert case["sides"]["min_margin_rel"] >= -1e-6
+
+
+def test_report_locates_worst_bump():
+    hyp = run_suite(small_config())["cases"][0]["hypothesis"]
+    grid = small_config()["cases"][0]["grid"]
+    assert hyp["worst_width"] in (3, 9)
+    assert grid["lo"] < hyp["worst_center"] < grid["hi"]
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # scipy.interpolate is only for test oracles; keeping it out of the CLI saves import time
+    code = "import sys, phardy.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(phardy.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_run_suite_deterministic_bytes():

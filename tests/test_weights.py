@@ -1,10 +1,16 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import weak_check_bspline_loop  # noqa: E402
+
+from phardy import weights
 from phardy.errors import InvalidArgumentError, ParabolicModelError
 from phardy.geometry import (
     CoordinateRange,
@@ -116,6 +122,89 @@ def test_weak_functional_scaling(lam):
 def test_catalog_sign_agreement():
     for entry in signed_catalog():
         assert classify_weight_sign(entry.weight, entry.grid) == entry.expected
+
+
+def _catalog_weights():
+    """Each signed-catalog weight in closed form and as node samples."""
+    for e in signed_catalog():
+        w = e.weight
+        yield w, e.grid, {}
+        yield GridFunction(e.grid, w.rho(e.grid.nodes)), e.grid, {"p": w.p, "model": w.model}
+
+
+def test_weak_check_matches_bspline_loop_oracle():
+    # absolute agreement: on harmonic entries worst_value is ~1e-14 roundoff
+    for w, grid, kw in _catalog_weights():
+        for sign in (+1, -1):
+            res = weak_superharmonicity_check(w, grid, sign=sign, **kw)
+            worst, _, n_bumps = weak_check_bspline_loop(w, grid, sign=sign, **kw)
+            assert res.passed == (worst >= -weights.TOL_WEAK)
+            assert res.n_bumps == n_bumps
+            assert abs(res.worst_value - worst) <= 1e-12, (sign, res.worst_value, worst)
+
+
+def test_classify_matches_both_one_sided_checks():
+    for w, grid, kw in _catalog_weights():
+        sup = weak_superharmonicity_check(w, grid, sign=+1, **kw).passed
+        sub = weak_superharmonicity_check(w, grid, sign=-1, **kw).passed
+        expected = {(True, True): "harmonic", (True, False): "superharmonic",
+                    (False, True): "subharmonic", (False, False): "indefinite"}[sup, sub]
+        assert classify_weight_sign(w, grid, **kw) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_weak_check_rejects_grid_without_bumps(n):
+    w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
+    with pytest.raises(InvalidArgumentError, match="too coarse"):
+        weak_superharmonicity_check(w, wide_grid(n))
+
+
+@pytest.mark.parametrize("n", range(7, 19))
+def test_weak_check_small_grids_use_width_3_only(n):
+    # width 9 needs 19 nodes; width-3 centres are the integers 3..n-4, 8 at most
+    w = rho_catalog_entry("power", E3, 2.0, beta=2.0)
+    res = weak_superharmonicity_check(w, wide_grid(n))
+    assert res.n_bumps == min(8, n - 6) == weak_check_bspline_loop(w, wide_grid(n))[2]
+    assert res.worst_width == 3
+
+
+def test_weak_check_raw_samples_need_model_and_p():
+    grid = wide_grid(100)
+    with pytest.raises(InvalidArgumentError, match="model= and p="):
+        weak_superharmonicity_check(1.0 / grid.nodes, grid)
+    with pytest.raises(InvalidArgumentError, match="model= and p="):
+        weak_superharmonicity_check(1.0 / grid.nodes, grid, p=2.0)
+    res = weak_superharmonicity_check(1.0 / grid.nodes, grid, p=2.0, model=E3)
+    assert res.passed
+
+
+def test_weak_check_block_size_is_invisible(monkeypatch):
+    cases = list(_catalog_weights())
+    before = [weak_superharmonicity_check(w, g, sign=s, **kw) for w, g, kw in cases for s in (1, -1)]
+    monkeypatch.setattr(weights, "_BUMP_BLOCK", 7)
+    after = [weak_superharmonicity_check(w, g, sign=s, **kw) for w, g, kw in cases for s in (1, -1)]
+    assert after == before
+
+
+def test_weak_check_zero_flux_bumps_score_zero():
+    # a constant weight has zero flux: every bump is 0/0 and scores +0.0
+    w = rho_catalog_entry("constant", interval(0, 1), 2.0, c=2.5)
+    grid = build_grid(CoordinateRange(0.0, 1.0), 101, "linear")
+    for sign in (+1, -1):
+        res = weak_superharmonicity_check(w, grid, sign=sign)
+        assert res.passed and math.copysign(1.0, res.worst_value) == 1.0
+        assert res.worst_value == 0.0 and (res.worst_center, res.worst_width) == (grid.nodes[3], 3)
+    assert classify_weight_sign(w, grid) == "harmonic"
+
+
+def test_weak_check_locates_the_kink():
+    # rho = min(x, 1-x) is p-superharmonic with a point mass at the kink 1/2:
+    # the subharmonic check fails worst on the width-3 bump centred there
+    m = interval(0.0, 1.0)
+    grid = build_grid(CoordinateRange(0, 1), 901, "linear")
+    res = weak_superharmonicity_check(rho_catalog_entry("dist-boundary", m, 2.0), grid, sign=-1)
+    assert res.worst_value == pytest.approx(-1.0)
+    assert (res.worst_center, res.worst_width) == (0.5, 3)
 
 
 def test_chain_rule_constant_weight_guarded():
