@@ -19,15 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteIntegrandError
+from .forms import P1Forms, restrict, solve_tridiag_spd
 from .geometry import CoordinateRange, ModelManifold
 from .grids import GridFunction, LOG, build_grid, cell_gauss
 
 
-def _inv_density_power(model: ModelManifold, p: float):
-    def fn(t):
-        return np.exp(-model.log_volume_density(t) / (p - 1.0))
-
-    return fn
+def green_integrals(model: ModelManifold, p: float, nodes: np.ndarray):
+    """Per-cell Gauss integrals of s^(-1/(p-1)) and their suffix sums,
+    suffix[i] = the integral from node i to the last node."""
+    pts, wts = cell_gauss(nodes, 8)
+    cell_ints = np.sum(wts * np.exp(-model.log_volume_density(pts) / (p - 1.0)), axis=1)
+    return cell_ints, np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
 
 
 @dataclass
@@ -50,13 +52,10 @@ def radial_capacity(
     if n is None:
         n = max(800, int(200 * math.log10(b / a)))
     grid = build_grid(CoordinateRange(a, b), n, LOG)
-    fn = _inv_density_power(model, p)
-    pts, wts = cell_gauss(grid.nodes, 8)
-    cell_ints = np.sum(wts * fn(pts), axis=1)
+    cell_ints, suffix = green_integrals(model, p, grid.nodes)
     total = float(np.sum(cell_ints))
     if not np.isfinite(total) or total <= 0:
         raise NonFiniteIntegrandError("capacity integrand not integrable on (a, b)")
-    suffix = np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
     profile = np.clip(suffix / total, 0.0, 1.0)
     value = total ** (1.0 - p)
     # hint: is the defining integral still growing near b?
@@ -80,44 +79,23 @@ def capacity_by_minimization(
     u(a) = 1, u(b) = 0 by damped Newton steps on the interior values;
     validates the closed form without using it.
     """
-    from scipy.linalg import solveh_banded
-
     grid = build_grid(CoordinateRange(a, b), n, LOG)
-    nodes = grid.nodes
-    h = np.diff(nodes)
-    pts, wts = cell_gauss(nodes, 8)
-    s_cell = np.sum(wts * np.exp(model.log_volume_density(pts)), axis=1)
-
-    u = np.interp(np.log(nodes), [math.log(a), math.log(b)], [1.0, 0.0])
+    forms = P1Forms(grid, lambda t: (np.zeros_like(t), np.exp(model.log_volume_density(t))))
+    u = np.interp(np.log(grid.nodes), [math.log(a), math.log(b)], [1.0, 0.0])
     u[0], u[-1] = 1.0, 0.0
-
-    def energy(u):
-        slope = np.diff(u) / h
-        return float(np.dot(s_cell, np.abs(slope) ** p))
-
-    e = energy(u)
+    inner = slice(1, n - 1)
+    e = forms.energy(u, p)
     for _ in range(200):
-        slope = np.diff(u) / h
-        mag = np.maximum(np.abs(slope), 1e-14 * np.max(np.abs(slope)))
-        g_cell = s_cell * p * np.sign(slope) * mag ** (p - 1.0) / h
-        grad = np.zeros(n)
-        grad[1:] += g_cell
-        grad[:-1] -= g_cell
-        h_cell = s_cell * p * (p - 1.0) * mag ** (p - 2.0) / h ** 2
-        diag = np.zeros(n)
-        off = np.zeros(n - 1)
-        diag[:-1] += h_cell
-        diag[1:] += h_cell
-        off -= h_cell
-        ab = np.zeros((2, n - 2))
-        ab[0, 1:] = off[1:-1]
-        ab[1] = diag[1:-1]
+        # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
+        k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
         step = np.zeros(n)
-        step[1:-1] = solveh_banded(ab, grad[1:-1])
+        step[inner] = solve_tridiag_spd(
+            p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off, forms.energy_grad(u, p)[inner]
+        )
         t = 1.0
         for _ in range(50):
             trial = u - t * step
-            et = energy(trial)
+            et = forms.energy(trial, p)
             if et < e:
                 u, e_prev, e = trial, e, et
                 break
@@ -149,17 +127,14 @@ def classify_parabolicity(
     p: float,
     a: float = 1.0,
     b_schedule: list[float] | None = None,
-    last_frac: float = 0.1,
-    slope_threshold: float = -0.1,
-    tail_slope_floor: float = -0.05,
 ) -> ClassificationResult:
     """Classify a radial model by the decay of cap_p(B_a, B_b) in b.
 
     p_parabolic when the schedule shows a decreasing-to-zero trend (last
-    value below ``last_frac`` of the first and consecutive log-log slope
-    below ``slope_threshold`` somewhere); otherwise p_hyperbolic with the
-    last value as liminf estimate.  ``inconclusive`` is flagged when the
-    values neither vanish nor level off by the end of the schedule.
+    value below 0.1 of the first and a consecutive log-log slope below
+    -0.1 somewhere); otherwise p_hyperbolic with the last value as liminf
+    estimate.  ``inconclusive`` is flagged when the values neither vanish
+    nor level off (last slope below -0.05) by the end of the schedule.
     """
     if b_schedule is None:
         b_schedule = default_b_schedule(a)
@@ -172,8 +147,8 @@ def classify_parabolicity(
     steepest = float(np.min(secants))
     tail = float(secants[-1])
     ratio = values[-1] / values[0]
-    parabolic = ratio < last_frac and steepest < slope_threshold
-    inconclusive = (not parabolic) and tail < tail_slope_floor
+    parabolic = ratio < 0.1 and steepest < -0.1
+    inconclusive = (not parabolic) and tail < -0.05
     return ClassificationResult(
         classification="p_parabolic" if parabolic else "p_hyperbolic",
         inconclusive=inconclusive,

@@ -7,13 +7,16 @@ evaluates margins over seeded random test functions, optionally
 minimizes the Rayleigh quotient against the theorem's lower bound, and
 writes a deterministic JSON report plus CSV tables.
 
-Exit codes: 0 when no inequality check failed, 2 for config errors,
-3 for runtime numerical errors (the offending case is named).
+Exit codes: 0 when no inequality check failed, 1 when one did, 2 for
+config errors (the message names the case and the key), 3 for runtime
+numerical errors (the offending case is named).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -57,116 +60,149 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _case_range(spec: dict) -> CoordinateRange:
-    g = spec["grid"]
-    return CoordinateRange(
-        float(g["lo"]),
-        float(g["hi"]),
-        open_lo=bool(g.get("open_lo", True)),
-        open_hi=bool(g.get("open_hi", True)),
-    )
+# ---------------------------------------------------------------------------
+# config validation: each rule maps a key to its type (required) or to its
+# default (optional, of the default's type; None: an optional number)
+
+_TYPE_NAMES = {
+    float: "a finite number", int: "a non-negative integer", str: "a string",
+    bool: "true or false", dict: "an object", list: "an array",
+}
+_CONFIG_RULES = {
+    "cases": list, "seed": 0, "tol_disc": DEFAULT_TOL_DISC,
+    "n_test_functions": DEFAULT_N_TEST_FUNCTIONS,
+}
+_GRID_RULES = {
+    "lo": float, "hi": float, "n": int, "spacing": "log", "open_lo": True, "open_hi": True,
+}
+_MODEL_RULES = {
+    "euclidean": {"dim": int}, "hyperbolic": {"dim": int}, "half_plane": {},
+    "interval": {"a": float, "b": float},
+}
 
 
-def _case_grid(spec: dict):
-    g = spec["grid"]
-    return build_grid(_case_range(spec), int(g["n"]), g.get("spacing", "log"))
+def _checked(where: str, obj, rules: dict) -> dict:
+    """obj with every rule's key, defaults filled in; a missing, unknown or
+    mistyped key is a ConfigError naming where and the key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = sorted(obj.keys() - rules.keys())
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    out = {}
+    for key, rule in rules.items():
+        want = float if rule is None else rule if isinstance(rule, type) else type(rule)
+        if key not in obj:
+            if isinstance(rule, type):
+                raise ConfigError(f"{where}: missing key {key!r}")
+            out[key] = rule
+            continue
+        value = obj[key]
+        if isinstance(value, bool) and want is not bool:
+            ok = False
+        elif want is float:
+            ok = isinstance(value, (int, float)) and abs(value) <= 1e300
+        elif want is int:
+            ok = isinstance(value, int) and 0 <= value < 2 ** 63
+        else:
+            ok = isinstance(value, want)
+        if not ok:
+            raise ConfigError(f"{where}: {key!r} must be {_TYPE_NAMES[want]}, got {value!r}")
+        out[key] = float(value) if want is float else value
+    return out
 
 
-def _build_case(spec: dict) -> fn.InequalityCase:
-    kind = spec["kind"]
-    model = model_from_config(spec["model"])
-    params = spec.get("params", {})
-    p = float(params["p"])
-    rng = _case_range(spec)
-    weight = parse_weight(spec["weight"], model, p) if "weight" in spec else None
-    cid = spec.get("id", "")
-    if kind in ("hardy", "weighted-hardy"):
-        return fn.weighted_hardy_case(
-            model, weight, float(params.get("alpha", 0.0)), rng, cid
+def _built(where: str, key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a bad value it rejects turned into a
+    ConfigError naming where and the key."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {key!r}: {exc}") from None
+
+
+def _checked_case(i: int, spec, conf: dict) -> dict:
+    """One case checked against its kind's rules, with its model, grid and,
+    for kinds built from a config, its InequalityCase constructed."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'cases'[{i}] must be an object, got {spec!r}")
+    where = f"case {spec.get('id', i)!r}"
+    name = spec.get("kind")
+    kind = fn.KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise ConfigError(f"{where}: unknown 'kind' {name!r}")
+    rules = {"kind": str, "model": dict, "params": dict, "grid": dict, "id": "",
+             "n_test_functions": conf["n_test_functions"]}
+    if kind.factory:
+        rules.update(weight=str, checks={}, max_iter=5000)
+    if name == "classification":
+        rules.update(grid={}, expect="")
+    c = _checked(where, spec, rules)
+    params = c["params"] = _checked(f"{where} params", c["params"], kind.params)
+    if params["p"] <= 1.0:
+        raise ConfigError(f"{where} params: 'p' must be > 1, got {params['p']!r}")
+    if c["n_test_functions"] < 1:
+        raise ConfigError(f"{where}: 'n_test_functions' must be positive")
+    model_kind = c["model"].get("kind")
+    extra = _MODEL_RULES.get(model_kind, {}) if isinstance(model_kind, str) else {}
+    model = _checked(f"{where} model", c["model"], {"kind": str, **extra})
+    c["model"] = _built(where, "model", model_from_config, model)
+    if name != "classification":
+        g = _checked(f"{where} grid", c["grid"], _GRID_RULES)
+        c["rng"] = _built(
+            where, "grid", CoordinateRange, g["lo"], g["hi"], g["open_lo"], g["open_hi"]
         )
-    if kind == "caccioppoli":
-        return fn.caccioppoli_case(model, weight, float(params["q"]), rng, cid)
-    if kind == "gn":
-        return fn.gn_case(model, weight, float(params["delta"]), rng, cid)
-    if kind == "uncertainty":
-        return fn.uncertainty_case(
-            model, weight, float(params["s"]), float(params["a"]), rng, cid
+        c["grid"] = _built(where, "grid", build_grid, c["rng"], g["n"], g["spacing"])
+    if kind.factory:
+        c["checks"] = _checked(
+            f"{where} checks", c["checks"], {"hypothesis": True, "minimize": False}
         )
-    if kind == "hardy-sobolev":
-        return fn.hardy_sobolev_case(
-            model,
-            weight,
-            float(params["theta"]),
-            float(params["p_star"]),
-            float(params["sobolev_constant"]),
-            rng,
-            cid,
+        if c["checks"]["minimize"] and kind.densities is None:
+            raise ConfigError(f"{where} checks: 'minimize' needs a quotient kind")
+        weight = _built(where, "weight", parse_weight, c["weight"], c["model"], params["p"])
+        others = {k: v for k, v in params.items() if k != "p"}
+        c["case"] = _built(
+            where, "params", kind.factory, c["model"], weight,
+            rng=c["rng"], case_id=c["id"], **others,
         )
-    if kind == "ckn":
-        return fn.ckn_case(
-            model,
-            weight,
-            theta=float(params["theta"]),
-            p_star=float(params["p_star"]),
-            r=float(params["r"]),
-            a=float(params["a"]),
-            gamma=float(params["gamma"]),
-            delta=float(params["delta"]),
-            eps=params.get("eps"),
-            sigma=float(params.get("sigma", 0.0)),
-            sobolev_constant=float(params["sobolev_constant"]),
-            rng=rng,
-            case_id=cid,
-        )
-    raise ConfigError(f"unknown case kind {kind!r}")
+    return c
 
 
-def _case_seed(master_seed: int, case_id: str) -> list[int]:
+# ---------------------------------------------------------------------------
+# runners
+
+def _run_margins(c, conf, record, case, sides) -> bool:
+    """Record the worst relative margin of sides(case, u) over the case's
+    seeded test functions; True when it is within the tolerance."""
     # order-independent per-case stream
-    return [int(master_seed), zlib.crc32(case_id.encode())]
-
-
-def _sidepair_record(pair: fn.SidePair) -> dict:
-    return {
-        "lhs": pair.lhs,
-        "rhs": pair.rhs,
-        "constant": pair.constant,
-        "margin": pair.margin,
-    }
-
-
-def _run_margins(case, grid, n_funcs, seed, tol_disc, sides_fn):
-    funcs = random_test_functions(grid, n_funcs, seed)
+    seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = None
     worst_rel = math.inf
-    for u in funcs:
-        pair = sides_fn(case, u)
+    for u in random_test_functions(c["grid"], c["n_test_functions"], seed):
+        pair = sides(case, u)
         scale = max(pair.rhs, 1e-300)
         rel = pair.margin / scale
         if rel < worst_rel:
             worst_rel = rel
             worst = pair
-    return {
-        "n_test_functions": n_funcs,
+    record["sides"] = {
+        "n_test_functions": c["n_test_functions"],
         "min_margin_rel": worst_rel,
-        "worst": _sidepair_record(worst),
-        "passed": bool(worst_rel >= -tol_disc),
+        "worst": dataclasses.asdict(worst),
+        "passed": bool(worst_rel >= -conf["tol_disc"]),
     }
+    return record["sides"]["passed"]
 
 
-def _run_inequality_case(spec, cfg, record):
-    case = _build_case(spec)
+def _run_inequality_case(c, conf, record):
+    case, grid = c["case"], c["grid"]
     record["case_id"] = case.case_id
-    grid = _case_grid(spec)
-    tol_disc = float(cfg.get("tol_disc", DEFAULT_TOL_DISC))
-    checks = spec.get("checks", {})
-
     if case.trivial:
         record["status"] = "trivial"
         record["note"] = "degenerate constant: inequality trivially satisfied"
         return
 
-    if checks.get("hypothesis", True) and case.hypothesis_mode is not None:
+    if c["checks"]["hypothesis"] and case.hypothesis_mode is not None:
         res = fn.validate_case_hypothesis(case, grid)
         record["hypothesis"] = {
             "mode": case.hypothesis_mode,
@@ -180,22 +216,13 @@ def _run_inequality_case(spec, cfg, record):
             record["status"] = "hypothesis-failed"
             return
 
-    seed = _case_seed(int(cfg.get("seed", 0)), case.case_id)
-    n_funcs = int(
-        spec.get("n_test_functions", cfg.get("n_test_functions", DEFAULT_N_TEST_FUNCTIONS))
-    )
-    margins = _run_margins(case, grid, n_funcs, seed, tol_disc, fn.sides_for)
-    record["sides"] = margins
-    ok = margins["passed"]
-
-    if checks.get("minimize", False):
+    ok = _run_margins(c, conf, record, case, fn.sides_for)
+    if c["checks"]["minimize"]:
         if case.p == 2.0:
             res = opt.minimize_quotient_p2(case, grid)
         else:
-            res = opt.minimize_quotient_general_p(
-                case, grid, max_iter=int(spec.get("max_iter", 5000))
-            )
-        bound_ok = res.quotient >= case.formula_constant - tol_disc
+            res = opt.minimize_quotient_general_p(case, grid, max_iter=c["max_iter"])
+        bound_ok = res.quotient >= case.formula_constant - conf["tol_disc"]
         record["minimization"] = {
             "quotient": res.quotient,
             "iterations": res.iterations,
@@ -212,15 +239,12 @@ def _run_inequality_case(spec, cfg, record):
     record["status"] = "pass" if ok else "fail"
 
 
-def _run_classification_case(spec, cfg, record):
-    model = model_from_config(spec["model"])
-    p = float(spec["params"]["p"])
-    a = float(spec["params"].get("a", 1.0))
-    decades = int(spec["params"].get("decades", 13))
-    cid = spec.get("id", f"classification[{model.kind}|N={model.dim}|p={p:g}]")
-    record["case_id"] = cid
+def _run_classification_case(c, conf, record):
+    model, params = c["model"], c["params"]
+    p, a = params["p"], params["a"]
+    record["case_id"] = c["id"] or f"classification[{model.kind}|N={model.dim}|p={p:g}]"
     cls = capacity_mod.classify_parabolicity(
-        model, p, a=a, b_schedule=capacity_mod.default_b_schedule(a, decades)
+        model, p, a=a, b_schedule=capacity_mod.default_b_schedule(a, params["decades"])
     )
     record["classification"] = {
         "classification": cls.classification,
@@ -229,107 +253,70 @@ def _run_classification_case(spec, cfg, record):
         "schedule": cls.schedule,
         "values": cls.values,
     }
-    expect = spec.get("expect")
-    record["status"] = "pass" if (expect is None or cls.classification == expect) else "fail"
+    expect = c["expect"]
+    record["status"] = "pass" if (not expect or cls.classification == expect) else "fail"
 
 
-def _run_eigen_case(spec, cfg, record):
-    model = model_from_config(spec["model"])
-    params = spec.get("params", {})
-    p = float(params["p"])
-    rng = _case_range(spec)
-    grid = _case_grid(spec)
-    cid = spec.get("id", f"{spec['kind']}[{model.kind}|p={p:g}]")
-    record["case_id"] = cid
-    pair = eigen_mod.first_eigenpair(model, p, rng, grid=grid)
+def _run_eigen_case(build, c, conf, record):
+    """Solve the first eigenpair, then check the case ``build`` makes of it."""
+    params = c["params"]
+    p = params["p"]
+    record["case_id"] = c["id"] or f"{c['kind']}[{c['model'].kind}|p={p:g}]"
+    pair = eigen_mod.first_eigenpair(c["model"], p, c["rng"], grid=c["grid"])
     record["eigen"] = {
         "lambda1": pair.lambda1,
         "residual": pair.residual,
         "converged": pair.converged,
     }
-    tol_disc = float(cfg.get("tol_disc", DEFAULT_TOL_DISC))
-    seed = _case_seed(int(cfg.get("seed", 0)), cid)
-    n_funcs = int(spec.get("n_test_functions", cfg.get("n_test_functions", DEFAULT_N_TEST_FUNCTIONS)))
-    kind = spec["kind"]
-    if kind == "eigen-hardy":
-        case = eigen_mod.eigen_hardy_case(pair, float(params.get("alpha", 0.0)))
-        margins = _run_margins(case, grid, n_funcs, seed, tol_disc, fn.sides_for)
-    elif kind == "poincare-eigen":
-        s = float(params["s"])
-        margins = _run_margins(
-            pair, grid, n_funcs, seed, tol_disc,
-            lambda pr, u: eigen_mod.poincare_eigen_check(pr, p, s, u),
-        )
-    else:  # distance-hardy
-        eps_split = float(params.get("eps_split", 0.1))
-        margins = _run_margins(
-            pair, grid, n_funcs, seed, tol_disc,
-            lambda pr, u: eigen_mod.distance_hardy_composite(pr, p, eps_split, u),
-        )
-    record["sides"] = margins
-    record["status"] = "pass" if (margins["passed"] and pair.converged) else "fail"
+    case = build(pair, **{k: v for k, v in params.items() if k != "p"})
+    ok = _run_margins(c, conf, record, case, fn.sides_for)
+    record["status"] = "pass" if (ok and pair.converged) else "fail"
 
 
-def _run_divergence_case(spec, cfg, record):
-    model = model_from_config(spec["model"])
-    p = float(spec["params"]["p"])
-    field_name = spec["params"].get("field", "davies-hinz")
-    cid = spec.get("id", f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]")
-    record["case_id"] = cid
+def _run_divergence_case(c, conf, record):
+    model, p, field_name = c["model"], c["params"]["p"], c["params"]["field"]
+    record["case_id"] = c["id"] or f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]"
     if field_name == "davies-hinz":
         vfc = fn.davies_hinz_field(model)
     elif field_name == "killing":
         vfc = fn.killing_field(model, p)
     else:
-        raise ConfigError(f"unknown vector field {field_name!r}")
-    grid = _case_grid(spec)
-    tol_disc = float(cfg.get("tol_disc", DEFAULT_TOL_DISC))
-    seed = _case_seed(int(cfg.get("seed", 0)), cid)
-    n_funcs = int(spec.get("n_test_functions", cfg.get("n_test_functions", DEFAULT_N_TEST_FUNCTIONS)))
-    margins = _run_margins(
-        vfc, grid, n_funcs, seed, tol_disc,
-        lambda v, u: fn.divergence_lemma_sides(v, u, p),
-    )
-    record["sides"] = margins
-    record["status"] = "pass" if margins["passed"] else "fail"
+        raise ConfigError(f"case {record['case_id']!r} params: unknown 'field' {field_name!r}")
+    ok = _run_margins(c, conf, record, vfc, lambda v, u: fn.divergence_lemma_sides(v, u, p))
+    record["status"] = "pass" if ok else "fail"
 
 
+#: every other kind in fn.KINDS runs as an InequalityCase
 _RUNNERS = {
-    "hardy": _run_inequality_case,
-    "weighted-hardy": _run_inequality_case,
-    "caccioppoli": _run_inequality_case,
-    "gn": _run_inequality_case,
-    "uncertainty": _run_inequality_case,
-    "hardy-sobolev": _run_inequality_case,
-    "ckn": _run_inequality_case,
     "classification": _run_classification_case,
-    "eigen-hardy": _run_eigen_case,
-    "poincare-eigen": _run_eigen_case,
-    "distance-hardy": _run_eigen_case,
     "divergence-lemma": _run_divergence_case,
+    "eigen-hardy": functools.partial(_run_eigen_case, eigen_mod.eigen_hardy_case),
+    "poincare-eigen": functools.partial(_run_eigen_case, eigen_mod.poincare_eigen_case),
+    "distance-hardy": functools.partial(_run_eigen_case, eigen_mod.distance_hardy_case),
 }
 
 
 def run_suite(cfg: dict) -> dict:
-    """Execute every configured case and assemble the report."""
+    """Check the whole config, then execute every case and assemble the report."""
+    conf = _checked("config", cfg, _CONFIG_RULES)
+    cases = [_checked_case(i, spec, conf) for i, spec in enumerate(conf["cases"])]
     records = []
-    for i, spec in enumerate(cfg["cases"]):
-        kind = spec.get("kind")
-        if kind not in _RUNNERS:
-            raise ConfigError(f"case {i}: unknown kind {kind!r}")
+    for i, (spec, c) in enumerate(zip(conf["cases"], cases)):
         record = {
-            "kind": kind,
-            "params": spec.get("params", {}),
+            "kind": c["kind"],
+            "params": spec["params"],
             "grid": spec.get("grid", {}),
-            "seed": int(cfg.get("seed", 0)),
+            "seed": conf["seed"],
         }
         try:
-            _RUNNERS[kind](spec, cfg, record)
+            _RUNNERS.get(c["kind"], _run_inequality_case)(c, conf, record)
         except ConfigError:
             raise
         except ToolkitError as exc:
-            exc.case_id = record.get("case_id", spec.get("id", f"case-{i}"))
+            exc.case_id = record.get("case_id", c["id"] or f"case-{i}")
             raise
+        if record["case_id"] in {r["case_id"] for r in records}:
+            raise ConfigError(f"case {record['case_id']!r}: duplicate 'id'")
         records.append(record)
     records.sort(key=lambda r: r["case_id"])
     summary = {
@@ -343,8 +330,8 @@ def run_suite(cfg: dict) -> dict:
     ).hexdigest()
     return {
         "config_digest": digest,
-        "seed": int(cfg.get("seed", 0)),
-        "tol_disc": float(cfg.get("tol_disc", DEFAULT_TOL_DISC)),
+        "seed": conf["seed"],
+        "tol_disc": conf["tol_disc"],
         "cases": records,
         "summary": summary,
     }
@@ -355,78 +342,55 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-_CSV_COLUMNS = [
-    "case_id", "kind", "status", "lhs", "rhs", "constant", "margin",
-    "min_margin_rel", "n", "lo", "hi", "spacing", "seed",
-]
-
-
 def emit_tables(report: dict, out_dir, fmt: str = "csv") -> list[Path]:
     """Write the report's tables; bit-stable for identical reports."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     if fmt == "json":
         path = out_dir / "report.json"
         path.write_text(report_json(report))
         return [path]
-    path = out_dir / "sides.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in report["cases"]:
-            worst = r.get("sides", {}).get("worst", {})
-            grid = r.get("grid", {})
-            writer.writerow([
-                r["case_id"], r["kind"], r["status"],
-                repr(worst.get("lhs", "")) if worst else "",
-                repr(worst.get("rhs", "")) if worst else "",
-                repr(worst.get("constant", "")) if worst else "",
-                repr(worst.get("margin", "")) if worst else "",
-                repr(r.get("sides", {}).get("min_margin_rel", "")) if r.get("sides") else "",
-                grid.get("n", ""), grid.get("lo", ""), grid.get("hi", ""),
-                grid.get("spacing", ""), r.get("seed", ""),
-            ])
-    written.append(path)
-    cpath = out_dir / "classification.csv"
-    with open(cpath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "classification", "inconclusive", "liminf_estimate"])
-        for r in report["cases"]:
-            if "classification" in r:
-                c = r["classification"]
-                writer.writerow([
-                    r["case_id"], c["classification"], c["inconclusive"],
-                    repr(c["liminf_estimate"]),
-                ])
-    written.append(cpath)
-    mpath = out_dir / "minimization.csv"
-    with open(mpath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "quotient", "iterations", "converged", "bound_ok"])
-        for r in report["cases"]:
-            if "minimization" in r:
-                m = r["minimization"]
-                writer.writerow([
-                    r["case_id"], repr(m["quotient"]), m["iterations"],
-                    m["converged"], m["bound_ok"],
-                ])
-    written.append(mpath)
-    return written
+    sides_rows = []
+    for r in report["cases"]:
+        worst = r.get("sides", {}).get("worst", {})
+        grid = r.get("grid", {})
+        sides_rows.append([
+            r["case_id"], r["kind"], r["status"],
+            repr(worst.get("lhs", "")) if worst else "",
+            repr(worst.get("rhs", "")) if worst else "",
+            repr(worst.get("constant", "")) if worst else "",
+            repr(worst.get("margin", "")) if worst else "",
+            repr(r.get("sides", {}).get("min_margin_rel", "")) if r.get("sides") else "",
+            grid.get("n", ""), grid.get("lo", ""), grid.get("hi", ""),
+            grid.get("spacing", ""), r.get("seed", ""),
+        ])
+    tables = {
+        "sides.csv": (
+            ["case_id", "kind", "status", "lhs", "rhs", "constant", "margin",
+             "min_margin_rel", "n", "lo", "hi", "spacing", "seed"],
+            sides_rows,
+        ),
+        "classification.csv": (
+            ["case_id", "classification", "inconclusive", "liminf_estimate"],
+            [[r["case_id"], c["classification"], c["inconclusive"], repr(c["liminf_estimate"])]
+             for r in report["cases"] if (c := r.get("classification"))],
+        ),
+        "minimization.csv": (
+            ["case_id", "quotient", "iterations", "converged", "bound_ok"],
+            [[r["case_id"], repr(m["quotient"]), m["iterations"], m["converged"], m["bound_ok"]]
+             for r in report["cases"] if (m := r.get("minimization"))],
+        ),
+    }
+    for name, (header, rows) in tables.items():
+        with open(out_dir / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return [out_dir / name for name in tables]
 
 
+#: catalog rows of the models and weights; the inequality rows come from fn.KINDS
 _CATALOG_ROWS = [
-    ("inequality", "caccioppoli", "((q+1)/p)^p"),
-    ("inequality", "ckn", "C3 = C2^(p*(r-p)/(r(p*-p))) H^(a/p - p*(r-p)/(p r (p*-p)))"),
-    ("inequality", "distance-hardy", "min(((p-1)/p)^p b^p/L^p, lam1 (p-1-s)^(p-1)/p^p l^s eps^p)/2"),
-    ("inequality", "divergence-lemma", "p^p"),
-    ("inequality", "eigen-hardy", "((p-1-alpha)/p)^p"),
-    ("inequality", "gn", "(p/(|alpha|(p-1)))^(p-1)"),
-    ("inequality", "hardy", "((p-1)/p)^p"),
-    ("inequality", "hardy-sobolev", "C2 = S(p) H^(1/p)/(|theta| + H^(1/p))"),
-    ("inequality", "poincare-eigen", "lam1 (p-1-s)^(p-1)/p^p"),
-    ("inequality", "uncertainty", "(p/(|alpha|(p-1)))^(p/a)"),
-    ("inequality", "weighted-hardy", "(|p-1-alpha|/p)^p"),
     ("model", "euclidean", "density sigma_(N-1) r^(N-1)"),
     ("model", "half_plane", "density y^-2, gradient factor y"),
     ("model", "hyperbolic", "density sigma_(N-1) sinh^(N-1)(r)"),
@@ -444,7 +408,8 @@ _CATALOG_ROWS = [
 
 def list_catalog() -> str:
     """Stable, sorted listing of models, weights and inequality constants."""
-    lines = [f"{group:10s} | {name:22s} | {formula}" for group, name, formula in _CATALOG_ROWS]
+    rows = [("inequality", name, k.formula) for name, k in sorted(fn.KINDS.items()) if k.formula]
+    lines = [f"{group:10s} | {name:22s} | {formula}" for group, name, formula in rows + _CATALOG_ROWS]
     return "\n".join(lines) + "\n"
 
 
@@ -485,10 +450,6 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.tol_disc is not None:
             cfg["tol_disc"] = args.tol_disc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run_suite(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

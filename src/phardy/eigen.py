@@ -8,18 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollarGradientError, InvalidArgumentError
-from .functionals import (
-    InequalityCase,
-    SidePair,
-    _masked_integral,
-    _u_data,
-    weighted_hardy_case,
-    weighted_hardy_sides,
-)
+from .forms import P1Forms
+from .functionals import InequalityCase, SidePair, quotient_sides, weighted_hardy_case
 from .geometry import CoordinateRange, INTERVAL, ModelManifold
 from .grids import GridFunction, RadialGrid, build_grid
-from .optimize import _descend_quotient, _P1Forms, minimize_rayleigh_p2
-from .weights import weight_from_samples
+from .optimize import descend_quotient, minimize_rayleigh_p2
+from .weights import rho_catalog_entry, weight_from_samples
 
 TOL_EIG_P2 = 1e-6
 TOL_EIG_GENERAL = 1e-4
@@ -39,16 +33,14 @@ class EigenPair:
 
 
 def _eigen_densities(model: ModelManifold, p: float):
-    def a_fn(t):
-        return np.exp(model.log_volume_density(t))
+    def densities(t):
+        s = np.exp(model.log_volume_density(t))
+        return s, model.gradient_factor(t) ** p * s
 
-    def b_fn(t):
-        return model.gradient_factor(t) ** p * np.exp(model.log_volume_density(t))
-
-    return a_fn, b_fn
+    return densities
 
 
-def _weak_residual(forms: _P1Forms, u: np.ndarray, lam: float, p: float) -> float:
+def _weak_residual(forms: P1Forms, u: np.ndarray, lam: float, p: float) -> float:
     """Relative discrete-form norm of -Delta_p phi - lambda |phi|^{p-2} phi."""
     kp = forms.energy_grad(u, p) / p
     mp = forms.mass_grad(u, p) / p
@@ -73,19 +65,17 @@ def first_eigenpair(
         raise InvalidArgumentError("eigenproblem needs a bounded range")
     if grid is None:
         grid = build_grid(rng, n, "linear")
-    a_fn, b_fn = _eigen_densities(model, p)
+    densities = _eigen_densities(model, p)
     if p == 2.0:
-        res = minimize_rayleigh_p2(model, grid, a_fn, b_fn)
+        res = minimize_rayleigh_p2(grid, densities)
         lam, u, iters, conv = res.quotient, res.minimizer.values, res.iterations, res.converged
         tol = TOL_EIG_P2
     else:
         x = grid.to_coord(grid.nodes)
         seed = np.sin(math.pi * (x - x[0]) / (x[-1] - x[0]))
-        lam, u, iters, conv, _ = _descend_quotient(
-            grid, a_fn, b_fn, p, seed, positivity=True, rtol=1e-10
-        )
+        lam, u, iters, conv, _ = descend_quotient(grid, densities, p, seed, rtol=1e-10)
         tol = TOL_EIG_GENERAL
-    forms = _P1Forms(grid, a_fn, b_fn)
+    forms = P1Forms(grid, densities)
     u = np.abs(u)
     u = u / np.max(u)
     residual = _weak_residual(forms, u, lam, p)
@@ -110,20 +100,19 @@ def eigen_weight(pair: EigenPair):
 def eigen_hardy_case(pair: EigenPair, alpha: float = 0.0) -> InequalityCase:
     if alpha >= pair.p - 1.0:
         raise InvalidArgumentError("eigenfunction Hardy needs alpha < p-1")
-    case = weighted_hardy_case(
+    return weighted_hardy_case(
         pair.model,
         eigen_weight(pair),
         alpha,
         case_id=f"eigen-hardy[{pair.model.kind}|p={pair.p:g}|alpha={alpha:g}]",
     )
-    return case
 
 
 def eigen_hardy_check(pair: EigenPair, p: float, alpha: float, u: GridFunction) -> SidePair:
     """Weighted Hardy sides with rho = phi1 and constant ((p-1-alpha)/p)^p."""
     if p != pair.p:
         raise InvalidArgumentError("p must match the eigenpair")
-    return weighted_hardy_sides(eigen_hardy_case(pair, alpha), u)
+    return quotient_sides(eigen_hardy_case(pair, alpha), u)
 
 
 def poincare_eigen_constant(pair: EigenPair, s: float) -> float:
@@ -133,16 +122,9 @@ def poincare_eigen_constant(pair: EigenPair, s: float) -> float:
 
 def poincare_eigen_check(pair: EigenPair, p: float, s: float, u: GridFunction) -> SidePair:
     """lambda1 (p-1-s)^(p-1)/p^p  int phi1^s |u|^p  <=  int phi1^s |grad u|^p."""
-    if not (0.0 < s < p - 1.0):
-        raise InvalidArgumentError("need 0 < s < p-1")
     if p != pair.p:
         raise InvalidArgumentError("p must match the eigenpair")
-    t, g, sd, au, gu = _u_data(pair.model, u)
-    phi = np.interp(t, pair.phi1.grid.nodes, pair.phi1.values)
-    lhs = _masked_integral(u.grid, au ** p, phi ** s * sd)
-    rhs = _masked_integral(u.grid, gu ** p, phi ** s * sd)
-    c = poincare_eigen_constant(pair, s)
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
+    return quotient_sides(poincare_eigen_case(pair, s), u)
 
 
 def poincare_eigen_case(pair: EigenPair, s: float) -> InequalityCase:
@@ -208,18 +190,27 @@ def distance_hardy_constant(
     )
 
 
+def distance_hardy_case(
+    pair: EigenPair, eps_split: float = 0.1, s: float | None = None
+) -> InequalityCase:
+    """c int |u|^p / d^p <= int |grad u|^p with the composite constant c:
+    the Hardy quotient of rho = d, under a smaller constant."""
+    comp = distance_hardy_constant(pair, eps_split, s)
+    return InequalityCase(
+        kind="distance-hardy",
+        model=pair.model,
+        weight=rho_catalog_entry("dist-boundary", pair.model, pair.p),
+        params={"p": pair.p, "eps_split": eps_split, "s": comp.s},
+        rng=CoordinateRange(pair.phi1.grid.lo, pair.phi1.grid.hi),
+        formula_constant=comp.value,
+        case_id=f"distance-hardy[{pair.model.kind}|p={pair.p:g}|eps={eps_split:g}]",
+    )
+
+
 def distance_hardy_composite(
     pair: EigenPair, p: float, eps_split: float, u: GridFunction, s: float | None = None
 ) -> SidePair:
-    """c int |u|^p / d^p <= int |grad u|^p with the computed composite c."""
+    """Sides of ``distance_hardy_case``."""
     if p != pair.p:
         raise InvalidArgumentError("p must match the eigenpair")
-    comp = distance_hardy_constant(pair, eps_split, s)
-    t, g, sd, au, gu = _u_data(pair.model, u)
-    d = np.minimum(t - pair.model.a, pair.model.b - t)
-    with np.errstate(divide="ignore"):
-        lhs_factor = d ** (-p) * sd
-    lhs = _masked_integral(u.grid, au ** p, lhs_factor)
-    rhs = _masked_integral(u.grid, gu ** p, sd)
-    c = comp.value
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
+    return quotient_sides(distance_hardy_case(pair, eps_split, s), u)

@@ -1,11 +1,13 @@
-"""Left/right-hand sides of every inequality in the catalog.
+"""The inequality kinds, their cases and the sides of each.
 
-Each ``*_sides`` operation reduces its inequality to 1D quadrature on
-the grid carried by the test function: volume elements become the model
-density s(t), Riemannian gradient norms become g(t)|u'(t)|.  The
-returned SidePair carries the margin with the source inequality's
-orientation, so
-an inequality holds iff margin >= 0 up to discretization tolerance.
+Every side evaluator reduces its inequality to 1D quadrature on the grid
+carried by the test function: volume elements become the model density
+s(t), Riemannian gradient norms become g(t)|u'(t)|.  The returned SidePair
+carries the margin with the source inequality's orientation, so an
+inequality holds iff margin >= 0 up to discretization tolerance.
+
+``KINDS`` lists each kind once: its config parameters, case factory,
+catalog formula and either its quotient densities or its side evaluator.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .geometry import CoordinateRange, EUCLIDEAN, HALF_PLANE, ModelManifold
-from .grids import GridFunction
+from .grids import GridFunction, RadialGrid
 from .weights import CheckResult, WeightSpec, weak_superharmonicity_check
 
 #: discretization tolerance for margin/bound checks (n >= 2000 grids)
@@ -121,16 +123,12 @@ def _require_hypothesis(case: InequalityCase):
         )
 
 
-def validate_case_hypothesis(
-    case: InequalityCase, grid=None, n_tests: int = 8
-) -> CheckResult | None:
+def validate_case_hypothesis(case: InequalityCase, grid: RadialGrid) -> CheckResult | None:
     """Run the weak-form check the case's hypothesis requires and cache it."""
     if case.hypothesis_mode is None or case.weight is None:
         return None
-    if grid is None:
-        raise InvalidArgumentError("hypothesis validation needs a grid")
     sign = +1 if case.hypothesis_mode == "superharmonic" else -1
-    res = weak_superharmonicity_check(case.weight, grid, n_tests=n_tests, sign=sign)
+    res = weak_superharmonicity_check(case.weight, grid, sign=sign)
     case.hypothesis_result = res
     return res
 
@@ -138,42 +136,18 @@ def validate_case_hypothesis(
 # ---------------------------------------------------------------------------
 # sides
 
-def weighted_hardy_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Sides of the alpha-weighted Hardy inequality
-    (|p-1-alpha|/p)^p  int rho^(alpha-p) |grad rho|^p |u|^p  <=  int rho^alpha |grad u|^p."""
+def quotient_sides(case: InequalityCase, u: GridFunction) -> SidePair:
+    """Sides of a quotient kind, C int A |u|^p <= int B |u'|^p, with the
+    densities (A, B) the minimizers integrate (``p_densities``)."""
     _require_hypothesis(case)
     p = case.p
-    alpha = float(case.params.get("alpha", 0.0))
-    t, g, s, au, gu = _u_data(case.model, u)
-    rho = case.weight.rho(t)
-    grad_rho = case.weight.grad_norm(t)
+    # u caches its derivative: taking it before the per-call temporaries keeps
+    # a sweep over many test functions from fragmenting the heap
+    du = np.abs(u.derivative())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lhs_factor = rho ** (alpha - p) * grad_rho ** p * s
-        rhs_factor = rho ** alpha * s
-    lhs = _masked_integral(u.grid, au ** p, lhs_factor)
-    rhs = _masked_integral(u.grid, gu ** p, rhs_factor)
-    c = case.formula_constant
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
-
-
-def hardy_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Plain Hardy sides; the alpha = 0 instance of the weighted form."""
-    return weighted_hardy_sides(case, u)
-
-
-def caccioppoli_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """((q+1)/p)^p int rho^q |grad rho|^p |u|^p <= int rho^(p+q) |grad u|^p
-    for p-subharmonic rho."""
-    _require_hypothesis(case)
-    p = case.p
-    q = float(case.params["q"])
-    if q <= -1:
-        raise InvalidArgumentError("Caccioppoli needs q > -1")
-    t, g, s, au, gu = _u_data(case.model, u)
-    rho = case.weight.rho(t)
-    grad_rho = case.weight.grad_norm(t)
-    lhs = _masked_integral(u.grid, au ** p, rho ** q * grad_rho ** p * s)
-    rhs = _masked_integral(u.grid, gu ** p, rho ** (p + q) * s)
+        a_vals, b_vals = p_densities(case)(u.grid.nodes)
+    lhs = _masked_integral(u.grid, np.abs(u.values) ** p, a_vals)
+    rhs = _masked_integral(u.grid, du ** p, b_vals)
     c = case.formula_constant
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
 
@@ -199,10 +173,7 @@ def gn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     if case.model.kind == HALF_PLANE:
         raise UnsupportedModelError("GN form needs |grad d| = 1 (radial/interval)")
     p = case.p
-    alpha = float(case.params["alpha"])
     delta = float(case.params["delta"])
-    if delta <= 0:
-        raise InvalidArgumentError("need delta > 0")
     s_exp = p - 1.0 + delta / p
     if "s" in case.params and abs(case.params["s"] - s_exp) > 1e-12:
         raise RelationViolationError("s = p-1+delta/p", f"got s={case.params['s']}")
@@ -222,14 +193,9 @@ def uncertainty_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     if case.model.kind == HALF_PLANE:
         raise UnsupportedModelError("uncertainty form needs |grad d| = 1")
     p = case.p
-    alpha = float(case.params["alpha"])
     s_exp = float(case.params["s"])
     a = float(case.params["a"])
-    if not (s_exp > 0 and a > 1):
-        raise InvalidArgumentError("need s > 0 and a > 1")
     m_exp = (a * s_exp - p) / (a - 1.0)
-    if m_exp <= 0:
-        raise InvalidArgumentError(f"exponent (as-p)/(a-1) = {m_exp} must be positive")
     a_conj = a / (a - 1.0)
     t, g, s, au, gu = _u_data(case.model, u)
     lhs = _masked_integral(u.grid, au ** s_exp, s)
@@ -240,26 +206,13 @@ def uncertainty_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
 
 
-def hardy_sobolev_sides(
-    case: InequalityCase,
-    u: GridFunction,
-    S_p: float | None = None,
-    H_val: float | None = None,
-) -> SidePair:
+def hardy_sobolev_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     """C2 (int rho^(p* theta) |u|^p*)^(1/p*) <= (int rho^(p theta) |grad u|^p)^(1/p)."""
     _require_hypothesis(case)
     p = case.p
     theta = float(case.params["theta"])
     p_star = float(case.params["p_star"])
-    if S_p is None:
-        S_p = case.params.get("sobolev_constant")
-    if S_p is None:
-        raise InvalidArgumentError("hardy-sobolev needs the Sobolev constant S_p")
-    if H_val is None:
-        H_val = float(case.params.get("H_val", (abs(p - 1.0 - p * theta) / p) ** p))
-    if H_val <= 0:
-        raise InvalidArgumentError("need H_val > 0")
-    c2 = hardy_sobolev_constant(float(S_p), H_val, theta, p)
+    c2 = case.formula_constant
     t, g, s, au, gu = _u_data(case.model, u)
     rho = case.weight.rho(t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -276,9 +229,7 @@ def hardy_sobolev_constant(S_p: float, H_val: float, theta: float, p: float) -> 
     return S_p * hroot / (abs(theta) + hroot)
 
 
-def ckn_sides(
-    case: InequalityCase, u: GridFunction, C3: float | None = None
-) -> SidePair:
+def ckn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     """First-order interpolation (CKN-type) sides; constants from the
     Hardy-Sobolev constant C2 and the weighted Hardy constant H."""
     _require_hypothesis(case)
@@ -288,8 +239,7 @@ def ckn_sides(
     r, a = float(pr["r"]), float(pr["a"])
     gamma, delta = float(pr["gamma"]), float(pr["delta"])
     eps, sigma = float(pr["eps"]), float(pr["sigma"])
-    if C3 is None:
-        C3 = case.formula_constant
+    C3 = case.formula_constant
     t, g, s, au, gu = _u_data(case.model, u)
     rho = case.weight.rho(t)
     grad_rho = case.weight.grad_norm(t)
@@ -304,23 +254,12 @@ def ckn_sides(
     return SidePair(lhs=lhs, rhs=rhs, constant=C3, margin=rhs - C3 * lhs)
 
 
-_SIDES_DISPATCH = {
-    "hardy": hardy_sides,
-    "weighted-hardy": weighted_hardy_sides,
-    "caccioppoli": caccioppoli_sides,
-    "gn": gn_sides,
-    "uncertainty": uncertainty_sides,
-    "hardy-sobolev": hardy_sobolev_sides,
-    "ckn": ckn_sides,
-}
-
-
 def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
-    try:
-        fn = _SIDES_DISPATCH[case.kind]
-    except KeyError:
+    """Sides of any case whose kind has densities or a side evaluator."""
+    kind = KINDS.get(case.kind)
+    if kind is None or not (kind.densities or kind.sides):
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
-    return fn(case, u)
+    return (kind.sides or quotient_sides)(case, u)
 
 
 def rayleigh_quotient(case: InequalityCase, u: GridFunction) -> float:
@@ -333,8 +272,7 @@ def rayleigh_quotient(case: InequalityCase, u: GridFunction) -> float:
 
 def hardy_gap(case: InequalityCase, u: GridFunction) -> float:
     """The nonnegative functional rhs - constant*lhs (I(u) for Hardy cases)."""
-    pair = sides_for(case, u)
-    return pair.margin
+    return sides_for(case, u).margin
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +362,8 @@ def gn_case(
 ) -> InequalityCase:
     if weight.family != "power":
         raise InvalidArgumentError("GN case needs a power-of-distance weight d^alpha")
+    if delta <= 0:
+        raise InvalidArgumentError("need delta > 0")
     p = weight.p
     alpha = weight.params["beta"]
     return InequalityCase(
@@ -450,6 +390,8 @@ def uncertainty_case(
         raise InvalidArgumentError("uncertainty case needs a power weight d^alpha")
     p = weight.p
     alpha = weight.params["beta"]
+    if not (s > 0 and a > 1):
+        raise InvalidArgumentError("need s > 0 and a > 1")
     if (a * s - p) / (a - 1.0) <= 0:
         raise InvalidArgumentError("exponent (as-p)/(a-1) must be positive")
     return InequalityCase(
@@ -596,55 +538,104 @@ def killing_field(model: ModelManifold, p: float) -> VectorFieldCase:
 
 
 # ---------------------------------------------------------------------------
-# density factories for the minimization backends
+# densities of the quotient kinds and the table of kinds
 
-def quadratic_densities(case: InequalityCase):
-    """(A, B) with lhs = int A u^2, rhs = int B (u')^2, for p = 2 cases."""
-    if case.p != 2.0:
-        raise InvalidArgumentError("quadratic densities need p = 2")
-    A_p, B_p = p_densities(case)
-    return A_p, B_p
+def _hardy_factors(case: InequalityCase, t):
+    """rho^(alpha-p) |grad rho|^p and rho^alpha (alpha = 0 unless given)."""
+    w, p = case.weight, case.p
+    alpha = float(case.params.get("alpha", 0.0))
+    rho = w.rho(t)
+    return rho ** (alpha - p) * w.grad_norm(t) ** p, rho ** alpha
+
+
+def _caccioppoli_factors(case: InequalityCase, t):
+    w, p, q = case.weight, case.p, float(case.params["q"])
+    rho = w.rho(t)
+    return rho ** q * w.grad_norm(t) ** p, rho ** (p + q)
+
+
+def _poincare_factors(case: InequalityCase, t):
+    rho_s = case.weight.rho(t) ** float(case.params["s"])
+    return rho_s, rho_s
 
 
 def p_densities(case: InequalityCase):
-    """(A, B) with lhs = int A |u|^p, rhs = int B |u'|^p, as functions of t."""
-    p = case.p
-    model, w = case.model, case.weight
+    """t -> (A, B) with lhs = int A |u|^p and rhs = int B |u'|^p: the kind's
+    factors (a, b) times s(t) and g(t)^p s(t)."""
+    kind = KINDS.get(case.kind)
+    if kind is None or kind.densities is None:
+        raise InvalidArgumentError(f"kind {case.kind!r} has no quotient densities")
+    model, p = case.model, case.p
 
-    def g_pow(t):
-        return model.gradient_factor(t) ** p
+    def densities(t):
+        a, b = kind.densities(case, t)
+        s = _density(model, t)
+        return a * s, b * model.gradient_factor(t) ** p * s
 
-    def s_fn(t):
-        return np.exp(model.log_volume_density(t))
+    return densities
 
-    if case.kind in ("hardy", "weighted-hardy"):
-        alpha = float(case.params.get("alpha", 0.0))
 
-        def A(t):
-            return w.rho(t) ** (alpha - p) * w.grad_norm(t) ** p * s_fn(t)
+@dataclass(frozen=True)
+class Kind:
+    """One inequality kind.
 
-        def B(t):
-            return w.rho(t) ** alpha * g_pow(t) * s_fn(t)
+    ``params`` maps each config parameter to its type (required) or to its
+    default (optional, of the default's type; None: an optional number).
+    ``factory(model, weight, rng=, case_id=, **params)`` builds the case
+    from a config, p coming with the weight; the CLI builds the other kinds
+    from an eigenpair or a vector field, or runs them as checks.
+    ``densities(case, t)`` gives the factors (a, b) of a quotient kind,
+    whose sides are ``quotient_sides``; ``sides`` evaluates any other kind.
+    ``formula`` is the constant's catalog entry (None: not an inequality).
+    """
 
-        return A, B
-    if case.kind == "caccioppoli":
-        q = float(case.params["q"])
+    params: dict
+    formula: str | None = None
+    factory: Callable | None = None
+    densities: Callable | None = None
+    sides: Callable | None = None
 
-        def A(t):
-            return w.rho(t) ** q * w.grad_norm(t) ** p * s_fn(t)
 
-        def B(t):
-            return w.rho(t) ** (p + q) * g_pow(t) * s_fn(t)
-
-        return A, B
-    if case.kind == "poincare-eigen":
-        s_exp = float(case.params["s"])
-
-        def A(t):
-            return w.rho(t) ** s_exp * s_fn(t)
-
-        def B(t):
-            return w.rho(t) ** s_exp * g_pow(t) * s_fn(t)
-
-        return A, B
-    raise InvalidArgumentError(f"kind {case.kind!r} has no quotient densities")
+KINDS = {
+    "hardy": Kind({"p": float}, "((p-1)/p)^p", hardy_case, _hardy_factors),
+    "weighted-hardy": Kind(
+        {"p": float, "alpha": 0.0}, "(|p-1-alpha|/p)^p", weighted_hardy_case, _hardy_factors
+    ),
+    "caccioppoli": Kind(
+        {"p": float, "q": float}, "((q+1)/p)^p", caccioppoli_case, _caccioppoli_factors
+    ),
+    "gn": Kind(
+        {"p": float, "delta": float}, "(p/(|alpha|(p-1)))^(p-1)", gn_case, sides=gn_sides
+    ),
+    "uncertainty": Kind(
+        {"p": float, "s": float, "a": float},
+        "(p/(|alpha|(p-1)))^(p/a)",
+        uncertainty_case,
+        sides=uncertainty_sides,
+    ),
+    "hardy-sobolev": Kind(
+        {"p": float, "theta": float, "p_star": float, "sobolev_constant": float},
+        "C2 = S(p) H^(1/p)/(|theta| + H^(1/p))",
+        hardy_sobolev_case,
+        sides=hardy_sobolev_sides,
+    ),
+    "ckn": Kind(
+        {"p": float, "theta": float, "p_star": float, "r": float, "a": float,
+         "gamma": float, "delta": float, "eps": None, "sigma": 0.0,
+         "sobolev_constant": float},
+        "C3 = C2^(p*(r-p)/(r(p*-p))) H^(a/p - p*(r-p)/(p r (p*-p)))",
+        ckn_case,
+        sides=ckn_sides,
+    ),
+    "eigen-hardy": Kind({"p": float, "alpha": 0.0}, "((p-1-alpha)/p)^p"),
+    "poincare-eigen": Kind(
+        {"p": float, "s": float}, "lam1 (p-1-s)^(p-1)/p^p", densities=_poincare_factors
+    ),
+    "distance-hardy": Kind(
+        {"p": float, "eps_split": 0.1},
+        "min(((p-1)/p)^p b^p/L^p, lam1 (p-1-s)^(p-1)/p^p l^s eps^p)/2",
+        densities=_hardy_factors,
+    ),
+    "divergence-lemma": Kind({"p": float, "field": "davies-hinz"}, "p^p"),
+    "classification": Kind({"p": float, "a": 1.0, "decades": 13}),
+}

@@ -174,14 +174,6 @@ class GridFunction:
                 fh.write(f"{t!r},{v!r}\n")
 
 
-def integrate(f: GridFunction) -> float:
-    return f.integrate()
-
-
-def derivative(f: GridFunction) -> np.ndarray:
-    return f.derivative()
-
-
 _GAUSS_CACHE: dict = {}
 
 

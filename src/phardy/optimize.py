@@ -1,7 +1,7 @@
 """Best-constant estimation by discrete Rayleigh quotient minimization.
 
-The p = 2 path assembles P1 finite-element stiffness/mass forms with
-per-cell Gauss quadrature (so the discrete minimum is the true quotient
+The p = 2 path takes the P1 stiffness/mass pencil of ``forms`` (per-cell
+Gauss quadrature, so the discrete minimum is the true quotient
 of a piecewise-linear admissible function, sitting above the continuum
 infimum and decreasing under nested refinement) and runs inverse power
 iteration on the tridiagonal pencil.  The general-p path descends the
@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import InvalidArgumentError, ZeroDenominatorError
-from .functionals import InequalityCase, p_densities
+from .forms import P1Forms, apply_tridiag, dirichlet_slice, restrict, solve_tridiag_spd
+from .functionals import InequalityCase, hardy_gap, p_densities
 from .geometry import CoordinateRange, ModelManifold
-from .grids import GridFunction, LOG, RadialGrid, build_grid, cell_gauss
+from .grids import GridFunction, LOG, RadialGrid, build_grid
 
 
 @dataclass
@@ -30,113 +30,6 @@ class MinimizationResult:
     iterations: int
     converged: bool
     history: list = field(default_factory=list, repr=False)
-
-
-class _P1Forms:
-    """Cellwise data for the P1 energy R(u) = int B |u'|^p and mass
-    L(u) = int A |u|^p, exact in u for fixed p once the densities are
-    integrated with per-cell Gauss quadrature."""
-
-    def __init__(self, grid: RadialGrid, a_fn, b_fn, npts: int = 8):
-        self.grid = grid
-        self.h = np.diff(grid.nodes)
-        pts, wts = cell_gauss(grid.nodes, npts)
-        self.pts = pts
-        self.wts = wts
-        self.b_cell = np.sum(wts * b_fn(pts), axis=1)
-        if np.any(self.b_cell <= 0) or not np.all(np.isfinite(self.b_cell)):
-            raise InvalidArgumentError("rhs density must be positive and finite")
-        a_vals = a_fn(pts)
-        if not np.all(np.isfinite(a_vals)) or np.any(a_vals < 0):
-            raise InvalidArgumentError("lhs density must be finite and nonnegative")
-        self.a_wts = wts * a_vals
-        xl = grid.nodes[:-1, None]
-        self.n1 = (grid.nodes[1:, None] - pts) / self.h[:, None]
-        self.n2 = (pts - xl) / self.h[:, None]
-
-    # quadratic (p = 2) tridiagonal forms -----------------------------------
-    def tridiag_forms(self):
-        n = self.grid.n
-        kc = self.b_cell / self.h ** 2  # int_cell B * (phi_i' phi_j') magnitude
-        k_diag = np.zeros(n)
-        k_off = np.zeros(n - 1)
-        k_diag[:-1] += kc
-        k_diag[1:] += kc
-        k_off -= kc
-        m11 = np.sum(self.a_wts * self.n1 ** 2, axis=1)
-        m12 = np.sum(self.a_wts * self.n1 * self.n2, axis=1)
-        m22 = np.sum(self.a_wts * self.n2 ** 2, axis=1)
-        m_diag = np.zeros(n)
-        m_off = np.zeros(n - 1)
-        m_diag[:-1] += m11
-        m_diag[1:] += m22
-        m_off += m12
-        return (k_diag, k_off), (m_diag, m_off)
-
-    # general-p functionals ---------------------------------------------------
-    def reweighted_forms(self, u: np.ndarray, p: float):
-        """Tridiagonal pencil of the quotient linearized at u: the p-forms
-        with |u'|^(p-2) and |u|^(p-2) frozen at the current iterate."""
-        n = self.grid.n
-        slope = np.diff(u) / self.h
-        floor_s = 1e-300 + np.max(np.abs(slope))
-        bw = self.b_cell / self.h ** 2 * np.maximum(np.abs(slope), 1e-12 * floor_s) ** (p - 2.0)
-        k_diag = np.zeros(n)
-        k_off = np.zeros(n - 1)
-        k_diag[:-1] += bw
-        k_diag[1:] += bw
-        k_off -= bw
-        ug = self.n1 * u[:-1, None] + self.n2 * u[1:, None]
-        floor_u = 1e-300 + np.max(np.abs(ug))
-        aw = self.a_wts * np.maximum(np.abs(ug), 1e-12 * floor_u) ** (p - 2.0)
-        m_diag = np.zeros(n)
-        m_off = np.zeros(n - 1)
-        m_diag[:-1] += np.sum(aw * self.n1 ** 2, axis=1)
-        m_diag[1:] += np.sum(aw * self.n2 ** 2, axis=1)
-        m_off += np.sum(aw * self.n1 * self.n2, axis=1)
-        return (k_diag, k_off), (m_diag, m_off)
-
-    def energy(self, u: np.ndarray, p: float) -> float:
-        slope = np.diff(u) / self.h
-        return float(np.dot(self.b_cell, np.abs(slope) ** p))
-
-    def energy_grad(self, u: np.ndarray, p: float) -> np.ndarray:
-        slope = np.diff(u) / self.h
-        dcell = self.b_cell * p * np.sign(slope) * np.abs(slope) ** (p - 1.0) / self.h
-        g = np.zeros_like(u)
-        g[1:] += dcell
-        g[:-1] -= dcell
-        return g
-
-    def mass(self, u: np.ndarray, p: float) -> float:
-        ug = self.n1 * u[:-1, None] + self.n2 * u[1:, None]
-        return float(np.sum(self.a_wts * np.abs(ug) ** p))
-
-    def mass_grad(self, u: np.ndarray, p: float) -> np.ndarray:
-        ug = self.n1 * u[:-1, None] + self.n2 * u[1:, None]
-        core = self.a_wts * p * np.sign(ug) * np.abs(ug) ** (p - 1.0)
-        g = np.zeros_like(u)
-        g[:-1] += np.sum(core * self.n1, axis=1)
-        g[1:] += np.sum(core * self.n2, axis=1)
-        return g
-
-
-def _apply_tridiag(diag, off, x):
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
-
-
-def _solve_tridiag_spd(diag, off, rhs):
-    ab = np.zeros((2, diag.size))
-    ab[0, 1:] = off
-    ab[1] = diag
-    return solveh_banded(ab, rhs)
-
-
-def _dirichlet_slice(n: int, dirichlet: tuple) -> slice:
-    return slice(1 if dirichlet[0] else 0, n - 1 if dirichlet[1] else n)
 
 
 def smallest_eigenpair(
@@ -153,13 +46,13 @@ def smallest_eigenpair(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        rhs = _apply_tridiag(m_diag, m_off, u)
-        u = _solve_tridiag_spd(k_diag, k_off, rhs)
-        mnorm = math.sqrt(float(u @ _apply_tridiag(m_diag, m_off, u)))
+        rhs = apply_tridiag(m_diag, m_off, u)
+        u = solve_tridiag_spd(k_diag, k_off, rhs)
+        mnorm = math.sqrt(float(u @ apply_tridiag(m_diag, m_off, u)))
         if mnorm == 0.0:
             raise ZeroDenominatorError("mass norm vanished in inverse iteration")
         u = u / mnorm
-        mu = float(u @ _apply_tridiag(k_diag, k_off, u))
+        mu = float(u @ apply_tridiag(k_diag, k_off, u))
         history.append((it, mu))
         if abs(mu - mu_prev) <= tol * max(abs(mu), 1.0):
             converged = True
@@ -169,22 +62,19 @@ def smallest_eigenpair(
 
 
 def minimize_rayleigh_p2(
-    model: ModelManifold,
     grid: RadialGrid,
-    a_fn,
-    b_fn,
+    densities,
     dirichlet: tuple = (True, True),
     tol: float = 1e-12,
     max_iter: int = 10000,
 ) -> MinimizationResult:
-    """Smallest discrete eigenvalue of int B (u')^2 / int A u^2."""
-    forms = _P1Forms(grid, a_fn, b_fn)
-    (k_diag, k_off), (m_diag, m_off) = forms.tridiag_forms()
-    keep = _dirichlet_slice(grid.n, dirichlet)
-    kd, md = k_diag[keep], m_diag[keep]
-    off_keep = slice(keep.start, keep.stop - 1)
-    ko, mo = k_off[off_keep], m_off[off_keep]
-    mu, vec, iters, conv, hist = smallest_eigenpair((kd, ko), (md, mo), tol, max_iter)
+    """Smallest discrete eigenvalue of int B (u')^2 / int A u^2, with
+    ``densities(t)`` returning (A, B)."""
+    k_band, m_band = P1Forms(grid, densities).pencil(np.zeros(grid.n), 2.0)
+    keep = dirichlet_slice(grid.n, dirichlet)
+    mu, vec, iters, conv, hist = smallest_eigenpair(
+        restrict(k_band, keep), restrict(m_band, keep), tol, max_iter
+    )
     full = np.zeros(grid.n)
     full[keep] = vec
     if np.sum(full) < 0:
@@ -202,8 +92,7 @@ def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> Minimization
     """Best-constant estimate for a p = 2 case by inverse power iteration."""
     if case.p != 2.0:
         raise InvalidArgumentError("minimize_quotient_p2 needs p = 2")
-    a_fn, b_fn = p_densities(case)
-    return minimize_rayleigh_p2(case.model, grid, a_fn, b_fn)
+    return minimize_rayleigh_p2(grid, p_densities(case))
 
 
 def default_seed_profile(case: InequalityCase, grid: RadialGrid) -> GridFunction:
@@ -225,34 +114,31 @@ def default_seed_profile(case: InequalityCase, grid: RadialGrid) -> GridFunction
     return GridFunction(grid, vals, dirichlet_zero=True)
 
 
-def _descend_quotient(
+def descend_quotient(
     grid: RadialGrid,
-    a_fn,
-    b_fn,
+    densities,
     p: float,
     u0: np.ndarray,
-    dirichlet: tuple = (True, True),
-    positivity: bool = False,
     rtol: float = 1e-8,
-    window: int = 50,
     max_iter: int = 100000,
 ):
-    """Preconditioned projected gradient descent on R(u)/L(u) with Armijo
-    backtracking; only strict decreases are accepted, so the recorded
-    history is monotone."""
-    forms = _P1Forms(grid, a_fn, b_fn)
-    keep = _dirichlet_slice(grid.n, dirichlet)
+    """Preconditioned projected gradient descent on R(u)/L(u) over
+    nonnegative u with Dirichlet ends, with Armijo backtracking; only strict
+    decreases are accepted, so the recorded history is monotone.  Converged
+    means the quotient moved by at most rtol, relative, over the last 50
+    steps, or no step was accepted."""
+    forms = P1Forms(grid, densities)
+    keep = dirichlet_slice(grid.n, (True, True))
     mask = np.zeros(grid.n, dtype=bool)
     mask[keep] = True
 
     # p = 2 stiffness in the same rhs density, used as descent metric
-    (pk_diag, pk_off), _ = forms.tridiag_forms()
-    pk_diag = pk_diag.copy()
+    (pk_diag, pk_off), _ = forms.pencil(np.zeros(grid.n), 2.0)
     pk_diag += 1e-12 * np.max(pk_diag)
+    metric = restrict((pk_diag, pk_off), keep)
 
     def project(u):
-        v = np.where(mask, u, 0.0)
-        return np.abs(v) if positivity else v
+        return np.abs(np.where(mask, u, 0.0))
 
     u = project(np.asarray(u0, dtype=float))
     L = forms.mass(u, p)
@@ -266,7 +152,6 @@ def _descend_quotient(
     eig_sleep = 0  # iterations left before retrying the eigenvector direction
     converged = False
     it = 0
-    off_keep = slice(keep.start, keep.stop - 1)
 
     def try_direction(u, q, d, t0, max_halvings=60):
         t = t0
@@ -286,13 +171,10 @@ def _descend_quotient(
         # at u (reweighted p = 2 pencil, solved by inverse power iteration);
         # skipped for a stretch while it stops paying off
         if eig_sleep == 0:
-            (rk_diag, rk_off), (rm_diag, rm_off) = forms.reweighted_forms(u, p)
+            k_band, m_band = forms.pencil(u, p)
             try:
                 _, vk, _, _, _ = smallest_eigenpair(
-                    (rk_diag[keep], rk_off[off_keep]),
-                    (rm_diag[keep], rm_off[off_keep]),
-                    tol=1e-10,
-                    max_iter=40,
+                    restrict(k_band, keep), restrict(m_band, keep), tol=1e-10, max_iter=40
                 )
                 v = np.zeros_like(u)
                 v[keep] = vk if np.sum(vk) >= 0 else -vk
@@ -316,7 +198,7 @@ def _descend_quotient(
             grad = (forms.energy_grad(u, p) - q * forms.mass_grad(u, p)) / L
             grad = np.where(mask, grad, 0.0)
             d = np.zeros_like(grad)
-            d[keep] = _solve_tridiag_spd(pk_diag[keep], pk_off[off_keep], grad[keep])
+            d[keep] = solve_tridiag_spd(*metric, grad[keep])
             accepted = try_direction(u, q, -d, grad_step)
             if accepted is not None:
                 grad_step = min(accepted[2] * 1.5, 1e3)
@@ -326,7 +208,7 @@ def _descend_quotient(
             break
         u, q, _ = accepted
         history.append((it, q))
-        if it > window and abs(history[-1 - window][1] - q) <= rtol * abs(q):
+        if it > 50 and abs(history[-51][1] - q) <= rtol * abs(q):
             converged = True
             break
     return q, u, it, converged, history
@@ -340,12 +222,10 @@ def minimize_quotient_general_p(
     max_iter: int = 100000,
 ) -> MinimizationResult:
     """Normalized descent on the discrete quotient for any p > 1."""
-    a_fn, b_fn = p_densities(case)
     if u0 is None:
         u0 = default_seed_profile(case, grid)
-    q, u, iters, conv, hist = _descend_quotient(
-        grid, a_fn, b_fn, case.p, u0.values, positivity=True,
-        rtol=rtol, max_iter=max_iter,
+    q, u, iters, conv, hist = descend_quotient(
+        grid, p_densities(case), case.p, u0.values, rtol=rtol, max_iter=max_iter
     )
     return MinimizationResult(
         quotient=q,
@@ -373,18 +253,12 @@ def estimate_lambda1(
     if grid is None:
         grid = build_grid(rng, n, spacing if rng.lo > 0 else "linear")
 
-    def a_fn(t):
-        return weight.rho(t) * np.exp(model.log_volume_density(t))
-
-    def b_fn(t):
-        return (
-            weight.rho(t)
-            * model.gradient_factor(t) ** 2
-            * np.exp(model.log_volume_density(t))
-        )
+    def densities(t):
+        rho, s = weight.rho(t), np.exp(model.log_volume_density(t))
+        return rho * s, rho * model.gradient_factor(t) ** 2 * s
 
     dirichlet = (not rng.open_lo, not rng.open_hi)
-    res = minimize_rayleigh_p2(model, grid, a_fn, b_fn, dirichlet=dirichlet)
+    res = minimize_rayleigh_p2(grid, densities, dirichlet=dirichlet)
     return res.quotient
 
 
@@ -416,7 +290,6 @@ def convergence_study(
     schedule: list | None = None,
     levels: int = 3,
     n0: int = 1000,
-    use_general_p: bool | None = None,
 ) -> StudyResult:
     """Minimize across a widening/refining schedule and extrapolate.
 
@@ -424,16 +297,12 @@ def convergence_study(
     (pi/ln(R/eps))^2 correction when the p = 2 log-substitution oracle
     applies to the case; otherwise raw quotients are reported.
     """
-    from .functionals import hardy_gap
-
     if schedule is None:
         schedule = default_truncation_schedule(levels, n0)
-    if use_general_p is None:
-        use_general_p = case.p != 2.0
     grids, results, quotients, gaps, extrapolated = [], [], [], [], []
     for rng, n in schedule:
         grid = build_grid(rng, n, LOG if rng.lo > 0 else "linear")
-        if use_general_p:
+        if case.p != 2.0:
             res = minimize_quotient_general_p(case, grid)
         else:
             res = minimize_quotient_p2(case, grid)

@@ -42,24 +42,17 @@ def tent(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
     return GridFunction(grid, vals, dirichlet_zero=True)
 
 
-def random_test_functions(
-    grid: RadialGrid,
-    count: int,
-    seed,
-    kinds: tuple = ("smooth", "tent"),
-    min_width_frac: float = 0.15,
-    max_width_frac: float = 0.6,
-) -> list[GridFunction]:
-    """Deterministic list of test functions on random interior subintervals."""
+def random_test_functions(grid: RadialGrid, count: int, seed) -> list[GridFunction]:
+    """Deterministic list of test functions on random interior subintervals,
+    smooth bumps and tents in turn, each 15-60% of the grid's span wide."""
     rng = np.random.default_rng(seed)
     c = grid.to_coord(grid.nodes)
     span = c[-1] - c[0]
     pad = 0.01 * span
     out = []
     for i in range(count):
-        width = rng.uniform(min_width_frac, max_width_frac) * span
+        width = rng.uniform(0.15, 0.6) * span
         left = rng.uniform(c[0] + pad, c[-1] - pad - width)
-        kind = kinds[i % len(kinds)]
-        fn = bump if kind == "smooth" else tent
+        fn = bump if i % 2 == 0 else tent
         out.append(fn(grid, left, left + width))
     return out

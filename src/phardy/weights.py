@@ -58,7 +58,6 @@ class WeightSpec:
     rho: Callable
     rho_prime: Callable
     plap: Callable | None = None
-    analytic_plap: bool = False
     params: dict = field(default_factory=dict)
 
     def grad_norm(self, t):
@@ -73,8 +72,6 @@ class WeightSpec:
             p=self.p,
             rho=lambda t, f=self.rho: lam * f(t),
             rho_prime=lambda t, f=self.rho_prime: lam * f(t),
-            plap=None,
-            analytic_plap=False,
             params=dict(self.params),
         )
 
@@ -111,7 +108,6 @@ def _power_weight(model: ModelManifold, p: float, beta: float) -> WeightSpec:
         rho=rho,
         rho_prime=rho_prime,
         plap=plap,
-        analytic_plap=True,
         params={"beta": beta},
     )
 
@@ -120,6 +116,8 @@ def _log_weight(model: ModelManifold, p: float, side: str) -> WeightSpec:
     """rho = -ln t on (0, 1) (side="inner") or rho = ln t on (1, inf)."""
     if model.kind in (HALF_PLANE,):
         raise UnsupportedModelError("log weight defined on radial/interval models")
+    if side not in ("inner", "outer"):
+        raise InvalidArgumentError(f"log weight side must be inner or outer, got {side!r}")
     sgn = -1.0 if side == "inner" else 1.0
 
     def rho(t):
@@ -145,7 +143,6 @@ def _log_weight(model: ModelManifold, p: float, side: str) -> WeightSpec:
         rho=rho,
         rho_prime=rho_prime,
         plap=plap,
-        analytic_plap=True,
         params={"side": side},
     )
 
@@ -167,7 +164,6 @@ def _rlogr_weight(model: ModelManifold, p: float) -> WeightSpec:
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        analytic_plap=False,
     )
 
 
@@ -195,7 +191,6 @@ def _halfplane_height_weight(model: ModelManifold, p: float) -> WeightSpec:
         rho=rho,
         rho_prime=rho_prime,
         plap=plap,
-        analytic_plap=True,
     )
 
 
@@ -219,7 +214,6 @@ def _distance_to_boundary_weight(model: ModelManifold, p: float) -> WeightSpec:
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        analytic_plap=False,
     )
 
 
@@ -234,7 +228,6 @@ def _constant_weight(model: ModelManifold, p: float, c: float) -> WeightSpec:
         rho=lambda t: np.full_like(np.asarray(t, dtype=float), c),
         rho_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         plap=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        analytic_plap=True,
         params={"c": c},
     )
 
@@ -265,7 +258,6 @@ def weight_from_samples(
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        analytic_plap=False,
     )
 
 
@@ -275,7 +267,7 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
     Requires a p-hyperbolic model (the profile degenerates to the constant 0
     in the parabolic case); the pole sits at the radial origin.
     """
-    from .capacity import classify_parabolicity  # local import, no cycle
+    from .capacity import classify_parabolicity, green_integrals  # local import, no cycle
 
     if not model.is_radial:
         raise UnsupportedModelError("Green profile defined on radial models")
@@ -287,13 +279,7 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
             f"{model.kind}(N={model.dim}) is {p}-parabolic: Green integral diverges"
         )
 
-    def inv_density_power(t):
-        return np.exp(-model.log_volume_density(t) / (p - 1.0))
-
-    pts, wts = cell_gauss(grid.nodes, 8)
-    cell_ints = np.sum(wts * inv_density_power(pts), axis=1)
-    # suffix[i] = integral from node i to the last node
-    suffix = np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
+    suffix = green_integrals(model, p, grid.nodes)[1]
     nodes = grid.nodes
 
     def rho(t):
@@ -301,7 +287,7 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
         return np.interp(t, nodes, suffix)
 
     def rho_prime(t):
-        return -inv_density_power(np.asarray(t, dtype=float))
+        return -np.exp(-model.log_volume_density(np.asarray(t, dtype=float)) / (p - 1.0))
 
     return WeightSpec(
         name="green",
@@ -311,32 +297,36 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
         rho=rho,
         rho_prime=rho_prime,
         plap=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        analytic_plap=True,
         params={"hi": grid.hi},
     )
 
 
-def rho_catalog_entry(name: str, model: ModelManifold, p: float, **params) -> WeightSpec:
-    """Resolve a catalog weight by family name.
+#: catalog families: builder, and parameters with their defaults (None: required)
+_FAMILIES = {
+    "power": (_power_weight, {"beta": None}),
+    "log": (_log_weight, {"side": "inner"}),
+    "rlogr": (_rlogr_weight, {}),
+    "dist-boundary": (_distance_to_boundary_weight, {}),
+    "halfplane-y": (_halfplane_height_weight, {}),
+    "constant": (_constant_weight, {"c": 1.0}),
+}
 
-    Known families: power (beta), log (side), rlogr, dist-boundary,
-    halfplane-y, constant (c).  Green and eigenfunction weights are built
-    by ``green_weight_radial`` and ``weight_from_samples`` because they
-    need a grid.
+
+def rho_catalog_entry(name: str, model: ModelManifold, p: float, **params) -> WeightSpec:
+    """Resolve a catalog weight by family name; a missing or unknown
+    parameter is an InvalidArgumentError.
+
+    Green and eigenfunction weights are built by ``green_weight_radial``
+    and ``weight_from_samples`` because they need a grid.
     """
-    if name == "power":
-        return _power_weight(model, p, float(params["beta"]))
-    if name == "log":
-        return _log_weight(model, p, params.get("side", "inner"))
-    if name == "rlogr":
-        return _rlogr_weight(model, p)
-    if name == "dist-boundary":
-        return _distance_to_boundary_weight(model, p)
-    if name == "halfplane-y":
-        return _halfplane_height_weight(model, p)
-    if name == "constant":
-        return _constant_weight(model, p, float(params.get("c", 1.0)))
-    raise InvalidArgumentError(f"unknown weight family {name!r}")
+    if name not in _FAMILIES:
+        raise InvalidArgumentError(f"unknown weight family {name!r}")
+    build, defaults = _FAMILIES[name]
+    required = {key for key, default in defaults.items() if default is None}
+    if params.keys() - defaults.keys() or required - params.keys():
+        raise InvalidArgumentError(f"{name} weight takes {sorted(defaults)}, got {sorted(params)}")
+    kw = {**defaults, **params}
+    return build(model, p, **{k: v if k == "side" else float(v) for k, v in kw.items()})
 
 
 def parse_weight(spec: str, model: ModelManifold, p: float) -> WeightSpec:
@@ -395,13 +385,13 @@ def _cubic_bump(x, knots, piece, derivative: bool):
     return (x - knots[0]) * left + (knots[4] - x) * right
 
 
-def _bump_ratios(w, grid: RadialGrid, n_tests: int, sign: int, p, model):
+def _bump_ratios(w, grid: RadialGrid, sign: int, p, model):
     """Per-bump ``(ratio, raw, centre, width)``: raw = sign * weak integral,
     ratio = raw / the |.| integral (0 where that is 0 or not finite).
 
     Bumps are cubic B-splines on knots ``[c-w, c-half, c, c+half, c+w]``,
     width 3 before 9, centred so that adjacent supports overlap (a kink
-    anywhere is straddled) and never fewer than n_tests per width.  The
+    anywhere is straddled) and never fewer than 8 per width.  The
     flux is evaluated once: times the Gauss weights on all cells, shape
     (n-1, 8), for a WeightSpec; one piecewise-linear value per cell for
     samples.  Bumps of one width meet it ``_BUMP_BLOCK`` at a time: their
@@ -424,7 +414,7 @@ def _bump_ratios(w, grid: RadialGrid, n_tests: int, sign: int, p, model):
 
     raw, norm, centre, width = [], [], [], []
     for bw in (bw for bw in BUMP_WIDTHS if 2 * bw + 1 <= grid.n):
-        count = max(n_tests, math.ceil((grid.n - 1) / bw) + 1)
+        count = max(8, math.ceil((grid.n - 1) / bw) + 1)
         centres = np.unique(np.round(np.linspace(bw, grid.n - 1 - bw, count)).astype(int))
         offsets = np.array([-bw, -max(1, bw // 2), 0, max(1, bw // 2), bw])
         local = np.arange(2 * bw + (flux.ndim == 1))  # cells, or nodes if sampled
@@ -449,7 +439,6 @@ def _bump_ratios(w, grid: RadialGrid, n_tests: int, sign: int, p, model):
 def weak_superharmonicity_check(
     w,
     grid: RadialGrid,
-    n_tests: int = 8,
     sign: int = 1,
     *,
     p: float | None = None,
@@ -464,7 +453,7 @@ def weak_superharmonicity_check(
     the same integral taken with absolute values, so ``worst_value`` is
     dimensionless and insensitive to scaling of rho and phi.
     """
-    ratio, raw, centre, width = _bump_ratios(w, grid, n_tests, sign, p, model)
+    ratio, raw, centre, width = _bump_ratios(w, grid, sign, p, model)
     i = int(np.argmin(ratio))
     return CheckResult(
         passed=bool(ratio[i] >= -tol),
@@ -478,12 +467,12 @@ def weak_superharmonicity_check(
 
 
 def classify_weight_sign(
-    w, grid: RadialGrid, n_tests: int = 8, *, p=None, model=None, tol: float = TOL_WEAK
+    w, grid: RadialGrid, *, p=None, model=None, tol: float = TOL_WEAK
 ) -> str:
     """Classify a weight as superharmonic / subharmonic / harmonic / indefinite
     from the two one-sided weak checks, both read off one scoring pass: the
     worst value for sign=-1 is -max(ratio)."""
-    ratio = _bump_ratios(w, grid, n_tests, +1, p, model)[0]
+    ratio = _bump_ratios(w, grid, +1, p, model)[0]
     sup, sub = ratio.min() >= -tol, -ratio.max() >= -tol
     if sup or sub:
         return "harmonic" if sup and sub else "superharmonic" if sup else "subharmonic"

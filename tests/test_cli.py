@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phardy
 from phardy.cli import (
@@ -17,6 +23,7 @@ from phardy.cli import (
     run_suite,
 )
 from phardy.errors import ConfigError
+from phardy.functionals import KINDS
 
 
 def small_config(**overrides):
@@ -132,12 +139,38 @@ def test_seed_override_changes_stream(tmp_path):
     assert w1 != w2
 
 
-def test_list_catalog_contents_and_determinism():
-    text = list_catalog()
-    assert text == list_catalog()
-    assert "hardy" in text and "((p-1)/p)^p" in text
-    assert "weighted-hardy" in text and "(|p-1-alpha|/p)^p" in text
-    assert "green" in text
+CATALOG = """\
+inequality | caccioppoli            | ((q+1)/p)^p
+inequality | ckn                    | C3 = C2^(p*(r-p)/(r(p*-p))) H^(a/p - p*(r-p)/(p r (p*-p)))
+inequality | distance-hardy         | min(((p-1)/p)^p b^p/L^p, lam1 (p-1-s)^(p-1)/p^p l^s eps^p)/2
+inequality | divergence-lemma       | p^p
+inequality | eigen-hardy            | ((p-1-alpha)/p)^p
+inequality | gn                     | (p/(|alpha|(p-1)))^(p-1)
+inequality | hardy                  | ((p-1)/p)^p
+inequality | hardy-sobolev          | C2 = S(p) H^(1/p)/(|theta| + H^(1/p))
+inequality | poincare-eigen         | lam1 (p-1-s)^(p-1)/p^p
+inequality | uncertainty            | (p/(|alpha|(p-1)))^(p/a)
+inequality | weighted-hardy         | (|p-1-alpha|/p)^p
+model      | euclidean              | density sigma_(N-1) r^(N-1)
+model      | half_plane             | density y^-2, gradient factor y
+model      | hyperbolic             | density sigma_(N-1) sinh^(N-1)(r)
+model      | interval               | density 1
+weight     | constant:c=C           | rho = C
+weight     | dist-boundary          | rho = min(x-a, b-x)
+weight     | eigenfunction          | rho = phi_1
+weight     | green                  | rho(t) = int_t^hi s^(-1/(p-1))
+weight     | halfplane-y            | rho = y
+weight     | log:inner|outer        | rho = |ln r|
+weight     | power:beta=B           | rho = r^B
+weight     | rlogr                  | rho = -r ln r
+"""
+
+
+def test_list_catalog_contents_and_determinism(capsys):
+    # golden text: every inequality kind with a formula, then models and weights
+    assert list_catalog() == CATALOG
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == CATALOG
 
 
 def test_emit_round_trip_and_headers(tmp_path):
@@ -173,6 +206,139 @@ def test_bundled_config_loads_and_validates():
         load_config("/definitely/not/here.json")
 
 
-def test_repo_config_matches_bundled():
-    repo_cfg = Path(__file__).parent.parent / "configs" / "default_suite.json"
-    assert repo_cfg.read_text() == bundled_config_path().read_text()
+def ball_config():
+    """The bundled suite cut down to its hardy-log-ball-p2 case."""
+    cfg = load_config(None)
+    spec = next(c for c in cfg["cases"] if c["id"] == "hardy-log-ball-p2")
+    return {"seed": cfg["seed"], "n_test_functions": 3, "cases": [spec]}
+
+
+DROP = object()
+
+
+def _set(path, value):
+    """A mutation that sets the config entry at path to value, or deletes it."""
+    def mutate(cfg):
+        *keys, last = path
+        target = cfg
+        for key in keys:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return mutate
+
+
+CASE = ("cases", 0)
+# name -> (mutation of ball_config(), key the message must name, names the case)
+BAD_CONFIGS = {
+    "no-grid": (_set(CASE + ("grid",), DROP), "'grid'", True),
+    "no-model": (_set(CASE + ("model",), DROP), "'model'", True),
+    "no-params": (_set(CASE + ("params",), DROP), "'params'", True),
+    "model-without-dim": (_set(CASE + ("model", "dim"), DROP), "'dim'", True),
+    "weight-unknown-param": (_set(CASE + ("weight",), "power:gamma=2"), "'weight'", True),
+    "p-string": (_set(CASE + ("params", "p"), "two"), "'p'", True),
+    "p-nan-string": (_set(CASE + ("params", "p"), "NaN"), "'p'", True),
+    "p-nan-literal": (_set(CASE + ("params", "p"), math.nan), "'p'", True),
+    "p-one": (_set(CASE + ("params", "p"), 1), "'p'", True),
+    "unknown-param": (_set(CASE + ("params", "q"), 1.0), "'q'", True),
+    "unknown-check": (_set(CASE + ("checks",), {"minimise": True}), "'minimise'", True),
+    "duplicate-id": (lambda cfg: cfg["cases"].append(dict(cfg["cases"][0])), "'id'", True),
+    "case-not-object": (_set(("cases",), [1]), "'cases'", False),
+    "seed-string": (_set(("seed",), "x"), "'seed'", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
+    mutate, key, names_case = BAD_CONFIGS[name]
+    cfg = ball_config()
+    mutate(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert ("'hardy-log-ball-p2'" in err) == names_case
+
+
+def test_ball_config_passes(tmp_path):
+    # the unmutated base of the bad configs above is valid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ball_config()))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+# any JSON config: mostly well-formed cases of every kind, with junk mixed in
+def _mostly(good, bad):
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(-3.0, 5.0),
+    st.sampled_from(["", "x", "NaN", "inner"]),
+)
+_NUMBER = _mostly(st.sampled_from([-1, 0, 0.25, 0.5, 1, 1.5, 2, 3, 6]), _JUNK)
+_MODELS = _mostly(
+    st.sampled_from([
+        {"kind": "euclidean", "dim": 3}, {"kind": "hyperbolic", "dim": 2},
+        {"kind": "half_plane"}, {"kind": "interval", "a": 0.0, "b": 1.0},
+    ]),
+    st.dictionaries(st.sampled_from(["kind", "dim", "a", "b"]), _JUNK, max_size=3),
+)
+_GRIDS = st.fixed_dictionaries(
+    {"lo": st.sampled_from([0.0, 0.01, 0.5, 2.0]), "hi": st.sampled_from([1.0, 20.0]),
+     "n": _mostly(st.integers(7, 64), st.integers(0, 6))},
+    optional={"spacing": _mostly(st.sampled_from(["log", "linear"]), st.just("cubic")),
+              "open_lo": st.booleans(), "open_hi": _mostly(st.booleans(), _JUNK)},
+)
+_WEIGHTS = _mostly(
+    st.sampled_from([
+        "power:beta=-1", "power:beta=2", "log:side=inner", "halfplane-y", "dist-boundary",
+        "constant", "rlogr", "power:gamma=2", "log:x",
+    ]),
+    _JUNK,
+)
+
+
+def _case(name):
+    kind = KINDS[name]
+    params = st.fixed_dictionaries(
+        {key: st.sampled_from([1.5, 2, 3]) if key == "p" else
+         st.sampled_from(["davies-hinz", "killing", "x"]) if key == "field" else _NUMBER
+         for key, rule in kind.params.items() if isinstance(rule, type)},
+        optional={key: _NUMBER for key, rule in kind.params.items()
+                  if not isinstance(rule, type)},
+    )
+    params = _mostly(params, params.map(lambda d: {**d, "z": 1}))
+    required = {"kind": st.just(name), "model": _MODELS, "params": params, "grid": _GRIDS}
+    optional = {"id": st.text(max_size=3)}
+    if kind.factory:
+        required["weight"] = _WEIGHTS
+        optional["checks"] = st.dictionaries(
+            st.sampled_from(["hypothesis", "minimize", "minimise"]), st.booleans(), max_size=2
+        )
+        optional["max_iter"] = st.integers(0, 50)
+    if name == "classification":
+        optional["expect"] = st.sampled_from(["p_parabolic", "p_hyperbolic"])
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {"cases": st.lists(
+        _mostly(st.sampled_from(sorted(KINDS)).flatmap(_case), _JUNK), max_size=2
+    ), "n_test_functions": st.integers(1, 3)},
+    optional={"seed": _mostly(st.integers(0, 9), _JUNK),
+              "tol_disc": _mostly(st.just(1e-6), _JUNK)},
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=_CONFIGS)
+def test_any_config_exits_with_a_documented_code(cfg):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(Path(tmp) / "out")]) in (0, 1, 2, 3)

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import plaplace_lambda1_shooting  # noqa: E402
 
 from phardy.eigen import (
+    distance_hardy_case,
     distance_hardy_composite,
     eigen_weight,
     distance_hardy_constant,
@@ -22,7 +23,7 @@ from phardy.errors import InvalidArgumentError
 from phardy.functionals import hardy_case, sides_for, validate_case_hypothesis
 from phardy.geometry import CoordinateRange, interval
 from phardy.grids import GridFunction, build_grid
-from phardy.optimize import _descend_quotient, minimize_quotient_p2
+from phardy.optimize import descend_quotient, minimize_quotient_p2
 from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry
 
@@ -63,11 +64,9 @@ def test_interval_eigenvalue_p3_matches_shooting(pair_p3):
 
 def test_descent_agrees_with_inverse_iteration_p2(pair_p2):
     grid = pair_p2.phi1.grid
-    one = lambda t: np.ones_like(t)  # noqa: E731
+    ones = lambda t: (np.ones_like(t), np.ones_like(t))  # noqa: E731
     seed = grid.nodes * (1 - grid.nodes)
-    q, _, _, conv, _ = _descend_quotient(
-        grid, one, one, 2.0, seed, positivity=True, rtol=1e-13
-    )
+    q, _, _, conv, _ = descend_quotient(grid, ones, 2.0, seed, rtol=1e-13)
     assert conv
     assert abs(q - pair_p2.lambda1) <= 1e-8 * pair_p2.lambda1
 
@@ -155,6 +154,23 @@ def test_distance_hardy_composite(pair_p2):
     for u in random_test_functions(grid, 50, seed=73):
         pair = distance_hardy_composite(pair_p2, 2.0, 0.1, u)
         assert pair.margin >= -1e-6 * pair.rhs
+
+
+def test_sides_for_poincare_eigen_case(pair_p2):
+    # the case the minimizers accept has the sides of the direct check
+    case = poincare_eigen_case(pair_p2, 0.5)
+    for u in random_test_functions(pair_p2.phi1.grid, 5, seed=83):
+        assert sides_for(case, u) == poincare_eigen_check(pair_p2, 2.0, 0.5, u)
+
+
+def test_distance_hardy_case_sides_and_minimizer(pair_p2):
+    # the composite constant sits below the minimized quotient of its case
+    grid = pair_p2.phi1.grid
+    case = distance_hardy_case(pair_p2, 0.1)
+    for u in random_test_functions(grid, 5, seed=89):
+        assert sides_for(case, u) == distance_hardy_composite(pair_p2, 2.0, 0.1, u)
+    res = minimize_quotient_p2(case, build_grid(CoordinateRange(1e-3, 1.0 - 1e-3), 800, "linear"))
+    assert res.quotient >= case.formula_constant
 
 
 def test_distance_hardy_convex_cross_check(pair_p2):

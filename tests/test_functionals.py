@@ -11,7 +11,6 @@ from phardy.errors import (
 )
 from phardy.functionals import (
     caccioppoli_case,
-    caccioppoli_sides,
     ckn_case,
     ckn_sides,
     davies_hinz_field,
@@ -22,8 +21,8 @@ from phardy.functionals import (
     hardy_gap,
     hardy_sobolev_case,
     hardy_sobolev_sides,
-    hardy_sides,
     killing_field,
+    quotient_sides,
     rayleigh_quotient,
     sides_for,
     uncertainty_case,
@@ -31,7 +30,6 @@ from phardy.functionals import (
     validate_case_hypothesis,
     VectorFieldCase,
     weighted_hardy_case,
-    weighted_hardy_sides,
 )
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import GridFunction, build_grid
@@ -57,7 +55,7 @@ def zero_fn(grid):
 def test_zero_function_gives_zero_sides():
     grid = log_grid(500)
     case = hardy_e3_case()
-    pair = hardy_sides(case, zero_fn(grid))
+    pair = quotient_sides(case, zero_fn(grid))
     assert pair.lhs == pair.rhs == pair.margin == 0.0
 
 
@@ -65,7 +63,7 @@ def test_hardy_margin_positive_for_bumps():
     grid = log_grid()
     case = hardy_e3_case()
     for u in random_test_functions(grid, 20, seed=7):
-        pair = hardy_sides(case, u)
+        pair = quotient_sides(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
         assert pair.constant == 0.25
 
@@ -92,8 +90,8 @@ def test_weighted_alpha_zero_equals_hardy():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case_alpha = weighted_hardy_case(E3, w, 0.0, RNG)
     for u in random_test_functions(grid, 20, seed=11):
-        a = hardy_sides(case0, u)
-        b = weighted_hardy_sides(case_alpha, u)
+        a = sides_for(case0, u)
+        b = quotient_sides(case_alpha, u)
         assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
         assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
         assert b.margin == pytest.approx(a.margin, rel=1e-12)
@@ -105,7 +103,7 @@ def test_weighted_degenerate_alpha():
     assert case.trivial and case.formula_constant == 0.0
     grid = log_grid(500)
     u = bump(grid, -2.0, 2.0)
-    pair = weighted_hardy_sides(case, u)
+    pair = quotient_sides(case, u)
     assert pair.margin == pair.rhs >= 0.0
 
 
@@ -145,7 +143,7 @@ def test_caccioppoli_margins_and_hypothesis():
         res = validate_case_hypothesis(case, grid)
         assert res.passed  # rho = r^2 is subharmonic
         for u in random_test_functions(grid, 10, seed=3):
-            pair = caccioppoli_sides(case, u)
+            pair = quotient_sides(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         caccioppoli_case(E3, w, -1.0, rng)
@@ -160,7 +158,7 @@ def test_caccioppoli_interval_distance_q_equals_p():
     assert case.formula_constant == pytest.approx(((2 + 1) / 2) ** 2)
     validate_case_hypothesis(case, grid)
     for u in random_test_functions(grid, 10, seed=5):
-        assert caccioppoli_sides(case, u).margin >= 0.0
+        assert quotient_sides(case, u).margin >= 0.0
 
 
 def test_caccioppoli_rejects_superharmonic_weight():
@@ -173,7 +171,7 @@ def test_caccioppoli_rejects_superharmonic_weight():
     from phardy.errors import HypothesisViolationError
 
     with pytest.raises(HypothesisViolationError):
-        caccioppoli_sides(case, bump(grid, -1.0, 1.0))
+        quotient_sides(case, bump(grid, -1.0, 1.0))
 
 
 def test_divergence_lemma_instances():
@@ -194,7 +192,7 @@ def test_killing_reduces_to_hardy_constant():
     case = hardy_e3_case()
     u = bump(grid, -2.0, 2.0)
     dl = divergence_lemma_sides(kf, u, 2.0)
-    h = hardy_sides(case, u)
+    h = quotient_sides(case, u)
     # lhs_dl = (N-p) * lhs_hardy, rhs_dl = p^p/(N-p)^(p-1) * rhs_hardy
     assert dl.lhs == pytest.approx((3 - 2) * h.lhs, rel=1e-12)
     assert dl.rhs == pytest.approx(4.0 * h.rhs, rel=1e-12)
@@ -340,7 +338,7 @@ def test_non_finite_integrand_raises():
     case = hardy_case(m, w, CoordinateRange(0.0, 1.0))
     u = tent(grid, 0.2, 0.8)  # peak sits at the pinch
     with pytest.raises(NonFiniteIntegrandError):
-        hardy_sides(case, u)
+        quotient_sides(case, u)
 
 
 def test_interval_distance_hardy_margin():
@@ -352,7 +350,7 @@ def test_interval_distance_hardy_margin():
     res = validate_case_hypothesis(case, grid)
     assert res.passed
     for u in random_test_functions(grid, 10, seed=43):
-        assert hardy_sides(case, u).margin >= 0.0
+        assert quotient_sides(case, u).margin >= 0.0
 
 
 def test_halfspace_distance_hardy_on_interval():
@@ -365,7 +363,7 @@ def test_halfspace_distance_hardy_on_interval():
     res = validate_case_hypothesis(case, grid)
     assert res.passed  # x is harmonic on the interval
     for u in random_test_functions(grid, 10, seed=47):
-        pair = hardy_sides(case, u)
+        pair = quotient_sides(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
 
 

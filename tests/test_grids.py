@@ -11,9 +11,7 @@ from phardy.grids import (
     GridFunction,
     build_grid,
     cell_gauss_integrate,
-    derivative,
     derivative_values,
-    integrate,
     refine,
     trapezoid_weights,
 )
@@ -132,8 +130,8 @@ def test_grid_function_dirichlet_validation():
 def test_grid_function_helpers(tmp_path):
     g = build_grid(CoordinateRange(0, 1), 11, "linear")
     f = GridFunction(g, g.nodes * (1 - g.nodes))
-    assert integrate(f) == pytest.approx(1.0 / 6.0, abs=2e-3)
-    np.testing.assert_allclose(derivative(f), 1.0 - 2.0 * g.nodes, atol=1e-12)
+    assert f.integrate() == pytest.approx(1.0 / 6.0, abs=2e-3)
+    np.testing.assert_allclose(f.derivative(), 1.0 - 2.0 * g.nodes, atol=1e-12)
     path = tmp_path / "f.csv"
     f.to_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -13,9 +13,9 @@ from phardy.geometry import (
 )
 from phardy.grids import GridFunction, build_grid, refine
 from phardy.optimize import (
-    _descend_quotient,
     convergence_study,
     default_truncation_schedule,
+    descend_quotient,
     estimate_lambda1,
     minimize_quotient_general_p,
     minimize_quotient_p2,
@@ -26,7 +26,7 @@ from phardy.weights import rho_catalog_entry
 
 E3 = euclidean_radial(3)
 E4 = euclidean_radial(4)
-ONE = lambda t: np.ones_like(t)  # noqa: E731
+ONES = lambda t: (np.ones_like(t), np.ones_like(t))  # noqa: E731
 
 
 def hardy_e3(rng):
@@ -35,9 +35,16 @@ def hardy_e3(rng):
 
 def test_pure_poincare_eigenvalue():
     grid = build_grid(CoordinateRange(0, 1), 2000, "linear")
-    res = minimize_rayleigh_p2(interval(0, 1), grid, ONE, ONE)
+    res = minimize_rayleigh_p2(grid, ONES)
     assert res.converged
     assert abs(res.quotient - math.pi ** 2) <= 1e-6 * math.pi ** 2
+
+
+def test_single_interior_node_pencil():
+    # one free node: the hat on [0, 1] has quotient 4 / (1/3) = 12 exactly
+    grid = build_grid(CoordinateRange(0, 1), 3, "linear")
+    res = minimize_rayleigh_p2(grid, ONES)
+    assert res.quotient == pytest.approx(12.0, rel=1e-12)
 
 
 def test_hardy_quotient_matches_log_oracle():
@@ -62,11 +69,9 @@ def test_halfplane_quotient_matches_oracle():
 
 def test_p2_descent_agrees_with_inverse_iteration():
     grid = build_grid(CoordinateRange(0, 1), 800, "linear")
-    res = minimize_rayleigh_p2(interval(0, 1), grid, ONE, ONE)
+    res = minimize_rayleigh_p2(grid, ONES)
     seed = grid.nodes * (1.0 - grid.nodes)
-    q, _, _, conv, hist = _descend_quotient(
-        grid, ONE, ONE, 2.0, seed, positivity=True, rtol=1e-12
-    )
+    q, _, _, conv, hist = descend_quotient(grid, ONES, 2.0, seed, rtol=1e-12)
     assert conv
     assert abs(q - res.quotient) <= 1e-6 * res.quotient
     qs = [h[1] for h in hist]

@@ -234,7 +234,7 @@ def test_green_euclidean3_profile_shape():
     t = grid.nodes[[100, 500, 900, 1300]]
     expected = (1.0 / t - 1.0 / grid.hi) / (4 * math.pi)
     np.testing.assert_allclose(w.rho(t), expected, rtol=1e-10)
-    assert w.analytic_plap and np.all(w.plap(t) == 0.0)
+    assert w.plap is not None and np.all(w.plap(t) == 0.0)
 
 
 def test_green_parabolic_rejected():
