@@ -178,13 +178,14 @@ def _run_margins(c, conf, record, case, sides) -> bool:
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = None
     worst_rel = math.inf
-    for u in random_test_functions(c["grid"], c["n_test_functions"], seed):
-        pair = sides(case, u)
-        scale = max(pair.rhs, 1e-300)
-        rel = pair.margin / scale
-        if rel < worst_rel:
-            worst_rel = rel
-            worst = pair
+    with fn.margin_sweep(case, c["grid"], c["params"]["p"]):
+        for u in random_test_functions(c["grid"], c["n_test_functions"], seed):
+            pair = sides(case, u)
+            scale = max(pair.rhs, 1e-300)
+            rel = pair.margin / scale
+            if rel < worst_rel:
+                worst_rel = rel
+                worst = pair
     record["sides"] = {
         "n_test_functions": c["n_test_functions"],
         "min_margin_rel": worst_rel,
@@ -194,6 +195,25 @@ def _run_margins(c, conf, record, case, sides) -> bool:
     return record["sides"]["passed"]
 
 
+def _run_hypothesis(c, record, case) -> bool:
+    """Record the weak sign check the case's hypothesis needs, if any;
+    False, with the status set, when the weight failed it."""
+    if case.hypothesis_mode is None:
+        return True
+    res = fn.validate_case_hypothesis(case, c["grid"])
+    record["hypothesis"] = {
+        "mode": case.hypothesis_mode,
+        "passed": res.passed,
+        "worst_value": res.worst_value,
+        "n_bumps": res.n_bumps,
+        "worst_center": res.worst_center,
+        "worst_width": res.worst_width,
+    }
+    if not res.passed:
+        record["status"] = "hypothesis-failed"
+    return res.passed
+
+
 def _run_inequality_case(c, conf, record):
     case, grid = c["case"], c["grid"]
     record["case_id"] = case.case_id
@@ -201,20 +221,8 @@ def _run_inequality_case(c, conf, record):
         record["status"] = "trivial"
         record["note"] = "degenerate constant: inequality trivially satisfied"
         return
-
-    if c["checks"]["hypothesis"] and case.hypothesis_mode is not None:
-        res = fn.validate_case_hypothesis(case, grid)
-        record["hypothesis"] = {
-            "mode": case.hypothesis_mode,
-            "passed": res.passed,
-            "worst_value": res.worst_value,
-            "n_bumps": res.n_bumps,
-            "worst_center": res.worst_center,
-            "worst_width": res.worst_width,
-        }
-        if not res.passed:
-            record["status"] = "hypothesis-failed"
-            return
+    if c["checks"]["hypothesis"] and not _run_hypothesis(c, record, case):
+        return
 
     ok = _run_margins(c, conf, record, case, fn.sides_for)
     if c["checks"]["minimize"]:
@@ -269,6 +277,8 @@ def _run_eigen_case(build, c, conf, record):
         "converged": pair.converged,
     }
     case = build(pair, **{k: v for k, v in params.items() if k != "p"})
+    if not _run_hypothesis(c, record, case):
+        return
     ok = _run_margins(c, conf, record, case, fn.sides_for)
     record["status"] = "pass" if (ok and pair.converged) else "fail"
 
@@ -438,6 +448,12 @@ def main(argv=None) -> int:
             report = json.loads(Path(args.report).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read report: {exc}", file=sys.stderr)
+            return 2
+        cases = report.get("cases") if isinstance(report, dict) else None
+        if not isinstance(cases, list) or not all(
+            isinstance(r, dict) and {"case_id", "kind", "status"} <= r.keys() for r in cases
+        ):
+            print("error: not a phardy report", file=sys.stderr)
             return 2
         paths = emit_tables(report, args.out_dir, args.format)
         for p in paths:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollarGradientError, InvalidArgumentError
-from .forms import P1Forms
+from .forms import P1Forms, model_densities
 from .functionals import InequalityCase, SidePair, quotient_sides, weighted_hardy_case
 from .geometry import CoordinateRange, INTERVAL, ModelManifold
 from .grids import GridFunction, RadialGrid, build_grid
@@ -30,14 +30,6 @@ class EigenPair:
     p: float
     converged: bool
     iterations: int
-
-
-def _eigen_densities(model: ModelManifold, p: float):
-    def densities(t):
-        s = np.exp(model.log_volume_density(t))
-        return s, model.gradient_factor(t) ** p * s
-
-    return densities
 
 
 def _weak_residual(forms: P1Forms, u: np.ndarray, lam: float, p: float) -> float:
@@ -65,7 +57,7 @@ def first_eigenpair(
         raise InvalidArgumentError("eigenproblem needs a bounded range")
     if grid is None:
         grid = build_grid(rng, n, "linear")
-    densities = _eigen_densities(model, p)
+    densities = model_densities(model, p, lambda t: (1.0, 1.0))
     if p == 2.0:
         res = minimize_rayleigh_p2(grid, densities)
         lam, u, iters, conv = res.quotient, res.minimizer.values, res.iterations, res.converged

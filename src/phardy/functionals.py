@@ -1,16 +1,20 @@
 """The inequality kinds, their cases and the sides of each.
 
-Every side evaluator reduces its inequality to 1D quadrature on the grid
-carried by the test function: volume elements become the model density
-s(t), Riemannian gradient norms become g(t)|u'(t)|.  The returned SidePair
-carries the margin with the source inequality's orientation, so an
-inequality holds iff margin >= 0 up to discretization tolerance.
+Every side evaluator reduces its inequality to 1D integrals of the test
+function's P1 interpolant with the minimizers' Gauss cells (``P1Sides``):
+volume elements become the model density s(t), Riemannian gradient norms
+become g(t)|u'(t)|.  The returned SidePair carries the margin with the
+source inequality's orientation, so an inequality holds iff margin >= 0
+up to discretization tolerance.
 
 ``KINDS`` lists each kind once: its config parameters, case factory,
-catalog formula and either its quotient densities or its side evaluator.
+catalog formula, the factors of its side densities and, unless it is a
+quotient kind, its side evaluator.
 """
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,11 +23,11 @@ import numpy as np
 from .errors import (
     HypothesisViolationError,
     InvalidArgumentError,
-    NonFiniteIntegrandError,
     RelationViolationError,
     UnsupportedModelError,
     ZeroDenominatorError,
 )
+from .forms import P1Sides, model_densities
 from .geometry import CoordinateRange, EUCLIDEAN, HALF_PLANE, ModelManifold
 from .grids import GridFunction, RadialGrid
 from .weights import CheckResult, WeightSpec, weak_superharmonicity_check
@@ -63,6 +67,7 @@ class InequalityCase:
     trivial: bool = False
     oracle_shift: float = 0.0  # (pi/L)^2 scale factor when the log oracle applies
     hypothesis_result: CheckResult | None = field(default=None, repr=False)
+    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.case_id:
@@ -85,33 +90,38 @@ class VectorFieldCase:
     model: ModelManifold
     h_mag: Callable
     a_h: Callable
+    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# P1 data of the sides
 
-def _density(model: ModelManifold, t):
-    return np.exp(model.log_volume_density(t))
-
-
-def _masked_integral(grid, base, factor) -> float:
-    """Quadrature of base*factor treating 0 * inf as 0 (u vanishing where the
-    weight is singular); raises where a genuinely non-finite product appears."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = base * factor
-    vals = np.where(base == 0.0, 0.0, vals)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrandError(
-            "non-finite integrand where the test function does not vanish"
-        )
-    return float(np.dot(grid.quad_weights, vals))
+def _p1_sides(case, grid: RadialGrid, p: float) -> P1Sides:
+    if isinstance(case, VectorFieldCase):
+        factors = functools.partial(_field_factors, case, p)
+    else:
+        factors = functools.partial(KINDS[case.kind].densities, case)
+    return P1Sides(grid, model_densities(case.model, p, factors))
 
 
-def _u_data(case_model: ModelManifold, u: GridFunction):
-    t = u.grid.nodes
-    g = case_model.gradient_factor(t)
-    s = _density(case_model, t)
-    return t, g, s, np.abs(u.values), g * np.abs(u.derivative())
+@contextmanager
+def margin_sweep(case, grid: RadialGrid, p: float):
+    """Assemble the P1 data of the case's sides on grid once, kept on the
+    case for a sweep of side calls over test functions on that grid and
+    released on exit."""
+    case._sweep = (p, _p1_sides(case, grid, p))
+    try:
+        yield
+    finally:
+        case._sweep = None
+
+
+def _integrals(case, u: GridFunction, qs, p: float) -> list:
+    """The integrals of the case's densities for the P1 interpolant of u,
+    with the exponents qs (see ``P1Sides``)."""
+    if case._sweep and case._sweep[0] == p and case._sweep[1].grid is u.grid:
+        return case._sweep[1].integrals(u.values, qs)
+    return _p1_sides(case, u.grid, p).integrals(u.values, qs)
 
 
 def _require_hypothesis(case: InequalityCase):
@@ -134,36 +144,34 @@ def validate_case_hypothesis(case: InequalityCase, grid: RadialGrid) -> CheckRes
 
 
 # ---------------------------------------------------------------------------
-# sides
+# sides: each kind's factors (a_1, ..., a_k, b) and how its integrals combine
 
 def quotient_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     """Sides of a quotient kind, C int A |u|^p <= int B |u'|^p, with the
     densities (A, B) the minimizers integrate (``p_densities``)."""
     _require_hypothesis(case)
-    p = case.p
-    # u caches its derivative: taking it before the per-call temporaries keeps
-    # a sweep over many test functions from fragmenting the heap
-    du = np.abs(u.derivative())
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_vals, b_vals = p_densities(case)(u.grid.nodes)
-    lhs = _masked_integral(u.grid, np.abs(u.values) ** p, a_vals)
-    rhs = _masked_integral(u.grid, du ** p, b_vals)
+    lhs, rhs = _integrals(case, u, (case.p, case.p), case.p)
     c = case.formula_constant
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
 
 
-def divergence_lemma_sides(v: VectorFieldCase, u: GridFunction, p: float) -> SidePair:
-    """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p."""
-    t, g, s, au, gu = _u_data(v.model, u)
+def _field_factors(v: VectorFieldCase, p: float, t):
     a_vals = v.a_h(t)
     h_vals = v.h_mag(t)
     if np.any((a_vals <= 0) & (h_vals != 0)):
         raise InvalidArgumentError("A_h must be positive where h does not vanish")
-    lhs = _masked_integral(u.grid, au ** p, a_vals * s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rhs_factor = h_vals ** p / a_vals ** (p - 1.0) * s
-    rhs = p ** p * _masked_integral(u.grid, gu ** p, rhs_factor)
+    return a_vals, h_vals ** p / a_vals ** (p - 1.0)
+
+
+def divergence_lemma_sides(v: VectorFieldCase, u: GridFunction, p: float) -> SidePair:
+    """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p."""
+    lhs, rhs = _integrals(v, u, (p, p), p)
+    rhs = p ** p * rhs
     return SidePair(lhs=lhs, rhs=rhs, constant=p ** p, margin=rhs - lhs)
+
+
+def _gn_factors(case: InequalityCase, t):
+    return t ** -(case.p - 1.0), 1.0, 1.0
 
 
 def gn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
@@ -177,13 +185,14 @@ def gn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     s_exp = p - 1.0 + delta / p
     if "s" in case.params and abs(case.params["s"] - s_exp) > 1e-12:
         raise RelationViolationError("s = p-1+delta/p", f"got s={case.params['s']}")
-    t, g, s, au, gu = _u_data(case.model, u)
-    lhs = _masked_integral(u.grid, au ** s_exp, t ** -(p - 1.0) * s)
-    grad_term = _masked_integral(u.grid, gu ** p, s)
-    mass_term = _masked_integral(u.grid, au ** delta, s)
+    lhs, mass_term, grad_term = _integrals(case, u, (s_exp, delta, p), p)
     c = case.formula_constant
     rhs = c * grad_term ** (1.0 - 1.0 / p) * mass_term ** (1.0 / p)
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
+
+
+def _uncertainty_factors(case: InequalityCase, t):
+    return 1.0, t ** (case.p / (float(case.params["a"]) - 1.0)), 1.0
 
 
 def uncertainty_sides(case: InequalityCase, u: GridFunction) -> SidePair:
@@ -196,30 +205,25 @@ def uncertainty_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     s_exp = float(case.params["s"])
     a = float(case.params["a"])
     m_exp = (a * s_exp - p) / (a - 1.0)
-    a_conj = a / (a - 1.0)
-    t, g, s, au, gu = _u_data(case.model, u)
-    lhs = _masked_integral(u.grid, au ** s_exp, s)
-    grad_term = _masked_integral(u.grid, gu ** p, s)
-    mixed_term = _masked_integral(u.grid, au ** m_exp, t ** (p * (a_conj - 1.0)) * s)
+    lhs, mixed_term, grad_term = _integrals(case, u, (s_exp, m_exp, p), p)
     c = case.formula_constant
-    rhs = c * grad_term ** (1.0 / a) * mixed_term ** (1.0 / a_conj)
+    rhs = c * grad_term ** (1.0 / a) * mixed_term ** ((a - 1.0) / a)
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
+
+
+def _hardy_sobolev_factors(case: InequalityCase, t):
+    rho, theta = case.weight.rho(t), float(case.params["theta"])
+    return rho ** (float(case.params["p_star"]) * theta), rho ** (case.p * theta)
 
 
 def hardy_sobolev_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     """C2 (int rho^(p* theta) |u|^p*)^(1/p*) <= (int rho^(p theta) |grad u|^p)^(1/p)."""
     _require_hypothesis(case)
     p = case.p
-    theta = float(case.params["theta"])
     p_star = float(case.params["p_star"])
     c2 = case.formula_constant
-    t, g, s, au, gu = _u_data(case.model, u)
-    rho = case.weight.rho(t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lhs_factor = rho ** (p_star * theta) * s
-        rhs_factor = rho ** (p * theta) * s
-    lhs = _masked_integral(u.grid, au ** p_star, lhs_factor) ** (1.0 / p_star)
-    rhs = _masked_integral(u.grid, gu ** p, rhs_factor) ** (1.0 / p)
+    lhs, rhs = _integrals(case, u, (p_star, p), p)
+    lhs, rhs = lhs ** (1.0 / p_star), rhs ** (1.0 / p)
     return SidePair(lhs=lhs, rhs=rhs, constant=c2, margin=rhs - c2 * lhs)
 
 
@@ -229,35 +233,33 @@ def hardy_sobolev_constant(S_p: float, H_val: float, theta: float, p: float) -> 
     return S_p * hroot / (abs(theta) + hroot)
 
 
+def _ckn_factors(case: InequalityCase, t):
+    pr, p = case.params, case.p
+    rho, grad_rho = case.weight.rho(t), case.weight.grad_norm(t)
+    return (
+        rho ** (-pr["gamma"] * pr["r"]) * grad_rho ** ((pr["gamma"] + pr["eps"]) * pr["r"]),
+        grad_rho ** ((pr["delta"] + pr["sigma"]) * p) * rho ** (-pr["delta"] * p),
+        rho ** (pr["theta"] * p),
+    )
+
+
 def ckn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     """First-order interpolation (CKN-type) sides; constants from the
     Hardy-Sobolev constant C2 and the weighted Hardy constant H."""
     _require_hypothesis(case)
     p = case.p
-    pr = case.params
-    theta, p_star = float(pr["theta"]), float(pr["p_star"])
-    r, a = float(pr["r"]), float(pr["a"])
-    gamma, delta = float(pr["gamma"]), float(pr["delta"])
-    eps, sigma = float(pr["eps"]), float(pr["sigma"])
+    r, a = float(case.params["r"]), float(case.params["a"])
     C3 = case.formula_constant
-    t, g, s, au, gu = _u_data(case.model, u)
-    rho = case.weight.rho(t)
-    grad_rho = case.weight.grad_norm(t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lhs_factor = rho ** (-gamma * r) * grad_rho ** ((gamma + eps) * r) * s
-        grad_factor = rho ** (theta * p) * s
-        mixed_factor = grad_rho ** ((delta + sigma) * p) * rho ** (-delta * p) * s
-    lhs = _masked_integral(u.grid, au ** r, lhs_factor) ** (1.0 / r)
-    grad_term = _masked_integral(u.grid, gu ** p, grad_factor)
-    mixed_term = _masked_integral(u.grid, au ** p, mixed_factor)
+    lhs, mixed_term, grad_term = _integrals(case, u, (r, p, p), p)
+    lhs = lhs ** (1.0 / r)
     rhs = grad_term ** (a / p) * mixed_term ** ((1.0 - a) / p)
     return SidePair(lhs=lhs, rhs=rhs, constant=C3, margin=rhs - C3 * lhs)
 
 
 def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Sides of any case whose kind has densities or a side evaluator."""
+    """Sides of any case whose kind has side densities."""
     kind = KINDS.get(case.kind)
-    if kind is None or not (kind.densities or kind.sides):
+    if kind is None or kind.densities is None:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     return (kind.sides or quotient_sides)(case, u)
 
@@ -538,7 +540,7 @@ def killing_field(model: ModelManifold, p: float) -> VectorFieldCase:
 
 
 # ---------------------------------------------------------------------------
-# densities of the quotient kinds and the table of kinds
+# factors of the quotient kinds and the table of kinds
 
 def _hardy_factors(case: InequalityCase, t):
     """rho^(alpha-p) |grad rho|^p and rho^alpha (alpha = 0 unless given)."""
@@ -563,16 +565,9 @@ def p_densities(case: InequalityCase):
     """t -> (A, B) with lhs = int A |u|^p and rhs = int B |u'|^p: the kind's
     factors (a, b) times s(t) and g(t)^p s(t)."""
     kind = KINDS.get(case.kind)
-    if kind is None or kind.densities is None:
+    if kind is None or kind.densities is None or kind.sides is not None:
         raise InvalidArgumentError(f"kind {case.kind!r} has no quotient densities")
-    model, p = case.model, case.p
-
-    def densities(t):
-        a, b = kind.densities(case, t)
-        s = _density(model, t)
-        return a * s, b * model.gradient_factor(t) ** p * s
-
-    return densities
+    return model_densities(case.model, case.p, functools.partial(kind.densities, case))
 
 
 @dataclass(frozen=True)
@@ -584,8 +579,9 @@ class Kind:
     ``factory(model, weight, rng=, case_id=, **params)`` builds the case
     from a config, p coming with the weight; the CLI builds the other kinds
     from an eigenpair or a vector field, or runs them as checks.
-    ``densities(case, t)`` gives the factors (a, b) of a quotient kind,
-    whose sides are ``quotient_sides``; ``sides`` evaluates any other kind.
+    ``densities(case, t)`` gives the factors (a_1, ..., a_k, b) of the side
+    integrals int a_i s |u|^q_i, int b g^p s |u'|^p; ``sides`` combines
+    them, ``quotient_sides`` (a, b) when it is None.
     ``formula`` is the constant's catalog entry (None: not an inequality).
     """
 
@@ -605,19 +601,25 @@ KINDS = {
         {"p": float, "q": float}, "((q+1)/p)^p", caccioppoli_case, _caccioppoli_factors
     ),
     "gn": Kind(
-        {"p": float, "delta": float}, "(p/(|alpha|(p-1)))^(p-1)", gn_case, sides=gn_sides
+        {"p": float, "delta": float},
+        "(p/(|alpha|(p-1)))^(p-1)",
+        gn_case,
+        _gn_factors,
+        gn_sides,
     ),
     "uncertainty": Kind(
         {"p": float, "s": float, "a": float},
         "(p/(|alpha|(p-1)))^(p/a)",
         uncertainty_case,
-        sides=uncertainty_sides,
+        _uncertainty_factors,
+        uncertainty_sides,
     ),
     "hardy-sobolev": Kind(
         {"p": float, "theta": float, "p_star": float, "sobolev_constant": float},
         "C2 = S(p) H^(1/p)/(|theta| + H^(1/p))",
         hardy_sobolev_case,
-        sides=hardy_sobolev_sides,
+        _hardy_sobolev_factors,
+        hardy_sobolev_sides,
     ),
     "ckn": Kind(
         {"p": float, "theta": float, "p_star": float, "r": float, "a": float,
@@ -625,7 +627,8 @@ KINDS = {
          "sobolev_constant": float},
         "C3 = C2^(p*(r-p)/(r(p*-p))) H^(a/p - p*(r-p)/(p r (p*-p)))",
         ckn_case,
-        sides=ckn_sides,
+        _ckn_factors,
+        ckn_sides,
     ),
     "eigen-hardy": Kind({"p": float, "alpha": 0.0}, "((p-1-alpha)/p)^p"),
     "poincare-eigen": Kind(

@@ -1,17 +1,19 @@
-"""Nonuniform 1D grids, trapezoid quadrature and finite differences.
+"""Nonuniform 1D grids, per-cell Gauss quadrature and finite differences.
 
-Grids carry composite trapezoid weights on an arbitrary strictly
-increasing node set; functions sampled on a grid can be differentiated
-with second-order accuracy and refined by inserting midpoints in the
-grid coordinate (arithmetic for linear spacing, geometric for log).
+Grids are arbitrary strictly increasing node sets; they are integrated
+cell by cell with Gauss rules, functions sampled on a grid can be
+differentiated with second-order accuracy, and grids are refined by
+inserting midpoints in the grid coordinate (arithmetic for linear
+spacing, geometric for log).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NonFiniteIntegrandError
+from .errors import InvalidArgumentError
 from .geometry import CoordinateRange
 
 LINEAR = "linear"
@@ -20,26 +22,15 @@ LOG = "log"
 _SPACING_ALIASES = {"linear": LINEAR, "log": LOG, "logarithmic": LOG}
 
 
-def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    """Composite trapezoid weights for an increasing node set."""
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[0] = 0.5 * d[0]
-    w[-1] = 0.5 * d[-1]
-    w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-    return w
-
-
 @dataclass
 class RadialGrid:
-    """Strictly increasing node set with trapezoid quadrature weights.
+    """Strictly increasing node set.
 
     Treated as immutable after construction; refinement returns a new grid.
     """
 
     nodes: np.ndarray
     spacing: str
-    quad_weights: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -52,8 +43,6 @@ class RadialGrid:
             raise InvalidArgumentError(f"unknown spacing {self.spacing!r}")
         if self.spacing == LOG and self.nodes[0] <= 0:
             raise InvalidArgumentError("log spacing needs positive nodes")
-        if self.quad_weights is None:
-            self.quad_weights = trapezoid_weights(self.nodes)
 
     @property
     def n(self) -> int:
@@ -70,15 +59,6 @@ class RadialGrid:
     def to_coord(self, t):
         """Map to the spacing coordinate (identity or log)."""
         return np.log(t) if self.spacing == LOG else np.asarray(t, dtype=float)
-
-    def from_coord(self, c):
-        return np.exp(c) if self.spacing == LOG else np.asarray(c, dtype=float)
-
-    def integrate(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteIntegrandError("non-finite value in integrand")
-        return float(np.dot(self.quad_weights, values))
 
 
 def build_grid(rng: CoordinateRange, n: int, spacing: str = LINEAR) -> RadialGrid:
@@ -156,15 +136,9 @@ class GridFunction:
             raise InvalidArgumentError("values and grid nodes must align")
         if self.dirichlet_zero and (self.values[0] != 0.0 or self.values[-1] != 0.0):
             raise InvalidArgumentError("dirichlet_zero requires zero endpoint values")
-        self._deriv = None
 
     def derivative(self) -> np.ndarray:
-        if self._deriv is None:
-            self._deriv = derivative_values(self.grid.nodes, self.values)
-        return self._deriv
-
-    def integrate(self) -> float:
-        return self.grid.integrate(self.values)
+        return derivative_values(self.grid.nodes, self.values)
 
     def to_csv(self, path) -> None:
         """Two-column CSV export (node, value)."""
@@ -174,13 +148,9 @@ class GridFunction:
                 fh.write(f"{t!r},{v!r}\n")
 
 
-_GAUSS_CACHE: dict = {}
-
-
+@functools.lru_cache
 def gauss_rule(npts: int):
-    if npts not in _GAUSS_CACHE:
-        _GAUSS_CACHE[npts] = np.polynomial.legendre.leggauss(npts)
-    return _GAUSS_CACHE[npts]
+    return np.polynomial.legendre.leggauss(npts)
 
 
 def cell_gauss(nodes: np.ndarray, npts: int = 8):

@@ -1,5 +1,4 @@
-"""Weight catalog with analytic gradients/p-Laplacians and the weak-form
-sign checker.
+"""Weight catalog with analytic gradients and the weak-form sign checker.
 
 The central sufficient criterion verified by this toolkit says: if a
 nonnegative weight rho satisfies -Delta_p rho >= 0 in the weak sense,
@@ -32,7 +31,8 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .geometry import HALF_PLANE, INTERVAL, ModelManifold
-from .grids import RadialGrid, cell_gauss, derivative_values
+from .forms import P1Forms, model_densities
+from .grids import RadialGrid, cell_gauss, cell_gauss_integrate, derivative_values
 
 #: relative tolerance separating quadrature noise from a genuine sign
 #: violation (calibrated for n >= 500 node grids)
@@ -44,8 +44,7 @@ BUMP_WIDTHS = (3, 9)
 
 @dataclass
 class WeightSpec:
-    """A weight rho with closed-form value, coordinate derivative, and
-    p-Laplacian where analytic.
+    """A weight rho with closed-form value and coordinate derivative.
 
     ``rho_prime`` is the signed derivative in the reduction coordinate;
     the Riemannian gradient norm is g(t) * |rho_prime(t)|.
@@ -57,7 +56,6 @@ class WeightSpec:
     p: float
     rho: Callable
     rho_prime: Callable
-    plap: Callable | None = None
     params: dict = field(default_factory=dict)
 
     def grad_norm(self, t):
@@ -86,20 +84,6 @@ def _power_weight(model: ModelManifold, p: float, beta: float) -> WeightSpec:
     def rho_prime(t):
         return beta * np.asarray(t, dtype=float) ** (beta - 1.0)
 
-    def plap(t):
-        t = np.asarray(t, dtype=float)
-        if model.kind == INTERVAL:
-            t_lap = np.zeros_like(t)
-        else:
-            t_lap = t * model.laplacian_of_distance(t)
-        bracket = (beta - 1.0) * (p - 1.0) + t_lap
-        return (
-            abs(beta) ** (p - 2.0)
-            * beta
-            * t ** ((beta - 1.0) * (p - 1.0) - 1.0)
-            * bracket
-        )
-
     return WeightSpec(
         name=f"power:beta={beta:g}",
         family="power",
@@ -107,7 +91,6 @@ def _power_weight(model: ModelManifold, p: float, beta: float) -> WeightSpec:
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        plap=plap,
         params={"beta": beta},
     )
 
@@ -126,15 +109,6 @@ def _log_weight(model: ModelManifold, p: float, side: str) -> WeightSpec:
     def rho_prime(t):
         return sgn / np.asarray(t, dtype=float)
 
-    def plap(t):
-        t = np.asarray(t, dtype=float)
-        if model.kind == INTERVAL:
-            t_lap = np.zeros_like(t)
-        else:
-            t_lap = t * model.laplacian_of_distance(t)
-        # flux of sgn*ln t is sgn * s(t) t^(1-p); differentiate and divide by s
-        return sgn * t ** (-p) * (t_lap - (p - 1.0))
-
     return WeightSpec(
         name=f"log:{side}",
         family="log",
@@ -142,13 +116,12 @@ def _log_weight(model: ModelManifold, p: float, side: str) -> WeightSpec:
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        plap=plap,
         params={"side": side},
     )
 
 
 def _rlogr_weight(model: ModelManifold, p: float) -> WeightSpec:
-    """rho = -t ln t, positive on (0, 1); p-Laplacian sign is not constant."""
+    """rho = -t ln t, positive on (0, 1); its p-Laplacian changes sign."""
 
     def rho(t):
         t = np.asarray(t, dtype=float)
@@ -177,12 +150,6 @@ def _halfplane_height_weight(model: ModelManifold, p: float) -> WeightSpec:
     def rho_prime(t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    def plap(t):
-        # Delta_H of y is 0; for general p the flux s g^p |rho'|^(p-2) rho'
-        # equals y^(p-2), giving (p-2) y^(p-1)
-        t = np.asarray(t, dtype=float)
-        return (p - 2.0) * t ** (p - 1.0)
-
     return WeightSpec(
         name="halfplane-y",
         family="halfplane-y",
@@ -190,7 +157,6 @@ def _halfplane_height_weight(model: ModelManifold, p: float) -> WeightSpec:
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        plap=plap,
     )
 
 
@@ -227,7 +193,6 @@ def _constant_weight(model: ModelManifold, p: float, c: float) -> WeightSpec:
         p=p,
         rho=lambda t: np.full_like(np.asarray(t, dtype=float), c),
         rho_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        plap=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         params={"c": c},
     )
 
@@ -296,7 +261,6 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        plap=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         params={"hi": grid.hi},
     )
 
@@ -483,21 +447,19 @@ def chain_rule_identity_check(w: WeightSpec, gamma: float, grid: RadialGrid) -> 
     """Relative quadrature error in
     integral |grad rho^gamma|^p = gamma^p integral rho^(p(gamma-1)) |grad rho|^p.
 
-    Both sides are evaluated with the grid's trapezoid rule; the left side
-    differentiates rho^gamma by finite differences, so the error is O(n^-2).
+    The left side is the P1 energy of the interpolant of rho^gamma, the
+    right side the closed form integrated per cell with Gauss quadrature,
+    so the error is that of P1 interpolation, O(n^-2).
     """
-    t = grid.nodes
     p = w.p
-    s = np.exp(w.model.log_volume_density(t))
-    g = w.model.gradient_factor(t)
-    rho = w.rho(t)
-    pow_rho = rho ** gamma
-    lhs = grid.integrate((g * np.abs(derivative_values(t, pow_rho))) ** p * s)
-    rhs = grid.integrate(
-        rho ** (p * (gamma - 1.0)) * (g * np.abs(w.rho_prime(t))) ** p * s
-    ) * abs(gamma) ** p
+    densities = model_densities(w.model, p, lambda t: (0.0, 1.0))
+    lhs = P1Forms(grid, densities).energy(w.rho(grid.nodes) ** gamma, p)
+    rhs = abs(gamma) ** p * cell_gauss_integrate(
+        grid.nodes,
+        lambda t: w.rho(t) ** (p * (gamma - 1.0)) * np.abs(w.rho_prime(t)) ** p * densities(t)[1],
+    )
     if rhs < 1e-300:
-        # constant weights: both sides vanish (lhs only to FD roundoff)
+        # constant weights: both sides vanish
         if lhs < 1e-12:
             return 0.0
         raise ZeroDenominatorError("chain-rule reference integral vanished")

@@ -19,6 +19,7 @@ from oracles import plaplace_lambda1_shooting  # noqa: E402
 from phardy.capacity import classify_parabolicity, radial_capacity
 from phardy.cli import load_config, report_json, run_suite
 from phardy.eigen import first_eigenpair
+from phardy.forms import P1Forms
 from phardy.functionals import (
     caccioppoli_case,
     ckn_case,
@@ -247,10 +248,10 @@ def test_criterion_7_non_attainment_and_remainder():
     grid = build_grid(ball, 2500, "log")
     ball_case = hardy_case(E3, w, ball)
     lam = lam_vals[1]
-    s_dens = np.exp(E3.log_volume_density(grid.nodes))
+    forms = P1Forms(grid, lambda t: (np.exp(E3.log_volume_density(t)),) * 2)
     remainder_ok = True
     for u in random_test_functions(grid, 50, seed=7000):
-        mass = grid.integrate(u.values ** 2 * s_dens)
+        mass = forms.mass(u.values, 2.0)
         if hardy_gap(ball_case, u) < 0.98 * lam * mass:
             remainder_ok = False
             break

@@ -189,6 +189,30 @@ def test_emit_round_trip_and_headers(tmp_path):
     assert {p.name for p in paths} == {"sides.csv", "classification.csv", "minimization.csv"}
 
 
+@pytest.mark.parametrize("text", ["[]", "{}", '{"cases": [{"x": 1}]}'])
+def test_emit_rejects_non_report_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "not-a-report.json"
+    path.write_text(text)
+    assert main(["emit", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: not a phardy report\n"
+
+
+def test_eigen_hardy_record_carries_its_hypothesis():
+    cfg = small_config()
+    cfg["cases"][0] = {
+        "id": "eigen-hardy",
+        "kind": "eigen-hardy",
+        "model": {"kind": "interval", "a": 0.0, "b": 1.0},
+        "params": {"p": 2},
+        "grid": {"lo": 0.0, "hi": 1.0, "n": 400, "spacing": "linear",
+                 "open_lo": False, "open_hi": False},
+    }
+    record = run_suite(cfg)["cases"][0]
+    assert record["status"] == "pass"
+    assert record["hypothesis"]["mode"] == "superharmonic"
+    assert record["hypothesis"]["passed"] and record["hypothesis"]["n_bumps"] > 0
+
+
 def test_emit_empty_report_has_headers(tmp_path):
     report = run_suite({"seed": 0, "cases": []})
     assert report["summary"]["n_pass"] == 0

@@ -22,6 +22,7 @@ from phardy.functionals import (
     hardy_sobolev_case,
     hardy_sobolev_sides,
     killing_field,
+    margin_sweep,
     quotient_sides,
     rayleigh_quotient,
     sides_for,
@@ -95,6 +96,18 @@ def test_weighted_alpha_zero_equals_hardy():
         assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
         assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
         assert b.margin == pytest.approx(a.margin, rel=1e-12)
+
+
+def test_margin_sweep_reuses_and_releases_its_data():
+    grid = log_grid(500)
+    cases = [(hardy_e3_case(), sides_for), (davies_hinz_field(E3), divergence_lemma_sides)]
+    for case, sides in cases:
+        args = (2.0,) if sides is divergence_lemma_sides else ()
+        fns = random_test_functions(grid, 4, seed=5)
+        alone = [sides(case, u, *args) for u in fns]
+        with margin_sweep(case, grid, 2.0):
+            assert [sides(case, u, *args) for u in fns] == alone
+        assert case._sweep is None
 
 
 def test_weighted_degenerate_alpha():

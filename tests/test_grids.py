@@ -6,27 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phardy.errors import InvalidArgumentError, NonFiniteIntegrandError
+from phardy.forms import P1Forms, P1Sides
 from phardy.geometry import CoordinateRange
 from phardy.grids import (
     GridFunction,
     build_grid,
+    cell_gauss,
     cell_gauss_integrate,
     derivative_values,
     refine,
-    trapezoid_weights,
 )
+
+
+def p1_integral(grid, values):
+    """int |u| of the P1 interpolant of values."""
+    return P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t))).mass(values, 1.0)
 
 
 def test_uniform_three_node_weights():
     g = build_grid(CoordinateRange(0, 1), 3, "linear")
     np.testing.assert_allclose(g.nodes, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(g.quad_weights, [0.25, 0.5, 0.25])
+    np.testing.assert_allclose(cell_gauss(g.nodes)[1].sum(axis=1), [0.5, 0.5])
 
 
 def test_log_three_node_weights():
     g = build_grid(CoordinateRange(1e-2, 1.0), 3, "log")
     np.testing.assert_allclose(g.nodes, [1e-2, 1e-1, 1.0], rtol=1e-14)
-    np.testing.assert_allclose(g.quad_weights, [0.045, 0.495, 0.45], rtol=1e-13)
+    np.testing.assert_allclose(cell_gauss(g.nodes)[1].sum(axis=1), [0.09, 0.9], rtol=1e-13)
 
 
 @given(
@@ -38,24 +44,27 @@ def test_log_three_node_weights():
 @settings(max_examples=50, deadline=None)
 def test_weights_sum_to_range_width(lo, width, n, spacing):
     g = build_grid(CoordinateRange(lo, lo + width), n, spacing)
-    assert np.sum(g.quad_weights) == pytest.approx(width, rel=1e-12)
+    assert np.sum(cell_gauss(g.nodes)[1]) == pytest.approx(width, rel=1e-12)
 
 
 def test_integrate_constant_linear_quadratic():
     g1 = build_grid(CoordinateRange(0, 1), 7, "linear")
-    assert g1.integrate(np.ones(7)) == pytest.approx(1.0, abs=1e-14)
+    assert p1_integral(g1, np.ones(7)) == pytest.approx(1.0, abs=1e-14)
     g2 = build_grid(CoordinateRange(0, 1), 101, "linear")
-    assert g2.integrate(g2.nodes) == pytest.approx(0.5, abs=1e-12)
+    assert p1_integral(g2, g2.nodes) == pytest.approx(0.5, abs=1e-12)
     g3 = build_grid(CoordinateRange(0, 1), 1001, "linear")
-    assert g3.integrate(g3.nodes ** 2) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert p1_integral(g3, g3.nodes ** 2) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_integrate_rejects_non_finite():
+    # the density is infinite at the node 1/2: that counts only where the
+    # interpolant does not vanish
     g = build_grid(CoordinateRange(0, 1), 5, "linear")
-    vals = np.ones(5)
-    vals[2] = np.inf
+    sides = P1Sides(g, lambda t: (1.0 / np.abs(t - 0.5), np.ones_like(t)))
     with pytest.raises(NonFiniteIntegrandError):
-        g.integrate(vals)
+        sides.integrals(np.ones(5), (1.0, 1.0))
+    lhs, rhs = sides.integrals(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), (1.0, 1.0))
+    assert np.isfinite(lhs) and rhs == pytest.approx(2.0)
 
 
 def test_build_grid_validation():
@@ -107,12 +116,12 @@ def test_refine_preserves_nodes(n, spacing):
 
 
 def test_quadrature_convergence_order():
-    # trapezoid on exp: error ratio between n and 2n-1 gives slope >= 1.9
+    # P1 interpolant of exp: error ratio between n and 2n-1 gives slope >= 1.9
     exact = math.e - 1.0
     errs = []
     g = build_grid(CoordinateRange(0, 1), 33, "linear")
     for _ in range(3):
-        errs.append(abs(g.integrate(np.exp(g.nodes)) - exact))
+        errs.append(abs(p1_integral(g, np.exp(g.nodes)) - exact))
         g = refine(g)
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(slopes) >= 1.9
@@ -130,7 +139,6 @@ def test_grid_function_dirichlet_validation():
 def test_grid_function_helpers(tmp_path):
     g = build_grid(CoordinateRange(0, 1), 11, "linear")
     f = GridFunction(g, g.nodes * (1 - g.nodes))
-    assert f.integrate() == pytest.approx(1.0 / 6.0, abs=2e-3)
     np.testing.assert_allclose(f.derivative(), 1.0 - 2.0 * g.nodes, atol=1e-12)
     path = tmp_path / "f.csv"
     f.to_csv(path)
@@ -143,9 +151,3 @@ def test_cell_gauss_integrate_polynomial_exact():
     nodes = np.geomspace(0.1, 3.0, 7)
     val = cell_gauss_integrate(nodes, lambda t: t ** 5)
     assert val == pytest.approx((3.0 ** 6 - 0.1 ** 6) / 6.0, rel=1e-14)
-
-
-def test_trapezoid_weights_nonuniform():
-    nodes = np.array([0.0, 0.1, 0.4, 1.0])
-    w = trapezoid_weights(nodes)
-    np.testing.assert_allclose(w, [0.05, 0.2, 0.45, 0.3])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from phardy.errors import InvalidArgumentError
-from phardy.functionals import hardy_case, hardy_gap, weighted_hardy_case
+from phardy.forms import P1Forms
+from phardy.functionals import hardy_case, hardy_gap, rayleigh_quotient, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
     euclidean_radial,
@@ -171,10 +172,27 @@ def test_remainder_inequality_for_bumps():
     grid = build_grid(rng, 2500, "log")
     case = hardy_case(E3, w, rng)
     lam = estimate_lambda1(E3, w, rng, n=2500)
-    s = np.exp(E3.log_volume_density(grid.nodes))
+    forms = P1Forms(grid, lambda t: (np.exp(E3.log_volume_density(t)),) * 2)
     for u in random_test_functions(grid, 25, seed=101):
-        mass = grid.integrate(u.values ** 2 * s)
+        mass = forms.mass(u.values, 2.0)
         assert hardy_gap(case, u) >= 0.98 * lam * mass
+
+
+@pytest.mark.parametrize(
+    "dim, p, beta, lo, n",
+    [(3, 2.0, -1.0, 1e-4, 500), (4, 3.0, -0.5, 1e-3, 1200)],
+)
+def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
+    # margins and minimizers integrate one P1 interpolant on the same cells
+    model = euclidean_radial(dim)
+    rng = CoordinateRange(lo, 1.0 / lo, open_lo=True, open_hi=True)
+    case = hardy_case(model, rho_catalog_entry("power", model, p, beta=beta), rng)
+    grid = build_grid(rng, n, "log")
+    if p == 2.0:
+        res = minimize_quotient_p2(case, grid)
+    else:
+        res = minimize_quotient_general_p(case, grid)
+    assert rayleigh_quotient(case, res.minimizer) == pytest.approx(res.quotient, rel=1e-12)
 
 
 def test_minimize_p2_rejects_other_p():

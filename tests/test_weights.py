@@ -39,24 +39,10 @@ def wide_grid(n=900):
     return build_grid(WIDE, n, "log")
 
 
-def test_fundamental_solution_plap_zero():
-    w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    t = np.geomspace(0.1, 10, 20)
-    np.testing.assert_allclose(w.plap(t), 0.0, atol=1e-13)
-
-
 def test_halfplane_height_harmonic():
     w = rho_catalog_entry("halfplane-y", half_plane_poincare(), 2.0)
     t = np.geomspace(0.1, 10, 20)
-    np.testing.assert_allclose(w.plap(t), 0.0, atol=1e-14)
     assert np.all(w.grad_norm(t) == t)
-
-
-def test_square_weight_laplacian_2n():
-    for n in (2, 3, 5):
-        w = rho_catalog_entry("power", euclidean_radial(n), 2.0, beta=2.0)
-        t = np.geomspace(0.5, 5, 9)
-        np.testing.assert_allclose(w.plap(t), 2.0 * n, rtol=1e-12)
 
 
 def test_weak_check_harmonic_near_zero():
@@ -234,7 +220,6 @@ def test_green_euclidean3_profile_shape():
     t = grid.nodes[[100, 500, 900, 1300]]
     expected = (1.0 / t - 1.0 / grid.hi) / (4 * math.pi)
     np.testing.assert_allclose(w.rho(t), expected, rtol=1e-10)
-    assert w.plap is not None and np.all(w.plap(t) == 0.0)
 
 
 def test_green_parabolic_rejected():
