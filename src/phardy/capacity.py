@@ -27,7 +27,7 @@ from .grids import GridFunction, LOG, build_grid, cell_gauss
 def green_integrals(model: ModelManifold, p: float, nodes: np.ndarray):
     """Per-cell Gauss integrals of s^(-1/(p-1)) and their suffix sums,
     suffix[i] = the integral from node i to the last node."""
-    pts, wts = cell_gauss(nodes, 8)
+    pts, wts = cell_gauss(nodes)
     cell_ints = np.sum(wts * np.exp(-model.log_volume_density(pts) / (p - 1.0)), axis=1)
     return cell_ints, np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
 

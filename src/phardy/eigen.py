@@ -63,7 +63,7 @@ def first_eigenpair(
         lam, u, iters, conv = res.quotient, res.minimizer.values, res.iterations, res.converged
         tol = TOL_EIG_P2
     else:
-        x = grid.to_coord(grid.nodes)
+        x = grid.coord
         seed = np.sin(math.pi * (x - x[0]) / (x[-1] - x[0]))
         lam, u, iters, conv, _ = descend_quotient(grid, densities, p, seed, rtol=1e-10)
         tol = TOL_EIG_GENERAL
@@ -152,7 +152,9 @@ def distance_hardy_constant(
     Splits the interval into a boundary collar (where the eigenfunction
     Hardy inequality controls 1/d^p through the collar gradient bound) and
     the interior (where the Poincare-type inequality does), and takes half
-    the worse of the two explicit constants.
+    the worse of the two explicit constants.  The gradient bounds are the
+    cell slopes of phi1: the least over cells inside the collar, the
+    largest over all cells.
     """
     p = pair.p
     if s is None:
@@ -161,14 +163,15 @@ def distance_hardy_constant(
         raise InvalidArgumentError("composite constant implemented on intervals")
     t = pair.phi1.grid.nodes
     d = np.minimum(t - pair.model.a, pair.model.b - t)
-    dphi = np.abs(pair.phi1.derivative())
+    slope = np.abs(np.diff(pair.phi1.values) / np.diff(t))
     collar = d < eps_split
-    if not np.any(collar) or not np.any(~collar):
+    collar_cells = collar[:-1] & collar[1:]
+    if not np.any(collar_cells) or not np.any(~collar):
         raise InvalidArgumentError("eps_split leaves an empty collar or interior")
-    b_min = float(np.min(dphi[collar]))
+    b_min = float(np.min(slope[collar_cells]))
     if b_min <= 0:
         raise CollarGradientError("eigenfunction gradient vanishes on the collar")
-    lip = float(np.max(dphi))
+    lip = float(np.max(slope))
     l_eps = float(np.min(pair.phi1.values[~collar]))
     c_collar = ((p - 1.0) / p) ** p * b_min ** p / lip ** p
     c_inner = poincare_eigen_constant(pair, s) * l_eps ** s * eps_split ** p

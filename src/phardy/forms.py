@@ -53,7 +53,7 @@ class P1Forms(P1Cells):
     8-point Gauss quadrature per cell."""
 
     def __init__(self, grid: RadialGrid, densities):
-        pts, wts = cell_gauss(grid.nodes, 8)
+        pts, wts = cell_gauss(grid.nodes)
         a_vals, b_vals = densities(pts)
         self.b_cell = np.sum(wts * b_vals, axis=1)
         if np.any(self.b_cell <= 0) or not np.all(np.isfinite(self.b_cell)):
@@ -118,7 +118,7 @@ class P1Sides(P1Cells):
     raises NonFiniteIntegrandError; elsewhere it counts as 0."""
 
     def __init__(self, grid: RadialGrid, densities):
-        pts, wts = cell_gauss(grid.nodes, 8)
+        pts, wts = cell_gauss(grid.nodes)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.bad_nodes = ~np.all(np.isfinite(densities(grid.nodes)), axis=0)
             weighted = list(densities(pts))

@@ -539,6 +539,15 @@ def killing_field(model: ModelManifold, p: float) -> VectorFieldCase:
     return VectorFieldCase("killing", model, h_mag, a_h)
 
 
+def vector_field(name: str, model: ModelManifold, p: float) -> VectorFieldCase:
+    """The divergence-lemma field called ``name`` on a model."""
+    if name == "davies-hinz":
+        return davies_hinz_field(model)
+    if name == "killing":
+        return killing_field(model, p)
+    raise InvalidArgumentError(f"unknown 'field' {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # factors of the quotient kinds and the table of kinds
 

@@ -1,8 +1,8 @@
-"""Nonuniform 1D grids, per-cell Gauss quadrature and finite differences.
+"""Nonuniform 1D grids and per-cell Gauss quadrature.
 
 Grids are arbitrary strictly increasing node sets; they are integrated
-cell by cell with Gauss rules, functions sampled on a grid can be
-differentiated with second-order accuracy, and grids are refined by
+cell by cell with an 8-point Gauss rule, a function sampled on a grid is
+its P1 (piecewise-linear) interpolant, and grids are refined by
 inserting midpoints in the grid coordinate (arithmetic for linear
 spacing, geometric for log).
 """
@@ -56,9 +56,10 @@ class RadialGrid:
     def hi(self) -> float:
         return float(self.nodes[-1])
 
-    def to_coord(self, t):
-        """Map to the spacing coordinate (identity or log)."""
-        return np.log(t) if self.spacing == LOG else np.asarray(t, dtype=float)
+    @functools.cached_property
+    def coord(self) -> np.ndarray:
+        """The nodes in the spacing coordinate (identity or log)."""
+        return np.log(self.nodes) if self.spacing == LOG else self.nodes
 
 
 def build_grid(rng: CoordinateRange, n: int, spacing: str = LINEAR) -> RadialGrid:
@@ -94,33 +95,6 @@ def refine(grid: RadialGrid) -> RadialGrid:
     return RadialGrid(nodes, grid.spacing)
 
 
-def _three_point_weights(xs, xe):
-    """Derivative weights at xe for the quadratic through (x0, x1, x2)."""
-    x0, x1, x2 = xs
-    w0 = (2 * xe - x1 - x2) / ((x0 - x1) * (x0 - x2))
-    w1 = (2 * xe - x0 - x2) / ((x1 - x0) * (x1 - x2))
-    w2 = (2 * xe - x0 - x1) / ((x2 - x0) * (x2 - x1))
-    return w0, w1, w2
-
-
-def derivative_values(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second-order finite differences on a nonuniform node set."""
-    x, f = nodes, np.asarray(values, dtype=float)
-    out = np.empty_like(f)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    out[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * f[:-2]
-        + (h2 - h1) / (h1 * h2) * f[1:-1]
-        + h1 / (h2 * (h1 + h2)) * f[2:]
-    )
-    w0, w1, w2 = _three_point_weights(x[:3], x[0])
-    out[0] = w0 * f[0] + w1 * f[1] + w2 * f[2]
-    w0, w1, w2 = _three_point_weights(x[-3:], x[-1])
-    out[-1] = w0 * f[-3] + w1 * f[-2] + w2 * f[-1]
-    return out
-
-
 @dataclass
 class GridFunction:
     """Function sampled on a grid; dirichlet_zero models compact support
@@ -137,9 +111,6 @@ class GridFunction:
         if self.dirichlet_zero and (self.values[0] != 0.0 or self.values[-1] != 0.0):
             raise InvalidArgumentError("dirichlet_zero requires zero endpoint values")
 
-    def derivative(self) -> np.ndarray:
-        return derivative_values(self.grid.nodes, self.values)
-
     def to_csv(self, path) -> None:
         """Two-column CSV export (node, value)."""
         with open(path, "w") as fh:
@@ -148,17 +119,17 @@ class GridFunction:
                 fh.write(f"{t!r},{v!r}\n")
 
 
-@functools.lru_cache
-def gauss_rule(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
+@functools.cache
+def _gauss8():
+    return np.polynomial.legendre.leggauss(8)
 
 
-def cell_gauss(nodes: np.ndarray, npts: int = 8):
-    """Per-cell Gauss points and weights mapped from [-1, 1].
+def cell_gauss(nodes: np.ndarray):
+    """Per-cell 8-point Gauss points and weights mapped from [-1, 1].
 
-    Returns arrays of shape (ncells, npts).
+    Returns arrays of shape (ncells, 8).
     """
-    z, w = gauss_rule(npts)
+    z, w = _gauss8()
     xl = nodes[:-1, None]
     xr = nodes[1:, None]
     pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z[None, :]
@@ -166,7 +137,7 @@ def cell_gauss(nodes: np.ndarray, npts: int = 8):
     return pts, wts
 
 
-def cell_gauss_integrate(nodes: np.ndarray, fn, npts: int = 8) -> float:
+def cell_gauss_integrate(nodes: np.ndarray, fn) -> float:
     """High-order quadrature of a callable over the span of a node set."""
-    pts, wts = cell_gauss(nodes, npts)
+    pts, wts = cell_gauss(nodes)
     return float(np.sum(wts * fn(pts)))

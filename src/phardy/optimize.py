@@ -105,7 +105,7 @@ def default_seed_profile(case: InequalityCase, grid: RadialGrid) -> GridFunction
     vals = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
     cap = np.quantile(vals, 0.95)
     vals = np.minimum(vals, cap)
-    c = grid.to_coord(grid.nodes)
+    c = grid.coord
     edge = 0.08 * (c[-1] - c[0])
     ramp_lo = np.clip((c - c[0]) / edge, 0.0, 1.0)
     ramp_hi = np.clip((c[-1] - c) / edge, 0.0, 1.0)

@@ -24,7 +24,7 @@ def mollifier(z: np.ndarray) -> np.ndarray:
 
 def bump(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
     """Smooth bump supported on (c_lo, c_hi) in the grid coordinate."""
-    c = grid.to_coord(grid.nodes)
+    c = grid.coord
     z = (2.0 * (c - c_lo) / (c_hi - c_lo)) - 1.0
     vals = mollifier(z)
     vals[0] = vals[-1] = 0.0
@@ -33,7 +33,7 @@ def bump(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
 
 def tent(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
     """Piecewise-linear hat peaking at the midpoint of (c_lo, c_hi)."""
-    c = grid.to_coord(grid.nodes)
+    c = grid.coord
     mid = 0.5 * (c_lo + c_hi)
     up = (c - c_lo) / (mid - c_lo)
     down = (c_hi - c) / (c_hi - mid)
@@ -46,7 +46,7 @@ def random_test_functions(grid: RadialGrid, count: int, seed) -> list[GridFuncti
     """Deterministic list of test functions on random interior subintervals,
     smooth bumps and tents in turn, each 15-60% of the grid's span wide."""
     rng = np.random.default_rng(seed)
-    c = grid.to_coord(grid.nodes)
+    c = grid.coord
     span = c[-1] - c[0]
     pad = 0.01 * span
     out = []

@@ -30,9 +30,17 @@ from .errors import (
     UnsupportedModelError,
     ZeroDenominatorError,
 )
-from .geometry import HALF_PLANE, INTERVAL, ModelManifold
+from .geometry import (
+    HALF_PLANE,
+    INTERVAL,
+    CoordinateRange,
+    ModelManifold,
+    euclidean_radial,
+    half_plane_poincare,
+    interval,
+)
 from .forms import P1Forms, model_densities
-from .grids import RadialGrid, cell_gauss, cell_gauss_integrate, derivative_values
+from .grids import LOG, RadialGrid, build_grid, cell_gauss, cell_gauss_integrate
 
 #: relative tolerance separating quadrature noise from a genuine sign
 #: violation (calibrated for n >= 500 node grids)
@@ -202,19 +210,19 @@ def weight_from_samples(
 ) -> WeightSpec:
     """Wrap a sampled weight (e.g. an eigenfunction) as a WeightSpec.
 
-    Values and the finite-difference derivative are linearly interpolated
-    between nodes; outside the grid the weight is frozen at its endpoint
-    values.
+    The weight is the P1 interpolant of the samples, frozen at its endpoint
+    values outside the grid; its derivative is the slope of the cell that
+    holds t (the right one at a node), and 0 outside the grid.
     """
     values = np.asarray(values, dtype=float)
-    dvals = derivative_values(grid.nodes, values)
     nodes = grid.nodes
+    slopes = np.concatenate(([0.0], np.diff(values) / np.diff(nodes), [0.0]))
 
     def rho(t):
         return np.interp(np.asarray(t, dtype=float), nodes, values)
 
     def rho_prime(t):
-        return np.interp(np.asarray(t, dtype=float), nodes, dvals)
+        return slopes[np.searchsorted(nodes, t, side="right")]
 
     return WeightSpec(
         name=name,
@@ -329,12 +337,13 @@ class CheckResult:
 _BUMP_BLOCK = 256
 
 
-def _cubic_bump(x, knots, piece, derivative: bool):
-    """Cox-de Boor recursion for cubic B-splines on 5 knots, a batch at once.
+def _cubic_bump_slope(x, knots, piece):
+    """Cox-de Boor recursion for the derivative of cubic B-splines on 5
+    knots, a batch at once.
 
     ``x`` has shape (bumps, L, q), ``knots`` shape (5, bumps, 1, 1) and
     ``piece[l]`` is the knot interval holding ``x[:, l]`` (4: right of the
-    support).  Returns the spline values, or their derivatives.
+    support).
     """
     b = [(piece == m)[:, None].astype(float) for m in range(4)]
     for d in (1, 2):
@@ -343,36 +352,26 @@ def _cubic_bump(x, knots, piece, derivative: bool):
             + (knots[j + d + 1] - x) / (knots[j + d + 1] - knots[j + 1]) * b[j + 1]
             for j in range(4 - d)
         ]
-    left, right = b[0] / (knots[3] - knots[0]), b[1] / (knots[4] - knots[1])
-    if derivative:
-        return 3.0 * (left - right)
-    return (x - knots[0]) * left + (knots[4] - x) * right
+    return 3.0 * (b[0] / (knots[3] - knots[0]) - b[1] / (knots[4] - knots[1]))
 
 
-def _bump_ratios(w, grid: RadialGrid, sign: int, p, model):
+def _bump_ratios(w: WeightSpec, grid: RadialGrid, sign: int):
     """Per-bump ``(ratio, raw, centre, width)``: raw = sign * weak integral,
     ratio = raw / the |.| integral (0 where that is 0 or not finite).
 
     Bumps are cubic B-splines on knots ``[c-w, c-half, c, c+half, c+w]``,
     width 3 before 9, centred so that adjacent supports overlap (a kink
-    anywhere is straddled) and never fewer than 8 per width.  The
-    flux is evaluated once: times the Gauss weights on all cells, shape
-    (n-1, 8), for a WeightSpec; one piecewise-linear value per cell for
-    samples.  Bumps of one width meet it ``_BUMP_BLOCK`` at a time: their
-    derivatives at the Gauss points, or their exact increments per cell.
+    anywhere is straddled) and never fewer than 8 per width.  The flux is
+    evaluated once, times the Gauss weights on all cells, shape (n-1, 8);
+    bumps of one width meet it ``_BUMP_BLOCK`` at a time through their
+    derivatives at the Gauss points.  For a sampled weight on its own grid
+    the flux is constant per cell and the 8-point rule is exact.
     """
-    nodes = grid.nodes
-    if isinstance(w, WeightSpec):
-        model, p = w.model, w.p if p is None else p
-        t, wts = cell_gauss(nodes, 8)
-        slope = w.rho_prime(t)
-    elif model is None or p is None:
-        raise InvalidArgumentError("raw grid weights need model= and p=")
-    else:
-        t, wts = 0.5 * (nodes[:-1] + nodes[1:]), 1.0
-        slope = np.diff(np.asarray(getattr(w, "values", w), float)) / np.diff(nodes)
     if grid.n < 2 * min(BUMP_WIDTHS) + 1:
         raise InvalidArgumentError("grid too coarse for any test bump")
+    nodes, model, p = grid.nodes, w.model, w.p
+    t, wts = cell_gauss(nodes)
+    slope = w.rho_prime(t)
     s_gp = np.exp(model.log_volume_density(t)) * model.gradient_factor(t) ** p
     flux = wts * (s_gp * np.sign(slope) * np.abs(slope) ** (p - 1.0))
 
@@ -381,16 +380,12 @@ def _bump_ratios(w, grid: RadialGrid, sign: int, p, model):
         count = max(8, math.ceil((grid.n - 1) / bw) + 1)
         centres = np.unique(np.round(np.linspace(bw, grid.n - 1 - bw, count)).astype(int))
         offsets = np.array([-bw, -max(1, bw // 2), 0, max(1, bw // 2), bw])
-        local = np.arange(2 * bw + (flux.ndim == 1))  # cells, or nodes if sampled
+        local = np.arange(2 * bw)
         piece = np.sum(local[:, None] >= offsets[1:] + bw, axis=1)
         for c in np.split(centres, range(_BUMP_BLOCK, centres.size, _BUMP_BLOCK)):
             knots = nodes[c + offsets[:, None]][..., None, None]
             span = c[:, None] - bw + local
-            if flux.ndim == 2:
-                terms = (flux[span] * _cubic_bump(t[span], knots, piece, True)).reshape(c.size, -1)
-            else:
-                phi = _cubic_bump(nodes[span][..., None], knots, piece, False)[..., 0]
-                terms = flux[span[:, :-1]] * np.diff(phi, axis=1)
+            terms = (flux[span] * _cubic_bump_slope(t[span], knots, piece)).reshape(c.size, -1)
             raw.append(sign * terms.sum(axis=1))
             norm.append(np.abs(terms).sum(axis=1))
         centre.append(nodes[centres])
@@ -401,23 +396,17 @@ def _bump_ratios(w, grid: RadialGrid, sign: int, p, model):
 
 
 def weak_superharmonicity_check(
-    w,
-    grid: RadialGrid,
-    sign: int = 1,
-    *,
-    p: float | None = None,
-    model: ModelManifold | None = None,
-    tol: float = TOL_WEAK,
+    w: WeightSpec, grid: RadialGrid, sign: int = 1, *, tol: float = TOL_WEAK
 ) -> CheckResult:
     """Test sign * (-Delta_p rho) >= 0 in the weak sense over bump functions.
 
-    ``w`` is a WeightSpec (closed forms integrated per-cell with Gauss
-    quadrature) or a GridFunction/ndarray of samples (piecewise-linear flux
-    form, exact in the test function).  Each bump value is normalized by
-    the same integral taken with absolute values, so ``worst_value`` is
-    dimensionless and insensitive to scaling of rho and phi.
+    The flux of the weight ``w`` is integrated per cell with Gauss
+    quadrature; a sampled weight comes in as ``weight_from_samples``.  Each
+    bump value is normalized by the same integral taken with absolute
+    values, so ``worst_value`` is dimensionless and insensitive to scaling
+    of rho and phi.
     """
-    ratio, raw, centre, width = _bump_ratios(w, grid, sign, p, model)
+    ratio, raw, centre, width = _bump_ratios(w, grid, sign)
     i = int(np.argmin(ratio))
     return CheckResult(
         passed=bool(ratio[i] >= -tol),
@@ -430,13 +419,11 @@ def weak_superharmonicity_check(
     )
 
 
-def classify_weight_sign(
-    w, grid: RadialGrid, *, p=None, model=None, tol: float = TOL_WEAK
-) -> str:
+def classify_weight_sign(w: WeightSpec, grid: RadialGrid, *, tol: float = TOL_WEAK) -> str:
     """Classify a weight as superharmonic / subharmonic / harmonic / indefinite
     from the two one-sided weak checks, both read off one scoring pass: the
     worst value for sign=-1 is -max(ratio)."""
-    ratio = _bump_ratios(w, grid, +1, p, model)[0]
+    ratio = _bump_ratios(w, grid, +1)[0]
     sup, sub = ratio.min() >= -tol, -ratio.max() >= -tol
     if sup or sub:
         return "harmonic" if sup and sub else "superharmonic" if sup else "subharmonic"
@@ -479,47 +466,18 @@ def signed_catalog() -> list[SignedCatalogEntry]:
     """Eight weights of known sign: harmonic powers, a strict subharmonic
     and a strict superharmonic power, the interval distance kink, the two
     log weights on either side of 1, and the half-plane height."""
-    from .geometry import (
-        CoordinateRange,
-        euclidean_radial,
-        half_plane_poincare,
-        interval,
-    )
-    from .grids import LOG, build_grid
-
     e3, e4 = euclidean_radial(3), euclidean_radial(4)
-    ball = CoordinateRange(1e-2, 0.99, open_lo=True)
-    outer = CoordinateRange(1.01, 1e2, open_hi=True)
-    wide = CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True)
-    unit = interval(0.0, 1.0)
-    entries = [
-        SignedCatalogEntry(
-            _power_weight(e3, 2.0, -1.0), build_grid(wide, 900, LOG), "harmonic"
-        ),
-        SignedCatalogEntry(
-            _power_weight(e4, 3.0, -0.5), build_grid(wide, 900, LOG), "harmonic"
-        ),
-        SignedCatalogEntry(
-            _power_weight(e3, 2.0, 2.0), build_grid(wide, 900, LOG), "subharmonic"
-        ),
-        SignedCatalogEntry(
-            _power_weight(e4, 2.0, -1.0), build_grid(wide, 900, LOG), "superharmonic"
-        ),
-        SignedCatalogEntry(
-            _distance_to_boundary_weight(unit, 2.0),
-            build_grid(CoordinateRange(0.0, 1.0), 901, "linear"),
-            "superharmonic",
-        ),
-        SignedCatalogEntry(
-            _log_weight(e3, 2.0, "inner"), build_grid(ball, 900, LOG), "superharmonic"
-        ),
-        SignedCatalogEntry(
-            _log_weight(e3, 2.0, "outer"), build_grid(outer, 900, LOG), "subharmonic"
-        ),
-        SignedCatalogEntry(
-            _halfplane_height_weight(half_plane_poincare(), 2.0),
-            build_grid(CoordinateRange(1e-2, 1e2, open_lo=True), 900, LOG),
-            "harmonic",
-        ),
-    ]
-    return entries
+    wide = build_grid(CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True), 900, LOG)
+    ball = build_grid(CoordinateRange(1e-2, 0.99, open_lo=True), 900, LOG)
+    outer = build_grid(CoordinateRange(1.01, 1e2, open_hi=True), 900, LOG)
+    unit = build_grid(CoordinateRange(0.0, 1.0), 901, "linear")
+    return [SignedCatalogEntry(*entry) for entry in (
+        (_power_weight(e3, 2.0, -1.0), wide, "harmonic"),
+        (_power_weight(e4, 3.0, -0.5), wide, "harmonic"),
+        (_power_weight(e3, 2.0, 2.0), wide, "subharmonic"),
+        (_power_weight(e4, 2.0, -1.0), wide, "superharmonic"),
+        (_distance_to_boundary_weight(interval(0.0, 1.0), 2.0), unit, "superharmonic"),
+        (_log_weight(e3, 2.0, "inner"), ball, "superharmonic"),
+        (_log_weight(e3, 2.0, "outer"), outer, "subharmonic"),
+        (_halfplane_height_weight(half_plane_poincare(), 2.0), wide, "harmonic"),
+    )]

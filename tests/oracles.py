@@ -68,31 +68,22 @@ def euclidean_annulus_capacity(n_dim: int, p: float, a: float, b: float) -> floa
     return (sigma ** (-1.0 / (p - 1.0)) * integral) ** (1.0 - p)
 
 
-def weak_check_bspline_loop(w, grid, n_tests=8, sign=1, *, p=None, model=None):
+def weak_check_bspline_loop(w, grid, n_tests=8, sign=1):
     """Reference weak sign check: one ``scipy.interpolate.BSpline`` bump at
     a time, with the flux evaluated afresh at each bump's Gauss points.
 
     Same bump set and scoring as ``phardy.weights.weak_superharmonicity_check``:
     widths 3 and 9 cells, knots ``[c-w, c-half, c, c+half, c+w]`` on grid
-    nodes, 8 Gauss points per cell for a closed-form weight, and the
-    piecewise-linear flux form for samples.  Returns
+    nodes and 8 Gauss points per cell.  Returns
     ``(worst_value, worst_raw, n_bumps)``.
     """
     nodes = grid.nodes
     z, gw = np.polynomial.legendre.leggauss(8)
-    if model is None:
-        model, p = w.model, w.p if p is None else p
+    model, p = w.model, w.p
 
     def flux(t, slope):
         s = np.exp(model.log_volume_density(t))
         return s * model.gradient_factor(t) ** p * np.sign(slope) * np.abs(slope) ** (p - 1.0)
-
-    if hasattr(w, "rho_prime"):
-        sampled = None
-    else:
-        sampled = np.asarray(getattr(w, "values", w), float)
-        h = np.diff(nodes)
-        cell_flux = flux(0.5 * (nodes[:-1] + nodes[1:]), np.diff(sampled) / h)
 
     worst, worst_raw, n_bumps = np.inf, np.inf, 0
     for width in (3, 9):
@@ -103,14 +94,10 @@ def weak_check_bspline_loop(w, grid, n_tests=8, sign=1, *, p=None, model=None):
         for c in np.unique(np.round(np.linspace(width, grid.n - 1 - width, count)).astype(int)):
             kn = [c - width, c - half, c, c + half, c + width]
             spline = BSpline.basis_element(nodes[kn], extrapolate=False)
-            if sampled is None:
-                xl, xr = nodes[kn[0] : kn[-1], None], nodes[kn[0] + 1 : kn[-1] + 1, None]
-                pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z
-                terms = 0.5 * (xr - xl) * gw * flux(pts, w.rho_prime(pts))
-                terms = terms * np.nan_to_num(spline.derivative()(pts))
-            else:
-                phi = np.nan_to_num(spline(nodes[kn[0] : kn[-1] + 1]))
-                terms = cell_flux[kn[0] : kn[-1]] * np.diff(phi)
+            xl, xr = nodes[kn[0] : kn[-1], None], nodes[kn[0] + 1 : kn[-1] + 1, None]
+            pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z
+            terms = 0.5 * (xr - xl) * gw * flux(pts, w.rho_prime(pts))
+            terms = terms * np.nan_to_num(spline.derivative()(pts))
             raw, norm = sign * float(np.sum(terms)), float(np.sum(np.abs(terms)))
             rel = raw / norm if norm > 0 else 0.0
             n_bumps += 1

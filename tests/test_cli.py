@@ -189,7 +189,11 @@ def test_emit_round_trip_and_headers(tmp_path):
     assert {p.name for p in paths} == {"sides.csv", "classification.csv", "minimization.csv"}
 
 
-@pytest.mark.parametrize("text", ["[]", "{}", '{"cases": [{"x": 1}]}'])
+@pytest.mark.parametrize("text", [
+    "[]", "{}", '{"cases": [{"x": 1}]}',
+    '{"cases": [{"case_id": "a", "kind": "k", "status": "s", "sides": 1}]}',
+    '{"cases": [{"case_id": "a", "kind": "k", "status": "s", "minimization": []}]}',
+])
 def test_emit_rejects_non_report_exit_2(text, tmp_path, capsys):
     path = tmp_path / "not-a-report.json"
     path.write_text(text)
@@ -254,6 +258,16 @@ def _set(path, value):
     return mutate
 
 
+def _divergence(field, p=2, model=None):
+    """A mutation that turns the case into a divergence-lemma case."""
+    def mutate(cfg):
+        case = cfg["cases"][0]
+        del case["weight"]
+        case.update(kind="divergence-lemma", params={"p": p, "field": field})
+        case["model"] = model or case["model"]
+    return mutate
+
+
 CASE = ("cases", 0)
 # name -> (mutation of ball_config(), key the message must name, names the case)
 BAD_CONFIGS = {
@@ -271,6 +285,11 @@ BAD_CONFIGS = {
     "duplicate-id": (lambda cfg: cfg["cases"].append(dict(cfg["cases"][0])), "'id'", True),
     "case-not-object": (_set(("cases",), [1]), "'cases'", False),
     "seed-string": (_set(("seed",), "x"), "'seed'", False),
+    "field-unknown": (_divergence("x"), "'field'", True),
+    "field-killing-p-ge-n": (_divergence("killing", p=3), "'params'", True),
+    "field-davies-hinz-half-plane": (
+        _divergence("davies-hinz", model={"kind": "half_plane"}), "'params'", True
+    ),
 }
 
 
@@ -285,6 +304,19 @@ def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert ("'hardy-log-ball-p2'" in err) == names_case
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(BAD_CONFIGS) if n.startswith("field-")])
+def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
+    cfg = ball_config()
+    bad = {"cases": [dict(cfg["cases"][0], id="later")]}
+    BAD_CONFIGS[name][0](bad)
+    cfg["cases"] += bad["cases"]
+    ran = []
+    monkeypatch.setattr(phardy.cli, "_run_inequality_case", lambda *args: ran.append(args))
+    with pytest.raises(ConfigError, match="'later'"):
+        run_suite(cfg)
+    assert ran == []
 
 
 def test_ball_config_passes(tmp_path):

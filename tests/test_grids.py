@@ -13,7 +13,6 @@ from phardy.grids import (
     build_grid,
     cell_gauss,
     cell_gauss_integrate,
-    derivative_values,
     refine,
 )
 
@@ -81,17 +80,6 @@ def test_logarithmic_spelling_accepted():
     assert g.spacing == "log"
 
 
-def test_derivative_exactness():
-    g = build_grid(CoordinateRange(0.5, 2.0), 41, "log")
-    np.testing.assert_allclose(derivative_values(g.nodes, np.full(41, 3.0)), 0.0, atol=1e-13)
-    np.testing.assert_allclose(
-        derivative_values(g.nodes, 2.0 * g.nodes - 1.0), 2.0, rtol=1e-11
-    )
-    gu = build_grid(CoordinateRange(0, 1), 21, "linear")
-    d = derivative_values(gu.nodes, gu.nodes ** 2)
-    np.testing.assert_allclose(d, 2.0 * gu.nodes, atol=1e-12)
-
-
 def test_refine_nesting_and_midpoints():
     g = build_grid(CoordinateRange(0, 1), 3, "linear")
     f = refine(g)
@@ -139,7 +127,6 @@ def test_grid_function_dirichlet_validation():
 def test_grid_function_helpers(tmp_path):
     g = build_grid(CoordinateRange(0, 1), 11, "linear")
     f = GridFunction(g, g.nodes * (1 - g.nodes))
-    np.testing.assert_allclose(f.derivative(), 1.0 - 2.0 * g.nodes, atol=1e-12)
     path = tmp_path / "f.csv"
     f.to_csv(path)
     lines = path.read_text().strip().splitlines()

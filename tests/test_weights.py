@@ -19,7 +19,7 @@ from phardy.geometry import (
     hyperbolic_radial,
     interval,
 )
-from phardy.grids import GridFunction, build_grid
+from phardy.grids import build_grid
 from phardy.weights import (
     chain_rule_identity_check,
     classify_weight_sign,
@@ -72,10 +72,8 @@ def test_weak_check_sampled_matches_distributional_oracle():
     # flux form with rho = min(x, 1-x): functional = 2 phi(1/2) exactly
     m = interval(0.0, 1.0)
     grid = build_grid(CoordinateRange(0, 1), 101, "linear")
-    rho = np.minimum(grid.nodes, 1 - grid.nodes)
-    res = weak_superharmonicity_check(
-        GridFunction(grid, rho), grid, sign=+1, p=2.0, model=m
-    )
+    w = weight_from_samples("kink", m, 2.0, grid, np.minimum(grid.nodes, 1 - grid.nodes))
+    res = weak_superharmonicity_check(w, grid, sign=+1)
     assert res.passed
 
 
@@ -111,31 +109,31 @@ def test_catalog_sign_agreement():
 
 
 def _catalog_weights():
-    """Each signed-catalog weight in closed form and as node samples."""
+    """Each signed-catalog weight in closed form and as its node samples."""
     for e in signed_catalog():
         w = e.weight
-        yield w, e.grid, {}
-        yield GridFunction(e.grid, w.rho(e.grid.nodes)), e.grid, {"p": w.p, "model": w.model}
+        yield w, e.grid
+        yield weight_from_samples(w.name, w.model, w.p, e.grid, w.rho(e.grid.nodes)), e.grid
 
 
 def test_weak_check_matches_bspline_loop_oracle():
     # absolute agreement: on harmonic entries worst_value is ~1e-14 roundoff
-    for w, grid, kw in _catalog_weights():
+    for w, grid in _catalog_weights():
         for sign in (+1, -1):
-            res = weak_superharmonicity_check(w, grid, sign=sign, **kw)
-            worst, _, n_bumps = weak_check_bspline_loop(w, grid, sign=sign, **kw)
+            res = weak_superharmonicity_check(w, grid, sign=sign)
+            worst, _, n_bumps = weak_check_bspline_loop(w, grid, sign=sign)
             assert res.passed == (worst >= -weights.TOL_WEAK)
             assert res.n_bumps == n_bumps
             assert abs(res.worst_value - worst) <= 1e-12, (sign, res.worst_value, worst)
 
 
 def test_classify_matches_both_one_sided_checks():
-    for w, grid, kw in _catalog_weights():
-        sup = weak_superharmonicity_check(w, grid, sign=+1, **kw).passed
-        sub = weak_superharmonicity_check(w, grid, sign=-1, **kw).passed
+    for w, grid in _catalog_weights():
+        sup = weak_superharmonicity_check(w, grid, sign=+1).passed
+        sub = weak_superharmonicity_check(w, grid, sign=-1).passed
         expected = {(True, True): "harmonic", (True, False): "superharmonic",
                     (False, True): "subharmonic", (False, False): "indefinite"}[sup, sub]
-        assert classify_weight_sign(w, grid, **kw) == expected
+        assert classify_weight_sign(w, grid) == expected
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -154,21 +152,11 @@ def test_weak_check_small_grids_use_width_3_only(n):
     assert res.worst_width == 3
 
 
-def test_weak_check_raw_samples_need_model_and_p():
-    grid = wide_grid(100)
-    with pytest.raises(InvalidArgumentError, match="model= and p="):
-        weak_superharmonicity_check(1.0 / grid.nodes, grid)
-    with pytest.raises(InvalidArgumentError, match="model= and p="):
-        weak_superharmonicity_check(1.0 / grid.nodes, grid, p=2.0)
-    res = weak_superharmonicity_check(1.0 / grid.nodes, grid, p=2.0, model=E3)
-    assert res.passed
-
-
 def test_weak_check_block_size_is_invisible(monkeypatch):
     cases = list(_catalog_weights())
-    before = [weak_superharmonicity_check(w, g, sign=s, **kw) for w, g, kw in cases for s in (1, -1)]
+    before = [weak_superharmonicity_check(w, g, sign=s) for w, g in cases for s in (1, -1)]
     monkeypatch.setattr(weights, "_BUMP_BLOCK", 7)
-    after = [weak_superharmonicity_check(w, g, sign=s, **kw) for w, g, kw in cases for s in (1, -1)]
+    after = [weak_superharmonicity_check(w, g, sign=s) for w, g in cases for s in (1, -1)]
     assert after == before
 
 
@@ -261,4 +249,20 @@ def test_weight_from_samples_interpolates():
     grid = build_grid(CoordinateRange(0, 1), 101, "linear")
     w = weight_from_samples("phi", interval(0, 1), 2.0, grid, np.sin(np.pi * grid.nodes))
     assert w.rho(np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-4)
-    assert w.rho_prime(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-2)
+    expected = math.pi * math.cos(0.505 * math.pi)
+    assert w.rho_prime(np.array([0.505]))[0] == pytest.approx(expected, abs=1e-4)
+
+
+def test_weight_from_samples_is_p1():
+    # on a nonuniform grid rho' is the chord slope of rho inside each cell
+    # and 0 outside the grid, where rho is frozen
+    grid = build_grid(CoordinateRange(0.1, 10.0), 40, "log")
+    w = weight_from_samples("s", E3, 2.0, grid, np.cos(grid.nodes))
+    x, h = grid.nodes, np.diff(grid.nodes)
+    a, b = x[:-1] + 0.1 * h, x[:-1] + 0.9 * h
+    chord = (w.rho(b) - w.rho(a)) / (b - a)
+    for theta in (0.1, 0.5, 0.9):
+        np.testing.assert_allclose(w.rho_prime(x[:-1] + theta * h), chord, rtol=0, atol=1e-12)
+    outside = np.array([0.01, 0.09, 10.5, 1e3])
+    assert np.all(w.rho_prime(outside) == 0.0)
+    np.testing.assert_array_equal(w.rho(outside), np.cos(x[[0, 0, -1, -1]]))
