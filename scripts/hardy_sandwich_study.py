@@ -10,10 +10,9 @@ attained).
 import argparse
 import math
 
-from phardy.functionals import hardy_case, hardy_gap
-from phardy.geometry import CoordinateRange, euclidean_radial
-from phardy.grids import build_grid
-from phardy.optimize import minimize_quotient_p2
+from phardy.functionals import hardy_case
+from phardy.geometry import euclidean_radial
+from phardy.optimize import convergence_study
 from phardy.weights import rho_catalog_entry
 
 
@@ -25,22 +24,17 @@ def main():
     args = ap.parse_args()
 
     model = euclidean_radial(args.dim)
-    weight = rho_catalog_entry("power", model, 2.0, beta=-1.0)
-    limit = 0.25
+    case = hardy_case(model, rho_catalog_entry("power", model, 2.0, beta=-1.0))
+    study = convergence_study(case, levels=args.levels, n0=args.n0)
+    limit = case.formula_constant
     print(f"{'eps':>9} {'R':>9} {'n':>6} {'quotient':>12} "
           f"{'predicted':>12} {'extrapolated':>13} {'gap(minimizer)':>15}")
-    for k in range(args.levels):
-        eps, R = 10.0 ** (-2 - k), 10.0 ** (2 + k)
-        n = args.n0 * 2 ** k
-        rng = CoordinateRange(eps, R, open_lo=True, open_hi=True)
-        case = hardy_case(model, weight, rng)
-        grid = build_grid(rng, n, "log")
-        res = minimize_quotient_p2(case, grid)
-        L = math.log(R / eps)
-        corr = (math.pi / L) ** 2
-        gap = hardy_gap(case, res.minimizer)
-        print(f"{eps:9.1e} {R:9.1e} {n:6d} {res.quotient:12.8f} "
-              f"{limit + corr:12.8f} {res.quotient - corr:13.8f} {gap:15.6e}")
+    for grid, q, extrapolated, gap in zip(
+        study.grids, study.quotients, study.extrapolated, study.gaps
+    ):
+        corr = (math.pi / math.log(grid.hi / grid.lo)) ** 2
+        print(f"{grid.lo:9.1e} {grid.hi:9.1e} {grid.n:6d} {q:12.8f} "
+              f"{limit + corr:12.8f} {extrapolated:13.8f} {gap:15.6e}")
     print(f"\ntheoretical lower bound ((p-1)/p)^p = {limit}")
 
 

@@ -6,9 +6,8 @@ form
     cap_p(a, b) = ( integral_a^b s(tau)^(-1/(p-1)) dtau )^(1-p),
 
 with extremal profile u(t) proportional to the tail of the same
-integral.  The closed form is validated against direct minimization of
-the discrete p-energy with boundary values {1, 0}
-(``capacity_by_minimization``).  A model is classified p-parabolic when
+integral.  The tests validate the closed form against direct minimization
+of the discrete P1 p-energy with boundary values {1, 0}.  A model is classified p-parabolic when
 the capacities along an expanding schedule of outer radii decay to zero.
 """
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteIntegrandError
-from .forms import P1Forms, restrict, solve_tridiag_spd
 from .geometry import CoordinateRange, ModelManifold
 from .grids import GridFunction, LOG, build_grid, cell_gauss
 
@@ -68,43 +66,6 @@ def radial_capacity(
         extremal_profile=GridFunction(grid, profile),
         classification_hint=hint,
     )
-
-
-def capacity_by_minimization(
-    model: ModelManifold, p: float, a: float, b: float, n: int = 4000
-) -> float:
-    """Direct minimization oracle for the condenser energy.
-
-    Minimizes the convex discrete P1 p-energy with boundary values
-    u(a) = 1, u(b) = 0 by damped Newton steps on the interior values;
-    validates the closed form without using it.
-    """
-    grid = build_grid(CoordinateRange(a, b), n, LOG)
-    forms = P1Forms(grid, lambda t: (np.zeros_like(t), np.exp(model.log_volume_density(t))))
-    u = np.interp(np.log(grid.nodes), [math.log(a), math.log(b)], [1.0, 0.0])
-    u[0], u[-1] = 1.0, 0.0
-    inner = slice(1, n - 1)
-    e = forms.energy(u, p)
-    for _ in range(200):
-        # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
-        k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
-        step = np.zeros(n)
-        step[inner] = solve_tridiag_spd(
-            p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off, forms.energy_grad(u, p)[inner]
-        )
-        t = 1.0
-        for _ in range(50):
-            trial = u - t * step
-            et = forms.energy(trial, p)
-            if et < e:
-                u, e_prev, e = trial, e, et
-                break
-            t *= 0.5
-        else:
-            break
-        if abs(e_prev - e) <= 1e-14 * e:
-            break
-    return e
 
 
 @dataclass

@@ -157,11 +157,17 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         c["field"] = _built(
             where, "params", fn.vector_field, params["field"], c["model"], params["p"]
         )
+    if name == "poincare-eigen":
+        _built(where, "s", eigen_mod.check_poincare_s, params["p"], params["s"])
+    if name == "distance-hardy":
+        _built(
+            where, "eps_split", eigen_mod.collar_split, c["model"], c["grid"], params["eps_split"]
+        )
     if kind.factory:
         c["checks"] = _checked(
             f"{where} checks", c["checks"], {"hypothesis": True, "minimize": False}
         )
-        if c["checks"]["minimize"] and kind.densities is None:
+        if c["checks"]["minimize"] and kind.sides:
             raise ConfigError(f"{where} checks: 'minimize' needs a quotient kind")
         weight = _built(where, "weight", parse_weight, c["weight"], c["model"], params["p"])
         others = {k: v for k, v in params.items() if k != "p"}
@@ -182,7 +188,7 @@ def _run_margins(c, conf, record, case, sides) -> bool:
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = None
     worst_rel = math.inf
-    with fn.margin_sweep(case, c["grid"], c["params"]["p"]):
+    with fn.assembled(case, c["grid"], c["params"]["p"]):
         for u in random_test_functions(c["grid"], c["n_test_functions"], seed):
             pair = sides(case, u)
             scale = max(pair.rhs, 1e-300)
@@ -228,25 +234,26 @@ def _run_inequality_case(c, conf, record):
     if c["checks"]["hypothesis"] and not _run_hypothesis(c, record, case):
         return
 
-    ok = _run_margins(c, conf, record, case, fn.sides_for)
-    if c["checks"]["minimize"]:
-        if case.p == 2.0:
-            res = opt.minimize_quotient_p2(case, grid)
-        else:
-            res = opt.minimize_quotient_general_p(case, grid, max_iter=c["max_iter"])
-        bound_ok = res.quotient >= case.formula_constant - conf["tol_disc"]
-        record["minimization"] = {
-            "quotient": res.quotient,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "bound_ok": bound_ok,
-        }
-        if case.oracle_shift > 0:
-            L = math.log(grid.hi / grid.lo)
-            record["minimization"]["extrapolated"] = (
-                res.quotient - case.oracle_shift * (math.pi / L) ** 2
-            )
-        ok = ok and bound_ok
+    with fn.assembled(case, grid, case.p):
+        ok = _run_margins(c, conf, record, case, fn.sides_for)
+        if c["checks"]["minimize"]:
+            if case.p == 2.0:
+                res = opt.minimize_quotient_p2(case, grid)
+            else:
+                res = opt.minimize_quotient_general_p(case, grid, max_iter=c["max_iter"])
+            bound_ok = res.quotient >= case.formula_constant - conf["tol_disc"]
+            record["minimization"] = {
+                "quotient": res.quotient,
+                "iterations": res.iterations,
+                "converged": res.converged,
+                "bound_ok": bound_ok,
+            }
+            if case.oracle_shift > 0:
+                L = math.log(grid.hi / grid.lo)
+                record["minimization"]["extrapolated"] = (
+                    res.quotient - case.oracle_shift * (math.pi / L) ** 2
+                )
+            ok = ok and bound_ok
 
     record["status"] = "pass" if ok else "fail"
 

@@ -57,28 +57,24 @@ def first_eigenpair(
         raise InvalidArgumentError("eigenproblem needs a bounded range")
     if grid is None:
         grid = build_grid(rng, n, "linear")
-    densities = model_densities(model, p, lambda t: (1.0, 1.0))
+    forms = P1Forms(grid, model_densities(model, p, lambda t: (1.0, 1.0)))
     if p == 2.0:
-        res = minimize_rayleigh_p2(grid, densities)
-        lam, u, iters, conv = res.quotient, res.minimizer.values, res.iterations, res.converged
-        tol = TOL_EIG_P2
+        res, tol = minimize_rayleigh_p2(forms), TOL_EIG_P2
     else:
         x = grid.coord
         seed = np.sin(math.pi * (x - x[0]) / (x[-1] - x[0]))
-        lam, u, iters, conv, _ = descend_quotient(grid, densities, p, seed, rtol=1e-10)
-        tol = TOL_EIG_GENERAL
-    forms = P1Forms(grid, densities)
-    u = np.abs(u)
+        res, tol = descend_quotient(forms, p, seed, rtol=1e-10), TOL_EIG_GENERAL
+    u = np.abs(res.minimizer.values)
     u = u / np.max(u)
-    residual = _weak_residual(forms, u, lam, p)
+    residual = _weak_residual(forms, u, res.quotient, p)
     return EigenPair(
-        lambda1=lam,
+        lambda1=res.quotient,
         phi1=GridFunction(grid, u, dirichlet_zero=True),
         residual=residual,
         model=model,
         p=p,
-        converged=bool(conv and residual < tol),
-        iterations=iters,
+        converged=bool(res.converged and residual < tol),
+        iterations=res.iterations,
     )
 
 
@@ -100,13 +96,6 @@ def eigen_hardy_case(pair: EigenPair, alpha: float = 0.0) -> InequalityCase:
     )
 
 
-def eigen_hardy_check(pair: EigenPair, p: float, alpha: float, u: GridFunction) -> SidePair:
-    """Weighted Hardy sides with rho = phi1 and constant ((p-1-alpha)/p)^p."""
-    if p != pair.p:
-        raise InvalidArgumentError("p must match the eigenpair")
-    return quotient_sides(eigen_hardy_case(pair, alpha), u)
-
-
 def poincare_eigen_constant(pair: EigenPair, s: float) -> float:
     p = pair.p
     return pair.lambda1 * (p - 1.0 - s) ** (p - 1.0) / p ** p
@@ -119,10 +108,14 @@ def poincare_eigen_check(pair: EigenPair, p: float, s: float, u: GridFunction) -
     return quotient_sides(poincare_eigen_case(pair, s), u)
 
 
+def check_poincare_s(p: float, s: float):
+    if not (0.0 < s < p - 1.0):
+        raise InvalidArgumentError("need 0 < s < p-1")
+
+
 def poincare_eigen_case(pair: EigenPair, s: float) -> InequalityCase:
     """Case wrapper so the suite runner and minimizers can drive (dis:poinc)."""
-    if not (0.0 < s < pair.p - 1.0):
-        raise InvalidArgumentError("need 0 < s < p-1")
+    check_poincare_s(pair.p, s)
     return InequalityCase(
         kind="poincare-eigen",
         model=pair.model,
@@ -144,6 +137,18 @@ class CompositeConstant:
     s: float
 
 
+def collar_split(model: ModelManifold, grid: RadialGrid, eps_split: float):
+    """The nodes within eps_split of the interval's ends (the collar) and
+    the cells between two such nodes; both it and the rest must be nonempty."""
+    if model.kind != INTERVAL:
+        raise InvalidArgumentError("composite constant implemented on intervals")
+    collar = np.minimum(grid.nodes - model.a, model.b - grid.nodes) < eps_split
+    collar_cells = collar[:-1] & collar[1:]
+    if not np.any(collar_cells) or not np.any(~collar):
+        raise InvalidArgumentError("eps_split leaves an empty collar or interior")
+    return collar, collar_cells
+
+
 def distance_hardy_constant(
     pair: EigenPair, eps_split: float, s: float | None = None
 ) -> CompositeConstant:
@@ -159,15 +164,8 @@ def distance_hardy_constant(
     p = pair.p
     if s is None:
         s = 0.5 * (p - 1.0)
-    if pair.model.kind != INTERVAL:
-        raise InvalidArgumentError("composite constant implemented on intervals")
-    t = pair.phi1.grid.nodes
-    d = np.minimum(t - pair.model.a, pair.model.b - t)
-    slope = np.abs(np.diff(pair.phi1.values) / np.diff(t))
-    collar = d < eps_split
-    collar_cells = collar[:-1] & collar[1:]
-    if not np.any(collar_cells) or not np.any(~collar):
-        raise InvalidArgumentError("eps_split leaves an empty collar or interior")
+    collar, collar_cells = collar_split(pair.model, pair.phi1.grid, eps_split)
+    slope = np.abs(np.diff(pair.phi1.values) / np.diff(pair.phi1.grid.nodes))
     b_min = float(np.min(slope[collar_cells]))
     if b_min <= 0:
         raise CollarGradientError("eigenfunction gradient vanishes on the collar")

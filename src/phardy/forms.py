@@ -1,13 +1,14 @@
-"""P1 finite-element forms of the 1D weighted quotient.
+"""P1 finite-element forms of the 1D weighted quotient and of the sides.
 
-Every inequality reduces to R(u) = int B |u'|^p against L(u) = int A |u|^p
-on a grid.  For a continuous piecewise-linear u both are exact in u once
-the densities are integrated with per-cell Gauss quadrature; ``P1Forms``
-holds that cell data, the two functionals with their gradients, and the
-tridiagonal pencil of the quotient linearized at an iterate; ``P1Sides``
-integrates the densities of any inequality's sides the same way.  The banded
-SPD solve and the Dirichlet restriction of a pencil live here too, so the
-minimizers, the eigen solver and the capacity oracle share one assembly.
+Every inequality reduces to integrals int A_i |u|^q_i and int B |u'|^q on
+a grid; a quotient kind to R(u) = int B |u'|^p against L(u) = int A |u|^p.
+For a continuous piecewise-linear u these are exact in u once the
+densities are integrated with per-cell Gauss quadrature.  ``P1Forms``
+holds that cell data once per grid and densities: the side integrals, the
+two functionals of the quotient with their gradients, and the tridiagonal
+pencil of the quotient linearized at an iterate.  The banded SPD solve and
+the Dirichlet restriction of a pencil live here too, so the sides, the
+minimizers and the eigen solver share one assembly.
 """
 from __future__ import annotations
 
@@ -30,38 +31,61 @@ def model_densities(model, p: float, factors):
     return densities
 
 
-class P1Cells:
-    """The P1 interpolant of nodal values u: ``values(u)`` at the 8 Gauss
-    points of each cell, shape (n-1, 8), and ``slopes(u)`` per cell."""
+class P1Forms:
+    """Cellwise data of ``densities(t)`` = (A_1, ..., A_k, B) for the P1
+    interpolant of nodal values u, integrated by 8-point Gauss quadrature
+    per cell.
 
-    def __init__(self, grid: RadialGrid, pts: np.ndarray):
+    ``integrals(u, qs)`` gives every side integral.  A density not finite
+    at a node where u != 0, or at a Gauss point of such a cell, raises
+    NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
+    R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has ``energy``, ``mass``,
+    their gradients and ``pencil``, valid once ``check_quotient`` passed.
+    """
+
+    def __init__(self, grid: RadialGrid, densities):
+        pts, wts = cell_gauss(grid.nodes)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.bad_nodes = ~np.all(np.isfinite(densities(grid.nodes)), axis=0)
+            weighted = list(densities(pts))
+        self.bad_cells = np.zeros(grid.n - 1, dtype=bool)
+        for i, f in enumerate(weighted):
+            finite = np.isfinite(f)
+            self.bad_cells |= ~finite.all(axis=1)
+            weighted[i] = np.multiply(wts, f, out=np.zeros_like(f), where=finite)
+        self.b_cell = np.sum(weighted.pop(), axis=1)
+        self.a_wts = weighted
         self.grid = grid
         self.h = np.diff(grid.nodes)
         self.n1 = (grid.nodes[1:, None] - pts) / self.h[:, None]
         self.n2 = (pts - grid.nodes[:-1, None]) / self.h[:, None]
 
+    def check_quotient(self):
+        """Raise unless the densities are (A, B) of a quotient: finite on
+        every cell, A >= 0 and B > 0 per cell."""
+        if len(self.a_wts) != 1:
+            raise InvalidArgumentError("a quotient needs the densities (A, B)")
+        if np.any(self.bad_cells) or np.any(self.b_cell <= 0) or np.any(self.a_wts[0] < 0):
+            raise InvalidArgumentError("quotient densities must be finite, A >= 0 and B > 0")
+
     def values(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """u at the 8 Gauss points of each cell, shape (n-1, 8)."""
         return self.n1[cells] * u[:-1][cells, None] + self.n2[cells] * u[1:][cells, None]
 
     def slopes(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
         return np.diff(u)[cells] / self.h[cells]
 
-
-class P1Forms(P1Cells):
-    """Cellwise data for the P1 energy R(u) = int B |u'|^p and mass
-    L(u) = int A |u|^p; ``densities(t)`` returns (A, B), integrated by
-    8-point Gauss quadrature per cell."""
-
-    def __init__(self, grid: RadialGrid, densities):
-        pts, wts = cell_gauss(grid.nodes)
-        a_vals, b_vals = densities(pts)
-        self.b_cell = np.sum(wts * b_vals, axis=1)
-        if np.any(self.b_cell <= 0) or not np.all(np.isfinite(self.b_cell)):
-            raise InvalidArgumentError("rhs density must be positive and finite")
-        if not np.all(np.isfinite(a_vals)) or np.any(a_vals < 0):
-            raise InvalidArgumentError("lhs density must be finite and nonnegative")
-        self.a_wts = wts * a_vals
-        super().__init__(grid, pts)
+    def integrals(self, u: np.ndarray, qs) -> list:
+        """int A_i |u|^q_i and, last, int B |u'|^q, summed over the cells
+        where u is not 0."""
+        live = u != 0.0
+        if np.any(self.bad_nodes & live) or np.any(self.bad_cells & (live[:-1] | live[1:])):
+            raise NonFiniteIntegrandError("non-finite density where u does not vanish")
+        nz = np.flatnonzero(live)
+        cells = slice(max(nz[0] - 1, 0), nz[-1] + 1) if nz.size else slice(0, 0)
+        ug = np.abs(self.values(u, cells))
+        out = [float(np.sum(a_wts[cells] * ug ** q)) for a_wts, q in zip(self.a_wts, qs)]
+        return out + [float(np.dot(self.b_cell[cells], np.abs(self.slopes(u, cells)) ** qs[-1]))]
 
     def pencil(self, u: np.ndarray, p: float):
         """Tridiagonal pencil ((k_diag, k_off), (m_diag, m_off)) of the
@@ -79,7 +103,7 @@ class P1Forms(P1Cells):
         k_off -= bw
         ug = self.values(u)
         floor_u = 1e-300 + np.max(np.abs(ug))
-        aw = self.a_wts * np.maximum(np.abs(ug), 1e-12 * floor_u) ** (p - 2.0)
+        aw = self.a_wts[0] * np.maximum(np.abs(ug), 1e-12 * floor_u) ** (p - 2.0)
         m_diag = np.zeros(n)
         m_off = np.zeros(n - 1)
         m_diag[:-1] += np.sum(aw * self.n1 ** 2, axis=1)
@@ -99,47 +123,15 @@ class P1Forms(P1Cells):
         return g
 
     def mass(self, u: np.ndarray, p: float) -> float:
-        return float(np.sum(self.a_wts * np.abs(self.values(u)) ** p))
+        return float(np.sum(self.a_wts[0] * np.abs(self.values(u)) ** p))
 
     def mass_grad(self, u: np.ndarray, p: float) -> np.ndarray:
         ug = self.values(u)
-        core = self.a_wts * p * np.sign(ug) * np.abs(ug) ** (p - 1.0)
+        core = self.a_wts[0] * p * np.sign(ug) * np.abs(ug) ** (p - 1.0)
         g = np.zeros_like(u)
         g[:-1] += np.sum(core * self.n1, axis=1)
         g[1:] += np.sum(core * self.n2, axis=1)
         return g
-
-
-class P1Sides(P1Cells):
-    """``integrals(u, qs)``: int A_i |u|^q_i and, last, int B |u'|^q for the
-    P1 interpolant u and ``densities(t)`` = (A_1, ..., A_k, B), summed like
-    P1Forms.mass and .energy over the cells where u is not 0.  A density
-    not finite at a node where u != 0, or at a Gauss point of such a cell,
-    raises NonFiniteIntegrandError; elsewhere it counts as 0."""
-
-    def __init__(self, grid: RadialGrid, densities):
-        pts, wts = cell_gauss(grid.nodes)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.bad_nodes = ~np.all(np.isfinite(densities(grid.nodes)), axis=0)
-            weighted = list(densities(pts))
-        self.bad_cells = np.zeros(grid.n - 1, dtype=bool)
-        for i, f in enumerate(weighted):
-            finite = np.isfinite(f)
-            self.bad_cells |= ~finite.all(axis=1)
-            weighted[i] = np.multiply(wts, f, out=np.zeros_like(f), where=finite)
-        self.b_cell = np.sum(weighted.pop(), axis=1)
-        self.a_wts = weighted
-        super().__init__(grid, pts)
-
-    def integrals(self, u: np.ndarray, qs) -> list:
-        live = u != 0.0
-        if np.any(self.bad_nodes & live) or np.any(self.bad_cells & (live[:-1] | live[1:])):
-            raise NonFiniteIntegrandError("non-finite density where u does not vanish")
-        nz = np.flatnonzero(live)
-        cells = slice(max(nz[0] - 1, 0), nz[-1] + 1) if nz.size else slice(0, 0)
-        ug = np.abs(self.values(u, cells))
-        out = [float(np.sum(a_wts[cells] * ug ** q)) for a_wts, q in zip(self.a_wts, qs)]
-        return out + [float(np.dot(self.b_cell[cells], np.abs(self.slopes(u, cells)) ** qs[-1]))]
 
 
 def apply_tridiag(diag, off, x):

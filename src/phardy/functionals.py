@@ -1,11 +1,11 @@
 """The inequality kinds, their cases and the sides of each.
 
 Every side evaluator reduces its inequality to 1D integrals of the test
-function's P1 interpolant with the minimizers' Gauss cells (``P1Sides``):
-volume elements become the model density s(t), Riemannian gradient norms
-become g(t)|u'(t)|.  The returned SidePair carries the margin with the
-source inequality's orientation, so an inequality holds iff margin >= 0
-up to discretization tolerance.
+function's P1 interpolant on the P1 forms the minimizers use
+(``case_forms``): volume elements become the model density s(t),
+Riemannian gradient norms become g(t)|u'(t)|.  The returned SidePair
+carries the margin with the source inequality's orientation, so an
+inequality holds iff margin >= 0 up to discretization tolerance.
 
 ``KINDS`` lists each kind once: its config parameters, case factory,
 catalog formula, the factors of its side densities and, unless it is a
@@ -25,9 +25,8 @@ from .errors import (
     InvalidArgumentError,
     RelationViolationError,
     UnsupportedModelError,
-    ZeroDenominatorError,
 )
-from .forms import P1Sides, model_densities
+from .forms import P1Forms, model_densities
 from .geometry import CoordinateRange, EUCLIDEAN, HALF_PLANE, ModelManifold
 from .grids import GridFunction, RadialGrid
 from .weights import CheckResult, WeightSpec, weak_superharmonicity_check
@@ -67,7 +66,7 @@ class InequalityCase:
     trivial: bool = False
     oracle_shift: float = 0.0  # (pi/L)^2 scale factor when the log oracle applies
     hypothesis_result: CheckResult | None = field(default=None, repr=False)
-    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _assembled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.case_id:
@@ -90,38 +89,35 @@ class VectorFieldCase:
     model: ModelManifold
     h_mag: Callable
     a_h: Callable
-    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _assembled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
-# P1 data of the sides
+# P1 forms of a case
 
-def _p1_sides(case, grid: RadialGrid, p: float) -> P1Sides:
+def case_forms(case, grid: RadialGrid, p: float) -> P1Forms:
+    """The P1 forms of the case's densities on grid: those held by an open
+    ``assembled`` block for that grid and p, else assembled anew."""
+    held = case._assembled
+    if held and held[0] == p and held[1].grid is grid:
+        return held[1]
     if isinstance(case, VectorFieldCase):
         factors = functools.partial(_field_factors, case, p)
     else:
         factors = functools.partial(KINDS[case.kind].densities, case)
-    return P1Sides(grid, model_densities(case.model, p, factors))
+    return P1Forms(grid, model_densities(case.model, p, factors))
 
 
 @contextmanager
-def margin_sweep(case, grid: RadialGrid, p: float):
-    """Assemble the P1 data of the case's sides on grid once, kept on the
-    case for a sweep of side calls over test functions on that grid and
-    released on exit."""
-    case._sweep = (p, _p1_sides(case, grid, p))
+def assembled(case, grid: RadialGrid, p: float):
+    """Keep the case's P1 forms on grid for the block, so its side calls
+    and minimizations on that grid share one assembly; released on exit."""
+    outer = case._assembled
+    case._assembled = (p, case_forms(case, grid, p))
     try:
         yield
     finally:
-        case._sweep = None
-
-
-def _integrals(case, u: GridFunction, qs, p: float) -> list:
-    """The integrals of the case's densities for the P1 interpolant of u,
-    with the exponents qs (see ``P1Sides``)."""
-    if case._sweep and case._sweep[0] == p and case._sweep[1].grid is u.grid:
-        return case._sweep[1].integrals(u.values, qs)
-    return _p1_sides(case, u.grid, p).integrals(u.values, qs)
+        case._assembled = outer
 
 
 def _require_hypothesis(case: InequalityCase):
@@ -148,9 +144,9 @@ def validate_case_hypothesis(case: InequalityCase, grid: RadialGrid) -> CheckRes
 
 def quotient_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     """Sides of a quotient kind, C int A |u|^p <= int B |u'|^p, with the
-    densities (A, B) the minimizers integrate (``p_densities``)."""
+    forms (A, B) the minimizers integrate (``case_forms``)."""
     _require_hypothesis(case)
-    lhs, rhs = _integrals(case, u, (case.p, case.p), case.p)
+    lhs, rhs = case_forms(case, u.grid, case.p).integrals(u.values, (case.p, case.p))
     c = case.formula_constant
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
 
@@ -165,7 +161,7 @@ def _field_factors(v: VectorFieldCase, p: float, t):
 
 def divergence_lemma_sides(v: VectorFieldCase, u: GridFunction, p: float) -> SidePair:
     """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p."""
-    lhs, rhs = _integrals(v, u, (p, p), p)
+    lhs, rhs = case_forms(v, u.grid, p).integrals(u.values, (p, p))
     rhs = p ** p * rhs
     return SidePair(lhs=lhs, rhs=rhs, constant=p ** p, margin=rhs - lhs)
 
@@ -185,7 +181,7 @@ def gn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     s_exp = p - 1.0 + delta / p
     if "s" in case.params and abs(case.params["s"] - s_exp) > 1e-12:
         raise RelationViolationError("s = p-1+delta/p", f"got s={case.params['s']}")
-    lhs, mass_term, grad_term = _integrals(case, u, (s_exp, delta, p), p)
+    lhs, mass_term, grad_term = case_forms(case, u.grid, p).integrals(u.values, (s_exp, delta, p))
     c = case.formula_constant
     rhs = c * grad_term ** (1.0 - 1.0 / p) * mass_term ** (1.0 / p)
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
@@ -205,7 +201,7 @@ def uncertainty_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     s_exp = float(case.params["s"])
     a = float(case.params["a"])
     m_exp = (a * s_exp - p) / (a - 1.0)
-    lhs, mixed_term, grad_term = _integrals(case, u, (s_exp, m_exp, p), p)
+    lhs, mixed_term, grad_term = case_forms(case, u.grid, p).integrals(u.values, (s_exp, m_exp, p))
     c = case.formula_constant
     rhs = c * grad_term ** (1.0 / a) * mixed_term ** ((a - 1.0) / a)
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
@@ -222,7 +218,7 @@ def hardy_sobolev_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     p = case.p
     p_star = float(case.params["p_star"])
     c2 = case.formula_constant
-    lhs, rhs = _integrals(case, u, (p_star, p), p)
+    lhs, rhs = case_forms(case, u.grid, p).integrals(u.values, (p_star, p))
     lhs, rhs = lhs ** (1.0 / p_star), rhs ** (1.0 / p)
     return SidePair(lhs=lhs, rhs=rhs, constant=c2, margin=rhs - c2 * lhs)
 
@@ -250,7 +246,7 @@ def ckn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
     p = case.p
     r, a = float(case.params["r"]), float(case.params["a"])
     C3 = case.formula_constant
-    lhs, mixed_term, grad_term = _integrals(case, u, (r, p, p), p)
+    lhs, mixed_term, grad_term = case_forms(case, u.grid, p).integrals(u.values, (r, p, p))
     lhs = lhs ** (1.0 / r)
     rhs = grad_term ** (a / p) * mixed_term ** ((1.0 - a) / p)
     return SidePair(lhs=lhs, rhs=rhs, constant=C3, margin=rhs - C3 * lhs)
@@ -262,14 +258,6 @@ def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
     if kind is None or kind.densities is None:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     return (kind.sides or quotient_sides)(case, u)
-
-
-def rayleigh_quotient(case: InequalityCase, u: GridFunction) -> float:
-    """rhs/lhs of the case's side pair, so the formula constant is a lower bound."""
-    pair = sides_for(case, u)
-    if pair.lhs <= 0.0:
-        raise ZeroDenominatorError("Rayleigh quotient needs a nonzero lhs")
-    return pair.rhs / pair.lhs
 
 
 def hardy_gap(case: InequalityCase, u: GridFunction) -> float:
@@ -568,15 +556,6 @@ def _caccioppoli_factors(case: InequalityCase, t):
 def _poincare_factors(case: InequalityCase, t):
     rho_s = case.weight.rho(t) ** float(case.params["s"])
     return rho_s, rho_s
-
-
-def p_densities(case: InequalityCase):
-    """t -> (A, B) with lhs = int A |u|^p and rhs = int B |u'|^p: the kind's
-    factors (a, b) times s(t) and g(t)^p s(t)."""
-    kind = KINDS.get(case.kind)
-    if kind is None or kind.densities is None or kind.sides is not None:
-        raise InvalidArgumentError(f"kind {case.kind!r} has no quotient densities")
-    return model_densities(case.model, case.p, functools.partial(kind.densities, case))
 
 
 @dataclass(frozen=True)

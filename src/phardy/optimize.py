@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, ZeroDenominatorError
-from .forms import P1Forms, apply_tridiag, dirichlet_slice, restrict, solve_tridiag_spd
-from .functionals import InequalityCase, hardy_gap, p_densities
+from .forms import P1Forms, apply_tridiag, dirichlet_slice, model_densities, restrict
+from .forms import solve_tridiag_spd
+from .functionals import InequalityCase, assembled, case_forms, hardy_gap
 from .geometry import CoordinateRange, ModelManifold
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 
@@ -62,15 +63,16 @@ def smallest_eigenpair(
 
 
 def minimize_rayleigh_p2(
-    grid: RadialGrid,
-    densities,
+    forms: P1Forms,
     dirichlet: tuple = (True, True),
     tol: float = 1e-12,
     max_iter: int = 10000,
 ) -> MinimizationResult:
-    """Smallest discrete eigenvalue of int B (u')^2 / int A u^2, with
-    ``densities(t)`` returning (A, B)."""
-    k_band, m_band = P1Forms(grid, densities).pencil(np.zeros(grid.n), 2.0)
+    """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
+    quotient forms (A, B)."""
+    forms.check_quotient()
+    grid = forms.grid
+    k_band, m_band = forms.pencil(np.zeros(grid.n), 2.0)
     keep = dirichlet_slice(grid.n, dirichlet)
     mu, vec, iters, conv, hist = smallest_eigenpair(
         restrict(k_band, keep), restrict(m_band, keep), tol, max_iter
@@ -92,7 +94,7 @@ def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> Minimization
     """Best-constant estimate for a p = 2 case by inverse power iteration."""
     if case.p != 2.0:
         raise InvalidArgumentError("minimize_quotient_p2 needs p = 2")
-    return minimize_rayleigh_p2(grid, p_densities(case))
+    return minimize_rayleigh_p2(case_forms(case, grid, case.p))
 
 
 def default_seed_profile(case: InequalityCase, grid: RadialGrid) -> GridFunction:
@@ -115,19 +117,19 @@ def default_seed_profile(case: InequalityCase, grid: RadialGrid) -> GridFunction
 
 
 def descend_quotient(
-    grid: RadialGrid,
-    densities,
+    forms: P1Forms,
     p: float,
     u0: np.ndarray,
     rtol: float = 1e-8,
     max_iter: int = 100000,
-):
+) -> MinimizationResult:
     """Preconditioned projected gradient descent on R(u)/L(u) over
     nonnegative u with Dirichlet ends, with Armijo backtracking; only strict
     decreases are accepted, so the recorded history is monotone.  Converged
     means the quotient moved by at most rtol, relative, over the last 50
     steps, or no step was accepted."""
-    forms = P1Forms(grid, densities)
+    forms.check_quotient()
+    grid = forms.grid
     keep = dirichlet_slice(grid.n, (True, True))
     mask = np.zeros(grid.n, dtype=bool)
     mask[keep] = True
@@ -211,7 +213,13 @@ def descend_quotient(
         if it > 50 and abs(history[-51][1] - q) <= rtol * abs(q):
             converged = True
             break
-    return q, u, it, converged, history
+    return MinimizationResult(
+        quotient=q,
+        minimizer=GridFunction(grid, u, dirichlet_zero=True),
+        iterations=it,
+        converged=converged,
+        history=history,
+    )
 
 
 def minimize_quotient_general_p(
@@ -224,16 +232,8 @@ def minimize_quotient_general_p(
     """Normalized descent on the discrete quotient for any p > 1."""
     if u0 is None:
         u0 = default_seed_profile(case, grid)
-    q, u, iters, conv, hist = descend_quotient(
-        grid, p_densities(case), case.p, u0.values, rtol=rtol, max_iter=max_iter
-    )
-    return MinimizationResult(
-        quotient=q,
-        minimizer=GridFunction(grid, u, dirichlet_zero=True),
-        iterations=iters,
-        converged=conv,
-        history=hist,
-    )
+    forms = case_forms(case, grid, case.p)
+    return descend_quotient(forms, case.p, u0.values, rtol=rtol, max_iter=max_iter)
 
 
 def estimate_lambda1(
@@ -252,14 +252,9 @@ def estimate_lambda1(
     """
     if grid is None:
         grid = build_grid(rng, n, spacing if rng.lo > 0 else "linear")
-
-    def densities(t):
-        rho, s = weight.rho(t), np.exp(model.log_volume_density(t))
-        return rho * s, rho * model.gradient_factor(t) ** 2 * s
-
+    forms = P1Forms(grid, model_densities(model, 2.0, lambda t: (weight.rho(t),) * 2))
     dirichlet = (not rng.open_lo, not rng.open_hi)
-    res = minimize_rayleigh_p2(grid, densities, dirichlet=dirichlet)
-    return res.quotient
+    return minimize_rayleigh_p2(forms, dirichlet=dirichlet).quotient
 
 
 @dataclass
@@ -302,14 +297,15 @@ def convergence_study(
     grids, results, quotients, gaps, extrapolated = [], [], [], [], []
     for rng, n in schedule:
         grid = build_grid(rng, n, LOG if rng.lo > 0 else "linear")
-        if case.p != 2.0:
-            res = minimize_quotient_general_p(case, grid)
-        else:
-            res = minimize_quotient_p2(case, grid)
+        with assembled(case, grid, case.p):
+            if case.p != 2.0:
+                res = minimize_quotient_general_p(case, grid)
+            else:
+                res = minimize_quotient_p2(case, grid)
+            gaps.append(hardy_gap(case, res.minimizer))
         grids.append(grid)
         results.append(res)
         quotients.append(res.quotient)
-        gaps.append(hardy_gap(case, res.minimizer))
         if case.oracle_shift > 0:
             L = math.log(grid.hi / grid.lo)
             extrapolated.append(res.quotient - case.oracle_shift * (math.pi / L) ** 2)

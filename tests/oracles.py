@@ -3,7 +3,9 @@
 These deliberately avoid the package's own discretizations: the
 eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, the
 quadrature helpers use closed antiderivatives, and the weak sign check is
-redone one scipy B-spline per bump.
+redone one scipy B-spline per bump.  The capacity oracle minimizes the P1
+p-energy of ``phardy.forms`` directly, so it checks the closed-form
+capacity without using the closed form.
 """
 from __future__ import annotations
 
@@ -12,6 +14,10 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline
+
+from phardy.forms import P1Forms, restrict, solve_tridiag_spd
+from phardy.geometry import CoordinateRange
+from phardy.grids import LOG, build_grid
 
 
 def plaplace_lambda1_shooting(p: float, length: float) -> float:
@@ -66,6 +72,43 @@ def euclidean_annulus_capacity(n_dim: int, p: float, a: float, b: float) -> floa
     else:
         integral = (b ** (expo + 1.0) - a ** (expo + 1.0)) / (expo + 1.0)
     return (sigma ** (-1.0 / (p - 1.0)) * integral) ** (1.0 - p)
+
+
+def capacity_by_minimization(
+    model, p: float, a: float, b: float, n: int = 4000
+) -> float:
+    """Direct minimization oracle for the condenser energy.
+
+    Minimizes the convex discrete P1 p-energy with boundary values
+    u(a) = 1, u(b) = 0 by damped Newton steps on the interior values;
+    validates the closed form without using it.
+    """
+    grid = build_grid(CoordinateRange(a, b), n, LOG)
+    forms = P1Forms(grid, lambda t: (np.zeros_like(t), np.exp(model.log_volume_density(t))))
+    u = np.interp(np.log(grid.nodes), [math.log(a), math.log(b)], [1.0, 0.0])
+    u[0], u[-1] = 1.0, 0.0
+    inner = slice(1, n - 1)
+    e = forms.energy(u, p)
+    for _ in range(200):
+        # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
+        k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
+        step = np.zeros(n)
+        step[inner] = solve_tridiag_spd(
+            p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off, forms.energy_grad(u, p)[inner]
+        )
+        t = 1.0
+        for _ in range(50):
+            trial = u - t * step
+            et = forms.energy(trial, p)
+            if et < e:
+                u, e_prev, e = trial, e, et
+                break
+            t *= 0.5
+        else:
+            break
+        if abs(e_prev - e) <= 1e-14 * e:
+            break
+    return e
 
 
 def weak_check_bspline_loop(w, grid, n_tests=8, sign=1):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import euclidean_annulus_capacity  # noqa: E402
+from oracles import capacity_by_minimization, euclidean_annulus_capacity  # noqa: E402
 
 from phardy.capacity import (
-    capacity_by_minimization,
     classify_parabolicity,
     default_b_schedule,
     puncture_insensitivity_check,

@@ -116,18 +116,20 @@ def test_unknown_kind_exit_2(tmp_path):
 
 
 def test_runtime_error_exit_3(tmp_path, capsys):
+    # rho = |ln r| vanishes at the node r = 1, where the test functions live,
+    # so the Hardy density is infinite there
     cfg = small_config()
-    cfg["cases"][0] = {
-        "id": "bad-poincare",
-        "kind": "poincare-eigen",
-        "model": {"kind": "interval", "a": 0.0, "b": 1.0},
-        "params": {"p": 2, "s": 5.0},
-        "grid": {"lo": 0.0, "hi": 1.0, "n": 200, "spacing": "linear"},
-    }
+    cfg["cases"][0].update(
+        id="bad-log-weight",
+        weight="log:side=inner",
+        checks={"hypothesis": False},
+        grid={"lo": 0.5, "hi": 2.0, "n": 7, "spacing": "linear"},
+    )
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
-    assert "bad-poincare" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "bad-log-weight" in err
 
 
 def test_seed_override_changes_stream(tmp_path):
@@ -268,6 +270,19 @@ def _divergence(field, p=2, model=None):
     return mutate
 
 
+def _eigen(kind, **params):
+    """A mutation that turns the case into an eigen kind on the unit interval."""
+    def mutate(cfg):
+        case = cfg["cases"][0]
+        del case["weight"]
+        case.update(
+            kind=kind, params={"p": 2, **params}, model={"kind": "interval", "a": 0.0, "b": 1.0},
+            grid={"lo": 0.0, "hi": 1.0, "n": 200, "spacing": "linear", "open_lo": False,
+                  "open_hi": False},
+        )
+    return mutate
+
+
 CASE = ("cases", 0)
 # name -> (mutation of ball_config(), key the message must name, names the case)
 BAD_CONFIGS = {
@@ -290,6 +305,17 @@ BAD_CONFIGS = {
     "field-davies-hinz-half-plane": (
         _divergence("davies-hinz", model={"kind": "half_plane"}), "'params'", True
     ),
+    "eigen-s-above-p-1": (_eigen("poincare-eigen", s=3), "'s'", True),
+    "eigen-eps-split-empties-interior": (
+        _eigen("distance-hardy", eps_split=0.9), "'eps_split'", True
+    ),
+    "minimize-non-quotient-kind": (
+        lambda cfg: cfg["cases"][0].update(
+            kind="gn", weight="power:beta=-1", params={"p": 2, "delta": 2.0},
+            checks={"minimize": True},
+        ),
+        "'minimize'", True,
+    ),
 }
 
 
@@ -306,7 +332,10 @@ def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
     assert ("'hardy-log-ball-p2'" in err) == names_case
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(BAD_CONFIGS) if n.startswith("field-")])
+# the checks that build something of the case: a field or the eigen kinds' split
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(BAD_CONFIGS) if n.startswith(("field-", "eigen-"))]
+)
 def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
     cfg = ball_config()
     bad = {"cases": [dict(cfg["cases"][0], id="later")]}

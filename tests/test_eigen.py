@@ -14,12 +14,12 @@ from phardy.eigen import (
     eigen_weight,
     distance_hardy_constant,
     eigen_hardy_case,
-    eigen_hardy_check,
     first_eigenpair,
     poincare_eigen_case,
     poincare_eigen_check,
 )
 from phardy.errors import InvalidArgumentError
+from phardy.forms import P1Forms
 from phardy.functionals import hardy_case, sides_for, validate_case_hypothesis
 from phardy.geometry import CoordinateRange, interval
 from phardy.grids import GridFunction, build_grid
@@ -66,9 +66,9 @@ def test_descent_agrees_with_inverse_iteration_p2(pair_p2):
     grid = pair_p2.phi1.grid
     ones = lambda t: (np.ones_like(t), np.ones_like(t))  # noqa: E731
     seed = grid.nodes * (1 - grid.nodes)
-    q, _, _, conv, _ = descend_quotient(grid, ones, 2.0, seed, rtol=1e-13)
-    assert conv
-    assert abs(q - pair_p2.lambda1) <= 1e-8 * pair_p2.lambda1
+    res = descend_quotient(P1Forms(grid, ones), 2.0, seed, rtol=1e-13)
+    assert res.converged
+    assert abs(res.quotient - pair_p2.lambda1) <= 1e-8 * pair_p2.lambda1
 
 
 def test_domain_monotonicity():
@@ -92,13 +92,6 @@ def test_eigen_hardy_margins(pair_p2):
         assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         eigen_hardy_case(pair_p2, 1.0)
-
-
-def test_eigen_hardy_check_wrapper(pair_p2):
-    grid = pair_p2.phi1.grid
-    u = random_test_functions(grid, 1, seed=67)[0]
-    pair = eigen_hardy_check(pair_p2, 2.0, 0.0, u)
-    assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_minimizer_profile_quotient_trend(pair_p2):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phardy.errors import InvalidArgumentError, NonFiniteIntegrandError
-from phardy.forms import P1Forms, P1Sides
+from phardy.forms import P1Forms
 from phardy.geometry import CoordinateRange
 from phardy.grids import (
     GridFunction,
@@ -59,7 +59,7 @@ def test_integrate_rejects_non_finite():
     # the density is infinite at the node 1/2: that counts only where the
     # interpolant does not vanish
     g = build_grid(CoordinateRange(0, 1), 5, "linear")
-    sides = P1Sides(g, lambda t: (1.0 / np.abs(t - 0.5), np.ones_like(t)))
+    sides = P1Forms(g, lambda t: (1.0 / np.abs(t - 0.5), np.ones_like(t)))
     with pytest.raises(NonFiniteIntegrandError):
         sides.integrals(np.ones(5), (1.0, 1.0))
     lhs, rhs = sides.integrals(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), (1.0, 1.0))

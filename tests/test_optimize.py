@@ -5,7 +5,7 @@ import pytest
 
 from phardy.errors import InvalidArgumentError
 from phardy.forms import P1Forms
-from phardy.functionals import hardy_case, hardy_gap, rayleigh_quotient, weighted_hardy_case
+from phardy.functionals import hardy_case, hardy_gap, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
     euclidean_radial,
@@ -27,7 +27,11 @@ from phardy.weights import rho_catalog_entry
 
 E3 = euclidean_radial(3)
 E4 = euclidean_radial(4)
-ONES = lambda t: (np.ones_like(t), np.ones_like(t))  # noqa: E731
+
+
+def ones_forms(grid):
+    """The P1 forms of A = B = 1."""
+    return P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t)))
 
 
 def hardy_e3(rng):
@@ -36,7 +40,7 @@ def hardy_e3(rng):
 
 def test_pure_poincare_eigenvalue():
     grid = build_grid(CoordinateRange(0, 1), 2000, "linear")
-    res = minimize_rayleigh_p2(grid, ONES)
+    res = minimize_rayleigh_p2(ones_forms(grid))
     assert res.converged
     assert abs(res.quotient - math.pi ** 2) <= 1e-6 * math.pi ** 2
 
@@ -44,7 +48,7 @@ def test_pure_poincare_eigenvalue():
 def test_single_interior_node_pencil():
     # one free node: the hat on [0, 1] has quotient 4 / (1/3) = 12 exactly
     grid = build_grid(CoordinateRange(0, 1), 3, "linear")
-    res = minimize_rayleigh_p2(grid, ONES)
+    res = minimize_rayleigh_p2(ones_forms(grid))
     assert res.quotient == pytest.approx(12.0, rel=1e-12)
 
 
@@ -70,12 +74,13 @@ def test_halfplane_quotient_matches_oracle():
 
 def test_p2_descent_agrees_with_inverse_iteration():
     grid = build_grid(CoordinateRange(0, 1), 800, "linear")
-    res = minimize_rayleigh_p2(grid, ONES)
+    forms = ones_forms(grid)
+    res = minimize_rayleigh_p2(forms)
     seed = grid.nodes * (1.0 - grid.nodes)
-    q, _, _, conv, hist = descend_quotient(grid, ONES, 2.0, seed, rtol=1e-12)
-    assert conv
-    assert abs(q - res.quotient) <= 1e-6 * res.quotient
-    qs = [h[1] for h in hist]
+    desc = descend_quotient(forms, 2.0, seed, rtol=1e-12)
+    assert desc.converged
+    assert abs(desc.quotient - res.quotient) <= 1e-6 * res.quotient
+    qs = [h[1] for h in desc.history]
     assert all(qs[i + 1] <= qs[i] + 1e-15 for i in range(len(qs) - 1))
 
 
@@ -192,7 +197,8 @@ def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
         res = minimize_quotient_p2(case, grid)
     else:
         res = minimize_quotient_general_p(case, grid)
-    assert rayleigh_quotient(case, res.minimizer) == pytest.approx(res.quotient, rel=1e-12)
+    pair = sides_for(case, res.minimizer)
+    assert pair.rhs / pair.lhs == pytest.approx(res.quotient, rel=1e-12)
 
 
 def test_minimize_p2_rejects_other_p():
