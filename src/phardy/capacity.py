@@ -5,10 +5,10 @@ form
 
     cap_p(a, b) = ( integral_a^b s(tau)^(-1/(p-1)) dtau )^(1-p),
 
-with extremal profile u(t) proportional to the tail of the same
-integral.  The tests validate the closed form against direct minimization
-of the discrete P1 p-energy with boundary values {1, 0}.  A model is classified p-parabolic when
-the capacities along an expanding schedule of outer radii decay to zero.
+and the tests validate it against direct minimization of the discrete P1
+p-energy with boundary values {1, 0}.  A model is classified p-parabolic
+when the capacities along an expanding schedule of outer radii decay to
+zero.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteIntegrandError
 from .geometry import CoordinateRange, ModelManifold
-from .grids import GridFunction, LOG, build_grid, cell_gauss
+from .grids import LOG, build_grid, cell_gauss
 
 
 def green_integrals(model: ModelManifold, p: float, nodes: np.ndarray):
@@ -30,18 +30,9 @@ def green_integrals(model: ModelManifold, p: float, nodes: np.ndarray):
     return cell_ints, np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
 
 
-@dataclass
-class CapacityResult:
-    value: float
-    inner_radius: float
-    outer_radius: float
-    extremal_profile: GridFunction
-    classification_hint: str  # "vanishing" | "bounded_below"
-
-
 def radial_capacity(
     model: ModelManifold, p: float, a: float, b: float, n: int | None = None
-) -> CapacityResult:
+) -> float:
     """p-capacity of the condenser (B_a, B_b) on a radial model."""
     if not (0 < a < b):
         raise InvalidArgumentError("need 0 < a < b")
@@ -50,22 +41,10 @@ def radial_capacity(
     if n is None:
         n = max(800, int(200 * math.log10(b / a)))
     grid = build_grid(CoordinateRange(a, b), n, LOG)
-    cell_ints, suffix = green_integrals(model, p, grid.nodes)
-    total = float(np.sum(cell_ints))
+    total = float(np.sum(green_integrals(model, p, grid.nodes)[0]))
     if not np.isfinite(total) or total <= 0:
         raise NonFiniteIntegrandError("capacity integrand not integrable on (a, b)")
-    profile = np.clip(suffix / total, 0.0, 1.0)
-    value = total ** (1.0 - p)
-    # hint: is the defining integral still growing near b?
-    head = float(np.sum(cell_ints[: int(0.9 * len(cell_ints))]))
-    hint = "vanishing" if total > 1.02 * head else "bounded_below"
-    return CapacityResult(
-        value=value,
-        inner_radius=a,
-        outer_radius=b,
-        extremal_profile=GridFunction(grid, profile),
-        classification_hint=hint,
-    )
+    return total ** (1.0 - p)
 
 
 @dataclass
@@ -101,7 +80,7 @@ def classify_parabolicity(
         b_schedule = default_b_schedule(a)
     if len(b_schedule) < 4 or b_schedule[-1] / b_schedule[0] < 1e4:
         raise InvalidArgumentError("schedule needs >= 4 points spanning >= 4 decades")
-    values = [radial_capacity(model, p, a, b).value for b in b_schedule]
+    values = [radial_capacity(model, p, a, b) for b in b_schedule]
     logs = np.log(values)
     logb = np.log(b_schedule)
     secants = np.diff(logs) / np.diff(logb)
@@ -118,57 +97,4 @@ def classify_parabolicity(
         liminf_estimate=float(values[-1]),
         steepest_slope=steepest,
         last_over_first=float(ratio),
-    )
-
-
-@dataclass
-class PunctureReport:
-    eps_schedule: list
-    quotients: list
-    extrapolated: list
-    predicted_limit: float | None
-    max_deviation: float | None
-    agrees: bool | None
-
-
-def puncture_insensitivity_check(
-    case,
-    eps_schedule: list[float],
-    R: float,
-    n: int = 3000,
-    predicted_limit: float | None = None,
-    oracle_correction: bool = True,
-) -> PunctureReport:
-    """Shrink the inner truncation radius and track the minimized quotient.
-
-    When the excised set has zero p-capacity the quotients (after removing
-    the oracle-predicted logarithmic correction, where it applies) settle
-    at the unpunctured prediction.
-    """
-    from .optimize import minimize_quotient_p2
-
-    quotients = []
-    extrapolated = []
-    for eps in eps_schedule:
-        grid = build_grid(CoordinateRange(eps, R, open_lo=True, open_hi=True), n, LOG)
-        res = minimize_quotient_p2(case, grid)
-        quotients.append(res.quotient)
-        if oracle_correction:
-            L = math.log(R / eps)
-            extrapolated.append(res.quotient - (math.pi / L) ** 2)
-        else:
-            extrapolated.append(res.quotient)
-    if predicted_limit is not None:
-        dev = max(abs(e - predicted_limit) / predicted_limit for e in extrapolated)
-        agrees = dev < 0.01
-    else:
-        dev = None
-        agrees = None
-    return PunctureReport(
-        eps_schedule=list(eps_schedule),
-        quotients=quotients,
-        extrapolated=extrapolated,
-        predicted_limit=predicted_limit,
-        max_deviation=dev,
-        agrees=agrees,
     )

@@ -33,7 +33,7 @@ from .errors import ConfigError, ToolkitError
 from .geometry import CoordinateRange, model_from_config
 from .grids import build_grid
 from .testfunctions import random_test_functions
-from .weights import parse_weight
+from .weights import check_bump_grid, parse_weight
 
 DEFAULT_TOL_DISC = fn.TOL_DISC
 DEFAULT_N_TEST_FUNCTIONS = 50
@@ -153,10 +153,13 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
             where, "grid", CoordinateRange, g["lo"], g["hi"], g["open_lo"], g["open_hi"]
         )
         c["grid"] = _built(where, "grid", build_grid, c["rng"], g["n"], g["spacing"])
+        _built(where, "grid", c["model"].check_domain, c["grid"].nodes)
     if name == "divergence-lemma":
         c["field"] = _built(
             where, "params", fn.vector_field, params["field"], c["model"], params["p"]
         )
+    if name == "eigen-hardy":
+        _built(where, "alpha", eigen_mod.check_eigen_hardy_alpha, params["p"], params["alpha"])
     if name == "poincare-eigen":
         _built(where, "s", eigen_mod.check_poincare_s, params["p"], params["s"])
     if name == "distance-hardy":
@@ -175,6 +178,12 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
             where, "params", kind.factory, c["model"], weight,
             rng=c["rng"], case_id=c["id"], **others,
         )
+    # the runners' weak sign check needs room for one test bump
+    case = c.get("case")
+    if name == "eigen-hardy" or (
+        case and c["checks"]["hypothesis"] and case.hypothesis_mode and not case.trivial
+    ):
+        _built(where, "grid", check_bump_grid, c["grid"])
     return c
 
 
@@ -271,6 +280,8 @@ def _run_classification_case(c, conf, record):
         "liminf_estimate": cls.liminf_estimate,
         "schedule": cls.schedule,
         "values": cls.values,
+        "steepest_slope": cls.steepest_slope,
+        "last_over_first": cls.last_over_first,
     }
     expect = c["expect"]
     record["status"] = "pass" if (not expect or cls.classification == expect) else "fail"

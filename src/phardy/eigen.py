@@ -85,9 +85,13 @@ def eigen_weight(pair: EigenPair):
     )
 
 
-def eigen_hardy_case(pair: EigenPair, alpha: float = 0.0) -> InequalityCase:
-    if alpha >= pair.p - 1.0:
+def check_eigen_hardy_alpha(p: float, alpha: float):
+    if alpha >= p - 1.0:
         raise InvalidArgumentError("eigenfunction Hardy needs alpha < p-1")
+
+
+def eigen_hardy_case(pair: EigenPair, alpha: float = 0.0) -> InequalityCase:
+    check_eigen_hardy_alpha(pair.p, alpha)
     return weighted_hardy_case(
         pair.model,
         eigen_weight(pair),
@@ -131,9 +135,6 @@ def poincare_eigen_case(pair: EigenPair, s: float) -> InequalityCase:
 class CompositeConstant:
     value: float
     collar_gradient_min: float
-    lipschitz_bound: float
-    interior_min: float
-    eps_split: float
     s: float
 
 
@@ -176,9 +177,6 @@ def distance_hardy_constant(
     return CompositeConstant(
         value=0.5 * min(c_collar, c_inner),
         collar_gradient_min=b_min,
-        lipschitz_bound=lip,
-        interior_min=l_eps,
-        eps_split=eps_split,
         s=s,
     )
 

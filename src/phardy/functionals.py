@@ -260,11 +260,6 @@ def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
     return (kind.sides or quotient_sides)(case, u)
 
 
-def hardy_gap(case: InequalityCase, u: GridFunction) -> float:
-    """The nonnegative functional rhs - constant*lhs (I(u) for Hardy cases)."""
-    return sides_for(case, u).margin
-
-
 # ---------------------------------------------------------------------------
 # case factories
 

@@ -44,10 +44,6 @@ class CoordinateRange:
         if self.lo < 0:
             raise InvalidArgumentError("coordinate ranges start at lo >= 0")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class ModelManifold:
@@ -73,14 +69,6 @@ class ModelManifold:
             raise InvalidArgumentError(f"unknown model kind {self.kind!r}")
 
     @property
-    def coordinate(self) -> str:
-        if self.kind in (EUCLIDEAN, HYPERBOLIC):
-            return "r"
-        if self.kind == HALF_PLANE:
-            return "y"
-        return "x"
-
-    @property
     def is_radial(self) -> bool:
         return self.kind in (EUCLIDEAN, HYPERBOLIC)
 
@@ -89,7 +77,9 @@ class ModelManifold:
             return CoordinateRange(self.a, self.b)
         return CoordinateRange(0.0, math.inf, open_lo=True, open_hi=True)
 
-    def _check_domain(self, t: np.ndarray) -> np.ndarray:
+    def check_domain(self, t) -> np.ndarray:
+        """t as a float array; a DomainError if a value leaves the model's
+        coordinate range ([a, b] on an interval, t > 0 otherwise)."""
         t = np.asarray(t, dtype=float)
         if self.kind == INTERVAL:
             bad = (t < self.a) | (t > self.b)
@@ -103,7 +93,7 @@ class ModelManifold:
 
     def volume_density(self, t):
         """1D density s(t) so that integrals against s(t) dt realize dv_g."""
-        t = self._check_domain(t)
+        t = self.check_domain(t)
         if self.kind == EUCLIDEAN:
             return sphere_area(self.dim) * t ** (self.dim - 1)
         if self.kind == HYPERBOLIC:
@@ -114,7 +104,7 @@ class ModelManifold:
 
     def log_volume_density(self, t):
         """log s(t), overflow-safe for large hyperbolic radii."""
-        t = self._check_domain(t)
+        t = self.check_domain(t)
         if self.kind == EUCLIDEAN:
             return math.log(sphere_area(self.dim)) + (self.dim - 1) * np.log(t)
         if self.kind == HYPERBOLIC:
@@ -127,14 +117,14 @@ class ModelManifold:
 
     def gradient_factor(self, t):
         """Factor g(t) with |grad u| = g(t) |u'(t)| for u depending on t only."""
-        t = self._check_domain(t)
+        t = self.check_domain(t)
         if self.kind == HALF_PLANE:
             return t
         return np.ones_like(t)
 
     def laplacian_of_distance(self, t):
         """Delta r on the radial models ((N-1)/r Euclidean, (N-1) coth r hyperbolic)."""
-        t = self._check_domain(t)
+        t = self.check_domain(t)
         if self.kind == EUCLIDEAN:
             return (self.dim - 1) / t
         if self.kind == HYPERBOLIC:

@@ -111,13 +111,6 @@ class GridFunction:
         if self.dirichlet_zero and (self.values[0] != 0.0 or self.values[-1] != 0.0):
             raise InvalidArgumentError("dirichlet_zero requires zero endpoint values")
 
-    def to_csv(self, path) -> None:
-        """Two-column CSV export (node, value)."""
-        with open(path, "w") as fh:
-            fh.write("node,value\n")
-            for t, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{t!r},{v!r}\n")
-
 
 @functools.cache
 def _gauss8():
@@ -135,9 +128,3 @@ def cell_gauss(nodes: np.ndarray):
     pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z[None, :]
     wts = 0.5 * (xr - xl) * w[None, :]
     return pts, wts
-
-
-def cell_gauss_integrate(nodes: np.ndarray, fn) -> float:
-    """High-order quadrature of a callable over the span of a node set."""
-    pts, wts = cell_gauss(nodes)
-    return float(np.sum(wts * fn(pts)))

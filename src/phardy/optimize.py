@@ -19,7 +19,8 @@ import numpy as np
 from .errors import InvalidArgumentError, ZeroDenominatorError
 from .forms import P1Forms, apply_tridiag, dirichlet_slice, model_densities, restrict
 from .forms import solve_tridiag_spd
-from .functionals import InequalityCase, assembled, case_forms, hardy_gap
+from . import functionals  # sides_for looked up on the module, where wrappers see it
+from .functionals import InequalityCase, assembled, case_forms
 from .geometry import CoordinateRange, ModelManifold
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 
@@ -264,7 +265,6 @@ class StudyResult:
     quotients: list
     gaps: list
     extrapolated: list
-    extrapolated_limit: float | None
 
 
 def default_truncation_schedule(
@@ -302,7 +302,7 @@ def convergence_study(
                 res = minimize_quotient_general_p(case, grid)
             else:
                 res = minimize_quotient_p2(case, grid)
-            gaps.append(hardy_gap(case, res.minimizer))
+            gaps.append(functionals.sides_for(case, res.minimizer).margin)
         grids.append(grid)
         results.append(res)
         quotients.append(res.quotient)
@@ -311,12 +311,10 @@ def convergence_study(
             extrapolated.append(res.quotient - case.oracle_shift * (math.pi / L) ** 2)
         else:
             extrapolated.append(res.quotient)
-    limit = extrapolated[-1] if case.oracle_shift > 0 else None
     return StudyResult(
         grids=grids,
         results=results,
         quotients=quotients,
         gaps=gaps,
         extrapolated=extrapolated,
-        extrapolated_limit=limit,
     )

@@ -24,23 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    ParabolicModelError,
-    UnsupportedModelError,
-    ZeroDenominatorError,
-)
-from .geometry import (
-    HALF_PLANE,
-    INTERVAL,
-    CoordinateRange,
-    ModelManifold,
-    euclidean_radial,
-    half_plane_poincare,
-    interval,
-)
-from .forms import P1Forms, model_densities
-from .grids import LOG, RadialGrid, build_grid, cell_gauss, cell_gauss_integrate
+from .errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
+from .geometry import HALF_PLANE, INTERVAL, ModelManifold
+from .grids import RadialGrid, cell_gauss
 
 #: relative tolerance separating quadrature noise from a genuine sign
 #: violation (calibrated for n >= 500 node grids)
@@ -68,18 +54,6 @@ class WeightSpec:
 
     def grad_norm(self, t):
         return self.model.gradient_factor(t) * np.abs(self.rho_prime(t))
-
-    def scaled(self, lam: float) -> "WeightSpec":
-        """The weight lam * rho (same sign structure, scaled functional)."""
-        return WeightSpec(
-            name=f"{lam}*{self.name}",
-            family=self.family,
-            model=self.model,
-            p=self.p,
-            rho=lambda t, f=self.rho: lam * f(t),
-            rho_prime=lambda t, f=self.rho_prime: lam * f(t),
-            params=dict(self.params),
-        )
 
 
 def _power_weight(model: ModelManifold, p: float, beta: float) -> WeightSpec:
@@ -355,20 +329,31 @@ def _cubic_bump_slope(x, knots, piece):
     return 3.0 * (b[0] / (knots[3] - knots[0]) - b[1] / (knots[4] - knots[1]))
 
 
-def _bump_ratios(w: WeightSpec, grid: RadialGrid, sign: int):
-    """Per-bump ``(ratio, raw, centre, width)``: raw = sign * weak integral,
-    ratio = raw / the |.| integral (0 where that is 0 or not finite).
+def check_bump_grid(grid: RadialGrid):
+    """Raise unless grid is fine enough for the narrowest test bump."""
+    if grid.n < 2 * min(BUMP_WIDTHS) + 1:
+        raise InvalidArgumentError("grid too coarse for any test bump")
+
+
+def weak_superharmonicity_check(
+    w: WeightSpec, grid: RadialGrid, sign: int = 1, *, tol: float = TOL_WEAK
+) -> CheckResult:
+    """Test sign * (-Delta_p rho) >= 0 in the weak sense over bump functions.
 
     Bumps are cubic B-splines on knots ``[c-w, c-half, c, c+half, c+w]``,
     width 3 before 9, centred so that adjacent supports overlap (a kink
-    anywhere is straddled) and never fewer than 8 per width.  The flux is
-    evaluated once, times the Gauss weights on all cells, shape (n-1, 8);
-    bumps of one width meet it ``_BUMP_BLOCK`` at a time through their
-    derivatives at the Gauss points.  For a sampled weight on its own grid
-    the flux is constant per cell and the 8-point rule is exact.
+    anywhere is straddled) and never fewer than 8 per width.  The flux of
+    the weight ``w`` is evaluated once, times the Gauss weights on all
+    cells, shape (n-1, 8); bumps of one width meet it ``_BUMP_BLOCK`` at a
+    time through their derivatives at the Gauss points.  A sampled weight
+    comes in as ``weight_from_samples``: on its own grid its flux is
+    constant per cell and the 8-point rule is exact.  Each bump value,
+    raw = sign * weak integral, is normalized by the same integral taken
+    with absolute values (0 where that is 0 or not finite), so
+    ``worst_value`` is dimensionless and insensitive to scaling of rho and
+    phi.
     """
-    if grid.n < 2 * min(BUMP_WIDTHS) + 1:
-        raise InvalidArgumentError("grid too coarse for any test bump")
+    check_bump_grid(grid)
     nodes, model, p = grid.nodes, w.model, w.p
     t, wts = cell_gauss(nodes)
     slope = w.rho_prime(t)
@@ -392,21 +377,6 @@ def _bump_ratios(w: WeightSpec, grid: RadialGrid, sign: int):
         width += [bw] * centres.size
     raw, norm = np.concatenate(raw), np.concatenate(norm)
     ratio = np.divide(raw, norm, out=np.zeros_like(raw), where=(norm > 0) & (norm < np.inf))
-    return ratio, raw, np.concatenate(centre), width
-
-
-def weak_superharmonicity_check(
-    w: WeightSpec, grid: RadialGrid, sign: int = 1, *, tol: float = TOL_WEAK
-) -> CheckResult:
-    """Test sign * (-Delta_p rho) >= 0 in the weak sense over bump functions.
-
-    The flux of the weight ``w`` is integrated per cell with Gauss
-    quadrature; a sampled weight comes in as ``weight_from_samples``.  Each
-    bump value is normalized by the same integral taken with absolute
-    values, so ``worst_value`` is dimensionless and insensitive to scaling
-    of rho and phi.
-    """
-    ratio, raw, centre, width = _bump_ratios(w, grid, sign)
     i = int(np.argmin(ratio))
     return CheckResult(
         passed=bool(ratio[i] >= -tol),
@@ -414,70 +384,6 @@ def weak_superharmonicity_check(
         worst_raw=float(raw[i]),
         n_bumps=ratio.size,
         sign=sign,
-        worst_center=float(centre[i]),
+        worst_center=float(np.concatenate(centre)[i]),
         worst_width=width[i],
     )
-
-
-def classify_weight_sign(w: WeightSpec, grid: RadialGrid, *, tol: float = TOL_WEAK) -> str:
-    """Classify a weight as superharmonic / subharmonic / harmonic / indefinite
-    from the two one-sided weak checks, both read off one scoring pass: the
-    worst value for sign=-1 is -max(ratio)."""
-    ratio = _bump_ratios(w, grid, +1)[0]
-    sup, sub = ratio.min() >= -tol, -ratio.max() >= -tol
-    if sup or sub:
-        return "harmonic" if sup and sub else "superharmonic" if sup else "subharmonic"
-    return "indefinite"
-
-
-def chain_rule_identity_check(w: WeightSpec, gamma: float, grid: RadialGrid) -> float:
-    """Relative quadrature error in
-    integral |grad rho^gamma|^p = gamma^p integral rho^(p(gamma-1)) |grad rho|^p.
-
-    The left side is the P1 energy of the interpolant of rho^gamma, the
-    right side the closed form integrated per cell with Gauss quadrature,
-    so the error is that of P1 interpolation, O(n^-2).
-    """
-    p = w.p
-    densities = model_densities(w.model, p, lambda t: (0.0, 1.0))
-    lhs = P1Forms(grid, densities).energy(w.rho(grid.nodes) ** gamma, p)
-    rhs = abs(gamma) ** p * cell_gauss_integrate(
-        grid.nodes,
-        lambda t: w.rho(t) ** (p * (gamma - 1.0)) * np.abs(w.rho_prime(t)) ** p * densities(t)[1],
-    )
-    if rhs < 1e-300:
-        # constant weights: both sides vanish
-        if lhs < 1e-12:
-            return 0.0
-        raise ZeroDenominatorError("chain-rule reference integral vanished")
-    return abs(lhs - rhs) / rhs
-
-
-@dataclass
-class SignedCatalogEntry:
-    """Weight with a known analytic sign, for checker validation."""
-
-    weight: WeightSpec
-    grid: RadialGrid
-    expected: str  # "superharmonic" | "subharmonic" | "harmonic"
-
-
-def signed_catalog() -> list[SignedCatalogEntry]:
-    """Eight weights of known sign: harmonic powers, a strict subharmonic
-    and a strict superharmonic power, the interval distance kink, the two
-    log weights on either side of 1, and the half-plane height."""
-    e3, e4 = euclidean_radial(3), euclidean_radial(4)
-    wide = build_grid(CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True), 900, LOG)
-    ball = build_grid(CoordinateRange(1e-2, 0.99, open_lo=True), 900, LOG)
-    outer = build_grid(CoordinateRange(1.01, 1e2, open_hi=True), 900, LOG)
-    unit = build_grid(CoordinateRange(0.0, 1.0), 901, "linear")
-    return [SignedCatalogEntry(*entry) for entry in (
-        (_power_weight(e3, 2.0, -1.0), wide, "harmonic"),
-        (_power_weight(e4, 3.0, -0.5), wide, "harmonic"),
-        (_power_weight(e3, 2.0, 2.0), wide, "subharmonic"),
-        (_power_weight(e4, 2.0, -1.0), wide, "superharmonic"),
-        (_distance_to_boundary_weight(interval(0.0, 1.0), 2.0), unit, "superharmonic"),
-        (_log_weight(e3, 2.0, "inner"), ball, "superharmonic"),
-        (_log_weight(e3, 2.0, "outer"), outer, "subharmonic"),
-        (_halfplane_height_weight(half_plane_poincare(), 2.0), wide, "harmonic"),
-    )]

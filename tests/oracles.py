@@ -1,23 +1,30 @@
-"""Independent numerical oracles used by the tests.
+"""Independent numerical oracles and reference code for the tests.
 
-These deliberately avoid the package's own discretizations: the
+The oracles deliberately avoid the package's own discretizations: the
 eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, the
 quadrature helpers use closed antiderivatives, and the weak sign check is
 redone one scipy B-spline per bump.  The capacity oracle minimizes the P1
 p-energy of ``phardy.forms`` directly, so it checks the closed-form
 capacity without using the closed form.
+
+The rest is reference code that only tests run, built on the package's
+public API: the weights of known sign the sign checker is scored
+against, the two-sided sign classification and the chain-rule check.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline
 
-from phardy.forms import P1Forms, restrict, solve_tridiag_spd
-from phardy.geometry import CoordinateRange
-from phardy.grids import LOG, build_grid
+from phardy.errors import ZeroDenominatorError
+from phardy.forms import P1Forms, model_densities, restrict, solve_tridiag_spd
+from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
+from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
+from phardy.weights import TOL_WEAK, WeightSpec, rho_catalog_entry, weak_superharmonicity_check
 
 
 def plaplace_lambda1_shooting(p: float, length: float) -> float:
@@ -147,3 +154,83 @@ def weak_check_bspline_loop(w, grid, n_tests=8, sign=1):
             if rel < worst:
                 worst, worst_raw = rel, raw
     return worst, worst_raw, n_bumps
+
+
+def cell_gauss_integrate(nodes: np.ndarray, fn) -> float:
+    """High-order quadrature of a callable over the span of a node set."""
+    pts, wts = cell_gauss(nodes)
+    return float(np.sum(wts * fn(pts)))
+
+
+def scaled(w: WeightSpec, lam: float) -> WeightSpec:
+    """The weight lam * rho (same sign structure, scaled functional)."""
+    return dataclasses.replace(
+        w,
+        name=f"{lam}*{w.name}",
+        rho=lambda t, f=w.rho: lam * f(t),
+        rho_prime=lambda t, f=w.rho_prime: lam * f(t),
+        params=dict(w.params),
+    )
+
+
+def classify_weight_sign(w: WeightSpec, grid: RadialGrid, *, tol: float = TOL_WEAK) -> str:
+    """Classify a weight as superharmonic / subharmonic / harmonic /
+    indefinite from the two one-sided weak checks."""
+    sup = weak_superharmonicity_check(w, grid, sign=+1, tol=tol).passed
+    sub = weak_superharmonicity_check(w, grid, sign=-1, tol=tol).passed
+    if sup or sub:
+        return "harmonic" if sup and sub else "superharmonic" if sup else "subharmonic"
+    return "indefinite"
+
+
+def chain_rule_identity_check(w: WeightSpec, gamma: float, grid: RadialGrid) -> float:
+    """Relative quadrature error in
+    integral |grad rho^gamma|^p = gamma^p integral rho^(p(gamma-1)) |grad rho|^p.
+
+    The left side is the P1 energy of the interpolant of rho^gamma, the
+    right side the closed form integrated per cell with Gauss quadrature,
+    so the error is that of P1 interpolation, O(n^-2).
+    """
+    p = w.p
+    densities = model_densities(w.model, p, lambda t: (0.0, 1.0))
+    lhs = P1Forms(grid, densities).energy(w.rho(grid.nodes) ** gamma, p)
+    rhs = abs(gamma) ** p * cell_gauss_integrate(
+        grid.nodes,
+        lambda t: w.rho(t) ** (p * (gamma - 1.0)) * np.abs(w.rho_prime(t)) ** p * densities(t)[1],
+    )
+    if rhs < 1e-300:
+        # constant weights: both sides vanish
+        if lhs < 1e-12:
+            return 0.0
+        raise ZeroDenominatorError("chain-rule reference integral vanished")
+    return abs(lhs - rhs) / rhs
+
+
+@dataclasses.dataclass
+class SignedCatalogEntry:
+    """Weight with a known analytic sign, for checker validation."""
+
+    weight: WeightSpec
+    grid: RadialGrid
+    expected: str  # "superharmonic" | "subharmonic" | "harmonic"
+
+
+def signed_catalog() -> list[SignedCatalogEntry]:
+    """Eight weights of known sign: harmonic powers, a strict subharmonic
+    and a strict superharmonic power, the interval distance kink, the two
+    log weights on either side of 1, and the half-plane height."""
+    e3, e4 = euclidean_radial(3), euclidean_radial(4)
+    wide = build_grid(CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True), 900, LOG)
+    ball = build_grid(CoordinateRange(1e-2, 0.99, open_lo=True), 900, LOG)
+    outer = build_grid(CoordinateRange(1.01, 1e2, open_hi=True), 900, LOG)
+    unit = build_grid(CoordinateRange(0.0, 1.0), 901, "linear")
+    return [SignedCatalogEntry(*entry) for entry in (
+        (rho_catalog_entry("power", e3, 2.0, beta=-1.0), wide, "harmonic"),
+        (rho_catalog_entry("power", e4, 3.0, beta=-0.5), wide, "harmonic"),
+        (rho_catalog_entry("power", e3, 2.0, beta=2.0), wide, "subharmonic"),
+        (rho_catalog_entry("power", e4, 2.0, beta=-1.0), wide, "superharmonic"),
+        (rho_catalog_entry("dist-boundary", interval(0.0, 1.0), 2.0), unit, "superharmonic"),
+        (rho_catalog_entry("log", e3, 2.0, side="inner"), ball, "superharmonic"),
+        (rho_catalog_entry("log", e3, 2.0, side="outer"), outer, "subharmonic"),
+        (rho_catalog_entry("halfplane-y", half_plane_poincare(), 2.0), wide, "harmonic"),
+    )]

@@ -270,13 +270,15 @@ def _divergence(field, p=2, model=None):
     return mutate
 
 
-def _eigen(kind, **params):
-    """A mutation that turns the case into an eigen kind on the unit interval."""
+def _eigen(kind, model=None, **params):
+    """A mutation that turns the case into an eigen kind with a grid on [0, 1]
+    (the model: the unit interval unless given)."""
     def mutate(cfg):
         case = cfg["cases"][0]
         del case["weight"]
         case.update(
-            kind=kind, params={"p": 2, **params}, model={"kind": "interval", "a": 0.0, "b": 1.0},
+            kind=kind, params={"p": 2, **params},
+            model=model or {"kind": "interval", "a": 0.0, "b": 1.0},
             grid={"lo": 0.0, "hi": 1.0, "n": 200, "spacing": "linear", "open_lo": False,
                   "open_hi": False},
         )
@@ -306,6 +308,19 @@ BAD_CONFIGS = {
         _divergence("davies-hinz", model={"kind": "half_plane"}), "'params'", True
     ),
     "eigen-s-above-p-1": (_eigen("poincare-eigen", s=3), "'s'", True),
+    "eigen-hardy-alpha-above-p-1": (_eigen("eigen-hardy", alpha=1.5), "'alpha'", True),
+    "grid-below-interval": (
+        _eigen("poincare-eigen", model={"kind": "interval", "a": 0.5, "b": 1.0}, s=0.5),
+        "'grid'", True,
+    ),
+    "grid-lo-zero-euclidean": (
+        _set(CASE + ("grid",), {"lo": 0.0, "hi": 0.999, "n": 2000, "spacing": "linear"}),
+        "'grid'", True,
+    ),
+    "grid-too-coarse-for-sign-check": (
+        _set(CASE + ("grid",), {"lo": 0.001, "hi": 0.999, "n": 5, "spacing": "log"}),
+        "'grid'", True,
+    ),
     "eigen-eps-split-empties-interior": (
         _eigen("distance-hardy", eps_split=0.9), "'eps_split'", True
     ),
@@ -332,9 +347,10 @@ def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
     assert ("'hardy-log-ball-p2'" in err) == names_case
 
 
-# the checks that build something of the case: a field or the eigen kinds' split
+# the checks that build something of the case: a field, the eigen kinds'
+# parameters or the grid the runners will use
 @pytest.mark.parametrize(
-    "name", [n for n in sorted(BAD_CONFIGS) if n.startswith(("field-", "eigen-"))]
+    "name", [n for n in sorted(BAD_CONFIGS) if n.startswith(("field-", "eigen-", "grid-"))]
 )
 def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
     cfg = ball_config()

@@ -1,12 +1,9 @@
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from oracles import plaplace_lambda1_shooting  # noqa: E402
+from oracles import plaplace_lambda1_shooting
 
 from phardy.eigen import (
     distance_hardy_case,

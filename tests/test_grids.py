@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cell_gauss_integrate
+
 from phardy.errors import InvalidArgumentError, NonFiniteIntegrandError
 from phardy.forms import P1Forms
 from phardy.geometry import CoordinateRange
@@ -12,7 +14,6 @@ from phardy.grids import (
     GridFunction,
     build_grid,
     cell_gauss,
-    cell_gauss_integrate,
     refine,
 )
 
@@ -122,16 +123,6 @@ def test_grid_function_dirichlet_validation():
         GridFunction(g, np.ones(5), dirichlet_zero=True)
     with pytest.raises(InvalidArgumentError):
         GridFunction(g, np.ones(4))
-
-
-def test_grid_function_helpers(tmp_path):
-    g = build_grid(CoordinateRange(0, 1), 11, "linear")
-    f = GridFunction(g, g.nodes * (1 - g.nodes))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node,value"
-    assert len(lines) == 12
 
 
 def test_cell_gauss_integrate_polynomial_exact():

@@ -1,10 +1,12 @@
-"""Structure of the package itself: modules share only public names."""
+"""Structure of the package itself: modules share only public names, and
+the package ships only what its own code, scripts or benchmark use."""
 import ast
 from pathlib import Path
 
 import phardy
 
 SRC = Path(phardy.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imports(path):
@@ -33,3 +35,30 @@ def test_banded_solver_imported_only_by_forms():
         if any(name == "solveh_banded" for _, name in _imports(path))
     )
     assert users == ["forms.py"]
+
+
+def _references(path):
+    """Every name a source file uses: names, attributes, string constants
+    (a name handed over as a string) and, in __init__.py, its exports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        elif isinstance(node, ast.alias) and path.name == "__init__.py":
+            yield node.name
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # reference code that only tests call belongs in tests/oracles.py
+    users = [*SRC.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+    used = {name for path in users for name in _references(path)}
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert unused == []
