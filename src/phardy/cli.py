@@ -75,6 +75,7 @@ _CONFIG_RULES = {
 _GRID_RULES = {
     "lo": float, "hi": float, "n": int, "spacing": "log", "open_lo": True, "open_hi": True,
 }
+_CHECK_RULES = {"hypothesis": True, "minimize": False}
 _MODEL_RULES = {
     "euclidean": {"dim": int}, "hyperbolic": {"dim": int}, "half_plane": {},
     "interval": {"a": float, "b": float},
@@ -122,8 +123,9 @@ def _built(where: str, key: str, build, *args, **kwargs):
 
 
 def _checked_case(i: int, spec, conf: dict) -> dict:
-    """One case checked against its kind's rules, with its model, grid and,
-    for kinds built from a config, its InequalityCase constructed."""
+    """One case checked against its kind's rules, with its model, grid,
+    checks and, for kinds built from a config or a vector field, its
+    InequalityCase constructed."""
     if not isinstance(spec, dict):
         raise ConfigError(f"'cases'[{i}] must be an object, got {spec!r}")
     where = f"case {spec.get('id', i)!r}"
@@ -155,8 +157,9 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         c["grid"] = _built(where, "grid", build_grid, c["rng"], g["n"], g["spacing"])
         _built(where, "grid", c["model"].check_domain, c["grid"].nodes)
     if name == "divergence-lemma":
-        c["field"] = _built(
-            where, "params", fn.vector_field, params["field"], c["model"], params["p"]
+        c["case"] = _built(
+            where, "params", fn.divergence_case, c["model"], params["field"], params["p"],
+            rng=c["rng"], case_id=c["id"],
         )
     if name == "eigen-hardy":
         _built(where, "alpha", eigen_mod.check_eigen_hardy_alpha, params["p"], params["alpha"])
@@ -166,12 +169,11 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         _built(
             where, "eps_split", eigen_mod.collar_split, c["model"], c["grid"], params["eps_split"]
         )
+    # a kind without a 'checks' key runs with the default checks
+    c["checks"] = _checked(f"{where} checks", c.get("checks", {}), _CHECK_RULES)
+    if c["checks"]["minimize"] and kind.exponents:
+        raise ConfigError(f"{where} checks: 'minimize' needs a quotient kind")
     if kind.factory:
-        c["checks"] = _checked(
-            f"{where} checks", c["checks"], {"hypothesis": True, "minimize": False}
-        )
-        if c["checks"]["minimize"] and kind.sides:
-            raise ConfigError(f"{where} checks: 'minimize' needs a quotient kind")
         weight = _built(where, "weight", parse_weight, c["weight"], c["model"], params["p"])
         others = {k: v for k, v in params.items() if k != "p"}
         c["case"] = _built(
@@ -190,16 +192,16 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
 # ---------------------------------------------------------------------------
 # runners
 
-def _run_margins(c, conf, record, case, sides) -> bool:
-    """Record the worst relative margin of sides(case, u) over the case's
-    seeded test functions; True when it is within the tolerance."""
+def _run_margins(c, conf, record, case) -> bool:
+    """Record the worst relative margin of the case's sides over its seeded
+    test functions; True when it is within the tolerance."""
     # order-independent per-case stream
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = None
     worst_rel = math.inf
     with fn.assembled(case, c["grid"], c["params"]["p"]):
         for u in random_test_functions(c["grid"], c["n_test_functions"], seed):
-            pair = sides(case, u)
+            pair = fn.sides_for(case, u)
             scale = max(pair.rhs, 1e-300)
             rel = pair.margin / scale
             if rel < worst_rel:
@@ -244,7 +246,7 @@ def _run_inequality_case(c, conf, record):
         return
 
     with fn.assembled(case, grid, case.p):
-        ok = _run_margins(c, conf, record, case, fn.sides_for)
+        ok = _run_margins(c, conf, record, case)
         if c["checks"]["minimize"]:
             if case.p == 2.0:
                 res = opt.minimize_quotient_p2(case, grid)
@@ -288,7 +290,8 @@ def _run_classification_case(c, conf, record):
 
 
 def _run_eigen_case(build, c, conf, record):
-    """Solve the first eigenpair, then check the case ``build`` makes of it."""
+    """Solve the first eigenpair, then check the case ``build`` makes of it;
+    it fails when the eigenpair did not converge."""
     params = c["params"]
     p = params["p"]
     record["case_id"] = c["id"] or f"{c['kind']}[{c['model'].kind}|p={p:g}]"
@@ -299,23 +302,15 @@ def _run_eigen_case(build, c, conf, record):
         "converged": pair.converged,
     }
     case = build(pair, **{k: v for k, v in params.items() if k != "p"})
-    if not _run_hypothesis(c, record, case):
-        return
-    ok = _run_margins(c, conf, record, case, fn.sides_for)
-    record["status"] = "pass" if (ok and pair.converged) else "fail"
-
-
-def _run_divergence_case(c, conf, record):
-    model, p, field_name = c["model"], c["params"]["p"], c["params"]["field"]
-    record["case_id"] = c["id"] or f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]"
-    ok = _run_margins(c, conf, record, c["field"], lambda v, u: fn.divergence_lemma_sides(v, u, p))
-    record["status"] = "pass" if ok else "fail"
+    case.case_id = record["case_id"]
+    _run_inequality_case(dict(c, case=case), conf, record)
+    if record["status"] == "pass" and not pair.converged:
+        record["status"] = "fail"
 
 
 #: every other kind in fn.KINDS runs as an InequalityCase
 _RUNNERS = {
     "classification": _run_classification_case,
-    "divergence-lemma": _run_divergence_case,
     "eigen-hardy": functools.partial(_run_eigen_case, eigen_mod.eigen_hardy_case),
     "poincare-eigen": functools.partial(_run_eigen_case, eigen_mod.poincare_eigen_case),
     "distance-hardy": functools.partial(_run_eigen_case, eigen_mod.distance_hardy_case),

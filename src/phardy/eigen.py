@@ -9,7 +9,9 @@ import numpy as np
 
 from .errors import CollarGradientError, InvalidArgumentError
 from .forms import P1Forms, model_densities
-from .functionals import InequalityCase, SidePair, quotient_sides, weighted_hardy_case
+# sides_for bound by name, so a wrapper on functionals.sides_for does not
+# also time the calls the checks below make
+from .functionals import InequalityCase, SidePair, sides_for, weighted_hardy_case
 from .geometry import CoordinateRange, INTERVAL, ModelManifold
 from .grids import GridFunction, RadialGrid, build_grid
 from .optimize import descend_quotient, minimize_rayleigh_p2
@@ -109,7 +111,7 @@ def poincare_eigen_check(pair: EigenPair, p: float, s: float, u: GridFunction) -
     """lambda1 (p-1-s)^(p-1)/p^p  int phi1^s |u|^p  <=  int phi1^s |grad u|^p."""
     if p != pair.p:
         raise InvalidArgumentError("p must match the eigenpair")
-    return quotient_sides(poincare_eigen_case(pair, s), u)
+    return sides_for(poincare_eigen_case(pair, s), u)
 
 
 def check_poincare_s(p: float, s: float):
@@ -131,13 +133,6 @@ def poincare_eigen_case(pair: EigenPair, s: float) -> InequalityCase:
     )
 
 
-@dataclass
-class CompositeConstant:
-    value: float
-    collar_gradient_min: float
-    s: float
-
-
 def collar_split(model: ModelManifold, grid: RadialGrid, eps_split: float):
     """The nodes within eps_split of the interval's ends (the collar) and
     the cells between two such nodes; both it and the rest must be nonempty."""
@@ -150,21 +145,18 @@ def collar_split(model: ModelManifold, grid: RadialGrid, eps_split: float):
     return collar, collar_cells
 
 
-def distance_hardy_constant(
-    pair: EigenPair, eps_split: float, s: float | None = None
-) -> CompositeConstant:
+def distance_hardy_constant(pair: EigenPair, eps_split: float) -> float:
     """Composite constant for the distance-from-boundary Hardy inequality.
 
     Splits the interval into a boundary collar (where the eigenfunction
     Hardy inequality controls 1/d^p through the collar gradient bound) and
-    the interior (where the Poincare-type inequality does), and takes half
-    the worse of the two explicit constants.  The gradient bounds are the
-    cell slopes of phi1: the least over cells inside the collar, the
-    largest over all cells.
+    the interior (where the Poincare-type inequality does, at s = (p-1)/2),
+    and takes half the worse of the two explicit constants.  The gradient
+    bounds are the cell slopes of phi1: the least over cells inside the
+    collar, the largest over all cells.
     """
     p = pair.p
-    if s is None:
-        s = 0.5 * (p - 1.0)
+    s = 0.5 * (p - 1.0)
     collar, collar_cells = collar_split(pair.model, pair.phi1.grid, eps_split)
     slope = np.abs(np.diff(pair.phi1.values) / np.diff(pair.phi1.grid.nodes))
     b_min = float(np.min(slope[collar_cells]))
@@ -174,34 +166,27 @@ def distance_hardy_constant(
     l_eps = float(np.min(pair.phi1.values[~collar]))
     c_collar = ((p - 1.0) / p) ** p * b_min ** p / lip ** p
     c_inner = poincare_eigen_constant(pair, s) * l_eps ** s * eps_split ** p
-    return CompositeConstant(
-        value=0.5 * min(c_collar, c_inner),
-        collar_gradient_min=b_min,
-        s=s,
-    )
+    return 0.5 * min(c_collar, c_inner)
 
 
-def distance_hardy_case(
-    pair: EigenPair, eps_split: float = 0.1, s: float | None = None
-) -> InequalityCase:
+def distance_hardy_case(pair: EigenPair, eps_split: float = 0.1) -> InequalityCase:
     """c int |u|^p / d^p <= int |grad u|^p with the composite constant c:
     the Hardy quotient of rho = d, under a smaller constant."""
-    comp = distance_hardy_constant(pair, eps_split, s)
     return InequalityCase(
         kind="distance-hardy",
         model=pair.model,
         weight=rho_catalog_entry("dist-boundary", pair.model, pair.p),
-        params={"p": pair.p, "eps_split": eps_split, "s": comp.s},
+        params={"p": pair.p, "eps_split": eps_split},
         rng=CoordinateRange(pair.phi1.grid.lo, pair.phi1.grid.hi),
-        formula_constant=comp.value,
+        formula_constant=distance_hardy_constant(pair, eps_split),
         case_id=f"distance-hardy[{pair.model.kind}|p={pair.p:g}|eps={eps_split:g}]",
     )
 
 
 def distance_hardy_composite(
-    pair: EigenPair, p: float, eps_split: float, u: GridFunction, s: float | None = None
+    pair: EigenPair, p: float, eps_split: float, u: GridFunction
 ) -> SidePair:
     """Sides of ``distance_hardy_case``."""
     if p != pair.p:
         raise InvalidArgumentError("p must match the eigenpair")
-    return quotient_sides(distance_hardy_case(pair, eps_split, s), u)
+    return sides_for(distance_hardy_case(pair, eps_split), u)

@@ -1,15 +1,15 @@
 """The inequality kinds, their cases and the sides of each.
 
-Every side evaluator reduces its inequality to 1D integrals of the test
-function's P1 interpolant on the P1 forms the minimizers use
-(``case_forms``): volume elements become the model density s(t),
-Riemannian gradient norms become g(t)|u'(t)|.  The returned SidePair
-carries the margin with the source inequality's orientation, so an
-inequality holds iff margin >= 0 up to discretization tolerance.
+Every inequality reduces to 1D integrals of the test function's P1
+interpolant on the P1 forms the minimizers use (``case_forms``): volume
+elements become the model density s(t), Riemannian gradient norms become
+g(t)|u'(t)|.  ``sides_for`` combines them into a SidePair whose margin has
+the source inequality's orientation, so an inequality holds iff
+margin >= 0 up to discretization tolerance.
 
 ``KINDS`` lists each kind once: its config parameters, case factory,
 catalog formula, the factors of its side densities and, unless it is a
-quotient kind, its side evaluator.
+quotient kind, the exponents of its side integrals.
 """
 from __future__ import annotations
 
@@ -81,17 +81,6 @@ class InequalityCase:
         return float(self.params["p"])
 
 
-@dataclass
-class VectorFieldCase:
-    """Radial vector field h with a candidate divergence lower bound A_h."""
-
-    name: str
-    model: ModelManifold
-    h_mag: Callable
-    a_h: Callable
-    _assembled: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-
 # ---------------------------------------------------------------------------
 # P1 forms of a case
 
@@ -101,10 +90,7 @@ def case_forms(case, grid: RadialGrid, p: float) -> P1Forms:
     held = case._assembled
     if held and held[0] == p and held[1].grid is grid:
         return held[1]
-    if isinstance(case, VectorFieldCase):
-        factors = functools.partial(_field_factors, case, p)
-    else:
-        factors = functools.partial(KINDS[case.kind].densities, case)
+    factors = functools.partial(KINDS[case.kind].densities, case)
     return P1Forms(grid, model_densities(case.model, p, factors))
 
 
@@ -140,71 +126,64 @@ def validate_case_hypothesis(case: InequalityCase, grid: RadialGrid) -> CheckRes
 
 
 # ---------------------------------------------------------------------------
-# sides: each kind's factors (a_1, ..., a_k, b) and how its integrals combine
+# sides: each kind's factors (a_1, ..., a_k, b) and the exponents of its integrals
 
-def quotient_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Sides of a quotient kind, C int A |u|^p <= int B |u'|^p, with the
-    forms (A, B) the minimizers integrate (``case_forms``)."""
+def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
+    """Sides of any case whose kind has side densities: from the integrals
+    I_1, ..., I_k, I_grad of its forms, lhs = I_1^e_1 and rhs = I_grad^e
+    I_2^e_2 ... I_k^e_k with the exponents of its kind (see ``Kind``), the
+    constant a factor of the side the kind names."""
+    kind = KINDS.get(case.kind)
+    if kind is None or kind.densities is None:
+        raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     _require_hypothesis(case)
-    lhs, rhs = case_forms(case, u.grid, case.p).integrals(u.values, (case.p, case.p))
+    qs, es = kind.exponents(case) if kind.exponents else ((case.p, case.p), (1, 1))
+    first, *others, grad = case_forms(case, u.grid, case.p).integrals(u.values, qs)
     c = case.formula_constant
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - c * lhs)
+    lhs = first ** es[0]
+    rhs = (c if kind.constant_on_rhs else 1.0) * grad ** es[-1]
+    for term, e in zip(others, es[1:-1]):
+        rhs *= term ** e
+    margin = rhs - lhs if kind.constant_on_rhs else rhs - c * lhs
+    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=margin)
 
 
-def _field_factors(v: VectorFieldCase, p: float, t):
-    a_vals = v.a_h(t)
-    h_vals = v.h_mag(t)
+#: the name perfbench/tracer.py times the divergence lemma's sides under
+divergence_lemma_sides = sides_for
+
+
+def _field_factors(case: InequalityCase, t):
+    """A_h and |h|^p / A_h^(p-1) of the case's radial field h."""
+    a_vals = case.params["a_h"](t)
+    h_vals = case.params["h_mag"](t)
     if np.any((a_vals <= 0) & (h_vals != 0)):
         raise InvalidArgumentError("A_h must be positive where h does not vanish")
-    return a_vals, h_vals ** p / a_vals ** (p - 1.0)
-
-
-def divergence_lemma_sides(v: VectorFieldCase, u: GridFunction, p: float) -> SidePair:
-    """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p."""
-    lhs, rhs = case_forms(v, u.grid, p).integrals(u.values, (p, p))
-    rhs = p ** p * rhs
-    return SidePair(lhs=lhs, rhs=rhs, constant=p ** p, margin=rhs - lhs)
+    return a_vals, h_vals ** case.p / a_vals ** (case.p - 1.0)
 
 
 def _gn_factors(case: InequalityCase, t):
     return t ** -(case.p - 1.0), 1.0, 1.0
 
 
-def gn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Weighted Gagliardo-Nirenberg sides for rho = d^alpha, |grad d| = 1:
+def _gn_exponents(case: InequalityCase):
+    """Weighted Gagliardo-Nirenberg for rho = d^alpha, |grad d| = 1:
     int |u|^s d^-(p-1) <= C (int |grad u|^p)^(1/p') (int |u|^delta)^(1/p)."""
-    _require_hypothesis(case)
-    if case.model.kind == HALF_PLANE:
-        raise UnsupportedModelError("GN form needs |grad d| = 1 (radial/interval)")
-    p = case.p
-    delta = float(case.params["delta"])
+    p, delta = case.p, float(case.params["delta"])
     s_exp = p - 1.0 + delta / p
     if "s" in case.params and abs(case.params["s"] - s_exp) > 1e-12:
         raise RelationViolationError("s = p-1+delta/p", f"got s={case.params['s']}")
-    lhs, mass_term, grad_term = case_forms(case, u.grid, p).integrals(u.values, (s_exp, delta, p))
-    c = case.formula_constant
-    rhs = c * grad_term ** (1.0 - 1.0 / p) * mass_term ** (1.0 / p)
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
+    return (s_exp, delta, p), (1, 1.0 / p, 1.0 - 1.0 / p)
 
 
 def _uncertainty_factors(case: InequalityCase, t):
     return 1.0, t ** (case.p / (float(case.params["a"]) - 1.0)), 1.0
 
 
-def uncertainty_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Uncertainty-principle sides for rho = d^alpha, |grad d| = 1:
-    int |u|^s <= C (int |grad u|^p)^(1/a) (int |u|^((as-p)/(a-1)) d^(p(a'-1)))^(1/a')."""
-    _require_hypothesis(case)
-    if case.model.kind == HALF_PLANE:
-        raise UnsupportedModelError("uncertainty form needs |grad d| = 1")
-    p = case.p
-    s_exp = float(case.params["s"])
-    a = float(case.params["a"])
-    m_exp = (a * s_exp - p) / (a - 1.0)
-    lhs, mixed_term, grad_term = case_forms(case, u.grid, p).integrals(u.values, (s_exp, m_exp, p))
-    c = case.formula_constant
-    rhs = c * grad_term ** (1.0 / a) * mixed_term ** ((a - 1.0) / a)
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=rhs - lhs)
+def _uncertainty_exponents(case: InequalityCase):
+    """Uncertainty principle for rho = d^alpha, |grad d| = 1: int |u|^s
+    <= C (int |grad u|^p)^(1/a) (int |u|^((as-p)/(a-1)) d^(p(a'-1)))^(1/a')."""
+    p, s_exp, a = case.p, float(case.params["s"]), float(case.params["a"])
+    return (s_exp, (a * s_exp - p) / (a - 1.0), p), (1, (a - 1.0) / a, 1.0 / a)
 
 
 def _hardy_sobolev_factors(case: InequalityCase, t):
@@ -212,15 +191,10 @@ def _hardy_sobolev_factors(case: InequalityCase, t):
     return rho ** (float(case.params["p_star"]) * theta), rho ** (case.p * theta)
 
 
-def hardy_sobolev_sides(case: InequalityCase, u: GridFunction) -> SidePair:
+def _hardy_sobolev_exponents(case: InequalityCase):
     """C2 (int rho^(p* theta) |u|^p*)^(1/p*) <= (int rho^(p theta) |grad u|^p)^(1/p)."""
-    _require_hypothesis(case)
-    p = case.p
-    p_star = float(case.params["p_star"])
-    c2 = case.formula_constant
-    lhs, rhs = case_forms(case, u.grid, p).integrals(u.values, (p_star, p))
-    lhs, rhs = lhs ** (1.0 / p_star), rhs ** (1.0 / p)
-    return SidePair(lhs=lhs, rhs=rhs, constant=c2, margin=rhs - c2 * lhs)
+    p, p_star = case.p, float(case.params["p_star"])
+    return (p_star, p), (1.0 / p_star, 1.0 / p)
 
 
 def hardy_sobolev_constant(S_p: float, H_val: float, theta: float, p: float) -> float:
@@ -239,25 +213,11 @@ def _ckn_factors(case: InequalityCase, t):
     )
 
 
-def ckn_sides(case: InequalityCase, u: GridFunction) -> SidePair:
-    """First-order interpolation (CKN-type) sides; constants from the
-    Hardy-Sobolev constant C2 and the weighted Hardy constant H."""
-    _require_hypothesis(case)
-    p = case.p
-    r, a = float(case.params["r"]), float(case.params["a"])
-    C3 = case.formula_constant
-    lhs, mixed_term, grad_term = case_forms(case, u.grid, p).integrals(u.values, (r, p, p))
-    lhs = lhs ** (1.0 / r)
-    rhs = grad_term ** (a / p) * mixed_term ** ((1.0 - a) / p)
-    return SidePair(lhs=lhs, rhs=rhs, constant=C3, margin=rhs - C3 * lhs)
-
-
-def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
-    """Sides of any case whose kind has side densities."""
-    kind = KINDS.get(case.kind)
-    if kind is None or kind.densities is None:
-        raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
-    return (kind.sides or quotient_sides)(case, u)
+def _ckn_exponents(case: InequalityCase):
+    """First-order interpolation (CKN-type): C3 (int .. |u|^r)^(1/r) <=
+    (int .. |grad u|^p)^(a/p) (int .. |u|^p)^((1-a)/p)."""
+    p, r, a = case.p, float(case.params["r"]), float(case.params["a"])
+    return (r, p, p), (1.0 / r, (1.0 - a) / p, a / p)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +305,8 @@ def gn_case(
     rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
+    if model.kind == HALF_PLANE:
+        raise UnsupportedModelError("GN form needs |grad d| = 1 (radial/interval)")
     if weight.family != "power":
         raise InvalidArgumentError("GN case needs a power-of-distance weight d^alpha")
     if delta <= 0:
@@ -371,6 +333,8 @@ def uncertainty_case(
     rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
+    if model.kind == HALF_PLANE:
+        raise UnsupportedModelError("uncertainty form needs |grad d| = 1")
     if weight.family != "power":
         raise InvalidArgumentError("uncertainty case needs a power weight d^alpha")
     p = weight.p
@@ -488,8 +452,8 @@ def ckn_case(
     )
 
 
-def davies_hinz_field(model: ModelManifold) -> VectorFieldCase:
-    """h = grad V for V = t^2; A_h = Delta V = 2 + 2 t Delta t."""
+def davies_hinz_field(model: ModelManifold):
+    """|h| and A_h of h = grad V for V = t^2: A_h = Delta V = 2 + 2 t Delta t."""
     if model.kind == HALF_PLANE:
         raise UnsupportedModelError("Davies-Hinz instance needs |grad t| = 1")
 
@@ -502,11 +466,12 @@ def davies_hinz_field(model: ModelManifold) -> VectorFieldCase:
             return np.full_like(t, 2.0)
         return 2.0 + 2.0 * t * model.laplacian_of_distance(t)
 
-    return VectorFieldCase("davies-hinz", model, h_mag, a_h)
+    return h_mag, a_h
 
 
-def killing_field(model: ModelManifold, p: float) -> VectorFieldCase:
-    """h = K/|K|^p for the Euclidean conformal Killing field K = x (p < N)."""
+def killing_field(model: ModelManifold, p: float):
+    """|h| and A_h of h = K/|K|^p for the Euclidean conformal Killing field
+    K = x (p < N)."""
     if model.kind != EUCLIDEAN:
         raise UnsupportedModelError("Killing instance defined on Euclidean models")
     if p >= model.dim:
@@ -519,16 +484,33 @@ def killing_field(model: ModelManifold, p: float) -> VectorFieldCase:
     def a_h(t):
         return (n - p) * np.asarray(t, dtype=float) ** (-p)
 
-    return VectorFieldCase("killing", model, h_mag, a_h)
+    return h_mag, a_h
 
 
-def vector_field(name: str, model: ModelManifold, p: float) -> VectorFieldCase:
-    """The divergence-lemma field called ``name`` on a model."""
-    if name == "davies-hinz":
-        return davies_hinz_field(model)
-    if name == "killing":
-        return killing_field(model, p)
-    raise InvalidArgumentError(f"unknown 'field' {name!r}")
+def divergence_case(
+    model: ModelManifold,
+    field_name: str,
+    p: float,
+    rng: CoordinateRange | None = None,
+    case_id: str = "",
+) -> InequalityCase:
+    """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p for the radial
+    field called ``field_name``; no weight, |h| and A_h in the params."""
+    if field_name == "davies-hinz":
+        h_mag, a_h = davies_hinz_field(model)
+    elif field_name == "killing":
+        h_mag, a_h = killing_field(model, p)
+    else:
+        raise InvalidArgumentError(f"unknown 'field' {field_name!r}")
+    return InequalityCase(
+        kind="divergence-lemma",
+        model=model,
+        weight=None,
+        params={"p": p, "field": field_name, "h_mag": h_mag, "a_h": a_h},
+        rng=rng or model.natural_range(),
+        formula_constant=p ** p,
+        case_id=case_id or f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +545,11 @@ class Kind:
     from a config, p coming with the weight; the CLI builds the other kinds
     from an eigenpair or a vector field, or runs them as checks.
     ``densities(case, t)`` gives the factors (a_1, ..., a_k, b) of the side
-    integrals int a_i s |u|^q_i, int b g^p s |u'|^p; ``sides`` combines
-    them, ``quotient_sides`` (a, b) when it is None.
+    integrals I_i = int a_i s |u|^q_i and I_grad = int b g^p s |u'|^q.
+    ``exponents(case)`` gives ((q_1, ..., q_k, q), (e_1, ..., e_k, e)):
+    lhs = I_1^e_1, rhs = I_grad^e I_2^e_2 ... I_k^e_k; None gives a
+    quotient's ((p, p), (1, 1)).  The constant is a factor of rhs if
+    ``constant_on_rhs``, else of lhs.
     ``formula`` is the constant's catalog entry (None: not an inequality).
     """
 
@@ -572,7 +557,8 @@ class Kind:
     formula: str | None = None
     factory: Callable | None = None
     densities: Callable | None = None
-    sides: Callable | None = None
+    exponents: Callable | None = None
+    constant_on_rhs: bool = False
 
 
 KINDS = {
@@ -588,21 +574,23 @@ KINDS = {
         "(p/(|alpha|(p-1)))^(p-1)",
         gn_case,
         _gn_factors,
-        gn_sides,
+        _gn_exponents,
+        constant_on_rhs=True,
     ),
     "uncertainty": Kind(
         {"p": float, "s": float, "a": float},
         "(p/(|alpha|(p-1)))^(p/a)",
         uncertainty_case,
         _uncertainty_factors,
-        uncertainty_sides,
+        _uncertainty_exponents,
+        constant_on_rhs=True,
     ),
     "hardy-sobolev": Kind(
         {"p": float, "theta": float, "p_star": float, "sobolev_constant": float},
         "C2 = S(p) H^(1/p)/(|theta| + H^(1/p))",
         hardy_sobolev_case,
         _hardy_sobolev_factors,
-        hardy_sobolev_sides,
+        _hardy_sobolev_exponents,
     ),
     "ckn": Kind(
         {"p": float, "theta": float, "p_star": float, "r": float, "a": float,
@@ -611,7 +599,7 @@ KINDS = {
         "C3 = C2^(p*(r-p)/(r(p*-p))) H^(a/p - p*(r-p)/(p r (p*-p)))",
         ckn_case,
         _ckn_factors,
-        ckn_sides,
+        _ckn_exponents,
     ),
     "eigen-hardy": Kind({"p": float, "alpha": 0.0}, "((p-1-alpha)/p)^p"),
     "poincare-eigen": Kind(
@@ -622,6 +610,9 @@ KINDS = {
         "min(((p-1)/p)^p b^p/L^p, lam1 (p-1-s)^(p-1)/p^p l^s eps^p)/2",
         densities=_hardy_factors,
     ),
-    "divergence-lemma": Kind({"p": float, "field": "davies-hinz"}, "p^p"),
+    "divergence-lemma": Kind(
+        {"p": float, "field": "davies-hinz"}, "p^p", densities=_field_factors,
+        constant_on_rhs=True,
+    ),
     "classification": Kind({"p": float, "a": 1.0, "decades": 13}),
 }

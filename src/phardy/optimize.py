@@ -63,12 +63,7 @@ def smallest_eigenpair(
     return mu, u, it, converged, history
 
 
-def minimize_rayleigh_p2(
-    forms: P1Forms,
-    dirichlet: tuple = (True, True),
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> MinimizationResult:
+def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> MinimizationResult:
     """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
     quotient forms (A, B)."""
     forms.check_quotient()
@@ -76,7 +71,7 @@ def minimize_rayleigh_p2(
     k_band, m_band = forms.pencil(np.zeros(grid.n), 2.0)
     keep = dirichlet_slice(grid.n, dirichlet)
     mu, vec, iters, conv, hist = smallest_eigenpair(
-        restrict(k_band, keep), restrict(m_band, keep), tol, max_iter
+        restrict(k_band, keep), restrict(m_band, keep)
     )
     full = np.zeros(grid.n)
     full[keep] = vec
@@ -156,9 +151,9 @@ def descend_quotient(
     converged = False
     it = 0
 
-    def try_direction(u, q, d, t0, max_halvings=60):
+    def try_direction(u, q, d, t0):
         t = t0
-        for _ in range(max_halvings):
+        for _ in range(60):
             trial = project(u + t * d)
             Lt = forms.mass(trial, p)
             if Lt > 0:
@@ -241,7 +236,6 @@ def estimate_lambda1(
     model: ModelManifold,
     weight,
     rng: CoordinateRange,
-    grid: RadialGrid | None = None,
     n: int = 2000,
     spacing: str = LOG,
 ) -> float:
@@ -251,8 +245,7 @@ def estimate_lambda1(
     boundary conditions; true boundary endpoints get Dirichlet conditions,
     matching the compact-support class defining the remainder constant.
     """
-    if grid is None:
-        grid = build_grid(rng, n, spacing if rng.lo > 0 else "linear")
+    grid = build_grid(rng, n, spacing if rng.lo > 0 else "linear")
     forms = P1Forms(grid, model_densities(model, 2.0, lambda t: (weight.rho(t),) * 2))
     dirichlet = (not rng.open_lo, not rng.open_hi)
     return minimize_rayleigh_p2(forms, dirichlet=dirichlet).quotient

@@ -301,7 +301,6 @@ class CheckResult:
     worst_value: float
     worst_raw: float
     n_bumps: int
-    sign: int
     worst_center: float
     worst_width: int
 
@@ -383,7 +382,6 @@ def weak_superharmonicity_check(
         worst_value=float(ratio[i]),
         worst_raw=float(raw[i]),
         n_bumps=ratio.size,
-        sign=sign,
         worst_center=float(np.concatenate(centre)[i]),
         worst_width=width[i],
     )

@@ -25,13 +25,10 @@ from phardy.forms import P1Forms
 from phardy.functionals import (
     caccioppoli_case,
     ckn_case,
-    davies_hinz_field,
-    divergence_lemma_sides,
+    divergence_case,
     gn_case,
     hardy_case,
     hardy_sobolev_case,
-    hardy_sobolev_sides,
-    killing_field,
     sides_for,
     uncertainty_case,
     validate_case_hypothesis,
@@ -206,14 +203,15 @@ def test_criterion_6_inequality_property_suite():
     # divergence-lemma instances (Davies-Hinz and Killing-field)
     rng_mid = CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True)
     grid = build_grid(rng_mid, 2000, "log")
-    for j, vfc in enumerate([davies_hinz_field(E3), killing_field(E3, 2.0)]):
+    for j, field_name in enumerate(["davies-hinz", "killing"]):
+        vfc = divergence_case(E3, field_name, 2.0)
         for u in random_test_functions(grid, 100, seed=2000 + j):
-            pair = divergence_lemma_sides(vfc, u, 2.0)
+            pair = sides_for(vfc, u)
             rel = pair.margin / max(pair.rhs, 1e-300)
             n_checked += 1
             if rel < worst_rel:
                 worst_rel = rel
-                worst_name = vfc.name
+                worst_name = field_name
     elapsed = time.perf_counter() - t0
     _report(
         6,
@@ -278,7 +276,7 @@ def test_criterion_8_reduction_identities():
                   delta=0.3, sigma=0.0, sobolev_constant=2.0, rng=rng)
     ok2 = abs(ck.formula_constant - hs.formula_constant) <= 1e-12 * hs.formula_constant
     for u in random_test_functions(grid, 20, seed=8001):
-        a, b = hardy_sobolev_sides(hs, u), sides_for(ck, u)
+        a, b = sides_for(hs, u), sides_for(ck, u)
         for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs), (a.margin, b.margin)):
             if abs(x - y) > 1e-12 * max(abs(x), 1e-300):
                 ok2 = False

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -285,6 +286,16 @@ def _eigen(kind, model=None, **params):
     return mutate
 
 
+def _half_plane(kind, params):
+    """A mutation that turns the case into a power-weight case of kind on the
+    half-plane, whose distance has |grad d| != 1."""
+    def mutate(cfg):
+        cfg["cases"][0].update(
+            kind=kind, model={"kind": "half_plane"}, weight="power:beta=0.5", params=params
+        )
+    return mutate
+
+
 CASE = ("cases", 0)
 # name -> (mutation of ball_config(), key the message must name, names the case)
 BAD_CONFIGS = {
@@ -324,6 +335,12 @@ BAD_CONFIGS = {
     "eigen-eps-split-empties-interior": (
         _eigen("distance-hardy", eps_split=0.9), "'eps_split'", True
     ),
+    "half-plane-gn": (
+        _half_plane("gn", {"p": 2, "delta": 2.0}), "'params'", True
+    ),
+    "half-plane-uncertainty": (
+        _half_plane("uncertainty", {"p": 2, "s": 2.0, "a": 2.0}), "'params'", True
+    ),
     "minimize-non-quotient-kind": (
         lambda cfg: cfg["cases"][0].update(
             kind="gn", weight="power:beta=-1", params={"p": 2, "delta": 2.0},
@@ -348,13 +365,14 @@ def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
 
 
 # the checks that build something of the case: a field, the eigen kinds'
-# parameters or the grid the runners will use
+# parameters, the grid the runners will use or a case its model cannot hold
 @pytest.mark.parametrize(
-    "name", [n for n in sorted(BAD_CONFIGS) if n.startswith(("field-", "eigen-", "grid-"))]
+    "name",
+    [n for n in sorted(BAD_CONFIGS) if n.startswith(("field-", "eigen-", "grid-", "half-plane-"))],
 )
 def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
     cfg = ball_config()
-    bad = {"cases": [dict(cfg["cases"][0], id="later")]}
+    bad = {"cases": [dict(copy.deepcopy(cfg["cases"][0]), id="later")]}
     BAD_CONFIGS[name][0](bad)
     cfg["cases"] += bad["cases"]
     ran = []

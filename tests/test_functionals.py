@@ -14,21 +14,15 @@ from phardy.functionals import (
     assembled,
     caccioppoli_case,
     ckn_case,
-    ckn_sides,
-    davies_hinz_field,
-    divergence_lemma_sides,
+    divergence_case,
     gn_case,
-    gn_sides,
     hardy_case,
     hardy_sobolev_case,
-    hardy_sobolev_sides,
+    InequalityCase,
     killing_field,
-    quotient_sides,
     sides_for,
     uncertainty_case,
-    uncertainty_sides,
     validate_case_hypothesis,
-    VectorFieldCase,
     weighted_hardy_case,
 )
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
@@ -61,7 +55,7 @@ def quotient(case, u):
 def test_zero_function_gives_zero_sides():
     grid = log_grid(500)
     case = hardy_e3_case()
-    pair = quotient_sides(case, zero_fn(grid))
+    pair = sides_for(case, zero_fn(grid))
     assert pair.lhs == pair.rhs == pair.margin == 0.0
 
 
@@ -69,7 +63,7 @@ def test_hardy_margin_positive_for_bumps():
     grid = log_grid()
     case = hardy_e3_case()
     for u in random_test_functions(grid, 20, seed=7):
-        pair = quotient_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
         assert pair.constant == 0.25
 
@@ -97,7 +91,7 @@ def test_weighted_alpha_zero_equals_hardy():
     case_alpha = weighted_hardy_case(E3, w, 0.0, RNG)
     for u in random_test_functions(grid, 20, seed=11):
         a = sides_for(case0, u)
-        b = quotient_sides(case_alpha, u)
+        b = sides_for(case_alpha, u)
         assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
         assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
         assert b.margin == pytest.approx(a.margin, rel=1e-12)
@@ -105,17 +99,15 @@ def test_weighted_alpha_zero_equals_hardy():
 
 def test_margin_sweep_reuses_and_releases_its_data():
     grid = log_grid(500)
-    cases = [(hardy_e3_case(), sides_for), (davies_hinz_field(E3), divergence_lemma_sides)]
-    for case, sides in cases:
-        args = (2.0,) if sides is divergence_lemma_sides else ()
+    for case in (hardy_e3_case(), divergence_case(E3, "davies-hinz", 2.0)):
         fns = random_test_functions(grid, 4, seed=5)
-        alone = [sides(case, u, *args) for u in fns]
+        alone = [sides_for(case, u) for u in fns]
         with assembled(case, grid, 2.0):
             held = case._assembled
             with assembled(case, grid, 2.0):  # nested blocks share the outer forms
                 assert case._assembled[1] is held[1]
             assert case._assembled is held
-            assert [sides(case, u, *args) for u in fns] == alone
+            assert [sides_for(case, u) for u in fns] == alone
         assert case._assembled is None
 
 
@@ -125,7 +117,7 @@ def test_weighted_degenerate_alpha():
     assert case.trivial and case.formula_constant == 0.0
     grid = log_grid(500)
     u = bump(grid, -2.0, 2.0)
-    pair = quotient_sides(case, u)
+    pair = sides_for(case, u)
     assert pair.margin == pair.rhs >= 0.0
 
 
@@ -165,7 +157,7 @@ def test_caccioppoli_margins_and_hypothesis():
         res = validate_case_hypothesis(case, grid)
         assert res.passed  # rho = r^2 is subharmonic
         for u in random_test_functions(grid, 10, seed=3):
-            pair = quotient_sides(case, u)
+            pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         caccioppoli_case(E3, w, -1.0, rng)
@@ -180,7 +172,7 @@ def test_caccioppoli_interval_distance_q_equals_p():
     assert case.formula_constant == pytest.approx(((2 + 1) / 2) ** 2)
     validate_case_hypothesis(case, grid)
     for u in random_test_functions(grid, 10, seed=5):
-        assert quotient_sides(case, u).margin >= 0.0
+        assert sides_for(case, u).margin >= 0.0
 
 
 def test_caccioppoli_rejects_superharmonic_weight():
@@ -193,28 +185,28 @@ def test_caccioppoli_rejects_superharmonic_weight():
     from phardy.errors import HypothesisViolationError
 
     with pytest.raises(HypothesisViolationError):
-        quotient_sides(case, bump(grid, -1.0, 1.0))
+        sides_for(case, bump(grid, -1.0, 1.0))
 
 
 def test_divergence_lemma_instances():
     grid = log_grid(1500, CoordinateRange(1e-2, 1e2, True, True))
-    dh = davies_hinz_field(E3)
-    kf = killing_field(E3, 2.0)
+    dh = divergence_case(E3, "davies-hinz", 2.0)
+    kf = divergence_case(E3, "killing", 2.0)
     for u in random_test_functions(grid, 10, seed=13):
-        assert divergence_lemma_sides(dh, u, 2.0).margin >= 0.0
-        assert divergence_lemma_sides(kf, u, 2.0).margin >= 0.0
+        assert sides_for(dh, u).margin >= 0.0
+        assert sides_for(kf, u).margin >= 0.0
     z = zero_fn(grid)
-    assert divergence_lemma_sides(dh, z, 2.0).margin == 0.0
+    assert sides_for(dh, z).margin == 0.0
 
 
 def test_killing_reduces_to_hardy_constant():
     # h = x/|x|^p gives exactly the ((N-p)/p)^p Hardy form
     grid = log_grid(1500, CoordinateRange(1e-2, 1e2, True, True))
-    kf = killing_field(E3, 2.0)
+    kf = divergence_case(E3, "killing", 2.0)
     case = hardy_e3_case()
     u = bump(grid, -2.0, 2.0)
-    dl = divergence_lemma_sides(kf, u, 2.0)
-    h = quotient_sides(case, u)
+    dl = sides_for(kf, u)
+    h = sides_for(case, u)
     # lhs_dl = (N-p) * lhs_hardy, rhs_dl = p^p/(N-p)^(p-1) * rhs_hardy
     assert dl.lhs == pytest.approx((3 - 2) * h.lhs, rel=1e-12)
     assert dl.rhs == pytest.approx(4.0 * h.rhs, rel=1e-12)
@@ -222,11 +214,13 @@ def test_killing_reduces_to_hardy_constant():
 
 def test_divergence_rejects_nonpositive_ah():
     grid = log_grid(200, CoordinateRange(0.5, 2.0, True, True))
-    bad = VectorFieldCase(
-        "bad", E3, lambda t: np.ones_like(t), lambda t: -np.ones_like(t)
+    bad = InequalityCase(
+        kind="divergence-lemma", model=E3, weight=None,
+        params={"p": 2.0, "h_mag": lambda t: np.ones_like(t), "a_h": lambda t: -np.ones_like(t)},
+        rng=RNG, formula_constant=4.0, case_id="bad",
     )
     with pytest.raises(InvalidArgumentError):
-        divergence_lemma_sides(bad, bump(grid, 0.6, 1.5), 2.0)
+        sides_for(bad, bump(grid, 0.6, 1.5))
 
 
 def test_killing_requires_p_below_n():
@@ -240,11 +234,11 @@ def test_gn_margins_and_relation():
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=17):
-        pair = gn_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
     case.params["s"] = 3.0  # violates s = p-1+delta/p = 2
     with pytest.raises(RelationViolationError):
-        gn_sides(case, bump(grid, -1.0, 1.0))
+        sides_for(case, bump(grid, -1.0, 1.0))
 
 
 def test_uncertainty_margins_and_dilation_invariance():
@@ -252,17 +246,17 @@ def test_uncertainty_margins_and_dilation_invariance():
     case = uncertainty_case(E3, w, s=2.0, a=2.0, rng=RNG)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=19):
-        pair = uncertainty_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
     # dilation u -> u(lam x): rhs/lhs is invariant (both sides scale alike)
     u = bump(grid, -2.0, 2.0)
-    base = uncertainty_sides(case, u)
+    base = sides_for(case, u)
     lam = 2.0
     grid2 = build_grid(
         CoordinateRange(RNG.lo / lam, RNG.hi / lam, True, True), 1500, "log"
     )
     u2 = GridFunction(grid2, u.values, dirichlet_zero=True)
-    scaled = uncertainty_sides(case, u2)
+    scaled = sides_for(case, u2)
     assert scaled.rhs / scaled.lhs == pytest.approx(base.rhs / base.lhs, rel=1e-8)
     with pytest.raises(InvalidArgumentError):
         uncertainty_case(E3, w, s=0.5, a=1.5, rng=RNG)  # (as-p)/(a-1) < 0
@@ -274,7 +268,7 @@ def test_hardy_sobolev_theta_zero_is_sobolev():
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=23):
-        pair = hardy_sobolev_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
 
 
@@ -283,7 +277,7 @@ def test_hardy_sobolev_weighted_margins():
     case = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0, rng=RNG)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 20, seed=29):
-        pair = hardy_sobolev_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=-1.0)
@@ -303,7 +297,7 @@ def test_ckn_margins_valid_tuple():
     case = valid_ckn_case()
     grid = log_grid(1500)
     for u in random_test_functions(grid, 20, seed=31):
-        pair = ckn_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
 
 
@@ -328,8 +322,8 @@ def test_ckn_a1_reduces_to_hardy_sobolev():
     assert ck.formula_constant == pytest.approx(hs.formula_constant, rel=1e-14)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=37):
-        a = hardy_sobolev_sides(hs, u)
-        b = ckn_sides(ck, u)
+        a = sides_for(hs, u)
+        b = sides_for(ck, u)
         assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
         assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
         assert b.margin == pytest.approx(a.margin, rel=1e-12)
@@ -353,7 +347,7 @@ def test_non_finite_integrand_raises():
     case = hardy_case(m, w, CoordinateRange(0.0, 1.0))
     u = tent(grid, 0.2, 0.8)  # peak sits at the pinch
     with pytest.raises(NonFiniteIntegrandError):
-        quotient_sides(case, u)
+        sides_for(case, u)
 
 
 def test_interval_distance_hardy_margin():
@@ -365,7 +359,7 @@ def test_interval_distance_hardy_margin():
     res = validate_case_hypothesis(case, grid)
     assert res.passed
     for u in random_test_functions(grid, 10, seed=43):
-        assert quotient_sides(case, u).margin >= 0.0
+        assert sides_for(case, u).margin >= 0.0
 
 
 def test_halfspace_distance_hardy_on_interval():
@@ -378,7 +372,7 @@ def test_halfspace_distance_hardy_on_interval():
     res = validate_case_hypothesis(case, grid)
     assert res.passed  # x is harmonic on the interval
     for u in random_test_functions(grid, 10, seed=47):
-        pair = quotient_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
 
 
@@ -393,5 +387,5 @@ def test_ckn_a_zero_identity_case():
     assert case.formula_constant == pytest.approx(1.0)
     grid = log_grid(1000)
     for u in random_test_functions(grid, 5, seed=53):
-        pair = ckn_sides(case, u)
+        pair = sides_for(case, u)
         assert pair.margin == pytest.approx(0.0, abs=1e-12 * pair.rhs)

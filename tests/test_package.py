@@ -1,6 +1,7 @@
 """Structure of the package itself: modules share only public names, and
 the package ships only what its own code, scripts or benchmark use."""
 import ast
+import importlib
 from pathlib import Path
 
 import phardy
@@ -62,3 +63,21 @@ def test_every_definition_is_used_outside_the_tests():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer looks each layer up by name; a name that went
+    # from the package would only show when `perfbench/run.py --trace 1` runs
+    tracer = ROOT / "perfbench" / "tracer.py"
+    wrapped = [
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(ast.parse(tracer.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap" and isinstance(node.args[0], ast.Name)
+    ]
+    assert len(wrapped) >= 10
+    missing = [
+        f"{module}.{name}" for module, name in wrapped
+        if not hasattr(importlib.import_module(f"phardy.{module}"), name)
+    ]
+    assert missing == []
