@@ -159,7 +159,7 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     if name == "divergence-lemma":
         c["case"] = _built(
             where, "params", fn.divergence_case, c["model"], params["field"], params["p"],
-            rng=c["rng"], case_id=c["id"],
+            case_id=c["id"],
         )
     if name == "eigen-hardy":
         _built(where, "alpha", eigen_mod.check_eigen_hardy_alpha, params["p"], params["alpha"])

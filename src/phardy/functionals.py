@@ -148,7 +148,8 @@ def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
     return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=margin)
 
 
-#: the name perfbench/tracer.py times the divergence lemma's sides under
+#: no code calls this alias; it stays only because perfbench/tracer.py wraps
+#: this name and the benchmark's files are not changed with the package
 divergence_lemma_sides = sides_for
 
 
@@ -491,7 +492,6 @@ def divergence_case(
     model: ModelManifold,
     field_name: str,
     p: float,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p for the radial
@@ -507,7 +507,7 @@ def divergence_case(
         model=model,
         weight=None,
         params={"p": p, "field": field_name, "h_mag": h_mag, "a_h": a_h},
-        rng=rng or model.natural_range(),
+        rng=model.natural_range(),
         formula_constant=p ** p,
         case_id=case_id or f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]",
     )
