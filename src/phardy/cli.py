@@ -259,6 +259,8 @@ def _run_inequality_case(c, conf, record):
                 "converged": res.converged,
                 "bound_ok": bound_ok,
             }
+            if res.lower is not None:
+                record["minimization"]["lower"] = res.lower
             if case.oracle_shift > 0:
                 L = math.log(grid.hi / grid.lo)
                 record["minimization"]["extrapolated"] = (
@@ -413,8 +415,9 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> list[Path]:
              for r in report["cases"] if (c := r.get("classification"))],
         ),
         "minimization.csv": (
-            ["case_id", "quotient", "iterations", "converged", "bound_ok"],
-            [[r["case_id"], repr(m["quotient"]), m["iterations"], m["converged"], m["bound_ok"]]
+            ["case_id", "quotient", "lower", "iterations", "converged", "bound_ok"],
+            [[r["case_id"], repr(m["quotient"]), repr(m["lower"]) if "lower" in m else "",
+              m["iterations"], m["converged"], m["bound_ok"]]
              for r in report["cases"] if (m := r.get("minimization"))],
         ),
     }

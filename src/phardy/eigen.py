@@ -52,8 +52,8 @@ def first_eigenpair(
 ) -> EigenPair:
     """Solve -Delta_p phi = lambda |phi|^{p-2} phi with Dirichlet ends.
 
-    p = 2 uses inverse power iteration on the P1 pencil; p != 2 descends
-    the p-Rayleigh quotient with a positivity projection each step.
+    p = 2 brackets lambda1 of the P1 pencil by spectrum slicing; p != 2
+    descends the p-Rayleigh quotient with a positivity projection each step.
     """
     if not math.isfinite(rng.hi):
         raise InvalidArgumentError("eigenproblem needs a bounded range")

@@ -1,4 +1,5 @@
 """Exception types shared across the toolkit."""
+from numpy.linalg import LinAlgError
 
 
 class ToolkitError(Exception):
@@ -23,6 +24,10 @@ class NonFiniteIntegrandError(ToolkitError, ArithmeticError):
 
 class ZeroDenominatorError(ToolkitError, ZeroDivisionError):
     """Rayleigh quotient denominator vanished."""
+
+
+class IndefiniteBandError(ToolkitError, LinAlgError):
+    """A tridiagonal band to be solved is not positive definite."""
 
 
 class RelationViolationError(ToolkitError, ValueError):

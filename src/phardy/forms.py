@@ -6,16 +6,16 @@ For a continuous piecewise-linear u these are exact in u once the
 densities are integrated with per-cell Gauss quadrature.  ``P1Forms``
 holds that cell data once per grid and densities: the side integrals, the
 two functionals of the quotient with their gradients, and the tridiagonal
-pencil of the quotient linearized at an iterate.  The banded SPD solve and
-the Dirichlet restriction of a pencil live here too, so the sides, the
-minimizers and the eigen solver share one assembly.
+pencil of the quotient linearized at an iterate.  The factored
+tridiagonal kernel and the Dirichlet restriction of a pencil live here too,
+so the sides, the minimizers and the eigen solver share one assembly.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import InvalidArgumentError, NonFiniteIntegrandError
+from .errors import IndefiniteBandError, InvalidArgumentError, NonFiniteIntegrandError
 from .grids import RadialGrid, cell_gauss
 
 
@@ -93,17 +93,18 @@ class P1Forms:
         frozen at u.  At p = 2 every frozen factor is exactly 1, so this is
         the stiffness/mass pencil whatever u is."""
         n = self.grid.n
-        slope = self.slopes(u)
-        floor_s = 1e-300 + np.max(np.abs(slope))
-        bw = self.b_cell / self.h ** 2 * np.maximum(np.abs(slope), 1e-12 * floor_s) ** (p - 2.0)
+        bw = self.b_cell / self.h ** 2
+        aw = self.a_wts[0]
+        if p != 2.0:
+            slope = np.abs(self.slopes(u))
+            bw = bw * np.maximum(slope, 1e-12 * (1e-300 + np.max(slope))) ** (p - 2.0)
+            ug = np.abs(self.values(u))
+            aw = aw * np.maximum(ug, 1e-12 * (1e-300 + np.max(ug))) ** (p - 2.0)
         k_diag = np.zeros(n)
         k_off = np.zeros(n - 1)
         k_diag[:-1] += bw
         k_diag[1:] += bw
         k_off -= bw
-        ug = self.values(u)
-        floor_u = 1e-300 + np.max(np.abs(ug))
-        aw = self.a_wts[0] * np.maximum(np.abs(ug), 1e-12 * floor_u) ** (p - 2.0)
         m_diag = np.zeros(n)
         m_off = np.zeros(n - 1)
         m_diag[:-1] += np.sum(aw * self.n1 ** 2, axis=1)
@@ -141,13 +142,33 @@ def apply_tridiag(diag, off, x):
     return y
 
 
-def solve_tridiag_spd(diag, off, rhs):
-    if diag.size == 1:  # scipy's banded solver rejects a 1 x 1 system
-        return rhs / diag
-    ab = np.zeros((2, diag.size))
-    ab[0, 1:] = off
-    ab[1] = diag
-    return solveh_banded(ab, rhs)
+class TridiagFactor:
+    """LDL^T of the symmetric tridiagonal band (diag, off) by LAPACK's
+    dpttrf, factored once for any number of solves.  ``definite`` says
+    whether every pivot is positive: for K - sigma M with M >= 0, whether
+    sigma lies below the pencil's smallest eigenvalue (Sylvester's law of
+    inertia).  A non-finite band or right-hand side raises
+    InvalidArgumentError, a ValueError; ``solve`` on a band that is not
+    definite raises IndefiniteBandError, a LinAlgError.
+    """
+
+    def __init__(self, diag, off):
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise InvalidArgumentError("tridiagonal band must be finite")
+        if diag.size == 1:  # the LAPACK wrappers reject a 1 x 1 band
+            self.d, self.e, info = diag, off, int(diag[0] <= 0)
+        else:
+            self.d, self.e, info = dpttrf(diag, off)
+        self.definite = info == 0
+
+    def solve(self, rhs):
+        if not self.definite:
+            raise IndefiniteBandError("tridiagonal band is not positive definite")
+        if not np.isfinite(rhs).all():
+            raise InvalidArgumentError("right-hand side must be finite")
+        if self.d.size == 1:
+            return rhs / self.d
+        return dpttrs(self.d, self.e, rhs)[0]
 
 
 def dirichlet_slice(n: int, dirichlet: tuple) -> slice:

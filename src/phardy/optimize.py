@@ -3,11 +3,12 @@
 The p = 2 path takes the P1 stiffness/mass pencil of ``forms`` (per-cell
 Gauss quadrature, so the discrete minimum is the true quotient
 of a piecewise-linear admissible function, sitting above the continuum
-infimum and decreasing under nested refinement) and runs inverse power
-iteration on the tridiagonal pencil.  The general-p path descends the
-nonquadratic quotient with a preconditioned gradient and Armijo
-backtracking; descent gives upper bounds, the theorem gives the lower
-bound, and the sandwich is the verification.
+infimum and decreasing under nested refinement) and brackets its smallest
+eigenvalue by spectrum slicing: bisection on whether the tridiagonal
+K - sigma M factors, then shifted inverse iteration.  The general-p path
+descends the nonquadratic quotient with a preconditioned gradient and
+Armijo backtracking; descent gives upper bounds, the theorem gives the
+lower bound, and the sandwich is the verification.
 """
 from __future__ import annotations
 
@@ -17,12 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, ZeroDenominatorError
-from .forms import P1Forms, apply_tridiag, dirichlet_slice, model_densities, restrict
-from .forms import solve_tridiag_spd
+from .forms import P1Forms, TridiagFactor, apply_tridiag, dirichlet_slice, model_densities
+from .forms import restrict
 from . import functionals  # sides_for looked up on the module, where wrappers see it
 from .functionals import InequalityCase, assembled, case_forms
 from .geometry import CoordinateRange, ModelManifold
 from .grids import GridFunction, LOG, RadialGrid, build_grid
+
+
+BRACKET_RTOL = 1e-10  # relative width of a converged p = 2 bracket [lower, quotient]
 
 
 @dataclass
@@ -32,62 +36,94 @@ class MinimizationResult:
     iterations: int
     converged: bool
     history: list = field(default_factory=list, repr=False)
+    lower: float | None = None  # p = 2: the largest shift at which K - sigma M factored
 
 
-def smallest_eigenpair(
-    k_forms, m_forms, tol: float = 1e-12, max_iter: int = 10000
-):
-    """Inverse power iteration with shift 0 on the tridiagonal pencil
-    K u = mu M u.  Returns (mu, u, iterations, converged, history)."""
-    k_diag, k_off = k_forms
-    m_diag, m_off = m_forms
-    n = k_diag.size
-    u = np.ones(n)
+def inverse_step(factor: TridiagFactor, m_band, u: np.ndarray) -> np.ndarray:
+    """One step of inverse iteration on a tridiagonal pencil K u = mu M u
+    through ``factor``, the factor of K - sigma M at a shift sigma below its
+    spectrum: the M-normalized solution v of (K - sigma M) v = M u."""
+    v = factor.solve(apply_tridiag(*m_band, u))
+    mnorm = math.sqrt(float(v @ apply_tridiag(*m_band, v)))
+    if mnorm == 0.0:
+        raise ZeroDenominatorError("mass norm vanished in inverse iteration")
+    return v / mnorm
+
+
+def smallest_eigenpair(k_band, m_band, tol: float, max_iter: int):
+    """Inverse iteration with shift 0 from u = 1 on the tridiagonal pencil
+    K u = mu M u, K factored once, until mu moves by at most tol relative
+    in one step or max_iter steps.  Returns (mu, u)."""
+    factor = TridiagFactor(*k_band)
+    u = np.ones(k_band[0].size)
     mu_prev = math.inf
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs = apply_tridiag(m_diag, m_off, u)
-        u = solve_tridiag_spd(k_diag, k_off, rhs)
-        mnorm = math.sqrt(float(u @ apply_tridiag(m_diag, m_off, u)))
-        if mnorm == 0.0:
-            raise ZeroDenominatorError("mass norm vanished in inverse iteration")
-        u = u / mnorm
-        mu = float(u @ apply_tridiag(k_diag, k_off, u))
-        history.append((it, mu))
+    for _ in range(max_iter):
+        u = inverse_step(factor, m_band, u)
+        mu = float(u @ apply_tridiag(*k_band, u))
         if abs(mu - mu_prev) <= tol * max(abs(mu), 1.0):
-            converged = True
             break
         mu_prev = mu
-    return mu, u, it, converged, history
+    return mu, u
 
 
 def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> MinimizationResult:
     """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
-    quotient forms (A, B)."""
+    quotient forms (A, B), bracketed by spectrum slicing.
+
+    K - sigma M factors iff sigma < lambda1 (Sylvester's law of inertia),
+    up to the rounding of the band's diagonal: ``slack`` = eps u^T diag(K) u
+    for M-normalized u, which grows like 1/h^2.  One inverse step with K
+    gives an upper bound; bisection narrows [lower, upper] to half of
+    max(tol * upper, slack), ``lower`` the largest sigma that factored,
+    with tol = BRACKET_RTOL.  Inverse steps shifted to lower, until the
+    quotient moves by at most tol relative, give the minimizer; ``quotient``
+    is its energy/mass.  Converged means quotient - lower <=
+    max(tol * quotient, slack).  ``iterations`` counts factorizations plus
+    back-solves; ``history`` holds the quotients of the inverse steps.
+    """
     forms.check_quotient()
+    tol = BRACKET_RTOL
     grid = forms.grid
-    k_band, m_band = forms.pencil(np.zeros(grid.n), 2.0)
     keep = dirichlet_slice(grid.n, dirichlet)
-    mu, vec, iters, conv, hist = smallest_eigenpair(
-        restrict(k_band, keep), restrict(m_band, keep)
-    )
+    k_band, m_band = (restrict(band, keep) for band in forms.pencil(np.zeros(grid.n), 2.0))
     full = np.zeros(grid.n)
-    full[keep] = vec
-    if np.sum(full) < 0:
-        full = -full
+    history = []
+
+    def step(factor, u):
+        u = inverse_step(factor, m_band, u)
+        full[keep] = u
+        history.append((len(history) + 1, forms.energy(full, 2.0)))
+        return u
+
+    factor = TridiagFactor(*k_band)
+    u = step(factor, np.ones(k_band[0].size))
+    slack = float(np.finfo(float).eps * (u @ (k_band[0] * u)))
+    lower, upper, factorizations = 0.0, history[-1][1], 1
+    while upper - lower > 0.5 * max(tol * upper, slack):
+        sigma = 0.5 * (lower + upper)
+        trial = TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
+        factorizations += 1
+        if trial.definite:
+            lower, factor = sigma, trial
+        else:
+            upper = sigma
+    for _ in range(10):  # a shift this close converges in two or three steps
+        u = step(factor, u)
+        if abs(history[-2][1] - history[-1][1]) <= tol * history[-1][1]:
+            break
+    quotient = forms.energy(full, 2.0) / forms.mass(full, 2.0)
     return MinimizationResult(
-        quotient=mu,
+        quotient=quotient,
         minimizer=GridFunction(grid, full, dirichlet_zero=dirichlet == (True, True)),
-        iterations=iters,
-        converged=conv,
-        history=hist,
+        iterations=factorizations + len(history),
+        converged=quotient - lower <= max(tol * quotient, slack),
+        history=history,
+        lower=lower,
     )
 
 
 def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> MinimizationResult:
-    """Best-constant estimate for a p = 2 case by inverse power iteration."""
+    """Best-constant estimate for a p = 2 case by spectrum slicing."""
     if case.p != 2.0:
         raise InvalidArgumentError("minimize_quotient_p2 needs p = 2")
     return minimize_rayleigh_p2(case_forms(case, grid, case.p))
@@ -133,7 +169,7 @@ def descend_quotient(
     # p = 2 stiffness in the same rhs density, used as descent metric
     (pk_diag, pk_off), _ = forms.pencil(np.zeros(grid.n), 2.0)
     pk_diag += 1e-12 * np.max(pk_diag)
-    metric = restrict((pk_diag, pk_off), keep)
+    metric = TridiagFactor(*restrict((pk_diag, pk_off), keep))
 
     def project(u):
         return np.abs(np.where(mask, u, 0.0))
@@ -171,7 +207,7 @@ def descend_quotient(
         if eig_sleep == 0:
             k_band, m_band = forms.pencil(u, p)
             try:
-                _, vk, _, _, _ = smallest_eigenpair(
+                _, vk = smallest_eigenpair(
                     restrict(k_band, keep), restrict(m_band, keep), tol=1e-10, max_iter=40
                 )
                 v = np.zeros_like(u)
@@ -196,7 +232,7 @@ def descend_quotient(
             grad = (forms.energy_grad(u, p) - q * forms.mass_grad(u, p)) / L
             grad = np.where(mask, grad, 0.0)
             d = np.zeros_like(grad)
-            d[keep] = solve_tridiag_spd(*metric, grad[keep])
+            d[keep] = metric.solve(grad[keep])
             accepted = try_direction(u, q, -d, grad_step)
             if accepted is not None:
                 grad_step = min(accepted[2] * 1.5, 1e3)

@@ -2,10 +2,12 @@
 
 The oracles deliberately avoid the package's own discretizations: the
 eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, the
-quadrature helpers use closed antiderivatives, and the weak sign check is
-redone one scipy B-spline per bump.  The capacity oracle minimizes the P1
-p-energy of ``phardy.forms`` directly, so it checks the closed-form
-capacity without using the closed form.
+quadrature helpers use closed antiderivatives, the weak sign check is
+redone one scipy B-spline per bump, and the smallest eigenvalue of a
+tridiagonal pencil comes from LAPACK's dense symmetric-definite solver.
+The capacity oracle minimizes the P1 p-energy of ``phardy.forms``
+directly, so it checks the closed-form capacity without using the closed
+form.
 
 The rest is reference code that only tests run, built on the package's
 public API: the weights of known sign the sign checker is scored
@@ -19,9 +21,10 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline
+from scipy.linalg import eigh
 
 from phardy.errors import ZeroDenominatorError
-from phardy.forms import P1Forms, model_densities, restrict, solve_tridiag_spd
+from phardy.forms import P1Forms, TridiagFactor, model_densities, restrict
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
 from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
 from phardy.weights import TOL_WEAK, WeightSpec, rho_catalog_entry, weak_superharmonicity_check
@@ -81,6 +84,18 @@ def euclidean_annulus_capacity(n_dim: int, p: float, a: float, b: float) -> floa
     return (sigma ** (-1.0 / (p - 1.0)) * integral) ** (1.0 - p)
 
 
+def dense(band) -> np.ndarray:
+    """The dense matrix of a symmetric tridiagonal band (diag, off)."""
+    diag, off = band
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_lambda1(k_band, m_band) -> float:
+    """Smallest eigenvalue of the pencil K u = lambda M u, by the dense
+    symmetric-definite eigensolver."""
+    return float(eigh(dense(k_band), dense(m_band), subset_by_index=[0, 0], eigvals_only=True)[0])
+
+
 def capacity_by_minimization(
     model, p: float, a: float, b: float, n: int = 4000
 ) -> float:
@@ -100,9 +115,8 @@ def capacity_by_minimization(
         # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
         k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
         step = np.zeros(n)
-        step[inner] = solve_tridiag_spd(
-            p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off, forms.energy_grad(u, p)[inner]
-        )
+        hessian = TridiagFactor(p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off)
+        step[inner] = hessian.solve(forms.energy_grad(u, p)[inner])
         t = 1.0
         for _ in range(50):
             trial = u - t * step

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scaled
+from oracles import dense_lambda1, scaled
 
 from phardy.errors import InvalidArgumentError
-from phardy.forms import P1Forms
-from phardy.functionals import hardy_case, sides_for, weighted_hardy_case
+from phardy.forms import P1Forms, restrict
+from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
     euclidean_radial,
@@ -135,6 +135,32 @@ def test_quotient_history_non_increasing():
     qs = [h[1] for h in res.history]
     # inverse power iterations converge monotonically from above
     assert all(qs[i + 1] <= qs[i] + 1e-12 * qs[i] for i in range(len(qs) - 1))
+
+
+@pytest.mark.parametrize("lo, n", [(1e-2, 500), (1e-4, 1000), (1e-8, 1000)])
+def test_p2_bracket_holds_the_dense_eigenvalue(lo, n):
+    # lambda1 of the dense pencil lies in [lower, quotient] up to roundoff:
+    # the inertia test and the dense solver each err by up to 3e-11
+    # relative on these grids, and the bracket is at most 1e-10 wide
+    rng = CoordinateRange(lo, 1.0 / lo, True, True)
+    case = hardy_e3(rng)
+    grid = build_grid(rng, n, "log")
+    res = minimize_quotient_p2(case, grid)
+    k_band, m_band = case_forms(case, grid, 2.0).pencil(np.zeros(n), 2.0)
+    inner = slice(1, n - 1)
+    lam = dense_lambda1(restrict(k_band, inner), restrict(m_band, inner))
+    assert res.converged and res.quotient - res.lower <= 1e-10 * res.quotient
+    assert res.lower - 1e-10 * lam <= lam <= res.quotient + 1e-10 * lam
+
+
+def test_p2_bracket_converges_past_the_inertia_roundoff():
+    # at 8k linear nodes the rounding of diag(K) blurs the inertia test by
+    # about 5e-10 relative; the bracket stops at that level and the
+    # quotient, a Rayleigh quotient of the shifted iterate, stays exact
+    grid = build_grid(CoordinateRange(0, 1), 8000, "linear")
+    res = minimize_rayleigh_p2(ones_forms(grid))
+    assert res.converged and abs(res.quotient - res.lower) < 1e-7 * res.quotient
+    assert abs(res.quotient - math.pi ** 2) <= 1e-6 * math.pi ** 2
 
 
 def test_convergence_study_widening():
