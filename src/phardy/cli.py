@@ -259,8 +259,9 @@ def _run_inequality_case(c, conf, record):
                 "converged": res.converged,
                 "bound_ok": bound_ok,
             }
-            if res.lower is not None:
-                record["minimization"]["lower"] = res.lower
+            for key in ("lower", "residual"):
+                if getattr(res, key) is not None:
+                    record["minimization"][key] = getattr(res, key)
             if case.oracle_shift > 0:
                 L = math.log(grid.hi / grid.lo)
                 record["minimization"]["extrapolated"] = (
@@ -322,6 +323,8 @@ _RUNNERS = {
 def run_suite(cfg: dict) -> dict:
     """Check the whole config, then execute every case and assemble the report."""
     conf = _checked("config", cfg, _CONFIG_RULES)
+    if conf["tol_disc"] < 0:
+        raise ConfigError(f"config: 'tol_disc' must be >= 0, got {conf['tol_disc']!r}")
     cases = [_checked_case(i, spec, conf) for i, spec in enumerate(conf["cases"])]
     records = []
     for i, (spec, c) in enumerate(zip(conf["cases"], cases)):

@@ -14,11 +14,10 @@ from .forms import P1Forms, model_densities
 from .functionals import InequalityCase, SidePair, sides_for, weighted_hardy_case
 from .geometry import CoordinateRange, INTERVAL, ModelManifold
 from .grids import GridFunction, RadialGrid, build_grid
-from .optimize import descend_quotient, minimize_rayleigh_p2
+from .optimize import TOL_EIG_GENERAL, descend_quotient, minimize_rayleigh_p2
 from .weights import rho_catalog_entry, weight_from_samples
 
 TOL_EIG_P2 = 1e-6
-TOL_EIG_GENERAL = 1e-4
 
 
 @dataclass
@@ -32,15 +31,6 @@ class EigenPair:
     p: float
     converged: bool
     iterations: int
-
-
-def _weak_residual(forms: P1Forms, u: np.ndarray, lam: float, p: float) -> float:
-    """Relative discrete-form norm of -Delta_p phi - lambda |phi|^{p-2} phi."""
-    kp = forms.energy_grad(u, p) / p
-    mp = forms.mass_grad(u, p) / p
-    r = (kp - lam * mp)[1:-1]
-    scale = np.linalg.norm(kp[1:-1])
-    return float(np.linalg.norm(r) / scale) if scale > 0 else 0.0
 
 
 def first_eigenpair(
@@ -68,7 +58,7 @@ def first_eigenpair(
         res, tol = descend_quotient(forms, p, seed, rtol=1e-10), TOL_EIG_GENERAL
     u = np.abs(res.minimizer.values)
     u = u / np.max(u)
-    residual = _weak_residual(forms, u, res.quotient, p)
+    residual = forms.residual(u, res.quotient, p)
     return EigenPair(
         lambda1=res.quotient,
         phi1=GridFunction(grid, u, dirichlet_zero=True),

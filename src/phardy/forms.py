@@ -40,7 +40,8 @@ class P1Forms:
     at a node where u != 0, or at a Gauss point of such a cell, raises
     NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
     R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has ``energy``, ``mass``,
-    their gradients and ``pencil``, valid once ``check_quotient`` passed.
+    their gradients, the stationarity ``residual`` and ``pencil``, valid
+    once ``check_quotient`` passed.
     """
 
     def __init__(self, grid: RadialGrid, densities):
@@ -133,6 +134,16 @@ class P1Forms:
         g[:-1] += np.sum(core * self.n1, axis=1)
         g[1:] += np.sum(core * self.n2, axis=1)
         return g
+
+    def residual(self, u: np.ndarray, lam: float, p: float) -> float:
+        """Stationarity residual of the quotient at u with value lam: the
+        relative norm, over the interior nodes, of the discrete form of
+        -div(B |u'|^(p-2) u') - lam A |u|^(p-2) u."""
+        kp = self.energy_grad(u, p) / p
+        mp = self.mass_grad(u, p) / p
+        r = (kp - lam * mp)[1:-1]
+        scale = np.linalg.norm(kp[1:-1])
+        return float(np.linalg.norm(r) / scale) if scale > 0 else 0.0
 
 
 def apply_tridiag(diag, off, x):

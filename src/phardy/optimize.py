@@ -3,10 +3,10 @@
 The p = 2 path takes the P1 stiffness/mass pencil of ``forms`` (per-cell
 Gauss quadrature, so the discrete minimum is the true quotient
 of a piecewise-linear admissible function, sitting above the continuum
-infimum and decreasing under nested refinement) and brackets its smallest
-eigenvalue by spectrum slicing: bisection on whether the tridiagonal
-K - sigma M factors, then shifted inverse iteration.  The general-p path
-descends the nonquadratic quotient with a preconditioned gradient and
+infimum and decreasing under nested refinement) to ``bottom_eigenpair``,
+which brackets its smallest eigenvalue by spectrum slicing.  The general-p
+path descends the nonquadratic quotient along the bottom eigenvector of
+the pencil linearized at the iterate, or a preconditioned gradient, with
 Armijo backtracking; descent gives upper bounds, the theorem gives the
 lower bound, and the sandwich is the verification.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .geometry import CoordinateRange, ModelManifold
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 
 
-BRACKET_RTOL = 1e-10  # relative width of a converged p = 2 bracket [lower, quotient]
+BRACKET_RTOL = 1e-10  # relative width of a converged bracket [lower, quotient]
+TOL_EIG_GENERAL = 1e-4  # stationarity residual of a converged general-p descent
 
 
 @dataclass
@@ -37,68 +39,47 @@ class MinimizationResult:
     converged: bool
     history: list = field(default_factory=list, repr=False)
     lower: float | None = None  # p = 2: the largest shift at which K - sigma M factored
+    residual: float | None = None  # descent: P1Forms.residual at the minimizer
 
 
-def inverse_step(factor: TridiagFactor, m_band, u: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration on a tridiagonal pencil K u = mu M u
-    through ``factor``, the factor of K - sigma M at a shift sigma below its
-    spectrum: the M-normalized solution v of (K - sigma M) v = M u."""
-    v = factor.solve(apply_tridiag(*m_band, u))
-    mnorm = math.sqrt(float(v @ apply_tridiag(*m_band, v)))
-    if mnorm == 0.0:
-        raise ZeroDenominatorError("mass norm vanished in inverse iteration")
-    return v / mnorm
+class Bracket(NamedTuple):
+    lower: float
+    slack: float
+    vector: np.ndarray
+    quotients: list
+    factorizations: int
 
 
-def smallest_eigenpair(k_band, m_band, tol: float, max_iter: int):
-    """Inverse iteration with shift 0 from u = 1 on the tridiagonal pencil
-    K u = mu M u, K factored once, until mu moves by at most tol relative
-    in one step or max_iter steps.  Returns (mu, u)."""
-    factor = TridiagFactor(*k_band)
-    u = np.ones(k_band[0].size)
-    mu_prev = math.inf
-    for _ in range(max_iter):
-        u = inverse_step(factor, m_band, u)
-        mu = float(u @ apply_tridiag(*k_band, u))
-        if abs(mu - mu_prev) <= tol * max(abs(mu), 1.0):
-            break
-        mu_prev = mu
-    return mu, u
+def bottom_eigenpair(k_band, m_band) -> Bracket:
+    """Smallest eigenpair of the tridiagonal pencil K u = mu M u, K positive
+    definite and M >= 0, bracketed by spectrum slicing.
 
-
-def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> MinimizationResult:
-    """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
-    quotient forms (A, B), bracketed by spectrum slicing.
-
-    K - sigma M factors iff sigma < lambda1 (Sylvester's law of inertia),
-    up to the rounding of the band's diagonal: ``slack`` = eps u^T diag(K) u
-    for M-normalized u, which grows like 1/h^2.  One inverse step with K
-    gives an upper bound; bisection narrows [lower, upper] to half of
+    K - sigma M factors iff sigma < mu1 (Sylvester's law of inertia), up to
+    the rounding of the band's diagonal: ``slack`` = eps u^T diag(K) u for
+    M-normalized u, which grows like 1/h^2.  One inverse step with K gives
+    an upper bound; bisection narrows [lower, upper] to half of
     max(tol * upper, slack), ``lower`` the largest sigma that factored,
     with tol = BRACKET_RTOL.  Inverse steps shifted to lower, until the
-    quotient moves by at most tol relative, give the minimizer; ``quotient``
-    is its energy/mass.  Converged means quotient - lower <=
-    max(tol * quotient, slack).  ``iterations`` counts factorizations plus
-    back-solves; ``history`` holds the quotients of the inverse steps.
+    quotient moves by at most tol relative, give ``vector``, M-normalized;
+    ``quotients`` holds u^T K u after each inverse step.
     """
-    forms.check_quotient()
     tol = BRACKET_RTOL
-    grid = forms.grid
-    keep = dirichlet_slice(grid.n, dirichlet)
-    k_band, m_band = (restrict(band, keep) for band in forms.pencil(np.zeros(grid.n), 2.0))
-    full = np.zeros(grid.n)
-    history = []
+    quotients = []
 
     def step(factor, u):
-        u = inverse_step(factor, m_band, u)
-        full[keep] = u
-        history.append((len(history) + 1, forms.energy(full, 2.0)))
-        return u
+        # the M-normalized solution v of (K - sigma M) v = M u
+        v = factor.solve(apply_tridiag(*m_band, u))
+        mnorm = math.sqrt(float(v @ apply_tridiag(*m_band, v)))
+        if mnorm == 0.0:
+            raise ZeroDenominatorError("mass norm vanished in inverse iteration")
+        v = v / mnorm
+        quotients.append(float(v @ apply_tridiag(*k_band, v)))
+        return v
 
     factor = TridiagFactor(*k_band)
     u = step(factor, np.ones(k_band[0].size))
     slack = float(np.finfo(float).eps * (u @ (k_band[0] * u)))
-    lower, upper, factorizations = 0.0, history[-1][1], 1
+    lower, upper, factorizations = 0.0, quotients[-1], 1
     while upper - lower > 0.5 * max(tol * upper, slack):
         sigma = 0.5 * (lower + upper)
         trial = TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
@@ -109,16 +90,31 @@ def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> Min
             upper = sigma
     for _ in range(10):  # a shift this close converges in two or three steps
         u = step(factor, u)
-        if abs(history[-2][1] - history[-1][1]) <= tol * history[-1][1]:
+        if abs(quotients[-2] - quotients[-1]) <= tol * quotients[-1]:
             break
+    return Bracket(lower, slack, u, quotients, factorizations)
+
+
+def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> MinimizationResult:
+    """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
+    quotient forms (A, B) by ``bottom_eigenpair``: converged means quotient -
+    lower <= max(BRACKET_RTOL * quotient, slack); ``iterations`` counts
+    factorizations plus back-solves, ``history`` the inverse steps' quotients.
+    """
+    forms.check_quotient()
+    grid = forms.grid
+    keep = dirichlet_slice(grid.n, dirichlet)
+    full = np.zeros(grid.n)
+    pair = bottom_eigenpair(*(restrict(band, keep) for band in forms.pencil(full, 2.0)))
+    full[keep] = pair.vector
     quotient = forms.energy(full, 2.0) / forms.mass(full, 2.0)
     return MinimizationResult(
         quotient=quotient,
         minimizer=GridFunction(grid, full, dirichlet_zero=dirichlet == (True, True)),
-        iterations=factorizations + len(history),
-        converged=quotient - lower <= max(tol * quotient, slack),
-        history=history,
-        lower=lower,
+        iterations=pair.factorizations + len(pair.quotients),
+        converged=quotient - pair.lower <= max(BRACKET_RTOL * quotient, pair.slack),
+        history=list(enumerate(pair.quotients, 1)),
+        lower=pair.lower,
     )
 
 
@@ -157,9 +153,10 @@ def descend_quotient(
 ) -> MinimizationResult:
     """Preconditioned projected gradient descent on R(u)/L(u) over
     nonnegative u with Dirichlet ends, with Armijo backtracking; only strict
-    decreases are accepted, so the recorded history is monotone.  Converged
-    means the quotient moved by at most rtol, relative, over the last 50
-    steps, or no step was accepted."""
+    decreases are accepted, so the recorded history is monotone.  It stops
+    once the quotient moved by at most rtol, relative, over the last 50
+    steps, or no step was accepted.  Converged means stationary: the
+    ``residual`` of the quotient at the last iterate is <= TOL_EIG_GENERAL."""
     forms.check_quotient()
     grid = forms.grid
     keep = dirichlet_slice(grid.n, (True, True))
@@ -184,7 +181,6 @@ def descend_quotient(
     grad_step = 1.0
     eig_step = 1.0
     eig_sleep = 0  # iterations left before retrying the eigenvector direction
-    converged = False
     it = 0
 
     def try_direction(u, q, d, t0):
@@ -202,16 +198,12 @@ def descend_quotient(
     for it in range(1, max_iter + 1):
         accepted = None
         # primary direction: bottom eigenvector of the quotient linearized
-        # at u (reweighted p = 2 pencil, solved by inverse power iteration);
-        # skipped for a stretch while it stops paying off
+        # at u (reweighted p = 2 pencil; positive, as K - sigma M is a
+        # Stieltjes matrix); skipped for a stretch while it stops paying off
         if eig_sleep == 0:
-            k_band, m_band = forms.pencil(u, p)
             try:
-                _, vk = smallest_eigenpair(
-                    restrict(k_band, keep), restrict(m_band, keep), tol=1e-10, max_iter=40
-                )
                 v = np.zeros_like(u)
-                v[keep] = vk if np.sum(vk) >= 0 else -vk
+                v[keep] = bottom_eigenpair(*(restrict(b, keep) for b in forms.pencil(u, p))).vector
                 vmass = forms.mass(v, p)
             except ZeroDenominatorError:
                 vmass = 0.0
@@ -230,27 +222,26 @@ def descend_quotient(
             # fallback: preconditioned quotient gradient with Armijo
             L = forms.mass(u, p)
             grad = (forms.energy_grad(u, p) - q * forms.mass_grad(u, p)) / L
-            grad = np.where(mask, grad, 0.0)
             d = np.zeros_like(grad)
             d[keep] = metric.solve(grad[keep])
             accepted = try_direction(u, q, -d, grad_step)
             if accepted is not None:
                 grad_step = min(accepted[2] * 1.5, 1e3)
         if accepted is None:
-            converged = True
             history.append((it, q))
             break
         u, q, _ = accepted
         history.append((it, q))
         if it > 50 and abs(history[-51][1] - q) <= rtol * abs(q):
-            converged = True
             break
+    residual = forms.residual(u, q, p)
     return MinimizationResult(
         quotient=q,
         minimizer=GridFunction(grid, u, dirichlet_zero=True),
         iterations=it,
-        converged=converged,
+        converged=residual <= TOL_EIG_GENERAL,
         history=history,
+        residual=residual,
     )
 
 

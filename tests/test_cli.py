@@ -313,6 +313,7 @@ BAD_CONFIGS = {
     "duplicate-id": (lambda cfg: cfg["cases"].append(dict(cfg["cases"][0])), "'id'", True),
     "case-not-object": (_set(("cases",), [1]), "'cases'", False),
     "seed-string": (_set(("seed",), "x"), "'seed'", False),
+    "tol-disc-negative": (_set(("tol_disc",), -1.0), "'tol_disc'", False),
     "field-unknown": (_divergence("x"), "'field'", True),
     "field-killing-p-ge-n": (_divergence("killing", p=3), "'params'", True),
     "field-davies-hinz-half-plane": (
@@ -380,6 +381,29 @@ def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
     with pytest.raises(ConfigError, match="'later'"):
         run_suite(cfg)
     assert ran == []
+
+
+def test_negative_tol_disc_flag_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ball_config()))
+    assert main(["run", str(path), "--tol-disc", "-1", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'tol_disc'" in err
+
+
+def test_general_p_config_passes_and_reports_residuals(tmp_path):
+    # five quotient cases off p = 2, each minimized by the descent
+    config = Path(__file__).parent / "data" / "general_p.json"
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out-dir", str(out)]) == 0
+    cases = json.loads((out / "report.json").read_text())["cases"]
+    assert len(cases) == 5
+    for case in cases:
+        m = case["minimization"]
+        assert case["status"] == "pass" and m["bound_ok"]
+        assert "lower" not in m and m["residual"] >= 0.0
+        if case["params"]["p"] in (3, 4):
+            assert m["converged"] and m["residual"] <= 1e-4
 
 
 def test_ball_config_passes(tmp_path):

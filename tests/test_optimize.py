@@ -6,7 +6,7 @@ import pytest
 from oracles import dense_lambda1, scaled
 
 from phardy.errors import InvalidArgumentError
-from phardy.forms import P1Forms, restrict
+from phardy.forms import P1Forms, apply_tridiag, restrict
 from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
@@ -16,6 +16,8 @@ from phardy.geometry import (
 )
 from phardy.grids import GridFunction, build_grid, refine
 from phardy.optimize import (
+    TOL_EIG_GENERAL,
+    bottom_eigenpair,
     convergence_study,
     default_truncation_schedule,
     descend_quotient,
@@ -29,6 +31,7 @@ from phardy.weights import rho_catalog_entry
 
 E3 = euclidean_radial(3)
 E4 = euclidean_radial(4)
+E5 = euclidean_radial(5)
 
 
 def ones_forms(grid):
@@ -96,10 +99,23 @@ def test_general_p_lower_bound_and_decrease():
         grid = build_grid(rng, n, "log")
         res = minimize_quotient_general_p(case, grid, max_iter=3000)
         quotients.append(res.quotient)
+        # the eigen-direction solves each linearized pencil to its bracket,
+        # so the descent ends far inside TOL_EIG_GENERAL
+        assert res.converged and res.residual <= 1e-6
         assert res.quotient >= bound - 1e-6
         gap = sides_for(case, res.minimizer).margin
         assert gap > 0.0
     assert quotients[1] < quotients[0]
+
+
+def test_general_p_converged_means_stationary():
+    # on [1e-12, 1e12] the line search gives up at a residual near 1:
+    # that stop is not convergence
+    rng = CoordinateRange(1e-12, 1e12, True, True)
+    case = hardy_case(E5, rho_catalog_entry("power", E5, 4.0, beta=-1.0 / 3.0), rng)
+    res = minimize_quotient_general_p(case, build_grid(rng, 600, "log"))
+    assert res.residual > TOL_EIG_GENERAL
+    assert res.converged is False
 
 
 def test_warm_start_not_worse_than_cold():
@@ -151,6 +167,25 @@ def test_p2_bracket_holds_the_dense_eigenvalue(lo, n):
     lam = dense_lambda1(restrict(k_band, inner), restrict(m_band, inner))
     assert res.converged and res.quotient - res.lower <= 1e-10 * res.quotient
     assert res.lower - 1e-10 * lam <= lam <= res.quotient + 1e-10 * lam
+
+
+def test_bracket_holds_the_dense_eigenvalue_off_p2():
+    # the p = 3 pencil linearized at u = rho^((p-1)/p) > 0: lambda1 of the
+    # dense pencil lies in [lower - slack, Rayleigh quotient] up to the
+    # dense solver's own error, which a diagonal rescaling shows reaches
+    # 3e-11 relative on such pencils
+    rng = CoordinateRange(1e-3, 1e3, True, True)
+    case = hardy_case(E4, rho_catalog_entry("power", E4, 3.0, beta=-0.5), rng)
+    grid = build_grid(rng, 800, "log")
+    u = case.weight.rho(grid.nodes) ** (2.0 / 3.0)
+    bands = case_forms(case, grid, 3.0).pencil(u, 3.0)
+    k_band, m_band = (restrict(b, slice(1, 799)) for b in bands)
+    pair = bottom_eigenpair(k_band, m_band)
+    v = pair.vector
+    rq = (v @ apply_tridiag(*k_band, v)) / (v @ apply_tridiag(*m_band, v))
+    lam = dense_lambda1(k_band, m_band)
+    assert rq - pair.lower <= max(1e-10 * rq, pair.slack)
+    assert pair.lower - pair.slack - 1e-10 * lam <= lam <= rq + 1e-10 * lam
 
 
 def test_p2_bracket_converges_past_the_inertia_roundoff():
