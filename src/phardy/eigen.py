@@ -55,7 +55,7 @@ def first_eigenpair(
     else:
         x = grid.coord
         seed = np.sin(math.pi * (x - x[0]) / (x[-1] - x[0]))
-        res, tol = descend_quotient(forms, p, seed, rtol=1e-10), TOL_EIG_GENERAL
+        res, tol = descend_quotient(forms, p, seed), TOL_EIG_GENERAL
     u = np.abs(res.minimizer.values)
     u = u / np.max(u)
     residual = forms.residual(u, res.quotient, p)

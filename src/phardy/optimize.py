@@ -29,6 +29,7 @@ from .grids import GridFunction, LOG, RadialGrid, build_grid
 
 BRACKET_RTOL = 1e-10  # relative width of a converged bracket [lower, quotient]
 TOL_EIG_GENERAL = 1e-4  # stationarity residual of a converged general-p descent
+MAX_ITER = 5000  # steps a general-p descent takes at most
 
 
 @dataclass
@@ -125,38 +126,18 @@ def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> Minimization
     return minimize_rayleigh_p2(case_forms(case, grid, case.p))
 
 
-def default_seed_profile(case: InequalityCase, grid: RadialGrid) -> GridFunction:
-    """rho^((p-1)/p), capped and cut off near the truncated endpoints.
-
-    The uncapped profile is the formal minimizer when it lies in the energy
-    space; capping and cutting keep it admissible on the truncated range.
-    """
-    p = case.p
-    vals = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
-    cap = np.quantile(vals, 0.95)
-    vals = np.minimum(vals, cap)
-    c = grid.coord
-    edge = 0.08 * (c[-1] - c[0])
-    ramp_lo = np.clip((c - c[0]) / edge, 0.0, 1.0)
-    ramp_hi = np.clip((c[-1] - c) / edge, 0.0, 1.0)
-    vals = vals * ramp_lo * ramp_hi
-    vals[0] = vals[-1] = 0.0
-    return GridFunction(grid, vals, dirichlet_zero=True)
-
-
 def descend_quotient(
     forms: P1Forms,
     p: float,
     u0: np.ndarray,
-    rtol: float = 1e-8,
-    max_iter: int = 100000,
+    max_iter: int = MAX_ITER,
 ) -> MinimizationResult:
     """Preconditioned projected gradient descent on R(u)/L(u) over
     nonnegative u with Dirichlet ends, with Armijo backtracking; only strict
     decreases are accepted, so the recorded history is monotone.  It stops
-    once the quotient moved by at most rtol, relative, over the last 50
-    steps, or no step was accepted.  Converged means stationary: the
-    ``residual`` of the quotient at the last iterate is <= TOL_EIG_GENERAL."""
+    when no direction lowers the quotient, or after max_iter steps.
+    Converged means stationary: the ``residual`` of the quotient at the
+    last iterate is <= TOL_EIG_GENERAL."""
     forms.check_quotient()
     grid = forms.grid
     keep = dirichlet_slice(grid.n, (True, True))
@@ -232,8 +213,6 @@ def descend_quotient(
             break
         u, q, _ = accepted
         history.append((it, q))
-        if it > 50 and abs(history[-51][1] - q) <= rtol * abs(q):
-            break
     residual = forms.residual(u, q, p)
     return MinimizationResult(
         quotient=q,
@@ -246,17 +225,14 @@ def descend_quotient(
 
 
 def minimize_quotient_general_p(
-    case: InequalityCase,
-    grid: RadialGrid,
-    u0: GridFunction | None = None,
-    rtol: float = 1e-8,
-    max_iter: int = 100000,
+    case: InequalityCase, grid: RadialGrid, max_iter: int = MAX_ITER
 ) -> MinimizationResult:
-    """Normalized descent on the discrete quotient for any p > 1."""
-    if u0 is None:
-        u0 = default_seed_profile(case, grid)
-    forms = case_forms(case, grid, case.p)
-    return descend_quotient(forms, case.p, u0.values, rtol=rtol, max_iter=max_iter)
+    """Normalized descent on the discrete quotient for any p > 1, seeded
+    with the formal ground state rho^((p-1)/p), zero at both ends."""
+    p = case.p
+    seed = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
+    seed[0] = seed[-1] = 0.0
+    return descend_quotient(case_forms(case, grid, p), p, seed, max_iter=max_iter)
 
 
 def estimate_lambda1(
@@ -287,36 +263,22 @@ class StudyResult:
     extrapolated: list
 
 
-def default_truncation_schedule(
-    levels: int = 3, n0: int = 1000
-) -> list[tuple[CoordinateRange, int]]:
-    """(eps, R) = (1e-2-k, 1e2+k) with n doubling per level."""
-    out = []
+def extrapolated(case: InequalityCase, quotient: float, grid: RadialGrid) -> float:
+    """The quotient less the (pi/ln(hi/lo))^2 correction the p = 2
+    log-substitution oracle predicts; the quotient itself when the oracle
+    does not apply."""
+    if case.oracle_shift > 0:
+        return quotient - case.oracle_shift * (math.pi / math.log(grid.hi / grid.lo)) ** 2
+    return quotient
+
+
+def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> StudyResult:
+    """Minimize on the widening ranges (1e-2-k, 1e2+k) with n0 2^k nodes,
+    k < levels, and extrapolate each quotient by ``extrapolated``."""
+    grids, results, quotients, gaps, extrapolations = [], [], [], [], []
     for k in range(levels):
-        rng = CoordinateRange(
-            10.0 ** (-2 - k), 10.0 ** (2 + k), open_lo=True, open_hi=True
-        )
-        out.append((rng, n0 * 2 ** k))
-    return out
-
-
-def convergence_study(
-    case: InequalityCase,
-    schedule: list | None = None,
-    levels: int = 3,
-    n0: int = 1000,
-) -> StudyResult:
-    """Minimize across a widening/refining schedule and extrapolate.
-
-    Richardson-style extrapolation subtracts the oracle-predicted
-    (pi/ln(R/eps))^2 correction when the p = 2 log-substitution oracle
-    applies to the case; otherwise raw quotients are reported.
-    """
-    if schedule is None:
-        schedule = default_truncation_schedule(levels, n0)
-    grids, results, quotients, gaps, extrapolated = [], [], [], [], []
-    for rng, n in schedule:
-        grid = build_grid(rng, n, LOG if rng.lo > 0 else "linear")
+        rng = CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k), open_lo=True, open_hi=True)
+        grid = build_grid(rng, n0 * 2 ** k, LOG)
         with assembled(case, grid, case.p):
             if case.p != 2.0:
                 res = minimize_quotient_general_p(case, grid)
@@ -326,15 +288,11 @@ def convergence_study(
         grids.append(grid)
         results.append(res)
         quotients.append(res.quotient)
-        if case.oracle_shift > 0:
-            L = math.log(grid.hi / grid.lo)
-            extrapolated.append(res.quotient - case.oracle_shift * (math.pi / L) ** 2)
-        else:
-            extrapolated.append(res.quotient)
+        extrapolations.append(extrapolated(case, res.quotient, grid))
     return StudyResult(
         grids=grids,
         results=results,
         quotients=quotients,
         gaps=gaps,
-        extrapolated=extrapolated,
+        extrapolated=extrapolations,
     )

@@ -160,8 +160,6 @@ model      | hyperbolic             | density sigma_(N-1) sinh^(N-1)(r)
 model      | interval               | density 1
 weight     | constant:c=C           | rho = C
 weight     | dist-boundary          | rho = min(x-a, b-x)
-weight     | eigenfunction          | rho = phi_1
-weight     | green                  | rho(t) = int_t^hi s^(-1/(p-1))
 weight     | halfplane-y            | rho = y
 weight     | log:inner|outer        | rho = |ln r|
 weight     | power:beta=B           | rho = r^B
@@ -174,6 +172,41 @@ def test_list_catalog_contents_and_determinism(capsys):
     assert list_catalog() == CATALOG
     assert main(["list"]) == 0
     assert capsys.readouterr().out == CATALOG
+
+
+# the model a listed weight family needs; the others take E3
+E3_MODEL = {"kind": "euclidean", "dim": 3}
+WEIGHT_MODELS = {
+    "dist-boundary": {"kind": "interval", "a": 0.0, "b": 1.0},
+    "halfplane-y": {"kind": "half_plane"},
+}
+
+
+def test_every_listed_weight_passes_the_config_check(monkeypatch):
+    # each weight row of `phardy list`, its placeholder filled in, is a
+    # weight a config can name
+    fills = {"": [""], "c=C": ["c=2"], "beta=B": ["beta=-1"], "inner|outer": ["inner", "outer"]}
+    specs = []
+    for line in list_catalog().splitlines():
+        group, name, _ = (field.strip() for field in line.split(" | ", 2))
+        if group == "weight":
+            family, _, rest = name.partition(":")
+            specs += [(family, f"{family}:{fill}" if fill else family) for fill in fills[rest]]
+    cases = [
+        {"id": spec, "kind": "hardy", "model": WEIGHT_MODELS.get(family, E3_MODEL),
+         "weight": spec, "params": {"p": 2},
+         "grid": {"lo": 0.05, "hi": 0.95, "n": 200, "spacing": "linear"}}
+        for family, spec in specs
+    ]
+    ran = []
+
+    def skip(c, conf, record):
+        ran.append(c["case"].weight.name)
+        record.update(case_id=c["id"], status="pass")
+
+    monkeypatch.setattr(phardy.cli, "_run_inequality_case", skip)
+    run_suite({"cases": cases})
+    assert ran == [spec for _, spec in specs] and len(ran) == 7
 
 
 def test_emit_round_trip_and_headers(tmp_path):
@@ -404,6 +437,10 @@ def test_general_p_config_passes_and_reports_residuals(tmp_path):
         assert "lower" not in m and m["residual"] >= 0.0
         if case["params"]["p"] in (3, 4):
             assert m["converged"] and m["residual"] <= 1e-4
+    # seeded with the ground state rho^((p-1)/p), the 500-step p = 1.5
+    # descent ends at 0.19531, within 1.5% of C = 0.19245
+    assert cases[2]["case_id"] == "hardy-euclidean5-p1.5"
+    assert cases[2]["minimization"]["quotient"] <= 0.1954
 
 
 def test_ball_config_passes(tmp_path):

@@ -14,12 +14,11 @@ from phardy.geometry import (
     half_plane_poincare,
     interval,
 )
-from phardy.grids import GridFunction, build_grid, refine
+from phardy.grids import build_grid, refine
 from phardy.optimize import (
     TOL_EIG_GENERAL,
     bottom_eigenpair,
     convergence_study,
-    default_truncation_schedule,
     descend_quotient,
     estimate_lambda1,
     minimize_quotient_general_p,
@@ -82,7 +81,7 @@ def test_p2_descent_agrees_with_inverse_iteration():
     forms = ones_forms(grid)
     res = minimize_rayleigh_p2(forms)
     seed = grid.nodes * (1.0 - grid.nodes)
-    desc = descend_quotient(forms, 2.0, seed, rtol=1e-12)
+    desc = descend_quotient(forms, 2.0, seed)
     assert desc.converged
     assert abs(desc.quotient - res.quotient) <= 1e-6 * res.quotient
     qs = [h[1] for h in desc.history]
@@ -125,13 +124,11 @@ def test_warm_start_not_worse_than_cold():
     case = hardy_case(m, w, rng)
     coarse = build_grid(rng, 101, "linear")
     fine = refine(coarse)
-    cold = minimize_quotient_general_p(case, fine, rtol=1e-12)
-    coarse_res = minimize_quotient_general_p(case, coarse, rtol=1e-12)
+    cold = minimize_quotient_general_p(case, fine)
+    coarse_res = minimize_quotient_general_p(case, coarse)
     warm_vals = np.interp(fine.nodes, coarse.nodes, coarse_res.minimizer.values)
     warm_vals[0] = warm_vals[-1] = 0.0
-    warm = minimize_quotient_general_p(
-        case, fine, u0=GridFunction(fine, warm_vals, dirichlet_zero=True), rtol=1e-12
-    )
+    warm = descend_quotient(case_forms(case, fine, case.p), case.p, warm_vals)
     assert warm.quotient <= cold.quotient + 1e-10
 
 
@@ -200,7 +197,7 @@ def test_p2_bracket_converges_past_the_inertia_roundoff():
 
 def test_convergence_study_widening():
     case = hardy_e3(CoordinateRange(1e-4, 1e4, True, True))
-    study = convergence_study(case, schedule=default_truncation_schedule(3, 800))
+    study = convergence_study(case, levels=3, n0=800)
     assert all(
         study.quotients[i + 1] < study.quotients[i]
         for i in range(len(study.quotients) - 1)
