@@ -259,7 +259,7 @@ def _run_inequality_case(c, conf, record):
                 "converged": res.converged,
                 "bound_ok": bound_ok,
             }
-            for key in ("lower", "residual"):
+            for key in ("lower", "residual", "stop"):
                 if getattr(res, key) is not None:
                     record["minimization"][key] = getattr(res, key)
             if case.oracle_shift > 0:

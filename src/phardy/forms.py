@@ -40,8 +40,8 @@ class P1Forms:
     at a node where u != 0, or at a Gauss point of such a cell, raises
     NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
     R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has ``energy``, ``mass``,
-    their gradients, the stationarity ``residual`` and ``pencil``, valid
-    once ``check_quotient`` passed.
+    both with their ``gradients`` from one pass (``evaluate``), ``residual``
+    and ``pencil``, valid once ``check_quotient`` passed.
     """
 
     def __init__(self, grid: RadialGrid, densities):
@@ -116,31 +116,35 @@ class P1Forms:
     def energy(self, u: np.ndarray, p: float) -> float:
         return float(np.dot(self.b_cell, np.abs(self.slopes(u)) ** p))
 
-    def energy_grad(self, u: np.ndarray, p: float) -> np.ndarray:
-        slope = self.slopes(u)
-        dcell = self.b_cell * p * np.sign(slope) * np.abs(slope) ** (p - 1.0) / self.h
-        g = np.zeros_like(u)
-        g[1:] += dcell
-        g[:-1] -= dcell
-        return g
-
     def mass(self, u: np.ndarray, p: float) -> float:
         return float(np.sum(self.a_wts[0] * np.abs(self.values(u)) ** p))
 
-    def mass_grad(self, u: np.ndarray, p: float) -> np.ndarray:
-        ug = self.values(u)
-        core = self.a_wts[0] * p * np.sign(ug) * np.abs(ug) ** (p - 1.0)
-        g = np.zeros_like(u)
-        g[:-1] += np.sum(core * self.n1, axis=1)
-        g[1:] += np.sum(core * self.n2, axis=1)
-        return g
+    def evaluate(self, u: np.ndarray, p: float):
+        """E(u), L(u) and the Gauss data of their gradients from one pass:
+        u' with |u'|^(p-1) per cell, u with A |u|^(p-1) per Gauss point."""
+        slope, ug = self.slopes(u), self.values(u)
+        slope_abs, ug_abs = np.abs(slope), np.abs(ug)
+        gauss = (slope, slope_abs ** (p - 1.0), ug, self.a_wts[0] * ug_abs ** (p - 1.0))
+        energy = float(np.dot(self.b_cell, gauss[1] * slope_abs))
+        return energy, float(np.sum(gauss[3] * ug_abs)), gauss
+
+    def gradients(self, gauss, p: float):
+        """grad E and grad L from the Gauss data of ``evaluate``."""
+        slope, slope_pow, ug, a_pow = gauss
+        dcell = self.b_cell * p * np.sign(slope) * slope_pow / self.h
+        core = p * np.sign(ug) * a_pow
+        ge, gl = np.zeros(self.grid.n), np.zeros(self.grid.n)
+        ge[1:] += dcell
+        ge[:-1] -= dcell
+        gl[:-1] += np.sum(core * self.n1, axis=1)
+        gl[1:] += np.sum(core * self.n2, axis=1)
+        return ge, gl
 
     def residual(self, u: np.ndarray, lam: float, p: float) -> float:
         """Stationarity residual of the quotient at u with value lam: the
         relative norm, over the interior nodes, of the discrete form of
         -div(B |u'|^(p-2) u') - lam A |u|^(p-2) u."""
-        kp = self.energy_grad(u, p) / p
-        mp = self.mass_grad(u, p) / p
+        kp, mp = (g / p for g in self.gradients(self.evaluate(u, p)[2], p))
         r = (kp - lam * mp)[1:-1]
         scale = np.linalg.norm(kp[1:-1])
         return float(np.linalg.norm(r) / scale) if scale > 0 else 0.0

@@ -41,6 +41,7 @@ class MinimizationResult:
     history: list = field(default_factory=list, repr=False)
     lower: float | None = None  # p = 2: the largest shift at which K - sigma M factored
     residual: float | None = None  # descent: P1Forms.residual at the minimizer
+    stop: str | None = None  # descent: "no-step" or "max_iter"
 
 
 class Bracket(NamedTuple):
@@ -135,7 +136,8 @@ def descend_quotient(
     """Preconditioned projected gradient descent on R(u)/L(u) over
     nonnegative u with Dirichlet ends, with Armijo backtracking; only strict
     decreases are accepted, so the recorded history is monotone.  It stops
-    when no direction lowers the quotient, or after max_iter steps.
+    when no direction lowers the quotient, or after max_iter steps, and
+    ``stop`` says which ("no-step" or "max_iter").
     Converged means stationary: the ``residual`` of the quotient at the
     last iterate is <= TOL_EIG_GENERAL."""
     forms.check_quotient()
@@ -153,26 +155,27 @@ def descend_quotient(
         return np.abs(np.where(mask, u, 0.0))
 
     u = project(np.asarray(u0, dtype=float))
-    L = forms.mass(u, p)
+    energy, L, gauss = forms.evaluate(u, p)
     if L <= 0:
         raise ZeroDenominatorError("seed profile has zero mass")
+    q = energy / L
     u = u / L ** (1.0 / p)
-    q = forms.energy(u, p) / forms.mass(u, p)
     history = [(0, q)]
     grad_step = 1.0
     eig_step = 1.0
     eig_sleep = 0  # iterations left before retrying the eigenvector direction
-    it = 0
+    it, stop = 0, "max_iter"
 
     def try_direction(u, q, d, t0):
+        # (u, q) normalized to mass 1, the trial's mass and Gauss data, step
         t = t0
         for _ in range(60):
             trial = project(u + t * d)
-            Lt = forms.mass(trial, p)
-            if Lt > 0:
-                qt = forms.energy(trial, p) / Lt
-                if qt < q:
-                    return trial / Lt ** (1.0 / p), qt, t
+            energy, Lt, gauss = forms.evaluate(trial, p)
+            if Lt > 0 and energy / Lt < q:
+                return trial / Lt ** (1.0 / p), energy / Lt, Lt, gauss, t
+            if np.array_equal(trial, u):  # t d is below an ulp of u, as is every smaller step
+                break
             t *= 0.5
         return None
 
@@ -192,7 +195,7 @@ def descend_quotient(
                 v = v / vmass ** (1.0 / p)
                 accepted = try_direction(u, q, v - u, min(2.0 * eig_step, 1.0))
             if accepted is not None:
-                eig_step = accepted[2]
+                eig_step = accepted[-1]
                 if eig_step < 1e-3:
                     eig_sleep = 25
             else:
@@ -200,18 +203,20 @@ def descend_quotient(
         else:
             eig_sleep -= 1
         if accepted is None:
-            # fallback: preconditioned quotient gradient with Armijo
-            L = forms.mass(u, p)
-            grad = (forms.energy_grad(u, p) - q * forms.mass_grad(u, p)) / L
+            # fallback: preconditioned quotient gradient with Armijo; at the
+            # iterate u = trial / L^(1/p) it is (grad E - q grad L)(trial) / L^(1-1/p)
+            ge, gl = forms.gradients(gauss, p)
+            grad = (ge - q * gl) * L ** (1.0 / p - 1.0)
             d = np.zeros_like(grad)
             d[keep] = metric.solve(grad[keep])
             accepted = try_direction(u, q, -d, grad_step)
             if accepted is not None:
-                grad_step = min(accepted[2] * 1.5, 1e3)
+                grad_step = min(accepted[-1] * 1.5, 1e3)
         if accepted is None:
             history.append((it, q))
+            stop = "no-step"
             break
-        u, q, _ = accepted
+        u, q, L, gauss, _ = accepted
         history.append((it, q))
     residual = forms.residual(u, q, p)
     return MinimizationResult(
@@ -221,6 +226,7 @@ def descend_quotient(
         converged=residual <= TOL_EIG_GENERAL,
         history=history,
         residual=residual,
+        stop=stop,
     )
 
 

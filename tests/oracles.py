@@ -116,7 +116,7 @@ def capacity_by_minimization(
         k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
         step = np.zeros(n)
         hessian = TridiagFactor(p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off)
-        step[inner] = hessian.solve(forms.energy_grad(u, p)[inner])
+        step[inner] = hessian.solve(forms.gradients(forms.evaluate(u, p)[2], p)[0][inner])
         t = 1.0
         for _ in range(50):
             trial = u - t * step

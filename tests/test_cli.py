@@ -437,10 +437,12 @@ def test_general_p_config_passes_and_reports_residuals(tmp_path):
         assert "lower" not in m and m["residual"] >= 0.0
         if case["params"]["p"] in (3, 4):
             assert m["converged"] and m["residual"] <= 1e-4
+            assert m["stop"] == "no-step"
     # seeded with the ground state rho^((p-1)/p), the 500-step p = 1.5
     # descent ends at 0.19531, within 1.5% of C = 0.19245
     assert cases[2]["case_id"] == "hardy-euclidean5-p1.5"
     assert cases[2]["minimization"]["quotient"] <= 0.1954
+    assert cases[2]["minimization"]["stop"] == "max_iter"
 
 
 def test_ball_config_passes(tmp_path):

@@ -59,6 +59,13 @@ def test_interval_eigenvalue_p3_matches_shooting(pair_p3):
     assert pair_p3.residual < 1e-4 and pair_p3.converged
 
 
+def test_interval_eigenvalue_p15_matches_shooting():
+    pair = first_eigenpair(UNIT, 1.5, UNIT_RNG, n=1200)
+    oracle = plaplace_lambda1_shooting(1.5, 1.0)
+    assert abs(pair.lambda1 - oracle) <= 1e-5 * oracle
+    assert pair.converged
+
+
 def test_descent_agrees_with_inverse_iteration_p2(pair_p2):
     grid = pair_p2.phi1.grid
     ones = lambda t: (np.ones_like(t), np.ones_like(t))  # noqa: E731

@@ -1,7 +1,12 @@
 """P1 forms: one assembly per case and grid, minimized only when they are
-a quotient's; the factored tridiagonal kernel."""
+a quotient's, one pass over the Gauss points per descent point; the
+factored tridiagonal kernel."""
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 
 from oracles import dense, dense_lambda1
@@ -14,7 +19,12 @@ from phardy.forms import P1Forms, TridiagFactor, dirichlet_slice, restrict
 from phardy.functionals import gn_case, hardy_case
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import build_grid
-from phardy.optimize import convergence_study, minimize_quotient_p2, minimize_rayleigh_p2
+from phardy.optimize import (
+    convergence_study,
+    minimize_quotient_general_p,
+    minimize_quotient_p2,
+    minimize_rayleigh_p2,
+)
 from phardy.weights import rho_catalog_entry
 
 
@@ -49,6 +59,81 @@ def test_one_assembly_per_case_and_grid(run, assemblies, monkeypatch):
     )
     run()
     assert len(calls) == assemblies
+
+
+def test_descent_passes_over_each_point_once(monkeypatch):
+    # P1Forms.values runs once per P1Forms.evaluate (each trial point, the
+    # seed and the final residual), plus twice per eigen-direction attempt
+    # (its pencil at the iterate and the eigenvector's mass), and nowhere else;
+    # a line search that has shrunk its step below an ulp of the iterate
+    # stops instead of evaluating that same point again
+    calls, last = Counter(), [None]
+    evaluate = P1Forms.evaluate
+
+    def counted(name, original):
+        return lambda *args: calls.update([name]) or original(*args)
+
+    def counted_evaluate(self, u, p):
+        calls.update(evaluate=1, repeats=u.tobytes() == last[0])
+        last[0] = u.tobytes()
+        return evaluate(self, u, p)
+
+    monkeypatch.setattr(P1Forms, "values", counted("values", P1Forms.values))
+    monkeypatch.setattr(P1Forms, "evaluate", counted_evaluate)
+    monkeypatch.setattr(
+        phardy.optimize, "bottom_eigenpair",
+        counted("attempts", phardy.optimize.bottom_eigenpair),
+    )
+    e5 = euclidean_radial(5)
+    rng = CoordinateRange(1e-2, 1e2)
+    case = hardy_case(e5, rho_catalog_entry("power", e5, 1.5, beta=-7.0), rng)
+    res = minimize_quotient_general_p(case, build_grid(rng, 200, "log"), max_iter=200)
+    assert res.stop == "max_iter" and calls["evaluate"] > res.iterations > calls["attempts"]
+    assert calls["values"] <= calls["evaluate"] + 2 * calls["attempts"]
+    assert calls["repeats"] == 0
+
+
+# A > 0 and B > 0 that vary over the cells, on a log grid
+GRAD_FORMS = P1Forms(
+    build_grid(CoordinateRange(0.1, 10.0), 24, "log"), lambda t: (t ** 2, 1.0 + t)
+)
+
+
+def _gradients_written_out(forms, u, p):
+    """grad E and grad L of E = int B |u'|^p, L = int A |u|^p, each
+    differentiated on its own from the slopes and Gauss values of u."""
+    slope, ug = forms.slopes(u), forms.values(u)
+    dcell = forms.b_cell * p * np.sign(slope) * np.abs(slope) ** (p - 1.0) / forms.h
+    core = forms.a_wts[0] * p * np.sign(ug) * np.abs(ug) ** (p - 1.0)
+    ge = np.append(0.0, dcell) - np.append(dcell, 0.0)
+    gl = np.append(np.sum(core * forms.n1, axis=1), 0.0)
+    gl += np.append(0.0, np.sum(core * forms.n2, axis=1))
+    return ge, gl
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([1.5, 3.0, 4.0]),
+    inner=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=22, max_size=22),
+    s=st.floats(0.1, 10.0),
+)
+def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
+    forms = GRAD_FORMS
+    u = np.array([0.0, *inner, 0.0])
+    assume(np.any(u > 0))
+    energy, mass, gauss = forms.evaluate(u, p)
+    assert energy == pytest.approx(forms.energy(u, p), rel=1e-13)
+    assert mass == pytest.approx(forms.mass(u, p), rel=1e-13)
+    q = energy / mass
+    ge, gl = forms.gradients(gauss, p)
+    want_e, want_l = _gradients_written_out(forms, u, p)
+    scale = np.max(np.abs(want_e)) + q * np.max(np.abs(want_l))
+    assert np.max(np.abs((ge - q * gl) - (want_e - q * want_l))) <= 1e-13 * scale
+    # p-homogeneity: at s u each gradient is s^(p-1) times the one at u,
+    # which is how the descent gets the gradient of its normalized iterate
+    ge_s, gl_s = forms.gradients(forms.evaluate(s * u, p)[2], p)
+    drift = (ge_s - q * gl_s) - s ** (p - 1.0) * (ge - q * gl)
+    assert np.max(np.abs(drift)) <= 1e-13 * s ** (p - 1.0) * scale
 
 
 def test_minimizers_take_only_the_forms_of_a_quotient():
