@@ -117,7 +117,6 @@ def poincare_eigen_case(pair: EigenPair, s: float) -> InequalityCase:
         model=pair.model,
         weight=eigen_weight(pair),
         params={"p": pair.p, "s": s},
-        rng=CoordinateRange(pair.phi1.grid.lo, pair.phi1.grid.hi),
         formula_constant=poincare_eigen_constant(pair, s),
         case_id=f"poincare-eigen[{pair.model.kind}|p={pair.p:g}|s={s:g}]",
     )
@@ -167,7 +166,6 @@ def distance_hardy_case(pair: EigenPair, eps_split: float = 0.1) -> InequalityCa
         model=pair.model,
         weight=rho_catalog_entry("dist-boundary", pair.model, pair.p),
         params={"p": pair.p, "eps_split": eps_split},
-        rng=CoordinateRange(pair.phi1.grid.lo, pair.phi1.grid.hi),
         formula_constant=distance_hardy_constant(pair, eps_split),
         case_id=f"distance-hardy[{pair.model.kind}|p={pair.p:g}|eps={eps_split:g}]",
     )

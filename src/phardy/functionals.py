@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .forms import P1Forms, model_densities
-from .geometry import CoordinateRange, EUCLIDEAN, HALF_PLANE, ModelManifold
+from .geometry import EUCLIDEAN, HALF_PLANE, ModelManifold
 from .grids import GridFunction, RadialGrid
 from .weights import CheckResult, WeightSpec, weak_superharmonicity_check
 
@@ -53,13 +53,13 @@ class SidePair:
 @dataclass
 class InequalityCase:
     """One configured inequality: weight, model, parameters and the
-    constant evaluated from the closed-form formula."""
+    constant evaluated from the closed-form formula.  It holds no range:
+    it is checked on the grid it is handed, Dirichlet at both ends."""
 
     kind: str
     model: ModelManifold
     weight: WeightSpec | None
     params: dict
-    rng: CoordinateRange
     formula_constant: float
     case_id: str = ""
     hypothesis_mode: str | None = None  # "superharmonic" | "subharmonic" | None
@@ -69,6 +69,8 @@ class InequalityCase:
     _assembled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.case_id, str):
+            raise InvalidArgumentError(f"case_id must be a string, got {self.case_id!r}")
         if not self.case_id:
             bits = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
             wname = self.weight.name if self.weight else "-"
@@ -248,7 +250,6 @@ def weighted_hardy_case(
     model: ModelManifold,
     weight: WeightSpec,
     alpha: float,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     p = weight.p
@@ -259,7 +260,6 @@ def weighted_hardy_case(
         model=model,
         weight=weight,
         params={"p": p, "alpha": alpha},
-        rng=rng or model.natural_range(),
         formula_constant=const,
         case_id=case_id,
         hypothesis_mode=_hypothesis_mode_for_alpha(p, alpha),
@@ -271,17 +271,16 @@ def weighted_hardy_case(
 def hardy_case(
     model: ModelManifold,
     weight: WeightSpec,
-    rng: CoordinateRange | None = None,
+    rng=None,  # unread: perfbench/workloads.py passes a range in this slot
     case_id: str = "",
 ) -> InequalityCase:
-    return weighted_hardy_case(model, weight, 0.0, rng, case_id)
+    return weighted_hardy_case(model, weight, 0.0, case_id)
 
 
 def caccioppoli_case(
     model: ModelManifold,
     weight: WeightSpec,
     q: float,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     if q <= -1:
@@ -292,7 +291,6 @@ def caccioppoli_case(
         model=model,
         weight=weight,
         params={"p": p, "q": q},
-        rng=rng or model.natural_range(),
         formula_constant=((q + 1.0) / p) ** p,
         case_id=case_id,
         hypothesis_mode="subharmonic",
@@ -303,7 +301,6 @@ def gn_case(
     model: ModelManifold,
     weight: WeightSpec,
     delta: float,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     if model.kind == HALF_PLANE:
@@ -319,7 +316,6 @@ def gn_case(
         model=model,
         weight=weight,
         params={"p": p, "alpha": alpha, "delta": delta},
-        rng=rng or model.natural_range(),
         formula_constant=(p / (abs(alpha) * (p - 1.0))) ** (p - 1.0),
         case_id=case_id,
         hypothesis_mode="superharmonic",
@@ -331,7 +327,6 @@ def uncertainty_case(
     weight: WeightSpec,
     s: float,
     a: float,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     if model.kind == HALF_PLANE:
@@ -349,7 +344,6 @@ def uncertainty_case(
         model=model,
         weight=weight,
         params={"p": p, "alpha": alpha, "s": s, "a": a},
-        rng=rng or model.natural_range(),
         formula_constant=(p / (abs(alpha) * (p - 1.0))) ** (p / a),
         case_id=case_id,
         hypothesis_mode="superharmonic",
@@ -362,7 +356,6 @@ def hardy_sobolev_case(
     theta: float,
     p_star: float,
     sobolev_constant: float,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     p = weight.p
@@ -384,7 +377,6 @@ def hardy_sobolev_case(
             "sobolev_constant": sobolev_constant,
             "H_val": H,
         },
-        rng=rng or model.natural_range(),
         formula_constant=hardy_sobolev_constant(sobolev_constant, H, theta, p),
         case_id=case_id,
         hypothesis_mode=_hypothesis_mode_for_alpha(p, p * theta),
@@ -403,7 +395,6 @@ def ckn_case(
     eps: float | None = None,
     sigma: float = 0.0,
     sobolev_constant: float = None,
-    rng: CoordinateRange | None = None,
     case_id: str = "",
 ) -> InequalityCase:
     """Validate the three CKN parameter relations and evaluate C3."""
@@ -446,7 +437,6 @@ def ckn_case(
             "sobolev_constant": sobolev_constant,
             "H_val": H,
         },
-        rng=rng or model.natural_range(),
         formula_constant=c3,
         case_id=case_id,
         hypothesis_mode=_hypothesis_mode_for_alpha(p, p * theta),
@@ -507,7 +497,6 @@ def divergence_case(
         model=model,
         weight=None,
         params={"p": p, "field": field_name, "h_mag": h_mag, "a_h": a_h},
-        rng=model.natural_range(),
         formula_constant=p ** p,
         case_id=case_id or f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]",
     )
@@ -541,7 +530,7 @@ class Kind:
 
     ``params`` maps each config parameter to its type (required) or to its
     default (optional, of the default's type; None: an optional number).
-    ``factory(model, weight, rng=, case_id=, **params)`` builds the case
+    ``factory(model, weight, case_id=, **params)`` builds the case
     from a config, p coming with the weight; the CLI builds the other kinds
     from an eigenpair or a vector field, or runs them as checks.
     ``densities(case, t)`` gives the factors (a_1, ..., a_k, b) of the side

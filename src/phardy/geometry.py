@@ -72,11 +72,6 @@ class ModelManifold:
     def is_radial(self) -> bool:
         return self.kind in (EUCLIDEAN, HYPERBOLIC)
 
-    def natural_range(self) -> CoordinateRange:
-        if self.kind == INTERVAL:
-            return CoordinateRange(self.a, self.b)
-        return CoordinateRange(0.0, math.inf, open_lo=True, open_hi=True)
-
     def check_domain(self, t) -> np.ndarray:
         """t as a float array; a DomainError if a value leaves the model's
         coordinate range ([a, b] on an interval, t > 0 otherwise)."""

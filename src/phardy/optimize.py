@@ -109,7 +109,8 @@ def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> Min
     full = np.zeros(grid.n)
     pair = bottom_eigenpair(*(restrict(band, keep) for band in forms.pencil(full, 2.0)))
     full[keep] = pair.vector
-    quotient = forms.energy(full, 2.0) / forms.mass(full, 2.0)
+    energy, mass, _ = forms.evaluate(full, 2.0)
+    quotient = energy / mass
     return MinimizationResult(
         quotient=quotient,
         minimizer=GridFunction(grid, full, dirichlet_zero=dirichlet == (True, True)),
@@ -188,7 +189,7 @@ def descend_quotient(
             try:
                 v = np.zeros_like(u)
                 v[keep] = bottom_eigenpair(*(restrict(b, keep) for b in forms.pencil(u, p))).vector
-                vmass = forms.mass(v, p)
+                vmass = forms.evaluate(v, p)[1]
             except ZeroDenominatorError:
                 vmass = 0.0
             if vmass > 0:

@@ -334,9 +334,7 @@ def check_bump_grid(grid: RadialGrid):
         raise InvalidArgumentError("grid too coarse for any test bump")
 
 
-def weak_superharmonicity_check(
-    w: WeightSpec, grid: RadialGrid, sign: int = 1, *, tol: float = TOL_WEAK
-) -> CheckResult:
+def weak_superharmonicity_check(w: WeightSpec, grid: RadialGrid, sign: int = 1) -> CheckResult:
     """Test sign * (-Delta_p rho) >= 0 in the weak sense over bump functions.
 
     Bumps are cubic B-splines on knots ``[c-w, c-half, c, c+half, c+w]``,
@@ -378,7 +376,7 @@ def weak_superharmonicity_check(
     ratio = np.divide(raw, norm, out=np.zeros_like(raw), where=(norm > 0) & (norm < np.inf))
     i = int(np.argmin(ratio))
     return CheckResult(
-        passed=bool(ratio[i] >= -tol),
+        passed=bool(ratio[i] >= -TOL_WEAK),
         worst_value=float(ratio[i]),
         worst_raw=float(raw[i]),
         n_bumps=ratio.size,

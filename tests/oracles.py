@@ -27,7 +27,7 @@ from phardy.errors import ZeroDenominatorError
 from phardy.forms import P1Forms, TridiagFactor, model_densities, restrict
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
 from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
-from phardy.weights import TOL_WEAK, WeightSpec, rho_catalog_entry, weak_superharmonicity_check
+from phardy.weights import WeightSpec, rho_catalog_entry, weak_superharmonicity_check
 
 
 def plaplace_lambda1_shooting(p: float, length: float) -> float:
@@ -110,7 +110,7 @@ def capacity_by_minimization(
     u = np.interp(np.log(grid.nodes), [math.log(a), math.log(b)], [1.0, 0.0])
     u[0], u[-1] = 1.0, 0.0
     inner = slice(1, n - 1)
-    e = forms.energy(u, p)
+    e = forms.evaluate(u, p)[0]
     for _ in range(200):
         # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
         k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
@@ -120,7 +120,7 @@ def capacity_by_minimization(
         t = 1.0
         for _ in range(50):
             trial = u - t * step
-            et = forms.energy(trial, p)
+            et = forms.evaluate(trial, p)[0]
             if et < e:
                 u, e_prev, e = trial, e, et
                 break
@@ -187,11 +187,11 @@ def scaled(w: WeightSpec, lam: float) -> WeightSpec:
     )
 
 
-def classify_weight_sign(w: WeightSpec, grid: RadialGrid, *, tol: float = TOL_WEAK) -> str:
+def classify_weight_sign(w: WeightSpec, grid: RadialGrid) -> str:
     """Classify a weight as superharmonic / subharmonic / harmonic /
     indefinite from the two one-sided weak checks."""
-    sup = weak_superharmonicity_check(w, grid, sign=+1, tol=tol).passed
-    sub = weak_superharmonicity_check(w, grid, sign=-1, tol=tol).passed
+    sup = weak_superharmonicity_check(w, grid, sign=+1).passed
+    sub = weak_superharmonicity_check(w, grid, sign=-1).passed
     if sup or sub:
         return "harmonic" if sup and sub else "superharmonic" if sup else "subharmonic"
     return "indefinite"
@@ -207,7 +207,7 @@ def chain_rule_identity_check(w: WeightSpec, gamma: float, grid: RadialGrid) -> 
     """
     p = w.p
     densities = model_densities(w.model, p, lambda t: (0.0, 1.0))
-    lhs = P1Forms(grid, densities).energy(w.rho(grid.nodes) ** gamma, p)
+    lhs = P1Forms(grid, densities).evaluate(w.rho(grid.nodes) ** gamma, p)[0]
     rhs = abs(gamma) ** p * cell_gauss_integrate(
         grid.nodes,
         lambda t: w.rho(t) ** (p * (gamma - 1.0)) * np.abs(w.rho_prime(t)) ** p * densities(t)[1],

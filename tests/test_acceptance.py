@@ -62,7 +62,7 @@ def _report(criterion: int, ok: bool, detail: str):
 def test_criterion_1_euclidean_hardy_sandwich():
     t0 = time.perf_counter()
     rng = CoordinateRange(1e-4, 1e4, open_lo=True, open_hi=True)
-    case = hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0), rng)
+    case = hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0))
     grid = build_grid(rng, 4000, "log")
     res = minimize_quotient_p2(case, grid)
     elapsed = time.perf_counter() - t0
@@ -88,7 +88,7 @@ def test_criterion_2_halfplane_hardy_poincare():
     details = []
     ok = True
     for alpha in (0.0, -1.0, 3.0):
-        case = weighted_hardy_case(hp, w, alpha, rng)
+        case = weighted_hardy_case(hp, w, alpha)
         res = minimize_quotient_p2(case, grid)
         target = (1.0 - alpha) ** 2 / 4.0
         pred = target + (math.pi / L) ** 2
@@ -160,24 +160,24 @@ def test_criterion_5_hypothesis_checker_confusion_table():
 
 
 def _property_cases():
+    """(case, the range of its grid) for each case of the property suite."""
     w_harm = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     w_sub = rho_catalog_entry("power", E3, 2.0, beta=2.0)
     rng = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
     rng_mid = CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True)
-    cases = [hardy_case(E3, w_harm, rng)]
+    cases = [(hardy_case(E3, w_harm), rng)]
     for alpha in (-1.0, 0.0, 1.0, 2.0):  # {-1, 0, p/2, p} for p = 2
-        cases.append(weighted_hardy_case(E3, w_harm, alpha, rng))
+        cases.append((weighted_hardy_case(E3, w_harm, alpha), rng))
     for q in (0.0, 2.0):  # {0, p}
-        cases.append(caccioppoli_case(E3, w_sub, q, rng_mid))
-    cases.append(gn_case(E3, w_harm, delta=2.0, rng=rng))
-    cases.append(uncertainty_case(E3, w_harm, s=2.0, a=2.0, rng=rng))
+        cases.append((caccioppoli_case(E3, w_sub, q), rng_mid))
+    cases.append((gn_case(E3, w_harm, delta=2.0), rng))
+    cases.append((uncertainty_case(E3, w_harm, s=2.0, a=2.0), rng))
     cases.append(
-        hardy_sobolev_case(E3, w_harm, theta=-0.5, p_star=6.0,
-                           sobolev_constant=2.0, rng=rng)
+        (hardy_sobolev_case(E3, w_harm, theta=-0.5, p_star=6.0, sobolev_constant=2.0), rng)
     )
     cases.append(
-        ckn_case(E3, w_harm, theta=-0.5, p_star=6.0, r=4.0, a=0.75,
-                 gamma=0.5, delta=0.5, sigma=0.0, sobolev_constant=2.0, rng=rng)
+        (ckn_case(E3, w_harm, theta=-0.5, p_star=6.0, r=4.0, a=0.75,
+                  gamma=0.5, delta=0.5, sigma=0.0, sobolev_constant=2.0), rng)
     )
     return cases
 
@@ -187,8 +187,8 @@ def test_criterion_6_inequality_property_suite():
     worst_rel = math.inf
     worst_name = ""
     n_checked = 0
-    for i, case in enumerate(_property_cases()):
-        grid = build_grid(case.rng, 2000, "log")
+    for i, (case, rng) in enumerate(_property_cases()):
+        grid = build_grid(rng, 2000, "log")
         if case.hypothesis_mode is not None:
             assert validate_case_hypothesis(case, grid).passed, case.case_id
         if case.trivial:
@@ -224,7 +224,7 @@ def test_criterion_6_inequality_property_suite():
 def test_criterion_7_non_attainment_and_remainder():
     rng = CoordinateRange(1e-4, 1e4, open_lo=True, open_hi=True)
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = hardy_case(E3, w, rng)
+    case = hardy_case(E3, w)
     study = convergence_study(case)
     decreasing = all(
         study.quotients[i + 1] < study.quotients[i]
@@ -240,12 +240,12 @@ def test_criterion_7_non_attainment_and_remainder():
 
     ball = CoordinateRange(1e-4, 1.0, open_lo=True)
     grid = build_grid(ball, 2500, "log")
-    ball_case = hardy_case(E3, w, ball)
+    ball_case = hardy_case(E3, w)
     lam = lam_vals[1]
     forms = P1Forms(grid, lambda t: (np.exp(E3.log_volume_density(t)),) * 2)
     remainder_ok = True
     for u in random_test_functions(grid, 50, seed=7000):
-        mass = forms.mass(u.values, 2.0)
+        mass = forms.evaluate(u.values, 2.0)[1]
         if sides_for(ball_case, u).margin < 0.98 * lam * mass:
             remainder_ok = False
             break
@@ -262,8 +262,8 @@ def test_criterion_8_reduction_identities():
     rng = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     grid = build_grid(rng, 2000, "log")
-    plain = hardy_case(E3, w, rng)
-    weighted = weighted_hardy_case(E3, w, 0.0, rng)
+    plain = hardy_case(E3, w)
+    weighted = weighted_hardy_case(E3, w, 0.0)
     ok1 = True
     for u in random_test_functions(grid, 20, seed=8000):
         a, b = sides_for(plain, u), sides_for(weighted, u)
@@ -271,9 +271,9 @@ def test_criterion_8_reduction_identities():
             if abs(x - y) > 1e-12 * max(abs(x), 1e-300):
                 ok1 = False
 
-    hs = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0, rng=rng)
+    hs = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0)
     ck = ckn_case(E3, w, theta=-0.5, p_star=6.0, r=6.0, a=1.0, gamma=0.5,
-                  delta=0.3, sigma=0.0, sobolev_constant=2.0, rng=rng)
+                  delta=0.3, sigma=0.0, sobolev_constant=2.0)
     ok2 = abs(ck.formula_constant - hs.formula_constant) <= 1e-12 * hs.formula_constant
     for u in random_test_functions(grid, 20, seed=8001):
         a, b = sides_for(hs, u), sides_for(ck, u)

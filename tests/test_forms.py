@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 
@@ -63,8 +63,8 @@ def test_one_assembly_per_case_and_grid(run, assemblies, monkeypatch):
 
 def test_descent_passes_over_each_point_once(monkeypatch):
     # P1Forms.values runs once per P1Forms.evaluate (each trial point, the
-    # seed and the final residual), plus twice per eigen-direction attempt
-    # (its pencil at the iterate and the eigenvector's mass), and nowhere else;
+    # seed, each eigenvector's mass and the final residual), plus once per
+    # eigen-direction attempt (its pencil at the iterate), and nowhere else;
     # a line search that has shrunk its step below an ulp of the iterate
     # stops instead of evaluating that same point again
     calls, last = Counter(), [None]
@@ -86,10 +86,10 @@ def test_descent_passes_over_each_point_once(monkeypatch):
     )
     e5 = euclidean_radial(5)
     rng = CoordinateRange(1e-2, 1e2)
-    case = hardy_case(e5, rho_catalog_entry("power", e5, 1.5, beta=-7.0), rng)
+    case = hardy_case(e5, rho_catalog_entry("power", e5, 1.5, beta=-7.0))
     res = minimize_quotient_general_p(case, build_grid(rng, 200, "log"), max_iter=200)
     assert res.stop == "max_iter" and calls["evaluate"] > res.iterations > calls["attempts"]
-    assert calls["values"] <= calls["evaluate"] + 2 * calls["attempts"]
+    assert calls["values"] <= calls["evaluate"] + calls["attempts"]
     assert calls["repeats"] == 0
 
 
@@ -115,15 +115,22 @@ def _gradients_written_out(forms, u, p):
 @given(
     p=st.sampled_from([1.5, 3.0, 4.0]),
     inner=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=22, max_size=22),
-    s=st.floats(0.1, 10.0),
+    # a power of two, so s u and its slopes are exact: at any other s the
+    # rounding of s u can move a one-ulp slope between neighbouring values
+    # by O(1) relative, which |u'|^(p-1) carries far above the bound below
+    s=st.integers(-3, 3).map(lambda k: 2.0 ** k),
 )
+@example(p=1.5, inner=[0.0] * 20 + [0.001, 0.0010000000000000002], s=0.125)
 def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
     forms = GRAD_FORMS
     u = np.array([0.0, *inner, 0.0])
     assume(np.any(u > 0))
     energy, mass, gauss = forms.evaluate(u, p)
-    assert energy == pytest.approx(forms.energy(u, p), rel=1e-13)
-    assert mass == pytest.approx(forms.mass(u, p), rel=1e-13)
+    # E = int B |u'|^p and L = int A |u|^p, written out
+    want_energy = np.dot(forms.b_cell, np.abs(forms.slopes(u)) ** p)
+    want_mass = np.sum(forms.a_wts[0] * np.abs(forms.values(u)) ** p)
+    assert energy == pytest.approx(want_energy, rel=1e-13)
+    assert mass == pytest.approx(want_mass, rel=1e-13)
     q = energy / mass
     ge, gl = forms.gradients(gauss, p)
     want_e, want_l = _gradients_written_out(forms, u, p)
@@ -140,7 +147,7 @@ def test_minimizers_take_only_the_forms_of_a_quotient():
     e3 = euclidean_radial(3)
     rng = CoordinateRange(0.1, 10.0, True, True)
     grid = build_grid(rng, 50, "log")
-    gn = gn_case(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0), delta=2.0, rng=rng)
+    gn = gn_case(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0), delta=2.0)
     with pytest.raises(InvalidArgumentError):  # three densities, not (A, B)
         minimize_quotient_p2(gn, grid)
     with pytest.raises(InvalidArgumentError):  # B vanishes on cells

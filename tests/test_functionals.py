@@ -35,7 +35,7 @@ RNG = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
 
 
 def hardy_e3_case():
-    return hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0), RNG)
+    return hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0))
 
 
 def log_grid(n=2000, rng=RNG):
@@ -88,7 +88,7 @@ def test_weighted_alpha_zero_equals_hardy():
     grid = log_grid()
     case0 = hardy_e3_case()
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case_alpha = weighted_hardy_case(E3, w, 0.0, RNG)
+    case_alpha = weighted_hardy_case(E3, w, 0.0)
     for u in random_test_functions(grid, 20, seed=11):
         a = sides_for(case0, u)
         b = sides_for(case_alpha, u)
@@ -113,7 +113,7 @@ def test_margin_sweep_reuses_and_releases_its_data():
 
 def test_weighted_degenerate_alpha():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = weighted_hardy_case(E3, w, 1.0, RNG)  # alpha = p-1
+    case = weighted_hardy_case(E3, w, 1.0)  # alpha = p-1
     assert case.trivial and case.formula_constant == 0.0
     grid = log_grid(500)
     u = bump(grid, -2.0, 2.0)
@@ -126,9 +126,9 @@ def test_margin_sign_invariant_under_scaling():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     cases = [
         hardy_e3_case(),
-        weighted_hardy_case(E3, w, -1.0, RNG),
-        gn_case(E3, w, delta=2.0, rng=RNG),
-        uncertainty_case(E3, w, s=2.0, a=2.0, rng=RNG),
+        weighted_hardy_case(E3, w, -1.0),
+        gn_case(E3, w, delta=2.0),
+        uncertainty_case(E3, w, s=2.0, a=2.0),
     ]
     u = bump(grid, -3.0, 3.0)
     for case in cases:
@@ -143,8 +143,8 @@ def test_weight_scaling_leaves_quotient_unchanged():
     grid = log_grid(1000)
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     u = bump(grid, -2.0, 1.0)
-    q1 = quotient(hardy_case(E3, w, RNG), u)
-    q2 = quotient(hardy_case(E3, scaled(w, 37.5), RNG), u)
+    q1 = quotient(hardy_case(E3, w), u)
+    q2 = quotient(hardy_case(E3, scaled(w, 37.5)), u)
     assert q2 == pytest.approx(q1, rel=1e-10)
 
 
@@ -153,14 +153,14 @@ def test_caccioppoli_margins_and_hypothesis():
     rng = CoordinateRange(1e-2, 1e2, True, True)
     grid = build_grid(rng, 1500, "log")
     for q in (0.0, 2.0):
-        case = caccioppoli_case(E3, w, q, rng)
+        case = caccioppoli_case(E3, w, q)
         res = validate_case_hypothesis(case, grid)
         assert res.passed  # rho = r^2 is subharmonic
         for u in random_test_functions(grid, 10, seed=3):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
-        caccioppoli_case(E3, w, -1.0, rng)
+        caccioppoli_case(E3, w, -1.0)
 
 
 def test_caccioppoli_interval_distance_q_equals_p():
@@ -168,7 +168,7 @@ def test_caccioppoli_interval_distance_q_equals_p():
     w = rho_catalog_entry("power", m, 2.0, beta=1.0)
     rng = CoordinateRange(0.0, 1.0)
     grid = build_grid(rng, 1001, "linear")
-    case = caccioppoli_case(m, w, 2.0, rng)
+    case = caccioppoli_case(m, w, 2.0)
     assert case.formula_constant == pytest.approx(((2 + 1) / 2) ** 2)
     validate_case_hypothesis(case, grid)
     for u in random_test_functions(grid, 10, seed=5):
@@ -178,7 +178,7 @@ def test_caccioppoli_interval_distance_q_equals_p():
 def test_caccioppoli_rejects_superharmonic_weight():
     w = rho_catalog_entry("power", euclidean_radial(4), 2.0, beta=-1.0)
     rng = CoordinateRange(1e-2, 1e2, True, True)
-    case = caccioppoli_case(euclidean_radial(4), w, 0.0, rng)
+    case = caccioppoli_case(euclidean_radial(4), w, 0.0)
     grid = build_grid(rng, 900, "log")
     res = validate_case_hypothesis(case, grid)
     assert not res.passed
@@ -217,7 +217,7 @@ def test_divergence_rejects_nonpositive_ah():
     bad = InequalityCase(
         kind="divergence-lemma", model=E3, weight=None,
         params={"p": 2.0, "h_mag": lambda t: np.ones_like(t), "a_h": lambda t: -np.ones_like(t)},
-        rng=RNG, formula_constant=4.0, case_id="bad",
+        formula_constant=4.0, case_id="bad",
     )
     with pytest.raises(InvalidArgumentError):
         sides_for(bad, bump(grid, 0.6, 1.5))
@@ -230,7 +230,7 @@ def test_killing_requires_p_below_n():
 
 def test_gn_margins_and_relation():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = gn_case(E3, w, delta=2.0, rng=RNG)
+    case = gn_case(E3, w, delta=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=17):
@@ -243,7 +243,7 @@ def test_gn_margins_and_relation():
 
 def test_uncertainty_margins_and_dilation_invariance():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = uncertainty_case(E3, w, s=2.0, a=2.0, rng=RNG)
+    case = uncertainty_case(E3, w, s=2.0, a=2.0)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=19):
         pair = sides_for(case, u)
@@ -259,12 +259,12 @@ def test_uncertainty_margins_and_dilation_invariance():
     scaled = sides_for(case, u2)
     assert scaled.rhs / scaled.lhs == pytest.approx(base.rhs / base.lhs, rel=1e-8)
     with pytest.raises(InvalidArgumentError):
-        uncertainty_case(E3, w, s=0.5, a=1.5, rng=RNG)  # (as-p)/(a-1) < 0
+        uncertainty_case(E3, w, s=0.5, a=1.5)  # (as-p)/(a-1) < 0
 
 
 def test_hardy_sobolev_theta_zero_is_sobolev():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=2.0, rng=RNG)
+    case = hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=23):
@@ -274,7 +274,7 @@ def test_hardy_sobolev_theta_zero_is_sobolev():
 
 def test_hardy_sobolev_weighted_margins():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0, rng=RNG)
+    case = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 20, seed=29):
         pair = sides_for(case, u)
@@ -289,7 +289,7 @@ def valid_ckn_case(a=0.75, r=4.0, delta=0.5):
     gamma = (1.0 - (-0.5)) * a + delta * (1 - a) - P
     return ckn_case(
         E3, w, theta=-0.5, p_star=6.0, r=r, a=a, gamma=gamma, delta=delta,
-        sigma=0.0, sobolev_constant=2.0, rng=RNG,
+        sigma=0.0, sobolev_constant=2.0,
     )
 
 
@@ -305,20 +305,20 @@ def test_ckn_rejects_infeasible_relations():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     with pytest.raises(RelationViolationError) as err:
         ckn_case(E3, w, theta=-0.5, p_star=6.0, r=4.0, a=0.5, gamma=0.5,
-                 delta=1.0, sigma=0.0, sobolev_constant=2.0, rng=RNG)
+                 delta=1.0, sigma=0.0, sobolev_constant=2.0)
     assert err.value.condition == "condr"
     with pytest.raises(RelationViolationError) as err:
         ckn_case(E3, w, theta=-0.5, p_star=6.0, r=4.0, a=0.75, gamma=0.0,
-                 delta=0.5, sigma=0.0, sobolev_constant=2.0, rng=RNG)
+                 delta=0.5, sigma=0.0, sobolev_constant=2.0)
     assert err.value.condition == "cond1"
 
 
 def test_ckn_a1_reduces_to_hardy_sobolev():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    hs = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0, rng=RNG)
+    hs = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0)
     # a = 1, r = p*: cond1 gives gamma = -theta
     ck = ckn_case(E3, w, theta=-0.5, p_star=6.0, r=6.0, a=1.0, gamma=0.5,
-                  delta=0.3, sigma=0.0, sobolev_constant=2.0, rng=RNG)
+                  delta=0.3, sigma=0.0, sobolev_constant=2.0)
     assert ck.formula_constant == pytest.approx(hs.formula_constant, rel=1e-14)
     grid = log_grid(1500)
     for u in random_test_functions(grid, 10, seed=37):
@@ -355,7 +355,7 @@ def test_interval_distance_hardy_margin():
     w = rho_catalog_entry("dist-boundary", m, 2.0)
     rng = CoordinateRange(0.0, 1.0)
     grid = build_grid(rng, 1001, "linear")
-    case = hardy_case(m, w, rng)
+    case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed
     for u in random_test_functions(grid, 10, seed=43):
@@ -368,7 +368,7 @@ def test_halfspace_distance_hardy_on_interval():
     w = rho_catalog_entry("power", m, 2.0, beta=1.0)
     rng = CoordinateRange(1e-3, 1.0, open_hi=True)
     grid = build_grid(rng, 1001, "linear")
-    case = hardy_case(m, w, rng)
+    case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed  # x is harmonic on the interval
     for u in random_test_functions(grid, 10, seed=47):
@@ -382,7 +382,7 @@ def test_ckn_a_zero_identity_case():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = ckn_case(
         E3, w, theta=-0.5, p_star=6.0, r=2.0, a=0.0, gamma=0.7, delta=0.7,
-        eps=0.2, sigma=0.2, sobolev_constant=2.0, rng=RNG,
+        eps=0.2, sigma=0.2, sobolev_constant=2.0,
     )
     assert case.formula_constant == pytest.approx(1.0)
     grid = log_grid(1000)

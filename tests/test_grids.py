@@ -20,7 +20,7 @@ from phardy.grids import (
 
 def p1_integral(grid, values):
     """int |u| of the P1 interpolant of values."""
-    return P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t))).mass(values, 1.0)
+    return P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t))).evaluate(values, 1.0)[1]
 
 
 def test_uniform_three_node_weights():

@@ -38,8 +38,8 @@ def ones_forms(grid):
     return P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t)))
 
 
-def hardy_e3(rng):
-    return hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0), rng)
+def hardy_e3():
+    return hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0))
 
 
 def test_pure_poincare_eigenvalue():
@@ -59,7 +59,7 @@ def test_single_interior_node_pencil():
 def test_hardy_quotient_matches_log_oracle():
     rng = CoordinateRange(1e-3, 1e3, True, True)
     grid = build_grid(rng, 2000, "log")
-    res = minimize_quotient_p2(hardy_e3(rng), grid)
+    res = minimize_quotient_p2(hardy_e3(), grid)
     L = math.log(rng.hi / rng.lo)
     oracle = 0.25 + (math.pi / L) ** 2
     assert res.quotient == pytest.approx(oracle, rel=1e-2)
@@ -71,7 +71,7 @@ def test_halfplane_quotient_matches_oracle():
     w = rho_catalog_entry("halfplane-y", hp, 2.0)
     rng = CoordinateRange(1e-3, 1e3, True, True)
     grid = build_grid(rng, 2000, "log")
-    res = minimize_quotient_p2(weighted_hardy_case(hp, w, 0.0, rng), grid)
+    res = minimize_quotient_p2(weighted_hardy_case(hp, w, 0.0), grid)
     L = math.log(1e6)
     assert res.quotient == pytest.approx(0.25 + (math.pi / L) ** 2, rel=1e-2)
 
@@ -94,7 +94,7 @@ def test_general_p_lower_bound_and_decrease():
     quotients = []
     for lo, hi, n in [(1e-3, 1e3, 1200), (1e-4, 1e4, 1600)]:
         rng = CoordinateRange(lo, hi, True, True)
-        case = hardy_case(E4, w, rng)
+        case = hardy_case(E4, w)
         grid = build_grid(rng, n, "log")
         res = minimize_quotient_general_p(case, grid, max_iter=3000)
         quotients.append(res.quotient)
@@ -111,7 +111,7 @@ def test_general_p_converged_means_stationary():
     # on [1e-12, 1e12] the line search gives up at a residual near 1:
     # that stop is not convergence
     rng = CoordinateRange(1e-12, 1e12, True, True)
-    case = hardy_case(E5, rho_catalog_entry("power", E5, 4.0, beta=-1.0 / 3.0), rng)
+    case = hardy_case(E5, rho_catalog_entry("power", E5, 4.0, beta=-1.0 / 3.0))
     res = minimize_quotient_general_p(case, build_grid(rng, 600, "log"))
     assert res.residual > TOL_EIG_GENERAL
     assert res.converged is False
@@ -121,7 +121,7 @@ def test_warm_start_not_worse_than_cold():
     m = interval(0.0, 1.0)
     w = rho_catalog_entry("power", m, 2.5, beta=1.0)
     rng = CoordinateRange(0.1, 1.0)
-    case = hardy_case(m, w, rng)
+    case = hardy_case(m, w)
     coarse = build_grid(rng, 101, "linear")
     fine = refine(coarse)
     cold = minimize_quotient_general_p(case, fine)
@@ -134,7 +134,7 @@ def test_warm_start_not_worse_than_cold():
 
 def test_monotone_under_nested_refinement():
     rng = CoordinateRange(1e-2, 1e2, True, True)
-    case = hardy_e3(rng)
+    case = hardy_e3()
     grid = build_grid(rng, 500, "log")
     q_coarse = minimize_quotient_p2(case, grid).quotient
     q_fine = minimize_quotient_p2(case, refine(grid)).quotient
@@ -144,7 +144,7 @@ def test_monotone_under_nested_refinement():
 def test_quotient_history_non_increasing():
     rng = CoordinateRange(1e-3, 1e3, True, True)
     grid = build_grid(rng, 1000, "log")
-    res = minimize_quotient_p2(hardy_e3(rng), grid)
+    res = minimize_quotient_p2(hardy_e3(), grid)
     qs = [h[1] for h in res.history]
     # inverse power iterations converge monotonically from above
     assert all(qs[i + 1] <= qs[i] + 1e-12 * qs[i] for i in range(len(qs) - 1))
@@ -156,7 +156,7 @@ def test_p2_bracket_holds_the_dense_eigenvalue(lo, n):
     # the inertia test and the dense solver each err by up to 3e-11
     # relative on these grids, and the bracket is at most 1e-10 wide
     rng = CoordinateRange(lo, 1.0 / lo, True, True)
-    case = hardy_e3(rng)
+    case = hardy_e3()
     grid = build_grid(rng, n, "log")
     res = minimize_quotient_p2(case, grid)
     k_band, m_band = case_forms(case, grid, 2.0).pencil(np.zeros(n), 2.0)
@@ -172,7 +172,7 @@ def test_bracket_holds_the_dense_eigenvalue_off_p2():
     # dense solver's own error, which a diagonal rescaling shows reaches
     # 3e-11 relative on such pencils
     rng = CoordinateRange(1e-3, 1e3, True, True)
-    case = hardy_case(E4, rho_catalog_entry("power", E4, 3.0, beta=-0.5), rng)
+    case = hardy_case(E4, rho_catalog_entry("power", E4, 3.0, beta=-0.5))
     grid = build_grid(rng, 800, "log")
     u = case.weight.rho(grid.nodes) ** (2.0 / 3.0)
     bands = case_forms(case, grid, 3.0).pencil(u, 3.0)
@@ -196,7 +196,7 @@ def test_p2_bracket_converges_past_the_inertia_roundoff():
 
 
 def test_convergence_study_widening():
-    case = hardy_e3(CoordinateRange(1e-4, 1e4, True, True))
+    case = hardy_e3()
     study = convergence_study(case, levels=3, n0=800)
     assert all(
         study.quotients[i + 1] < study.quotients[i]
@@ -235,11 +235,11 @@ def test_remainder_inequality_for_bumps():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     rng = CoordinateRange(1e-4, 1.0, open_lo=True)
     grid = build_grid(rng, 2500, "log")
-    case = hardy_case(E3, w, rng)
+    case = hardy_case(E3, w)
     lam = estimate_lambda1(E3, w, rng, n=2500)
     forms = P1Forms(grid, lambda t: (np.exp(E3.log_volume_density(t)),) * 2)
     for u in random_test_functions(grid, 25, seed=101):
-        mass = forms.mass(u.values, 2.0)
+        mass = forms.evaluate(u.values, 2.0)[1]
         assert sides_for(case, u).margin >= 0.98 * lam * mass
 
 
@@ -251,7 +251,7 @@ def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
     # margins and minimizers integrate one P1 interpolant on the same cells
     model = euclidean_radial(dim)
     rng = CoordinateRange(lo, 1.0 / lo, open_lo=True, open_hi=True)
-    case = hardy_case(model, rho_catalog_entry("power", model, p, beta=beta), rng)
+    case = hardy_case(model, rho_catalog_entry("power", model, p, beta=beta))
     grid = build_grid(rng, n, "log")
     if p == 2.0:
         res = minimize_quotient_p2(case, grid)
@@ -263,7 +263,7 @@ def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
 
 def test_minimize_p2_rejects_other_p():
     w = rho_catalog_entry("power", E3, 3.0, beta=-0.5)
-    case = hardy_case(E3, w, CoordinateRange(0.1, 10, True, True))
-    grid = build_grid(case.rng, 300, "log")
+    case = hardy_case(E3, w)
+    grid = build_grid(CoordinateRange(0.1, 10, True, True), 300, "log")
     with pytest.raises(InvalidArgumentError):
         minimize_quotient_p2(case, grid)

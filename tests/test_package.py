@@ -1,10 +1,17 @@
 """Structure of the package itself: modules share only public names, and
-the package ships only what its own code, scripts or benchmark use."""
+the package ships only what its own code, scripts or benchmark use, down
+to the fields of its classes."""
 import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import phardy
+from phardy.errors import InvalidArgumentError
+from phardy.functionals import hardy_case, weighted_hardy_case
+from phardy.geometry import CoordinateRange, euclidean_radial
+from phardy.weights import rho_catalog_entry
 
 SRC = Path(phardy.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +88,77 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(f"phardy.{module}"), name)
     ]
     assert missing == []
+
+
+def _fields(tree):
+    """(class, field) for every field a class declares: each annotated name
+    in its body, as a dataclass or a NamedTuple has them."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id
+
+
+def _call_name(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _field_reads(trees):
+    """Field names read in the trees: attribute loads, getattr with a literal
+    name, and every field of a class whose instance goes through
+    dataclasses.asdict, the class named by the return annotation of the call
+    its argument was assigned from."""
+    returns = {
+        node.name: node.returns.id for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name)
+    }
+    fields = {}
+    for tree in trees:
+        for cls, name in _fields(tree):
+            fields.setdefault(cls, []).append(name)
+    for tree in trees:
+        assigned = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                assigned.setdefault(node.targets[0].id, []).append(node.value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr
+            elif _call_name(node) == "getattr" and isinstance(node.args[1], ast.Constant):
+                yield node.args[1].value
+            elif _call_name(node) == "asdict" and isinstance(node.args[0], ast.Name):
+                seen, todo = set(), [node.args[0].id]
+                while todo:
+                    for value in assigned.get(todo.pop(), []):
+                        if isinstance(value, ast.Name) and value.id not in seen:
+                            seen.add(value.id)
+                            todo.append(value.id)
+                        yield from fields.get(returns.get(_call_name(value)), [])
+
+
+def test_every_field_is_read_outside_the_tests():
+    # a field no code reads is dead weight on every instance; the two allowed
+    # are read by tests alone: worst_raw (the sign check's unnormalized value)
+    # and history (the monotone-history gate of the descent)
+    users = [*SRC.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+    reads = set(_field_reads([ast.parse(path.read_text()) for path in users]))
+    unread = [
+        f"{cls}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls, name in _fields(ast.parse(path.read_text()))
+        if name not in reads
+    ]
+    assert sorted(unread) == ["CheckResult.worst_raw", "MinimizationResult.history"]
+
+
+def test_hardy_case_keeps_the_benchmark_range_slot():
+    # perfbench/workloads.py calls hardy_case(model, w, rng); a case holds no
+    # range, so that slot is unread and the case keeps its default id
+    e3 = euclidean_radial(3)
+    w = rho_catalog_entry("power", e3, 2.0, beta=-1.0)
+    rng = CoordinateRange(1e-2, 1e2)
+    case_id = "hardy[euclidean|power:beta=-1|alpha=0.0,p=2.0]"
+    assert hardy_case(e3, w, rng).case_id == hardy_case(e3, w).case_id == case_id
+    with pytest.raises(InvalidArgumentError):  # the range would land on case_id
+        weighted_hardy_case(e3, w, 0.0, rng)
