@@ -8,7 +8,7 @@ from .geometry import (
     hyperbolic_radial,
     interval,
 )
-from .grids import GridFunction, RadialGrid, build_grid, refine
+from .grids import GridFunction, RadialGrid, build_grid
 from .weights import (
     WeightSpec,
     green_weight_radial,
@@ -29,7 +29,6 @@ from .functionals import (
 from .optimize import (
     MinimizationResult,
     convergence_study,
-    estimate_lambda1,
     minimize_quotient_general_p,
     minimize_quotient_p2,
 )

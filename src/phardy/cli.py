@@ -72,9 +72,7 @@ _CONFIG_RULES = {
     "cases": list, "seed": 0, "tol_disc": DEFAULT_TOL_DISC,
     "n_test_functions": DEFAULT_N_TEST_FUNCTIONS,
 }
-_GRID_RULES = {
-    "lo": float, "hi": float, "n": int, "spacing": "log", "open_lo": True, "open_hi": True,
-}
+_GRID_RULES = {"lo": float, "hi": float, "n": int, "spacing": "log"}
 _CHECK_RULES = {"hypothesis": True, "minimize": False}
 _MODEL_RULES = {
     "euclidean": {"dim": int}, "hyperbolic": {"dim": int}, "half_plane": {},
@@ -151,9 +149,7 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     c["model"] = _built(where, "model", model_from_config, model)
     if name != "classification":
         g = _checked(f"{where} grid", c["grid"], _GRID_RULES)
-        c["rng"] = _built(
-            where, "grid", CoordinateRange, g["lo"], g["hi"], g["open_lo"], g["open_hi"]
-        )
+        c["rng"] = _built(where, "grid", CoordinateRange, g["lo"], g["hi"])
         c["grid"] = _built(where, "grid", build_grid, c["rng"], g["n"], g["spacing"])
         _built(where, "grid", c["model"].check_domain, c["grid"].nodes)
     if name == "divergence-lemma":
@@ -193,21 +189,23 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
 
 def _run_margins(c, conf, record, case) -> bool:
     """Record the worst relative margin of the case's sides over its seeded
-    test functions; True when it is within the tolerance."""
+    test functions, and the index of the function that gave it; True when
+    it is within the tolerance."""
     # order-independent per-case stream
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
-    worst = None
+    worst = worst_index = None
     worst_rel = math.inf
-    for u in random_test_functions(c["grid"], c["n_test_functions"], seed):
+    for i, u in enumerate(random_test_functions(c["grid"], c["n_test_functions"], seed)):
         pair = fn.sides_for(case, u)
         scale = max(pair.rhs, 1e-300)
         rel = pair.margin / scale
         if rel < worst_rel:
-            worst_rel = rel
+            worst_rel, worst_index = rel, i
             worst = pair
     record["sides"] = {
         "n_test_functions": c["n_test_functions"],
         "min_margin_rel": worst_rel,
+        "worst_index": worst_index,
         "worst": dataclasses.asdict(worst),
         "passed": bool(worst_rel >= -conf["tol_disc"]),
     }
@@ -257,9 +255,10 @@ def _run_inequality_case(c, conf, record):
                 "converged": res.converged,
                 "bound_ok": bound_ok,
             }
-            for key in ("lower", "residual", "stop"):
-                if getattr(res, key) is not None:
-                    record["minimization"][key] = getattr(res, key)
+            optional = (("lower", res.lower), ("residual", res.residual), ("stop", res.stop))
+            for key, value in optional:
+                if value is not None:
+                    record["minimization"][key] = value
             if case.oracle_shift > 0:
                 record["minimization"]["extrapolated"] = opt.extrapolated(case, res.quotient, grid)
             ok = ok and bound_ok

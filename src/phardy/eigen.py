@@ -61,7 +61,7 @@ def first_eigenpair(
     residual = forms.residual(u, res.quotient, p)
     return EigenPair(
         lambda1=res.quotient,
-        phi1=GridFunction(grid, u, dirichlet_zero=True),
+        phi1=GridFunction(grid, u),
         residual=residual,
         model=model,
         p=p,

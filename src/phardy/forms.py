@@ -7,7 +7,7 @@ densities are integrated with per-cell Gauss quadrature.  ``P1Forms``
 holds that cell data once per grid and densities: the side integrals, the
 two functionals of the quotient with their gradients, and the tridiagonal
 pencil of the quotient linearized at an iterate.  The factored
-tridiagonal kernel and the Dirichlet restriction of a pencil live here too,
+tridiagonal kernel and the interior block of a pencil live here too,
 so the sides, the minimizers and the eigen solver share one assembly.
 """
 from __future__ import annotations
@@ -182,12 +182,8 @@ class TridiagFactor:
         return dpttrs(self.d, self.e, rhs)[0]
 
 
-def dirichlet_slice(n: int, dirichlet: tuple) -> slice:
-    """The nodes left free by Dirichlet conditions at (lo, hi)."""
-    return slice(1 if dirichlet[0] else 0, n - 1 if dirichlet[1] else n)
-
-
-def restrict(band, keep: slice):
-    """A (diag, off) tridiagonal band restricted to the nodes in ``keep``."""
+def interior(band):
+    """The block of a (diag, off) tridiagonal band on the interior nodes,
+    the ones both Dirichlet ends leave free."""
     diag, off = band
-    return diag[keep], off[keep.start:keep.stop - 1]
+    return diag[1:-1], off[1:-1]

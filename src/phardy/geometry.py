@@ -2,7 +2,7 @@
 
 Every inequality in the toolkit is evaluated on one of four models:
 rotationally symmetric Euclidean or hyperbolic space (coordinate r),
-the Poincare upper half-plane restricted to functions of the height y
+the Poincare upper half-plane for functions of the height y alone
 (per unit horizontal length), and a flat interval.  Each model supplies
 the 1D volume density s(t), the factor converting a coordinate
 derivative u' into the Riemannian gradient norm |grad u|, and the
@@ -30,13 +30,11 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class CoordinateRange:
-    """Interval of the reduction coordinate, with open flags marking excised
-    singular endpoints (truncation of the underlying domain)."""
+    """Interval of the reduction coordinate: the truncated domain, whose
+    two ends are Dirichlet."""
 
     lo: float
     hi: float
-    open_lo: bool = False
-    open_hi: bool = False
 
     def __post_init__(self):
         if not (self.lo < self.hi):

@@ -2,9 +2,7 @@
 
 Grids are arbitrary strictly increasing node sets; they are integrated
 cell by cell with an 8-point Gauss rule, a function sampled on a grid is
-its P1 (piecewise-linear) interpolant, and grids are refined by
-inserting midpoints in the grid coordinate (arithmetic for linear
-spacing, geometric for log).
+its P1 (piecewise-linear) interpolant.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ _SPACING_ALIASES = {"linear": LINEAR, "log": LOG, "logarithmic": LOG}
 class RadialGrid:
     """Strictly increasing node set.
 
-    Treated as immutable after construction; refinement returns a new grid.
+    Treated as immutable after construction.
     """
 
     nodes: np.ndarray
@@ -79,37 +77,20 @@ def build_grid(rng: CoordinateRange, n: int, spacing: str = LINEAR) -> RadialGri
     return RadialGrid(nodes, spacing)
 
 
-def refine(grid: RadialGrid) -> RadialGrid:
-    """Dyadic refinement: insert midpoints in the grid coordinate.
-
-    The original nodes are preserved exactly, so discrete P1 spaces nest.
-    """
-    x = grid.nodes
-    if grid.spacing == LOG:
-        mids = np.sqrt(x[:-1] * x[1:])
-    else:
-        mids = 0.5 * (x[:-1] + x[1:])
-    nodes = np.empty(2 * x.size - 1)
-    nodes[0::2] = x
-    nodes[1::2] = mids
-    return RadialGrid(nodes, grid.spacing)
-
-
 @dataclass
 class GridFunction:
-    """Function sampled on a grid; dirichlet_zero models compact support
+    """Function sampled on a grid, zero at both ends: compact support
     (extension by zero outside the truncated range)."""
 
     grid: RadialGrid
     values: np.ndarray
-    dirichlet_zero: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.nodes.shape:
             raise InvalidArgumentError("values and grid nodes must align")
-        if self.dirichlet_zero and (self.values[0] != 0.0 or self.values[-1] != 0.0):
-            raise InvalidArgumentError("dirichlet_zero requires zero endpoint values")
+        if self.values[0] != 0.0 or self.values[-1] != 0.0:
+            raise InvalidArgumentError("a grid function vanishes at both ends")
 
 
 @functools.cache

@@ -19,11 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, ZeroDenominatorError
-from .forms import P1Forms, TridiagFactor, apply_tridiag, dirichlet_slice, model_densities
-from .forms import restrict
+from .forms import P1Forms, TridiagFactor, apply_tridiag, interior
 from . import functionals  # sides_for looked up on the module, where wrappers see it
 from .functionals import InequalityCase, assembled, case_forms
-from .geometry import CoordinateRange, ModelManifold
+from .geometry import CoordinateRange
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 
 
@@ -97,7 +96,7 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
     return Bracket(lower, slack, u, quotients, factorizations)
 
 
-def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> MinimizationResult:
+def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
     """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
     quotient forms (A, B) by ``bottom_eigenpair``: converged means quotient -
     lower <= max(BRACKET_RTOL * quotient, slack); ``iterations`` counts
@@ -105,15 +104,14 @@ def minimize_rayleigh_p2(forms: P1Forms, dirichlet: tuple = (True, True)) -> Min
     """
     forms.check_quotient()
     grid = forms.grid
-    keep = dirichlet_slice(grid.n, dirichlet)
     full = np.zeros(grid.n)
-    pair = bottom_eigenpair(*(restrict(band, keep) for band in forms.pencil(full, 2.0)))
-    full[keep] = pair.vector
+    pair = bottom_eigenpair(*map(interior, forms.pencil(full, 2.0)))
+    full[1:-1] = pair.vector
     energy, mass, _ = forms.evaluate(full, 2.0)
     quotient = energy / mass
     return MinimizationResult(
         quotient=quotient,
-        minimizer=GridFunction(grid, full, dirichlet_zero=dirichlet == (True, True)),
+        minimizer=GridFunction(grid, full),
         iterations=pair.factorizations + len(pair.quotients),
         converged=quotient - pair.lower <= max(BRACKET_RTOL * quotient, pair.slack),
         history=list(enumerate(pair.quotients, 1)),
@@ -143,17 +141,16 @@ def descend_quotient(
     last iterate is <= TOL_EIG_GENERAL."""
     forms.check_quotient()
     grid = forms.grid
-    keep = dirichlet_slice(grid.n, (True, True))
-    mask = np.zeros(grid.n, dtype=bool)
-    mask[keep] = True
 
     # p = 2 stiffness in the same rhs density, used as descent metric
     (pk_diag, pk_off), _ = forms.pencil(np.zeros(grid.n), 2.0)
     pk_diag += 1e-12 * np.max(pk_diag)
-    metric = TridiagFactor(*restrict((pk_diag, pk_off), keep))
+    metric = TridiagFactor(*interior((pk_diag, pk_off)))
 
     def project(u):
-        return np.abs(np.where(mask, u, 0.0))
+        u = np.abs(u)
+        u[0] = u[-1] = 0.0
+        return u
 
     u = project(np.asarray(u0, dtype=float))
     energy, L, gauss = forms.evaluate(u, p)
@@ -188,7 +185,7 @@ def descend_quotient(
         if eig_sleep == 0:
             try:
                 v = np.zeros_like(u)
-                v[keep] = bottom_eigenpair(*(restrict(b, keep) for b in forms.pencil(u, p))).vector
+                v[1:-1] = bottom_eigenpair(*map(interior, forms.pencil(u, p))).vector
                 vmass = forms.evaluate(v, p)[1]
             except ZeroDenominatorError:
                 vmass = 0.0
@@ -209,7 +206,7 @@ def descend_quotient(
             ge, gl = forms.gradients(gauss, p)
             grad = (ge - q * gl) * L ** (1.0 / p - 1.0)
             d = np.zeros_like(grad)
-            d[keep] = metric.solve(grad[keep])
+            d[1:-1] = metric.solve(grad[1:-1])
             accepted = try_direction(u, q, -d, grad_step)
             if accepted is not None:
                 grad_step = min(accepted[-1] * 1.5, 1e3)
@@ -222,7 +219,7 @@ def descend_quotient(
     residual = forms.residual(u, q, p)
     return MinimizationResult(
         quotient=q,
-        minimizer=GridFunction(grid, u, dirichlet_zero=True),
+        minimizer=GridFunction(grid, u),
         iterations=it,
         converged=residual <= TOL_EIG_GENERAL,
         history=history,
@@ -240,25 +237,6 @@ def minimize_quotient_general_p(
     seed = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
     seed[0] = seed[-1] = 0.0
     return descend_quotient(case_forms(case, grid, p), p, seed, max_iter=max_iter)
-
-
-def estimate_lambda1(
-    model: ModelManifold,
-    weight,
-    rng: CoordinateRange,
-    n: int = 2000,
-    spacing: str = LOG,
-) -> float:
-    """Smallest eigenvalue of int rho |grad u|^2 / int rho u^2.
-
-    Endpoints flagged open in the range (excised singularities) get natural
-    boundary conditions; true boundary endpoints get Dirichlet conditions,
-    matching the compact-support class defining the remainder constant.
-    """
-    grid = build_grid(rng, n, spacing if rng.lo > 0 else "linear")
-    forms = P1Forms(grid, model_densities(model, 2.0, lambda t: (weight.rho(t),) * 2))
-    dirichlet = (not rng.open_lo, not rng.open_hi)
-    return minimize_rayleigh_p2(forms, dirichlet=dirichlet).quotient
 
 
 @dataclass
@@ -284,7 +262,7 @@ def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> 
     k < levels, and extrapolate each quotient by ``extrapolated``."""
     grids, results, quotients, gaps, extrapolations = [], [], [], [], []
     for k in range(levels):
-        rng = CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k), open_lo=True, open_hi=True)
+        rng = CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k))
         grid = build_grid(rng, n0 * 2 ** k, LOG)
         with assembled(case, grid, case.p):
             if case.p != 2.0:

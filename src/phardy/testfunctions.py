@@ -28,7 +28,7 @@ def bump(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
     z = (2.0 * (c - c_lo) / (c_hi - c_lo)) - 1.0
     vals = mollifier(z)
     vals[0] = vals[-1] = 0.0
-    return GridFunction(grid, vals, dirichlet_zero=True)
+    return GridFunction(grid, vals)
 
 
 def tent(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
@@ -39,7 +39,7 @@ def tent(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
     down = (c_hi - c) / (c_hi - mid)
     vals = np.clip(np.minimum(up, down), 0.0, None)
     vals[0] = vals[-1] = 0.0
-    return GridFunction(grid, vals, dirichlet_zero=True)
+    return GridFunction(grid, vals)
 
 
 def random_test_functions(grid: RadialGrid, count: int, seed) -> list[GridFunction]:

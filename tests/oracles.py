@@ -11,7 +11,9 @@ form.
 
 The rest is reference code that only tests run, built on the package's
 public API: the weights of known sign the sign checker is scored
-against, the two-sided sign classification and the chain-rule check.
+against, the two-sided sign classification, the chain-rule check, the
+dyadic refinement of a grid and the first eigenvalue of a weighted
+quotient with a natural end (the package's solves are Dirichlet at both).
 """
 from __future__ import annotations
 
@@ -24,9 +26,10 @@ from scipy.interpolate import BSpline
 from scipy.linalg import eigh
 
 from phardy.errors import ZeroDenominatorError
-from phardy.forms import P1Forms, TridiagFactor, model_densities, restrict
+from phardy.forms import P1Forms, TridiagFactor, interior, model_densities
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
 from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
+from phardy.optimize import bottom_eigenpair
 from phardy.weights import WeightSpec, rho_catalog_entry, weak_superharmonicity_check
 
 
@@ -113,7 +116,7 @@ def capacity_by_minimization(
     e = forms.evaluate(u, p)[0]
     for _ in range(200):
         # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
-        k_diag, k_off = restrict(forms.pencil(u, p)[0], inner)
+        k_diag, k_off = interior(forms.pencil(u, p)[0])
         step = np.zeros(n)
         hessian = TridiagFactor(p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off)
         step[inner] = hessian.solve(forms.gradients(forms.evaluate(u, p)[2], p)[0][inner])
@@ -234,9 +237,9 @@ def signed_catalog() -> list[SignedCatalogEntry]:
     and a strict superharmonic power, the interval distance kink, the two
     log weights on either side of 1, and the half-plane height."""
     e3, e4 = euclidean_radial(3), euclidean_radial(4)
-    wide = build_grid(CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True), 900, LOG)
-    ball = build_grid(CoordinateRange(1e-2, 0.99, open_lo=True), 900, LOG)
-    outer = build_grid(CoordinateRange(1.01, 1e2, open_hi=True), 900, LOG)
+    wide = build_grid(CoordinateRange(1e-2, 1e2), 900, LOG)
+    ball = build_grid(CoordinateRange(1e-2, 0.99), 900, LOG)
+    outer = build_grid(CoordinateRange(1.01, 1e2), 900, LOG)
     unit = build_grid(CoordinateRange(0.0, 1.0), 901, "linear")
     return [SignedCatalogEntry(*entry) for entry in (
         (rho_catalog_entry("power", e3, 2.0, beta=-1.0), wide, "harmonic"),
@@ -248,3 +251,38 @@ def signed_catalog() -> list[SignedCatalogEntry]:
         (rho_catalog_entry("log", e3, 2.0, side="outer"), outer, "subharmonic"),
         (rho_catalog_entry("halfplane-y", half_plane_poincare(), 2.0), wide, "harmonic"),
     )]
+
+
+def refine(grid: RadialGrid) -> RadialGrid:
+    """Dyadic refinement: insert midpoints in the grid coordinate
+    (arithmetic for linear spacing, geometric for log).
+
+    The original nodes are preserved exactly, so discrete P1 spaces nest.
+    """
+    x = grid.nodes
+    if grid.spacing == LOG:
+        mids = np.sqrt(x[:-1] * x[1:])
+    else:
+        mids = 0.5 * (x[:-1] + x[1:])
+    nodes = np.empty(2 * x.size - 1)
+    nodes[0::2] = x
+    nodes[1::2] = mids
+    return RadialGrid(nodes, grid.spacing)
+
+
+def estimate_lambda1(
+    model, weight, rng: CoordinateRange, n: int = 2000, spacing: str = LOG, *, natural_lo: bool
+) -> float:
+    """Smallest eigenvalue of int rho |grad u|^2 / int rho u^2 over the P1
+    functions on a grid of rng that vanish at hi and, unless natural_lo,
+    at lo.  A natural (free) end at lo stands for an excised singularity,
+    as in the class that defines the remainder constant.
+    """
+    grid = build_grid(rng, n, spacing if rng.lo > 0 else "linear")
+    forms = P1Forms(grid, model_densities(model, 2.0, lambda t: (weight.rho(t),) * 2))
+    first = 0 if natural_lo else 1
+    u = np.zeros(n)
+    bands = [(diag[first:-1], off[first:-1]) for diag, off in forms.pencil(u, 2.0)]
+    u[first:-1] = bottom_eigenpair(*bands).vector
+    energy, mass, _ = forms.evaluate(u, 2.0)
+    return energy / mass

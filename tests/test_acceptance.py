@@ -14,6 +14,7 @@ import numpy as np
 from oracles import (
     chain_rule_identity_check,
     classify_weight_sign,
+    estimate_lambda1,
     plaplace_lambda1_shooting,
     signed_catalog,
 )
@@ -42,11 +43,7 @@ from phardy.geometry import (
     interval,
 )
 from phardy.grids import build_grid
-from phardy.optimize import (
-    convergence_study,
-    estimate_lambda1,
-    minimize_quotient_p2,
-)
+from phardy.optimize import convergence_study, minimize_quotient_p2
 from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry
 
@@ -61,7 +58,7 @@ def _report(criterion: int, ok: bool, detail: str):
 
 def test_criterion_1_euclidean_hardy_sandwich():
     t0 = time.perf_counter()
-    rng = CoordinateRange(1e-4, 1e4, open_lo=True, open_hi=True)
+    rng = CoordinateRange(1e-4, 1e4)
     case = hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0))
     grid = build_grid(rng, 4000, "log")
     res = minimize_quotient_p2(case, grid)
@@ -82,7 +79,7 @@ def test_criterion_1_euclidean_hardy_sandwich():
 def test_criterion_2_halfplane_hardy_poincare():
     hp = half_plane_poincare()
     w = rho_catalog_entry("halfplane-y", hp, 2.0)
-    rng = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
+    rng = CoordinateRange(1e-3, 1e3)
     grid = build_grid(rng, 2000, "log")
     L = math.log(1e6)
     details = []
@@ -163,8 +160,8 @@ def _property_cases():
     """(case, the range of its grid) for each case of the property suite."""
     w_harm = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     w_sub = rho_catalog_entry("power", E3, 2.0, beta=2.0)
-    rng = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
-    rng_mid = CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True)
+    rng = CoordinateRange(1e-3, 1e3)
+    rng_mid = CoordinateRange(1e-2, 1e2)
     cases = [(hardy_case(E3, w_harm), rng)]
     for alpha in (-1.0, 0.0, 1.0, 2.0):  # {-1, 0, p/2, p} for p = 2
         cases.append((weighted_hardy_case(E3, w_harm, alpha), rng))
@@ -201,7 +198,7 @@ def test_criterion_6_inequality_property_suite():
                 worst_rel = rel
                 worst_name = case.case_id
     # divergence-lemma instances (Davies-Hinz and Killing-field)
-    rng_mid = CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True)
+    rng_mid = CoordinateRange(1e-2, 1e2)
     grid = build_grid(rng_mid, 2000, "log")
     for j, field_name in enumerate(["davies-hinz", "killing"]):
         vfc = divergence_case(E3, field_name, 2.0)
@@ -222,7 +219,6 @@ def test_criterion_6_inequality_property_suite():
 
 
 def test_criterion_7_non_attainment_and_remainder():
-    rng = CoordinateRange(1e-4, 1e4, open_lo=True, open_hi=True)
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = hardy_case(E3, w)
     study = convergence_study(case)
@@ -234,11 +230,11 @@ def test_criterion_7_non_attainment_and_remainder():
 
     lam_vals = []
     for eps in (1e-3, 1e-4, 1e-5):
-        ball = CoordinateRange(eps, 1.0, open_lo=True)
-        lam_vals.append(estimate_lambda1(E3, w, ball, n=2500))
+        ball = CoordinateRange(eps, 1.0)
+        lam_vals.append(estimate_lambda1(E3, w, ball, n=2500, natural_lo=True))
     spread = (max(lam_vals) - min(lam_vals)) / min(lam_vals)
 
-    ball = CoordinateRange(1e-4, 1.0, open_lo=True)
+    ball = CoordinateRange(1e-4, 1.0)
     grid = build_grid(ball, 2500, "log")
     ball_case = hardy_case(E3, w)
     lam = lam_vals[1]
@@ -259,7 +255,7 @@ def test_criterion_7_non_attainment_and_remainder():
 
 
 def test_criterion_8_reduction_identities():
-    rng = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
+    rng = CoordinateRange(1e-3, 1e3)
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     grid = build_grid(rng, 2000, "log")
     plain = hardy_case(E3, w)

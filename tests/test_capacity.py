@@ -100,7 +100,7 @@ EPS_SCHEDULE = (1e-3, 1e-4, 1e-5)
 
 def _punctured_quotients(case, R):
     """Minimized quotients on (eps, R) as the inner truncation radius shrinks."""
-    grids = [build_grid(CoordinateRange(eps, R, True, True), 2500, "log") for eps in EPS_SCHEDULE]
+    grids = [build_grid(CoordinateRange(eps, R), 2500, "log") for eps in EPS_SCHEDULE]
     return [minimize_quotient_p2(case, grid).quotient for grid in grids]
 
 
@@ -108,7 +108,7 @@ def test_puncture_insensitivity_euclidean():
     # after removing the log-substitution correction (pi/ln(R/eps))^2 the
     # quotients settle at the unpunctured constant 1/4
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    case = hardy_case(E3, w, CoordinateRange(1e-5, 1e3, True, True))
+    case = hardy_case(E3, w, CoordinateRange(1e-5, 1e3))
     q = _punctured_quotients(case, R=1e3)
     extrapolated = [qi - (math.pi / math.log(1e3 / eps)) ** 2 for qi, eps in zip(q, EPS_SCHEDULE)]
     assert max(abs(e - 0.25) / 0.25 for e in extrapolated) < 0.01
@@ -119,7 +119,7 @@ def test_puncture_trend_hyperbolic_settles_toward_bound():
     # the punctured origin has zero 2-capacity: quotients decrease toward
     # the unpunctured constant 1/4 with shrinking steps, never below it
     w = rho_catalog_entry("power", H3, 2.0, beta=-1.0)
-    case = hardy_case(H3, w, CoordinateRange(1e-5, 20.0, True, True))
+    case = hardy_case(H3, w, CoordinateRange(1e-5, 20.0))
     q = _punctured_quotients(case, R=20.0)
     assert q[0] > q[1] > q[2] >= 0.25 - 1e-6
     assert (q[1] - q[2]) < (q[0] - q[1])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,11 @@ from phardy.cli import (
     run_suite,
 )
 from phardy.errors import ConfigError
-from phardy.functionals import KINDS
+from phardy.functionals import KINDS, hardy_case, sides_for
+from phardy.geometry import CoordinateRange, euclidean_radial
+from phardy.grids import build_grid
+from phardy.testfunctions import random_test_functions
+from phardy.weights import rho_catalog_entry
 
 
 def small_config(**overrides):
@@ -62,6 +68,21 @@ def test_report_locates_worst_bump():
     grid = small_config()["cases"][0]["grid"]
     assert hyp["worst_width"] in (3, 9)
     assert grid["lo"] < hyp["worst_center"] < grid["hi"]
+
+
+def test_report_names_the_worst_test_function():
+    # the record alone regenerates the function that gave the worst margin:
+    # entry worst_index of the case's seeded stream (even: bump, odd: tent)
+    record = run_suite(small_config())["cases"][0]
+    sides, g = record["sides"], record["grid"]
+    grid = build_grid(CoordinateRange(g["lo"], g["hi"]), g["n"], g["spacing"])
+    seed = [record["seed"], zlib.crc32(record["case_id"].encode())]
+    funcs = random_test_functions(grid, sides["n_test_functions"], seed)
+    e3 = euclidean_radial(3)
+    case = hardy_case(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0))
+    pair = sides_for(case, funcs[sides["worst_index"]])
+    assert pair.margin / max(pair.rhs, 1e-300) == sides["min_margin_rel"]
+    assert dataclasses.asdict(pair) == sides["worst"]
 
 
 def test_cli_import_leaves_scipy_interpolate_out():
@@ -244,8 +265,7 @@ def test_eigen_hardy_record_carries_its_hypothesis():
         "kind": "eigen-hardy",
         "model": {"kind": "interval", "a": 0.0, "b": 1.0},
         "params": {"p": 2},
-        "grid": {"lo": 0.0, "hi": 1.0, "n": 400, "spacing": "linear",
-                 "open_lo": False, "open_hi": False},
+        "grid": {"lo": 0.0, "hi": 1.0, "n": 400, "spacing": "linear"},
     }
     record = run_suite(cfg)["cases"][0]
     assert record["status"] == "pass"
@@ -313,8 +333,7 @@ def _eigen(kind, model=None, **params):
         case.update(
             kind=kind, params={"p": 2, **params},
             model=model or {"kind": "interval", "a": 0.0, "b": 1.0},
-            grid={"lo": 0.0, "hi": 1.0, "n": 200, "spacing": "linear", "open_lo": False,
-                  "open_hi": False},
+            grid={"lo": 0.0, "hi": 1.0, "n": 200, "spacing": "linear"},
         )
     return mutate
 
@@ -362,6 +381,7 @@ BAD_CONFIGS = {
         _set(CASE + ("grid",), {"lo": 0.0, "hi": 0.999, "n": 2000, "spacing": "linear"}),
         "'grid'", True,
     ),
+    "grid-open-lo": (_set(CASE + ("grid", "open_lo"), True), "'open_lo'", True),
     "grid-too-coarse-for-sign-check": (
         _set(CASE + ("grid",), {"lo": 0.001, "hi": 0.999, "n": 5, "spacing": "log"}),
         "'grid'", True,
@@ -472,8 +492,7 @@ _MODELS = _mostly(
 _GRIDS = st.fixed_dictionaries(
     {"lo": st.sampled_from([0.0, 0.01, 0.5, 2.0]), "hi": st.sampled_from([1.0, 20.0]),
      "n": _mostly(st.integers(7, 64), st.integers(0, 6))},
-    optional={"spacing": _mostly(st.sampled_from(["log", "linear"]), st.just("cubic")),
-              "open_lo": st.booleans(), "open_hi": _mostly(st.booleans(), _JUNK)},
+    optional={"spacing": _mostly(st.sampled_from(["log", "linear"]), st.just("cubic"))},
 )
 _WEIGHTS = _mostly(
     st.sampled_from([

@@ -84,7 +84,7 @@ def test_domain_monotonicity():
 
 def test_unbounded_range_rejected():
     with pytest.raises(InvalidArgumentError):
-        first_eigenpair(UNIT, 2.0, CoordinateRange(0.0, math.inf, open_hi=True))
+        first_eigenpair(UNIT, 2.0, CoordinateRange(0.0, math.inf))
 
 
 def test_eigen_hardy_margins(pair_p2):
@@ -113,7 +113,7 @@ def test_minimizer_profile_quotient_trend(pair_p2):
         ramp_hi = np.clip((0.5 - t) / 0.1, 0.0, 1.0)
         vals = vals * ramp_lo * ramp_hi
         vals[0] = vals[-1] = 0.0
-        u = GridFunction(grid, vals, dirichlet_zero=True)
+        u = GridFunction(grid, vals)
         pair = sides_for(case, u)
         quotients.append(pair.rhs / pair.lhs)
         assert pair.margin > 0.0  # gap stays positive: not attained

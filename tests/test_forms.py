@@ -15,7 +15,7 @@ import phardy.forms
 from phardy.cli import load_config, run_suite
 from phardy.eigen import first_eigenpair
 from phardy.errors import InvalidArgumentError, ToolkitError
-from phardy.forms import P1Forms, TridiagFactor, dirichlet_slice, restrict
+from phardy.forms import P1Forms, TridiagFactor, interior
 from phardy.functionals import gn_case, hardy_case
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import build_grid
@@ -145,7 +145,7 @@ def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
 
 def test_minimizers_take_only_the_forms_of_a_quotient():
     e3 = euclidean_radial(3)
-    rng = CoordinateRange(0.1, 10.0, True, True)
+    rng = CoordinateRange(0.1, 10.0)
     grid = build_grid(rng, 50, "log")
     gn = gn_case(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0), delta=2.0)
     with pytest.raises(InvalidArgumentError):  # three densities, not (A, B)
@@ -159,8 +159,7 @@ def _interval_pencil(n=60):
     smallest eigenvalue of its dense pencil."""
     grid = build_grid(CoordinateRange(0.0, 1.0), n, "linear")
     forms = P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t)))
-    keep = dirichlet_slice(n, (True, True))
-    k_band, m_band = (restrict(band, keep) for band in forms.pencil(np.zeros(n), 2.0))
+    k_band, m_band = map(interior, forms.pencil(np.zeros(n), 2.0))
     return k_band, m_band, dense_lambda1(k_band, m_band)
 
 

@@ -31,7 +31,7 @@ from phardy.testfunctions import bump, random_test_functions, tent
 from phardy.weights import rho_catalog_entry, weight_from_samples
 
 E3 = euclidean_radial(3)
-RNG = CoordinateRange(1e-3, 1e3, open_lo=True, open_hi=True)
+RNG = CoordinateRange(1e-3, 1e3)
 
 
 def hardy_e3_case():
@@ -43,7 +43,7 @@ def log_grid(n=2000, rng=RNG):
 
 
 def zero_fn(grid):
-    return GridFunction(grid, np.zeros(grid.n), dirichlet_zero=True)
+    return GridFunction(grid, np.zeros(grid.n))
 
 
 def quotient(case, u):
@@ -73,13 +73,13 @@ def test_log_tent_quotient_matches_substitution_oracle():
     # (int v'^2 + v^2/4) / int v^2; for the tent v = max(0, 1 - |x|/L)
     # that is exactly 1/4 + 3/L^2
     L = 4.0
-    rng = CoordinateRange(math.exp(-1.2 * L), math.exp(1.2 * L), True, True)
+    rng = CoordinateRange(math.exp(-1.2 * L), math.exp(1.2 * L))
     grid = build_grid(rng, 4000, "log")
     case = hardy_e3_case()
     tent_log = np.clip(1.0 - np.abs(np.log(grid.nodes)) / L, 0.0, None)
     vals = grid.nodes ** -0.5 * tent_log
     vals[0] = vals[-1] = 0.0
-    u = GridFunction(grid, vals, dirichlet_zero=True)
+    u = GridFunction(grid, vals)
     q = quotient(case, u)
     assert q == pytest.approx(0.25 + 3.0 / L ** 2, rel=1e-2)
 
@@ -134,7 +134,7 @@ def test_margin_sign_invariant_under_scaling():
     for case in cases:
         signs = set()
         for lam in (1e-3, 1.0, 1e3):
-            scaled = GridFunction(grid, lam * u.values, dirichlet_zero=True)
+            scaled = GridFunction(grid, lam * u.values)
             signs.add(math.copysign(1.0, sides_for(case, scaled).margin))
         assert len(signs) == 1
 
@@ -150,7 +150,7 @@ def test_weight_scaling_leaves_quotient_unchanged():
 
 def test_caccioppoli_margins_and_hypothesis():
     w = rho_catalog_entry("power", E3, 2.0, beta=2.0)
-    rng = CoordinateRange(1e-2, 1e2, True, True)
+    rng = CoordinateRange(1e-2, 1e2)
     grid = build_grid(rng, 1500, "log")
     for q in (0.0, 2.0):
         case = caccioppoli_case(E3, w, q)
@@ -177,7 +177,7 @@ def test_caccioppoli_interval_distance_q_equals_p():
 
 def test_caccioppoli_rejects_superharmonic_weight():
     w = rho_catalog_entry("power", euclidean_radial(4), 2.0, beta=-1.0)
-    rng = CoordinateRange(1e-2, 1e2, True, True)
+    rng = CoordinateRange(1e-2, 1e2)
     case = caccioppoli_case(euclidean_radial(4), w, 0.0)
     grid = build_grid(rng, 900, "log")
     res = validate_case_hypothesis(case, grid)
@@ -189,7 +189,7 @@ def test_caccioppoli_rejects_superharmonic_weight():
 
 
 def test_divergence_lemma_instances():
-    grid = log_grid(1500, CoordinateRange(1e-2, 1e2, True, True))
+    grid = log_grid(1500, CoordinateRange(1e-2, 1e2))
     dh = divergence_case(E3, "davies-hinz", 2.0)
     kf = divergence_case(E3, "killing", 2.0)
     for u in random_test_functions(grid, 10, seed=13):
@@ -201,7 +201,7 @@ def test_divergence_lemma_instances():
 
 def test_killing_reduces_to_hardy_constant():
     # h = x/|x|^p gives exactly the ((N-p)/p)^p Hardy form
-    grid = log_grid(1500, CoordinateRange(1e-2, 1e2, True, True))
+    grid = log_grid(1500, CoordinateRange(1e-2, 1e2))
     kf = divergence_case(E3, "killing", 2.0)
     case = hardy_e3_case()
     u = bump(grid, -2.0, 2.0)
@@ -213,7 +213,7 @@ def test_killing_reduces_to_hardy_constant():
 
 
 def test_divergence_rejects_nonpositive_ah():
-    grid = log_grid(200, CoordinateRange(0.5, 2.0, True, True))
+    grid = log_grid(200, CoordinateRange(0.5, 2.0))
     bad = InequalityCase(
         kind="divergence-lemma", model=E3, weight=None,
         params={"p": 2.0, "h_mag": lambda t: np.ones_like(t), "a_h": lambda t: -np.ones_like(t)},
@@ -253,9 +253,9 @@ def test_uncertainty_margins_and_dilation_invariance():
     base = sides_for(case, u)
     lam = 2.0
     grid2 = build_grid(
-        CoordinateRange(RNG.lo / lam, RNG.hi / lam, True, True), 1500, "log"
+        CoordinateRange(RNG.lo / lam, RNG.hi / lam), 1500, "log"
     )
-    u2 = GridFunction(grid2, u.values, dirichlet_zero=True)
+    u2 = GridFunction(grid2, u.values)
     scaled = sides_for(case, u2)
     assert scaled.rhs / scaled.lhs == pytest.approx(base.rhs / base.lhs, rel=1e-8)
     with pytest.raises(InvalidArgumentError):
@@ -366,7 +366,7 @@ def test_halfspace_distance_hardy_on_interval():
     # distance from the boundary of the half-space reduces to rho = x
     m = interval(0.0, 1.0)
     w = rho_catalog_entry("power", m, 2.0, beta=1.0)
-    rng = CoordinateRange(1e-3, 1.0, open_hi=True)
+    rng = CoordinateRange(1e-3, 1.0)
     grid = build_grid(rng, 1001, "linear")
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)

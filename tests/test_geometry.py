@@ -110,8 +110,8 @@ def test_coordinate_range_validation():
         CoordinateRange(1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         CoordinateRange(-1.0, 1.0)
-    r = CoordinateRange(0.5, 2.0, open_lo=True)
-    assert r.open_lo and not r.open_hi
+    r = CoordinateRange(0.5, 2.0)
+    assert (r.lo, r.hi) == (0.5, 2.0)
 
 
 def test_model_from_config():

@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cell_gauss_integrate
+from oracles import cell_gauss_integrate, refine
 
 from phardy.errors import InvalidArgumentError, NonFiniteIntegrandError
 from phardy.forms import P1Forms
 from phardy.geometry import CoordinateRange
-from phardy.grids import (
-    GridFunction,
-    build_grid,
-    cell_gauss,
-    refine,
-)
+from phardy.grids import GridFunction, build_grid, cell_gauss
 
 
 def p1_integral(grid, values):
@@ -118,9 +113,10 @@ def test_quadrature_convergence_order():
 
 def test_grid_function_dirichlet_validation():
     g = build_grid(CoordinateRange(0, 1), 5, "linear")
-    GridFunction(g, np.array([0, 1, 2, 1, 0.0]), dirichlet_zero=True)
-    with pytest.raises(InvalidArgumentError):
-        GridFunction(g, np.ones(5), dirichlet_zero=True)
+    GridFunction(g, np.array([0, 1, 2, 1, 0.0]))
+    for values in ([1, 1, 2, 1, 0.0], [0, 1, 2, 1, 1.0], np.ones(5)):
+        with pytest.raises(InvalidArgumentError):
+            GridFunction(g, np.array(values))
     with pytest.raises(InvalidArgumentError):
         GridFunction(g, np.ones(4))
 

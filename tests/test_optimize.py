@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_lambda1, scaled
+from oracles import dense_lambda1, estimate_lambda1, refine, scaled
 
 from phardy.errors import InvalidArgumentError
-from phardy.forms import P1Forms, apply_tridiag, restrict
+from phardy.forms import P1Forms, apply_tridiag, interior
 from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
@@ -14,13 +14,12 @@ from phardy.geometry import (
     half_plane_poincare,
     interval,
 )
-from phardy.grids import build_grid, refine
+from phardy.grids import build_grid
 from phardy.optimize import (
     TOL_EIG_GENERAL,
     bottom_eigenpair,
     convergence_study,
     descend_quotient,
-    estimate_lambda1,
     minimize_quotient_general_p,
     minimize_quotient_p2,
     minimize_rayleigh_p2,
@@ -57,7 +56,7 @@ def test_single_interior_node_pencil():
 
 
 def test_hardy_quotient_matches_log_oracle():
-    rng = CoordinateRange(1e-3, 1e3, True, True)
+    rng = CoordinateRange(1e-3, 1e3)
     grid = build_grid(rng, 2000, "log")
     res = minimize_quotient_p2(hardy_e3(), grid)
     L = math.log(rng.hi / rng.lo)
@@ -69,7 +68,7 @@ def test_hardy_quotient_matches_log_oracle():
 def test_halfplane_quotient_matches_oracle():
     hp = half_plane_poincare()
     w = rho_catalog_entry("halfplane-y", hp, 2.0)
-    rng = CoordinateRange(1e-3, 1e3, True, True)
+    rng = CoordinateRange(1e-3, 1e3)
     grid = build_grid(rng, 2000, "log")
     res = minimize_quotient_p2(weighted_hardy_case(hp, w, 0.0), grid)
     L = math.log(1e6)
@@ -93,7 +92,7 @@ def test_general_p_lower_bound_and_decrease():
     bound = (2.0 / 3.0) ** 3
     quotients = []
     for lo, hi, n in [(1e-3, 1e3, 1200), (1e-4, 1e4, 1600)]:
-        rng = CoordinateRange(lo, hi, True, True)
+        rng = CoordinateRange(lo, hi)
         case = hardy_case(E4, w)
         grid = build_grid(rng, n, "log")
         res = minimize_quotient_general_p(case, grid, max_iter=3000)
@@ -110,7 +109,7 @@ def test_general_p_lower_bound_and_decrease():
 def test_general_p_converged_means_stationary():
     # on [1e-12, 1e12] the line search gives up at a residual near 1:
     # that stop is not convergence
-    rng = CoordinateRange(1e-12, 1e12, True, True)
+    rng = CoordinateRange(1e-12, 1e12)
     case = hardy_case(E5, rho_catalog_entry("power", E5, 4.0, beta=-1.0 / 3.0))
     res = minimize_quotient_general_p(case, build_grid(rng, 600, "log"))
     assert res.residual > TOL_EIG_GENERAL
@@ -133,7 +132,7 @@ def test_warm_start_not_worse_than_cold():
 
 
 def test_monotone_under_nested_refinement():
-    rng = CoordinateRange(1e-2, 1e2, True, True)
+    rng = CoordinateRange(1e-2, 1e2)
     case = hardy_e3()
     grid = build_grid(rng, 500, "log")
     q_coarse = minimize_quotient_p2(case, grid).quotient
@@ -142,7 +141,7 @@ def test_monotone_under_nested_refinement():
 
 
 def test_quotient_history_non_increasing():
-    rng = CoordinateRange(1e-3, 1e3, True, True)
+    rng = CoordinateRange(1e-3, 1e3)
     grid = build_grid(rng, 1000, "log")
     res = minimize_quotient_p2(hardy_e3(), grid)
     qs = [h[1] for h in res.history]
@@ -155,13 +154,12 @@ def test_p2_bracket_holds_the_dense_eigenvalue(lo, n):
     # lambda1 of the dense pencil lies in [lower, quotient] up to roundoff:
     # the inertia test and the dense solver each err by up to 3e-11
     # relative on these grids, and the bracket is at most 1e-10 wide
-    rng = CoordinateRange(lo, 1.0 / lo, True, True)
+    rng = CoordinateRange(lo, 1.0 / lo)
     case = hardy_e3()
     grid = build_grid(rng, n, "log")
     res = minimize_quotient_p2(case, grid)
     k_band, m_band = case_forms(case, grid, 2.0).pencil(np.zeros(n), 2.0)
-    inner = slice(1, n - 1)
-    lam = dense_lambda1(restrict(k_band, inner), restrict(m_band, inner))
+    lam = dense_lambda1(interior(k_band), interior(m_band))
     assert res.converged and res.quotient - res.lower <= 1e-10 * res.quotient
     assert res.lower - 1e-10 * lam <= lam <= res.quotient + 1e-10 * lam
 
@@ -171,12 +169,12 @@ def test_bracket_holds_the_dense_eigenvalue_off_p2():
     # dense pencil lies in [lower - slack, Rayleigh quotient] up to the
     # dense solver's own error, which a diagonal rescaling shows reaches
     # 3e-11 relative on such pencils
-    rng = CoordinateRange(1e-3, 1e3, True, True)
+    rng = CoordinateRange(1e-3, 1e3)
     case = hardy_case(E4, rho_catalog_entry("power", E4, 3.0, beta=-0.5))
     grid = build_grid(rng, 800, "log")
     u = case.weight.rho(grid.nodes) ** (2.0 / 3.0)
     bands = case_forms(case, grid, 3.0).pencil(u, 3.0)
-    k_band, m_band = (restrict(b, slice(1, 799)) for b in bands)
+    k_band, m_band = map(interior, bands)
     pair = bottom_eigenpair(k_band, m_band)
     v = pair.vector
     rq = (v @ apply_tridiag(*k_band, v)) / (v @ apply_tridiag(*m_band, v))
@@ -214,6 +212,7 @@ def test_estimate_lambda1_interval():
         CoordinateRange(0.0, 1.0),
         n=4000,
         spacing="linear",
+        natural_lo=False,
     )
     assert abs(lam - math.pi ** 2) < 1e-6
 
@@ -222,21 +221,21 @@ def test_estimate_lambda1_ball_weight_stable_and_scaling():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     vals = []
     for eps in (1e-3, 1e-4, 1e-5):
-        rng = CoordinateRange(eps, 1.0, open_lo=True)
-        vals.append(estimate_lambda1(E3, w, rng, n=2500))
+        rng = CoordinateRange(eps, 1.0)
+        vals.append(estimate_lambda1(E3, w, rng, n=2500, natural_lo=True))
     spread = (max(vals) - min(vals)) / min(vals)
     assert spread < 0.02 and min(vals) > 0
-    rng = CoordinateRange(1e-4, 1.0, open_lo=True)
-    lam_scaled = estimate_lambda1(E3, scaled(w, 57.0), rng, n=2500)
+    rng = CoordinateRange(1e-4, 1.0)
+    lam_scaled = estimate_lambda1(E3, scaled(w, 57.0), rng, n=2500, natural_lo=True)
     assert lam_scaled == pytest.approx(vals[1], rel=1e-10)
 
 
 def test_remainder_inequality_for_bumps():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    rng = CoordinateRange(1e-4, 1.0, open_lo=True)
+    rng = CoordinateRange(1e-4, 1.0)
     grid = build_grid(rng, 2500, "log")
     case = hardy_case(E3, w)
-    lam = estimate_lambda1(E3, w, rng, n=2500)
+    lam = estimate_lambda1(E3, w, rng, n=2500, natural_lo=True)
     forms = P1Forms(grid, lambda t: (np.exp(E3.log_volume_density(t)),) * 2)
     for u in random_test_functions(grid, 25, seed=101):
         mass = forms.evaluate(u.values, 2.0)[1]
@@ -250,7 +249,7 @@ def test_remainder_inequality_for_bumps():
 def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
     # margins and minimizers integrate one P1 interpolant on the same cells
     model = euclidean_radial(dim)
-    rng = CoordinateRange(lo, 1.0 / lo, open_lo=True, open_hi=True)
+    rng = CoordinateRange(lo, 1.0 / lo)
     case = hardy_case(model, rho_catalog_entry("power", model, p, beta=beta))
     grid = build_grid(rng, n, "log")
     if p == 2.0:
@@ -264,6 +263,6 @@ def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
 def test_minimize_p2_rejects_other_p():
     w = rho_catalog_entry("power", E3, 3.0, beta=-0.5)
     case = hardy_case(E3, w)
-    grid = build_grid(CoordinateRange(0.1, 10, True, True), 300, "log")
+    grid = build_grid(CoordinateRange(0.1, 10), 300, "log")
     with pytest.raises(InvalidArgumentError):
         minimize_quotient_p2(case, grid)

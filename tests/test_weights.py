@@ -32,7 +32,7 @@ from phardy.weights import (
 )
 
 E3 = euclidean_radial(3)
-WIDE = CoordinateRange(1e-2, 1e2, open_lo=True, open_hi=True)
+WIDE = CoordinateRange(1e-2, 1e2)
 
 
 def wide_grid(n=900):
@@ -203,7 +203,7 @@ def test_chain_rule_sqrt_case():
 
 
 def test_green_euclidean3_profile_shape():
-    grid = build_grid(CoordinateRange(0.1, 50.0, True, True), 1500, "log")
+    grid = build_grid(CoordinateRange(0.1, 50.0), 1500, "log")
     w = green_weight_radial(E3, 2.0, grid)
     t = grid.nodes[[100, 500, 900, 1300]]
     expected = (1.0 / t - 1.0 / grid.hi) / (4 * math.pi)
@@ -211,23 +211,23 @@ def test_green_euclidean3_profile_shape():
 
 
 def test_green_parabolic_rejected():
-    grid = build_grid(CoordinateRange(0.1, 50.0, True, True), 500, "log")
+    grid = build_grid(CoordinateRange(0.1, 50.0), 500, "log")
     with pytest.raises(ParabolicModelError):
         green_weight_radial(euclidean_radial(2), 2.0, grid)
 
 
 def test_green_hyperbolic_value():
     # integral_1^inf csch = -ln tanh(1/2) = 0.7719368... (closed antiderivative)
-    grid = build_grid(CoordinateRange(1.0, 60.0, True, True), 2500, "log")
+    grid = build_grid(CoordinateRange(1.0, 60.0), 2500, "log")
     w = green_weight_radial(hyperbolic_radial(2), 2.0, grid)
     val = w.rho(grid.nodes[:1])[0] * 2 * math.pi
     assert val == pytest.approx(0.7719368329053048, abs=1e-9)
 
 
 def test_green_passes_superharmonicity():
-    grid = build_grid(CoordinateRange(0.1, 50.0, True, True), 1200, "log")
+    grid = build_grid(CoordinateRange(0.1, 50.0), 1200, "log")
     w = green_weight_radial(E3, 2.0, grid)
-    sub = build_grid(CoordinateRange(0.2, 20.0, True, True), 800, "log")
+    sub = build_grid(CoordinateRange(0.2, 20.0), 800, "log")
     res = weak_superharmonicity_check(w, sub)
     assert res.passed and abs(res.worst_value) < 1e-6
 
