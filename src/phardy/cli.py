@@ -322,10 +322,13 @@ def run_suite(cfg: dict) -> dict:
     cases = [_checked_case(i, spec, conf) for i, spec in enumerate(conf["cases"])]
     records = []
     for i, (spec, c) in enumerate(zip(conf["cases"], cases)):
+        # the grid that was checked, spacing as build_grid normalized it
+        grid = {"lo": c["rng"].lo, "hi": c["rng"].hi, "n": c["grid"].n,
+                "spacing": c["grid"].spacing} if "rng" in c else {}
         record = {
             "kind": c["kind"],
             "params": spec["params"],
-            "grid": spec.get("grid", {}),
+            "grid": grid,
             "seed": conf["seed"],
         }
         try:

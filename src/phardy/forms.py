@@ -12,11 +12,41 @@ so the sides, the minimizers and the eigen solver share one assembly.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .errors import IndefiniteBandError, InvalidArgumentError, NonFiniteIntegrandError
 from .grids import RadialGrid, cell_gauss
+
+
+def load_lapack(root):
+    """scipy's LAPACK extension, loaded from ``root/linalg`` under its own
+    name ``scipy.linalg._flapack``, so that a later ``import scipy.linalg``
+    shares it; without that file, the public ``scipy.linalg.lapack``.
+    Loading the file skips the ``scipy.linalg`` package init, which imports
+    scipy's array-API layer, ``numpy.testing`` and ``unittest``: about
+    0.25 s of startup for the two routines used here."""
+    name = "scipy.linalg._flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(root, "linalg", "_flapack" + suffix)
+        if path.is_file():
+            if name not in sys.modules:
+                spec = importlib.util.spec_from_file_location(name, path)
+                sys.modules[name] = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(sys.modules[name])
+            return sys.modules[name]
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+_LAPACK = load_lapack(Path(scipy.__file__).parent)
+dpttrf, dpttrs = _LAPACK.dpttrf, _LAPACK.dpttrs
 
 
 def model_densities(model, p: float, factors):

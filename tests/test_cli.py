@@ -86,13 +86,31 @@ def test_report_names_the_worst_test_function():
 
 
 def test_cli_import_leaves_scipy_interpolate_out():
-    # scipy.interpolate is only for test oracles; keeping it out of the CLI saves import time
-    code = "import sys, phardy.cli; print('scipy.interpolate' in sys.modules)"
+    # scipy.interpolate is only for test oracles, and forms loads the LAPACK
+    # extension without the scipy.linalg package init; both save import time.
+    # A later import of scipy.linalg shares the loaded extension.
+    code = (
+        "import sys, phardy.cli, phardy.forms\n"
+        "out = ['scipy.linalg', 'scipy.interpolate', 'scipy._lib.array_api_compat']\n"
+        "print([name for name in out if name in sys.modules])\n"
+        "import scipy.linalg.lapack\n"
+        "print(scipy.linalg.lapack.dpttrf is phardy.forms.dpttrf)\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(phardy.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["[]", "True", ""]
+
+
+def test_record_carries_the_grid_that_was_checked():
+    # a grid without 'spacing' runs on the default log grid, and says so
+    cfg = small_config()
+    del cfg["cases"][0]["grid"]["spacing"]
+    cfg["cases"][0]["grid"].update(lo=1, hi=100)
+    grid = run_suite(cfg)["cases"][0]["grid"]
+    assert grid == {"lo": 1.0, "hi": 100.0, "n": 800, "spacing": "log"}
+    assert all(type(grid[k]) is float for k in ("lo", "hi"))
 
 
 def test_run_suite_deterministic_bytes():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 from oracles import dense, dense_lambda1
 
@@ -203,3 +204,21 @@ def test_tridiag_factor_one_by_one():
     assert TridiagFactor(np.array([4.0]), np.zeros(0)).solve(np.array([2.0])) == [0.5]
     assert not TridiagFactor(np.array([0.0]), np.zeros(0)).definite
     assert not TridiagFactor(np.array([-1.0]), np.zeros(0)).definite
+
+
+@pytest.mark.parametrize("n", [2, 7, 5000])
+def test_tridiag_factor_matches_the_public_lapack_routines(n):
+    # forms loads dpttrf/dpttrs from scipy's LAPACK extension by path
+    rng = np.random.default_rng(n)
+    diag, off = rng.uniform(2.5, 3.5, n), -rng.uniform(0.1, 1.0, n - 1)
+    rhs = rng.standard_normal(n)
+    d, e, info = lapack.dpttrf(diag, off)
+    factor = TridiagFactor(diag, off)
+    assert info == 0 and factor.definite
+    assert np.array_equal(factor.d, d) and np.array_equal(factor.e, e)
+    assert np.array_equal(factor.solve(rhs), lapack.dpttrs(d, e, rhs)[0])
+
+
+def test_lapack_loader_falls_back_to_the_public_module(tmp_path):
+    # a scipy whose LAPACK extension is not where forms looks for it
+    assert phardy.forms.load_lapack(tmp_path) is lapack

@@ -36,15 +36,6 @@ def test_no_private_names_imported_across_modules():
     assert private == []
 
 
-def test_banded_solver_imported_only_by_forms():
-    users = sorted(
-        path.name
-        for path in SRC.glob("*.py")
-        if any(name in ("dpttrf", "dpttrs") for _, name in _imports(path))
-    )
-    assert users == ["forms.py"]
-
-
 def _references(path):
     """Every name a source file uses: names, attributes, string constants
     (a name handed over as a string) and, in __init__.py, its exports."""
@@ -57,6 +48,17 @@ def _references(path):
             yield node.value
         elif isinstance(node, ast.alias) and path.name == "__init__.py":
             yield node.name
+
+
+def test_banded_solver_imported_only_by_forms():
+    # forms loads the LAPACK routines itself; no other module names them,
+    # whether as a name, an attribute, a string or an imported name
+    users = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if {"dpttrf", "dpttrs"} & {*_references(path), *(name for _, name in _imports(path))}
+    )
+    assert users == ["forms.py"]
 
 
 def test_every_definition_is_used_outside_the_tests():
@@ -120,8 +122,14 @@ def _field_reads(trees):
     for tree in trees:
         assigned = {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                assigned.setdefault(node.targets[0].id, []).append(node.value)
+            if not isinstance(node, ast.Assign):
+                continue
+            pairs = [(node.targets[0], node.value)]
+            if isinstance(node.value, ast.Tuple) and isinstance(node.targets[0], ast.Tuple):
+                pairs = zip(node.targets[0].elts, node.value.elts)  # a, b = x, y
+            for target, value in pairs:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, []).append(value)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 yield node.attr
@@ -150,6 +158,33 @@ def test_every_field_is_read_outside_the_tests():
         if name not in reads
     ]
     assert sorted(unread) == ["CheckResult.worst_raw", "MinimizationResult.history"]
+
+
+def test_field_reads_follow_tuple_assignments():
+    # asdict(worst) reads every field of the pair that worst was assigned from,
+    # whether the assignment names one target or pairs several
+    source = """
+from dataclasses import asdict, dataclass
+
+@dataclass
+class SidePair:
+    lhs: float
+    constant: float
+
+def sides_for(u) -> SidePair:
+    return SidePair(u, 1.0)
+
+def worst_of(us):
+    worst_rel, worst = float("inf"), None
+    for u in us:
+        pair = sides_for(u)
+        if u < worst_rel:
+            worst_rel, worst = u, pair
+    return asdict(worst)
+"""
+    tree = ast.parse(source)
+    reads = set(_field_reads([tree]))
+    assert [f"{cls}.{name}" for cls, name in _fields(tree) if name not in reads] == []
 
 
 def test_hardy_case_keeps_the_benchmark_range_slot():
