@@ -25,6 +25,8 @@ import zlib
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import capacity as capacity_mod
 from . import eigen as eigen_mod
 from . import functionals as fn
@@ -187,6 +189,20 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
 # ---------------------------------------------------------------------------
 # runners
 
+#: test functions generated at once by the margin sweep; even, so each
+#: block starts on a bump and the stream equals one call for all of them
+_FUNCTION_BLOCK = 64
+
+
+def seeded_functions(grid, count: int, seed):
+    """(i, u) over ``random_test_functions(grid, count, seed)``, generated
+    _FUNCTION_BLOCK at a time from one stream, so the sweep holds one block."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, _FUNCTION_BLOCK):
+        block = random_test_functions(grid, min(_FUNCTION_BLOCK, count - start), rng)
+        yield from enumerate(block, start)
+
+
 def _run_margins(c, conf, record, case) -> bool:
     """Record the worst relative margin of the case's sides over its seeded
     test functions, and the index of the function that gave it; True when
@@ -195,7 +211,7 @@ def _run_margins(c, conf, record, case) -> bool:
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = worst_index = None
     worst_rel = math.inf
-    for i, u in enumerate(random_test_functions(c["grid"], c["n_test_functions"], seed)):
+    for i, u in seeded_functions(c["grid"], c["n_test_functions"], seed):
         pair = fn.sides_for(case, u)
         scale = max(pair.rhs, 1e-300)
         rel = pair.margin / scale

@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .errors import IndefiniteBandError, InvalidArgumentError, NonFiniteIntegrandError
-from .grids import RadialGrid, cell_gauss
+from .grids import RadialGrid, cell_gauss, p1_basis
 
 
 def load_lapack(root):
@@ -48,6 +48,10 @@ def load_lapack(root):
 _LAPACK = load_lapack(Path(scipy.__file__).parent)
 dpttrf, dpttrs = _LAPACK.dpttrf, _LAPACK.dpttrs
 
+#: cells whose densities an assembly evaluates in one pass; caps its
+#: scratch arrays at _CELL_BLOCK * 8 doubles whatever the grid size
+_CELL_BLOCK = 1024
+
 
 def model_densities(model, p: float, factors):
     """t -> the densities of factors(t) = (a_1, ..., a_k, b) on a model:
@@ -72,24 +76,31 @@ class P1Forms:
     R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has both functionals and
     the data of their ``gradients`` from one pass (``evaluate``),
     ``residual`` and ``pencil``, valid once ``check_quotient`` passed.
+    The densities are evaluated ``_CELL_BLOCK`` cells at a time, so the
+    scratch of an assembly does not grow with the grid; ``n1`` and ``n2``
+    are the two P1 hats at the Gauss points, the same in every cell.
     """
 
     def __init__(self, grid: RadialGrid, densities):
         pts, wts = cell_gauss(grid.nodes)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.bad_nodes = ~np.all(np.isfinite(densities(grid.nodes)), axis=0)
-            weighted = list(densities(pts))
-        self.bad_cells = np.zeros(grid.n - 1, dtype=bool)
-        for i, f in enumerate(weighted):
-            finite = np.isfinite(f)
-            self.bad_cells |= ~finite.all(axis=1)
-            weighted[i] = np.multiply(wts, f, out=np.zeros_like(f), where=finite)
-        self.b_cell = np.sum(weighted.pop(), axis=1)
-        self.a_wts = weighted
+            finite_at_nodes = np.isfinite(densities(grid.nodes))
+            self.bad_nodes = ~np.all(finite_at_nodes, axis=0)
+            self.a_wts = [np.zeros(pts.shape) for _ in finite_at_nodes[1:]]
+            self.b_cell = np.zeros(grid.n - 1)
+            self.bad_cells = np.zeros(grid.n - 1, dtype=bool)
+            for start in range(0, grid.n - 1, _CELL_BLOCK):
+                cells = slice(start, start + _CELL_BLOCK)
+                *a, b = densities(pts[cells])
+                weighted = [a_wts[cells] for a_wts in self.a_wts] + [np.zeros(b.shape)]
+                for f, out in zip((*a, b), weighted):
+                    finite = np.isfinite(f)
+                    self.bad_cells[cells] |= ~finite.all(axis=1)
+                    np.multiply(wts[cells], f, out=out, where=finite)
+                self.b_cell[cells] = np.sum(weighted[-1], axis=1)
         self.grid = grid
         self.h = np.diff(grid.nodes)
-        self.n1 = (grid.nodes[1:, None] - pts) / self.h[:, None]
-        self.n2 = (pts - grid.nodes[:-1, None]) / self.h[:, None]
+        self.n1, self.n2 = p1_basis()
 
     def check_quotient(self):
         """Raise unless the densities are (A, B) of a quotient: finite on
@@ -101,7 +112,10 @@ class P1Forms:
 
     def values(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
         """u at the 8 Gauss points of each cell, shape (n-1, 8)."""
-        return self.n1[cells] * u[:-1][cells, None] + self.n2[cells] * u[1:][cells, None]
+        # einsum's outer products: faster here than broadcasting (8,) by (m, 1)
+        ug = np.einsum("i,j->ij", u[:-1][cells], self.n1)
+        ug += np.einsum("i,j->ij", u[1:][cells], self.n2)
+        return ug
 
     def slopes(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
         return np.diff(u)[cells] / self.h[cells]
@@ -116,7 +130,7 @@ class P1Forms:
         cells = slice(max(nz[0] - 1, 0), nz[-1] + 1) if nz.size else slice(0, 0)
         ug = np.abs(self.values(u, cells))
         out = [float(np.sum(a_wts[cells] * ug ** q)) for a_wts, q in zip(self.a_wts, qs)]
-        return out + [float(np.dot(self.b_cell[cells], np.abs(self.slopes(u, cells)) ** qs[-1]))]
+        return out + [float(np.sum(self.b_cell[cells] * np.abs(self.slopes(u, cells)) ** qs[-1]))]
 
     def pencil(self, u: np.ndarray, p: float):
         """Tridiagonal pencil ((k_diag, k_off), (m_diag, m_off)) of the
@@ -149,7 +163,7 @@ class P1Forms:
         slope, ug = self.slopes(u), self.values(u)
         slope_abs, ug_abs = np.abs(slope), np.abs(ug)
         gauss = (slope, slope_abs ** (p - 1.0), ug, self.a_wts[0] * ug_abs ** (p - 1.0))
-        energy = float(np.dot(self.b_cell, gauss[1] * slope_abs))
+        energy = float(np.sum(self.b_cell * (gauss[1] * slope_abs)))
         # A |u|^p into |u|'s buffer: one (n-1, 8) array fewer at the peak
         mass = float(np.sum(np.multiply(gauss[3], ug_abs, out=ug_abs)))
         return energy, mass, gauss
@@ -172,8 +186,8 @@ class P1Forms:
         -div(B |u'|^(p-2) u') - lam A |u|^(p-2) u."""
         kp, mp = (g / p for g in self.gradients(self.evaluate(u, p)[2], p))
         r = (kp - lam * mp)[1:-1]
-        scale = np.linalg.norm(kp[1:-1])
-        return float(np.linalg.norm(r) / scale) if scale > 0 else 0.0
+        scale = np.sqrt(np.sum(kp[1:-1] ** 2))
+        return float(np.sqrt(np.sum(r ** 2)) / scale) if scale > 0 else 0.0
 
 
 def apply_tridiag(diag, off, x):

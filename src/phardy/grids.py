@@ -98,6 +98,13 @@ def _gauss8():
     return np.polynomial.legendre.leggauss(8)
 
 
+def p1_basis():
+    """The two P1 hats of a cell at its 8 Gauss points, (1 - z)/2 and
+    (1 + z)/2 for the Gauss nodes z on [-1, 1]: the same in every cell."""
+    z, _ = _gauss8()
+    return 0.5 * (1.0 - z), 0.5 * (1.0 + z)
+
+
 def cell_gauss(nodes: np.ndarray):
     """Per-cell 8-point Gauss points and weights mapped from [-1, 1].
 

@@ -70,16 +70,16 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
     def step(factor, u):
         # the M-normalized solution v of (K - sigma M) v = M u
         v = factor.solve(apply_tridiag(*m_band, u))
-        mnorm = math.sqrt(float(v @ apply_tridiag(*m_band, v)))
+        mnorm = math.sqrt(float(np.sum(v * apply_tridiag(*m_band, v))))
         if mnorm == 0.0:
             raise ZeroDenominatorError("mass norm vanished in inverse iteration")
         v = v / mnorm
-        quotients.append(float(v @ apply_tridiag(*k_band, v)))
+        quotients.append(float(np.sum(v * apply_tridiag(*k_band, v))))
         return v
 
     factor = TridiagFactor(*k_band)
     u = step(factor, np.ones(k_band[0].size))
-    slack = float(np.finfo(float).eps * (u @ (k_band[0] * u)))
+    slack = float(np.finfo(float).eps * np.sum(u * (k_band[0] * u)))
     lower, upper, factorizations = 0.0, quotients[-1], 1
     while upper - lower > 0.5 * max(tol * upper, slack):
         sigma = 0.5 * (lower + upper)

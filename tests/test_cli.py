@@ -11,11 +11,13 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phardy
+import phardy.cli
 from phardy.cli import (
     bundled_config_path,
     emit_tables,
@@ -24,6 +26,7 @@ from phardy.cli import (
     main,
     report_json,
     run_suite,
+    seeded_functions,
 )
 from phardy.errors import ConfigError
 from phardy.functionals import KINDS, hardy_case, sides_for
@@ -83,6 +86,54 @@ def test_report_names_the_worst_test_function():
     pair = sides_for(case, funcs[sides["worst_index"]])
     assert pair.margin / max(pair.rhs, 1e-300) == sides["min_margin_rel"]
     assert dataclasses.asdict(pair) == sides["worst"]
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 130])
+def test_sweep_generates_one_stream_block_by_block(count, monkeypatch):
+    # the sweep's blocks draw from one generator: together they are the list
+    # one call gives, value for value, bumps and tents alternating across
+    # block boundaries; the sweep asks for the next block only when it
+    # reaches it, so it holds one block of functions at a time
+    grid = build_grid(CoordinateRange(0.01, 100.0), 300, "log")
+    seed = [7, zlib.crc32(b"mini-hardy")]
+    want = random_test_functions(grid, count, seed)
+    blocks = []
+    monkeypatch.setattr(
+        phardy.cli, "random_test_functions",
+        lambda *args: blocks.append(args[1]) or random_test_functions(*args),
+    )
+    stream = seeded_functions(grid, count, seed)
+    got = [next(stream)]
+    assert len(blocks) == 1
+    got += stream
+    block = phardy.cli._FUNCTION_BLOCK
+    assert block % 2 == 0 and blocks == [min(block, count - i) for i in range(0, count, block)]
+    assert [i for i, _ in got] == list(range(count))
+    assert all(np.array_equal(u.values, w.values) for (_, u), w in zip(got, want))
+
+
+def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than about 10k entries across
+    # threads, which reorders its sum; at n = 20,000 every reduction of a
+    # report must give the same bytes under one thread and under two
+    cfg = small_config(seed=3, n_test_functions=4)
+    cfg["cases"][0].update(
+        checks={"hypothesis": False, "minimize": True},
+        grid={"lo": 1e-4, "hi": 1e4, "n": 20000, "spacing": "log"},
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(phardy.__file__).resolve().parents[1])}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "phardy.cli", "run", str(path), "--out-dir", str(out)],
+            capture_output=True, check=True, env=env,
+        )
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_import_leaves_scipy_interpolate_out():

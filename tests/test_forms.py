@@ -1,6 +1,7 @@
 """P1 forms: one assembly per case and grid, minimized only when they are
 a quotient's, one pass over the Gauss points per descent point; the
 factored tridiagonal kernel."""
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from phardy.cli import load_config, run_suite
 from phardy.eigen import first_eigenpair
 from phardy.errors import InvalidArgumentError, ToolkitError
 from phardy.forms import P1Forms, TridiagFactor, interior
-from phardy.functionals import gn_case, hardy_case
+from phardy.functionals import case_forms, gn_case, hardy_case
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import build_grid
 from phardy.optimize import (
@@ -142,6 +143,33 @@ def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
     ge_s, gl_s = forms.gradients(forms.evaluate(s * u, p)[2], p)
     drift = (ge_s - q * gl_s) - s ** (p - 1.0) * (ge - q * gl)
     assert np.max(np.abs(drift)) <= 1e-13 * s ** (p - 1.0) * scale
+
+
+@pytest.mark.parametrize("factory, k", [
+    (lambda e3, w: hardy_case(e3, w), 1),
+    (lambda e3, w: gn_case(e3, w, delta=2.0), 2),
+], ids=["hardy", "gn"])
+def test_assembly_scratch_stays_a_block(factory, k):
+    # the forms hold the A densities per Gauss point and nothing else of
+    # that size: the P1 hats are the same 8-vectors in every cell.  The
+    # assembly evaluates the densities one block of cells at a time, so at
+    # its peak it holds the Gauss points and weights, the A's and a block
+    e3 = euclidean_radial(3)
+    case = factory(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0))
+    grid = build_grid(CoordinateRange(1e-2, 1e2), 64_000, "log")
+    case_forms(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"), 2.0)  # warm caches
+    tracemalloc.start()
+    try:
+        forms = case_forms(case, grid, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cell_array = (grid.n - 1) * 8 * 8  # bytes of one (n - 1, 8) array of doubles
+    assert len(forms.a_wts) == k and forms.n1.shape == forms.n2.shape == (8,)
+    assert all(a.shape == (grid.n - 1, 8) for a in forms.a_wts)
+    others = [np.shape(v) for name, v in vars(forms).items() if name != "a_wts"]
+    assert (grid.n - 1, 8) not in others
+    assert peak < (k + 3) * cell_array
 
 
 def test_minimizers_take_only_the_forms_of_a_quotient():

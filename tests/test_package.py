@@ -61,6 +61,23 @@ def test_banded_solver_imported_only_by_forms():
     assert users == ["forms.py"]
 
 
+def test_no_reduction_that_blas_threads():
+    # OpenBLAS splits a long dot product across threads, which reorders its
+    # sum, so a report would depend on the thread count; np.sum of the
+    # product sums pairwise in one thread
+    threaded = {"dot", "vdot", "inner", "matmul", "norm"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in threaded)
+        or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+            and threaded & {alias.name for alias in node.names})
+    ]
+    assert found == []
+
+
 def test_every_definition_is_used_outside_the_tests():
     # reference code that only tests call belongs in tests/oracles.py
     users = [*SRC.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
