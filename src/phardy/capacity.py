@@ -26,7 +26,9 @@ def green_integrals(model: ModelManifold, p: float, nodes: np.ndarray):
     """Per-cell Gauss integrals of s^(-1/(p-1)) and their suffix sums,
     suffix[i] = the integral from node i to the last node."""
     pts, wts = cell_gauss(nodes)
-    cell_ints = np.sum(wts * np.exp(-model.log_volume_density(pts) / (p - 1.0)), axis=1)
+    # summed over a contiguous (ncells, 8) copy: numpy's pairwise order per cell
+    integrand = (wts * np.exp(-model.log_volume_density(pts) / (p - 1.0))).T
+    cell_ints = np.sum(np.ascontiguousarray(integrand), axis=1)
     return cell_ints, np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
 
 

@@ -77,8 +77,11 @@ class P1Forms:
     the data of their ``gradients`` from one pass (``evaluate``),
     ``residual`` and ``pencil``, valid once ``check_quotient`` passed.
     The densities are evaluated ``_CELL_BLOCK`` cells at a time, so the
-    scratch of an assembly does not grow with the grid; ``n1`` and ``n2``
-    are the two P1 hats at the Gauss points, the same in every cell.
+    scratch of an assembly does not grow with the grid.  Gauss-point
+    arrays have shape (8, n-1), one row per point: products stream along
+    the cells and a sum over a cell's points adds 8 rows.  ``n1`` and
+    ``n2`` are the two P1 hats at the Gauss points, (8, 1) columns that
+    are the same in every cell.
     """
 
     def __init__(self, grid: RadialGrid, densities):
@@ -91,13 +94,13 @@ class P1Forms:
             self.bad_cells = np.zeros(grid.n - 1, dtype=bool)
             for start in range(0, grid.n - 1, _CELL_BLOCK):
                 cells = slice(start, start + _CELL_BLOCK)
-                *a, b = densities(pts[cells])
-                weighted = [a_wts[cells] for a_wts in self.a_wts] + [np.zeros(b.shape)]
+                *a, b = densities(pts[:, cells])
+                weighted = [a_wts[:, cells] for a_wts in self.a_wts] + [np.zeros(b.shape)]
                 for f, out in zip((*a, b), weighted):
                     finite = np.isfinite(f)
-                    self.bad_cells[cells] |= ~finite.all(axis=1)
-                    np.multiply(wts[cells], f, out=out, where=finite)
-                self.b_cell[cells] = np.sum(weighted[-1], axis=1)
+                    self.bad_cells[cells] |= ~finite.all(axis=0)
+                    np.multiply(wts[:, cells], f, out=out, where=finite)
+                self.b_cell[cells] = np.sum(weighted[-1], axis=0)
         self.grid = grid
         self.h = np.diff(grid.nodes)
         self.n1, self.n2 = p1_basis()
@@ -111,10 +114,9 @@ class P1Forms:
             raise InvalidArgumentError("quotient densities must be finite, A >= 0 and B > 0")
 
     def values(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
-        """u at the 8 Gauss points of each cell, shape (n-1, 8)."""
-        # einsum's outer products: faster here than broadcasting (8,) by (m, 1)
-        ug = np.einsum("i,j->ij", u[:-1][cells], self.n1)
-        ug += np.einsum("i,j->ij", u[1:][cells], self.n2)
+        """u at the 8 Gauss points of each cell, shape (8, n-1)."""
+        ug = self.n1 * u[:-1][cells]
+        ug += self.n2 * u[1:][cells]
         return ug
 
     def slopes(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -129,7 +131,7 @@ class P1Forms:
         nz = np.flatnonzero(live)
         cells = slice(max(nz[0] - 1, 0), nz[-1] + 1) if nz.size else slice(0, 0)
         ug = np.abs(self.values(u, cells))
-        out = [float(np.sum(a_wts[cells] * ug ** q)) for a_wts, q in zip(self.a_wts, qs)]
+        out = [float(np.sum(a_wts[:, cells] * ug ** q)) for a_wts, q in zip(self.a_wts, qs)]
         return out + [float(np.sum(self.b_cell[cells] * np.abs(self.slopes(u, cells)) ** qs[-1]))]
 
     def pencil(self, u: np.ndarray, p: float):
@@ -143,8 +145,10 @@ class P1Forms:
         if p != 2.0:
             slope = np.abs(self.slopes(u))
             bw = bw * np.maximum(slope, 1e-12 * (1e-300 + np.max(slope))) ** (p - 2.0)
-            ug = np.abs(self.values(u))
-            aw = aw * np.maximum(ug, 1e-12 * (1e-300 + np.max(ug))) ** (p - 2.0)
+            aw = np.abs(self.values(u))
+            np.maximum(aw, 1e-12 * (1e-300 + np.max(aw)), out=aw)
+            aw **= p - 2.0
+            aw *= self.a_wts[0]
         k_diag = np.zeros(n)
         k_off = np.zeros(n - 1)
         k_diag[:-1] += bw
@@ -152,9 +156,10 @@ class P1Forms:
         k_off -= bw
         m_diag = np.zeros(n)
         m_off = np.zeros(n - 1)
-        m_diag[:-1] += np.sum(aw * self.n1 ** 2, axis=1)
-        m_diag[1:] += np.sum(aw * self.n2 ** 2, axis=1)
-        m_off += np.sum(aw * self.n1 * self.n2, axis=1)
+        scratch = np.empty(aw.shape)
+        for hats, out in ((self.n1 ** 2, m_diag[:-1]), (self.n2 ** 2, m_diag[1:]),
+                          (self.n1 * self.n2, m_off)):
+            out += np.sum(np.multiply(aw, hats, out=scratch), axis=0)
         return (k_diag, k_off), (m_diag, m_off)
 
     def evaluate(self, u: np.ndarray, p: float):
@@ -162,22 +167,27 @@ class P1Forms:
         u' with |u'|^(p-1) per cell, u with A |u|^(p-1) per Gauss point."""
         slope, ug = self.slopes(u), self.values(u)
         slope_abs, ug_abs = np.abs(slope), np.abs(ug)
-        gauss = (slope, slope_abs ** (p - 1.0), ug, self.a_wts[0] * ug_abs ** (p - 1.0))
-        energy = float(np.sum(self.b_cell * (gauss[1] * slope_abs)))
-        # A |u|^p into |u|'s buffer: one (n-1, 8) array fewer at the peak
-        mass = float(np.sum(np.multiply(gauss[3], ug_abs, out=ug_abs)))
-        return energy, mass, gauss
+        slope_pow = slope_abs ** (p - 1.0)
+        a_pow = ug_abs ** (p - 1.0)
+        a_pow *= self.a_wts[0]
+        energy = float(np.sum(self.b_cell * (slope_pow * slope_abs)))
+        # A |u|^p into |u|'s buffer: one (8, n-1) array fewer at the peak
+        mass = float(np.sum(np.multiply(a_pow, ug_abs, out=ug_abs)))
+        return energy, mass, (slope, slope_pow, ug, a_pow)
 
     def gradients(self, gauss, p: float):
         """grad E and grad L from the Gauss data of ``evaluate``."""
         slope, slope_pow, ug, a_pow = gauss
         dcell = self.b_cell * p * np.sign(slope) * slope_pow / self.h
-        core = p * np.sign(ug) * a_pow
+        core = np.sign(ug)
+        core *= a_pow
+        core *= p
+        scratch = np.multiply(core, self.n1)
         ge, gl = np.zeros(self.grid.n), np.zeros(self.grid.n)
         ge[1:] += dcell
         ge[:-1] -= dcell
-        gl[:-1] += np.sum(core * self.n1, axis=1)
-        gl[1:] += np.sum(core * self.n2, axis=1)
+        gl[:-1] += np.sum(scratch, axis=0)
+        gl[1:] += np.sum(np.multiply(core, self.n2, out=scratch), axis=0)
         return ge, gl
 
     def residual(self, u: np.ndarray, lam: float, p: float) -> float:

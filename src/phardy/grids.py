@@ -100,19 +100,22 @@ def _gauss8():
 
 def p1_basis():
     """The two P1 hats of a cell at its 8 Gauss points, (1 - z)/2 and
-    (1 + z)/2 for the Gauss nodes z on [-1, 1]: the same in every cell."""
+    (1 + z)/2 for the Gauss nodes z on [-1, 1]: the same in every cell,
+    so each is an (8, 1) column that broadcasts over the cells."""
     z, _ = _gauss8()
-    return 0.5 * (1.0 - z), 0.5 * (1.0 + z)
+    return 0.5 * (1.0 - z[:, None]), 0.5 * (1.0 + z[:, None])
 
 
 def cell_gauss(nodes: np.ndarray):
     """Per-cell 8-point Gauss points and weights mapped from [-1, 1].
 
-    Returns arrays of shape (ncells, 8).
+    Returns arrays of shape (8, ncells): one row per Gauss point, so that
+    products stream along the cells and a sum over a cell's points adds
+    8 rows.
     """
     z, w = _gauss8()
-    xl = nodes[:-1, None]
-    xr = nodes[1:, None]
-    pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z[None, :]
-    wts = 0.5 * (xr - xl) * w[None, :]
+    xl = nodes[:-1]
+    xr = nodes[1:]
+    pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z[:, None]
+    wts = 0.5 * (xr - xl) * w[:, None]
     return pts, wts

@@ -57,12 +57,20 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
 
     K - sigma M factors iff sigma < mu1 (Sylvester's law of inertia), up to
     the rounding of the band's diagonal: ``slack`` = eps u^T diag(K) u for
-    M-normalized u, which grows like 1/h^2.  One inverse step with K gives
-    an upper bound; bisection narrows [lower, upper] to half of
-    max(tol * upper, slack), ``lower`` the largest sigma that factored,
-    with tol = BRACKET_RTOL.  Inverse steps shifted to lower, until the
-    quotient moves by at most tol relative, give ``vector``, M-normalized;
-    ``quotients`` holds u^T K u after each inverse step.
+    M-normalized u, which grows like 1/h^2.  The bracket [lower, upper]
+    starts from one inverse step with K and narrows to half of
+    max(tol * upper, slack), tol = BRACKET_RTOL, ``lower`` the largest
+    sigma that factored.  Every shift that factors takes one more inverse
+    step with its factor, and the step's Rayleigh quotient, an upper
+    bound, lowers ``upper``.  Once a step has moved that quotient by at
+    most a quarter of max(tol * upper, slack), the next shift is tried that
+    far below ``upper``, which closes the bracket if the quotient has
+    converged; otherwise the shifts bisect.  A guided shift is tried only
+    while the bracket is no wider than plain bisection's after as many
+    factorizations, so the slicing factors at most once more than plain
+    bisection.  Inverse steps shifted to lower, until the quotient moves
+    by at most tol relative, give ``vector``, M-normalized; ``quotients``
+    holds u^T K u after each inverse step.
     """
     tol = BRACKET_RTOL
     quotients = []
@@ -81,12 +89,26 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
     u = step(factor, np.ones(k_band[0].size))
     slack = float(np.finfo(float).eps * np.sum(u * (k_band[0] * u)))
     lower, upper, factorizations = 0.0, quotients[-1], 1
+    missed = 1  # inverse steps taken when a guided shift last failed to factor
     while upper - lower > 0.5 * max(tol * upper, slack):
-        sigma = 0.5 * (lower + upper)
+        target = max(tol * upper, slack)
+        # guided: the last step settled the quotient, no guided shift has
+        # missed since, and plain bisection, whose bracket after f
+        # factorizations is quotients[0] / 2^(f - 1) wide, is not ahead
+        guided = (
+            len(quotients) > missed
+            and quotients[-2] - quotients[-1] <= 0.25 * target
+            and upper - lower <= quotients[0] * 0.5 ** (factorizations - 1)
+        )
+        sigma = upper - 0.25 * target if guided else 0.5 * (lower + upper)
         trial = TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
         factorizations += 1
         if trial.definite:
             lower, factor = sigma, trial
+            u = step(factor, u)
+            upper = min(upper, quotients[-1])
+        elif guided:
+            upper, missed = sigma, len(quotients)
         else:
             upper = sigma
     for _ in range(10):  # a shift this close converges in two or three steps

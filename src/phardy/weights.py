@@ -352,7 +352,8 @@ def weak_superharmonicity_check(w: WeightSpec, grid: RadialGrid, sign: int = 1) 
     """
     check_bump_grid(grid)
     nodes, model, p = grid.nodes, w.model, w.p
-    t, wts = cell_gauss(nodes)
+    # (ncells, 8) views: the bumps gather the flux cell by cell
+    t, wts = (a.T for a in cell_gauss(nodes))
     slope = w.rho_prime(t)
     s_gp = np.exp(model.log_volume_density(t)) * model.gradient_factor(t) ** p
     flux = wts * (s_gp * np.sign(slope) * np.abs(slope) ** (p - 1.0))

@@ -12,8 +12,9 @@ form.
 The rest is reference code that only tests run, built on the package's
 public API: the weights of known sign the sign checker is scored
 against, the two-sided sign classification, the chain-rule check, the
-dyadic refinement of a grid and the first eigenvalue of a weighted
-quotient with a natural end (the package's solves are Dirichlet at both).
+dyadic refinement of a grid, the first eigenvalue of a weighted
+quotient with a natural end (the package's solves are Dirichlet at both)
+and the factorization count of plain bisection on a tridiagonal pencil.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from scipy.interpolate import BSpline
 from scipy.linalg import eigh
 
 from phardy.errors import ZeroDenominatorError
-from phardy.forms import P1Forms, TridiagFactor, interior, model_densities
+from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, interior, model_densities
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
 from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
-from phardy.optimize import bottom_eigenpair
+from phardy.optimize import BRACKET_RTOL, bottom_eigenpair
 from phardy.weights import WeightSpec, rho_catalog_entry, weak_superharmonicity_check
 
 
@@ -97,6 +98,26 @@ def dense_lambda1(k_band, m_band) -> float:
     """Smallest eigenvalue of the pencil K u = lambda M u, by the dense
     symmetric-definite eigensolver."""
     return float(eigh(dense(k_band), dense(m_band), subset_by_index=[0, 0], eigvals_only=True)[0])
+
+
+def bisection_factorizations(k_band, m_band) -> int:
+    """Factorizations that plain bisection on whether K - sigma M factors
+    takes to the bracket of ``optimize.bottom_eigenpair``: the same first
+    inverse step with K from u = 1, the same slack and the same stop rule,
+    every further shift the midpoint of [lower, upper]."""
+    v = TridiagFactor(*k_band).solve(apply_tridiag(*m_band, np.ones(k_band[0].size)))
+    v = v / math.sqrt(float(np.sum(v * apply_tridiag(*m_band, v))))
+    lower, upper = 0.0, float(np.sum(v * apply_tridiag(*k_band, v)))
+    slack = float(np.finfo(float).eps * np.sum(v * (k_band[0] * v)))
+    count = 1
+    while upper - lower > 0.5 * max(BRACKET_RTOL * upper, slack):
+        sigma = 0.5 * (lower + upper)
+        count += 1
+        if TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1]).definite:
+            lower = sigma
+        else:
+            upper = sigma
+    return count
 
 
 def capacity_by_minimization(

@@ -108,8 +108,8 @@ def _gradients_written_out(forms, u, p):
     dcell = forms.b_cell * p * np.sign(slope) * np.abs(slope) ** (p - 1.0) / forms.h
     core = forms.a_wts[0] * p * np.sign(ug) * np.abs(ug) ** (p - 1.0)
     ge = np.append(0.0, dcell) - np.append(dcell, 0.0)
-    gl = np.append(np.sum(core * forms.n1, axis=1), 0.0)
-    gl += np.append(0.0, np.sum(core * forms.n2, axis=1))
+    gl = np.append(np.sum(core * forms.n1, axis=0), 0.0)
+    gl += np.append(0.0, np.sum(core * forms.n2, axis=0))
     return ge, gl
 
 
@@ -150,10 +150,11 @@ def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
     (lambda e3, w: gn_case(e3, w, delta=2.0), 2),
 ], ids=["hardy", "gn"])
 def test_assembly_scratch_stays_a_block(factory, k):
-    # the forms hold the A densities per Gauss point and nothing else of
-    # that size: the P1 hats are the same 8-vectors in every cell.  The
-    # assembly evaluates the densities one block of cells at a time, so at
-    # its peak it holds the Gauss points and weights, the A's and a block
+    # the forms hold the A densities per Gauss point, one row per point,
+    # and nothing else of that size: the P1 hats are the same (8, 1) columns
+    # in every cell.  The assembly evaluates the densities one block of
+    # cells at a time, so at its peak it holds the Gauss points and
+    # weights, the A's and a block
     e3 = euclidean_radial(3)
     case = factory(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0))
     grid = build_grid(CoordinateRange(1e-2, 1e2), 64_000, "log")
@@ -164,11 +165,11 @@ def test_assembly_scratch_stays_a_block(factory, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    cell_array = (grid.n - 1) * 8 * 8  # bytes of one (n - 1, 8) array of doubles
-    assert len(forms.a_wts) == k and forms.n1.shape == forms.n2.shape == (8,)
-    assert all(a.shape == (grid.n - 1, 8) for a in forms.a_wts)
+    cell_array = (grid.n - 1) * 8 * 8  # bytes of one (8, n - 1) array of doubles
+    assert len(forms.a_wts) == k and forms.n1.shape == forms.n2.shape == (8, 1)
+    assert all(a.shape == (8, grid.n - 1) for a in forms.a_wts)
     others = [np.shape(v) for name, v in vars(forms).items() if name != "a_wts"]
-    assert (grid.n - 1, 8) not in others
+    assert (8, grid.n - 1) not in others
     assert peak < (k + 3) * cell_array
 
 

@@ -62,10 +62,11 @@ def test_zero_function_gives_zero_sides():
 def test_hardy_margin_positive_for_bumps():
     grid = log_grid()
     case = hardy_e3_case()
-    for u in random_test_functions(grid, 20, seed=7):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
-        assert pair.constant == 0.25
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 20, seed=7):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
+            assert pair.constant == 0.25
 
 
 def test_log_tent_quotient_matches_substitution_oracle():
@@ -89,12 +90,13 @@ def test_weighted_alpha_zero_equals_hardy():
     case0 = hardy_e3_case()
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case_alpha = weighted_hardy_case(E3, w, 0.0)
-    for u in random_test_functions(grid, 20, seed=11):
-        a = sides_for(case0, u)
-        b = sides_for(case_alpha, u)
-        assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
-        assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
-        assert b.margin == pytest.approx(a.margin, rel=1e-12)
+    with assembled(case0, grid, case0.p), assembled(case_alpha, grid, case_alpha.p):
+        for u in random_test_functions(grid, 20, seed=11):
+            a = sides_for(case0, u)
+            b = sides_for(case_alpha, u)
+            assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
+            assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
+            assert b.margin == pytest.approx(a.margin, rel=1e-12)
 
 
 def test_margin_sweep_reuses_and_releases_its_data():
@@ -156,9 +158,10 @@ def test_caccioppoli_margins_and_hypothesis():
         case = caccioppoli_case(E3, w, q)
         res = validate_case_hypothesis(case, grid)
         assert res.passed  # rho = r^2 is subharmonic
-        for u in random_test_functions(grid, 10, seed=3):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+        with assembled(case, grid, case.p):
+            for u in random_test_functions(grid, 10, seed=3):
+                pair = sides_for(case, u)
+                assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         caccioppoli_case(E3, w, -1.0)
 
@@ -171,8 +174,9 @@ def test_caccioppoli_interval_distance_q_equals_p():
     case = caccioppoli_case(m, w, 2.0)
     assert case.formula_constant == pytest.approx(((2 + 1) / 2) ** 2)
     validate_case_hypothesis(case, grid)
-    for u in random_test_functions(grid, 10, seed=5):
-        assert sides_for(case, u).margin >= 0.0
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=5):
+            assert sides_for(case, u).margin >= 0.0
 
 
 def test_caccioppoli_rejects_superharmonic_weight():
@@ -192,9 +196,10 @@ def test_divergence_lemma_instances():
     grid = log_grid(1500, CoordinateRange(1e-2, 1e2))
     dh = divergence_case(E3, "davies-hinz", 2.0)
     kf = divergence_case(E3, "killing", 2.0)
-    for u in random_test_functions(grid, 10, seed=13):
-        assert sides_for(dh, u).margin >= 0.0
-        assert sides_for(kf, u).margin >= 0.0
+    with assembled(dh, grid, dh.p), assembled(kf, grid, kf.p):
+        for u in random_test_functions(grid, 10, seed=13):
+            assert sides_for(dh, u).margin >= 0.0
+            assert sides_for(kf, u).margin >= 0.0
     z = zero_fn(grid)
     assert sides_for(dh, z).margin == 0.0
 
@@ -233,9 +238,10 @@ def test_gn_margins_and_relation():
     case = gn_case(E3, w, delta=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
-    for u in random_test_functions(grid, 10, seed=17):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=17):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
     case.params["s"] = 3.0  # violates s = p-1+delta/p = 2
     with pytest.raises(RelationViolationError):
         sides_for(case, bump(grid, -1.0, 1.0))
@@ -245,9 +251,10 @@ def test_uncertainty_margins_and_dilation_invariance():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = uncertainty_case(E3, w, s=2.0, a=2.0)
     grid = log_grid(1500)
-    for u in random_test_functions(grid, 10, seed=19):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=19):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
     # dilation u -> u(lam x): rhs/lhs is invariant (both sides scale alike)
     u = bump(grid, -2.0, 2.0)
     base = sides_for(case, u)
@@ -267,18 +274,20 @@ def test_hardy_sobolev_theta_zero_is_sobolev():
     case = hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
-    for u in random_test_functions(grid, 10, seed=23):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=23):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_hardy_sobolev_weighted_margins():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0)
     grid = log_grid(1500)
-    for u in random_test_functions(grid, 20, seed=29):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 20, seed=29):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=-1.0)
 
@@ -296,9 +305,10 @@ def valid_ckn_case(a=0.75, r=4.0, delta=0.5):
 def test_ckn_margins_valid_tuple():
     case = valid_ckn_case()
     grid = log_grid(1500)
-    for u in random_test_functions(grid, 20, seed=31):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 20, seed=31):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_ckn_rejects_infeasible_relations():
@@ -321,20 +331,22 @@ def test_ckn_a1_reduces_to_hardy_sobolev():
                   delta=0.3, sigma=0.0, sobolev_constant=2.0)
     assert ck.formula_constant == pytest.approx(hs.formula_constant, rel=1e-14)
     grid = log_grid(1500)
-    for u in random_test_functions(grid, 10, seed=37):
-        a = sides_for(hs, u)
-        b = sides_for(ck, u)
-        assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
-        assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
-        assert b.margin == pytest.approx(a.margin, rel=1e-12)
+    with assembled(hs, grid, hs.p), assembled(ck, grid, ck.p):
+        for u in random_test_functions(grid, 10, seed=37):
+            a = sides_for(hs, u)
+            b = sides_for(ck, u)
+            assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
+            assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
+            assert b.margin == pytest.approx(a.margin, rel=1e-12)
 
 
 def test_hardy_gap_nonnegative_and_zero_at_zero():
     grid = log_grid(1200)
     case = hardy_e3_case()
     assert sides_for(case, zero_fn(grid)).margin == 0.0
-    for u in random_test_functions(grid, 10, seed=41):
-        assert sides_for(case, u).margin > 0.0
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=41):
+            assert sides_for(case, u).margin > 0.0
 
 
 def test_non_finite_integrand_raises():
@@ -358,8 +370,9 @@ def test_interval_distance_hardy_margin():
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed
-    for u in random_test_functions(grid, 10, seed=43):
-        assert sides_for(case, u).margin >= 0.0
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=43):
+            assert sides_for(case, u).margin >= 0.0
 
 
 def test_halfspace_distance_hardy_on_interval():
@@ -371,9 +384,10 @@ def test_halfspace_distance_hardy_on_interval():
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed  # x is harmonic on the interval
-    for u in random_test_functions(grid, 10, seed=47):
-        pair = sides_for(case, u)
-        assert pair.margin >= -1e-6 * pair.rhs
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 10, seed=47):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_ckn_a_zero_identity_case():
@@ -386,6 +400,7 @@ def test_ckn_a_zero_identity_case():
     )
     assert case.formula_constant == pytest.approx(1.0)
     grid = log_grid(1000)
-    for u in random_test_functions(grid, 5, seed=53):
-        pair = sides_for(case, u)
-        assert pair.margin == pytest.approx(0.0, abs=1e-12 * pair.rhs)
+    with assembled(case, grid, case.p):
+        for u in random_test_functions(grid, 5, seed=53):
+            pair = sides_for(case, u)
+            assert pair.margin == pytest.approx(0.0, abs=1e-12 * pair.rhs)

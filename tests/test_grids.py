@@ -21,13 +21,13 @@ def p1_integral(grid, values):
 def test_uniform_three_node_weights():
     g = build_grid(CoordinateRange(0, 1), 3, "linear")
     np.testing.assert_allclose(g.nodes, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(cell_gauss(g.nodes)[1].sum(axis=1), [0.5, 0.5])
+    np.testing.assert_allclose(cell_gauss(g.nodes)[1].sum(axis=0), [0.5, 0.5])
 
 
 def test_log_three_node_weights():
     g = build_grid(CoordinateRange(1e-2, 1.0), 3, "log")
     np.testing.assert_allclose(g.nodes, [1e-2, 1e-1, 1.0], rtol=1e-14)
-    np.testing.assert_allclose(cell_gauss(g.nodes)[1].sum(axis=1), [0.09, 0.9], rtol=1e-13)
+    np.testing.assert_allclose(cell_gauss(g.nodes)[1].sum(axis=0), [0.09, 0.9], rtol=1e-13)
 
 
 @given(

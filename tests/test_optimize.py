@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_lambda1, estimate_lambda1, refine, scaled
+from oracles import bisection_factorizations, dense_lambda1, estimate_lambda1, refine, scaled
 
+from phardy.cli import load_config, run_suite
 from phardy.errors import InvalidArgumentError
-from phardy.forms import P1Forms, apply_tridiag, interior
+from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, interior
 from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
@@ -16,6 +19,7 @@ from phardy.geometry import (
 )
 from phardy.grids import build_grid
 from phardy.optimize import (
+    BRACKET_RTOL,
     TOL_EIG_GENERAL,
     bottom_eigenpair,
     convergence_study,
@@ -181,6 +185,66 @@ def test_bracket_holds_the_dense_eigenvalue_off_p2():
     lam = dense_lambda1(k_band, m_band)
     assert rq - pair.lower <= max(1e-10 * rq, pair.slack)
     assert pair.lower - pair.slack - 1e-10 * lam <= lam <= rq + 1e-10 * lam
+
+
+@st.composite
+def dominant_bands(draw, n, sign, excess):
+    """A random symmetric tridiagonal band of order n with off-diagonal
+    entries of one sign, whose diagonal exceeds the absolute sum of its
+    row's off-diagonal entries by at least excess times the band's scale:
+    positive definite."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    sizes = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    off = sign * scale * np.array(sizes)
+    rows = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+    extra = draw(st.lists(st.floats(excess, 10.0), min_size=n, max_size=n))
+    return rows + scale * np.array(extra), off
+
+
+@st.composite
+def pencils(draw):
+    # the sign pattern of every pencil the package builds: K a Stieltjes
+    # band, M with nonnegative entries, so the bottom eigenvector can be
+    # taken nonnegative and the start u = 1 is never orthogonal to it
+    n = draw(st.integers(1, 40))
+    return draw(dominant_bands(n, -1.0, 1e-3)), draw(dominant_bands(n, 1.0, 1e-2))
+
+
+# two eigenvalues 1e-8 apart: the Rayleigh quotient settles near both
+# long before the bracket separates them, so guided shifts keep missing
+NEAR_DOUBLE = ((np.array([1.0, 1.0 + 1e-8, 2.0, 3.0]), np.zeros(3)), (np.ones(4), np.zeros(3)))
+
+
+@settings(deadline=None)
+@given(pencil=pencils())
+@example(pencil=NEAR_DOUBLE)
+def test_guided_slicing_brackets_the_eigenvalue(pencil):
+    # diagonally dominant K and M of the package's sign pattern: the
+    # largest shift that factored is below the dense lambda1 (up to the
+    # inertia roundoff), the last Rayleigh quotient above it, the two
+    # within the bracket tolerance; the guided shifts cost at most one
+    # factorization more than plain bisection, the one guided shift that
+    # may miss before the slicing has any lead on bisection
+    k_band, m_band = pencil
+    pair = bottom_eigenpair(k_band, m_band)
+    quotient = pair.quotients[-1]
+    lam = dense_lambda1(k_band, m_band)
+    # the dense solver errs by a few ulps of the largest eigenvalue, one
+    # over the smallest of the pencil M v = mu K v
+    dense_error = 1e-13 / dense_lambda1(m_band, k_band)
+    lower_band = (k_band[0] - pair.lower * m_band[0], k_band[1] - pair.lower * m_band[1])
+    assert TridiagFactor(*lower_band).definite
+    assert pair.lower - pair.slack - dense_error <= lam <= quotient + dense_error
+    assert quotient - pair.lower <= max(BRACKET_RTOL * quotient, pair.slack)
+    assert pair.factorizations <= bisection_factorizations(k_band, m_band) + 1
+
+
+def test_bundled_p2_minimization_takes_few_iterations():
+    # guided slicing: plain bisection took 40 iterations on this case
+    cfg = load_config(None)
+    spec = next(c for c in cfg["cases"] if c["id"] == "hardy-euclidean3-p2")
+    report = run_suite({"seed": cfg["seed"], "n_test_functions": 1, "cases": [spec]})
+    assert report["cases"][0]["minimization"]["iterations"] <= 20
 
 
 def test_p2_bracket_converges_past_the_inertia_roundoff():
