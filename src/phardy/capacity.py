@@ -32,16 +32,13 @@ def green_integrals(model: ModelManifold, p: float, nodes: np.ndarray):
     return cell_ints, np.concatenate([np.cumsum(cell_ints[::-1])[::-1], [0.0]])
 
 
-def radial_capacity(
-    model: ModelManifold, p: float, a: float, b: float, n: int | None = None
-) -> float:
+def radial_capacity(model: ModelManifold, p: float, a: float, b: float) -> float:
     """p-capacity of the condenser (B_a, B_b) on a radial model."""
     if not (0 < a < b):
         raise InvalidArgumentError("need 0 < a < b")
     if model.kind == "interval" and (a < model.a or b > model.b):
         raise InvalidArgumentError("condenser outside interval model")
-    if n is None:
-        n = max(800, int(200 * math.log10(b / a)))
+    n = max(800, int(200 * math.log10(b / a)))
     grid = build_grid(CoordinateRange(a, b), n, LOG)
     total = float(np.sum(green_integrals(model, p, grid.nodes)[0]))
     if not np.isfinite(total) or total <= 0:

@@ -257,7 +257,7 @@ def _run_inequality_case(c, conf, record):
     if c["checks"]["hypothesis"] and not _run_hypothesis(c, record, case):
         return
 
-    with fn.assembled(case, grid, case.p):
+    with fn.assembled(case, grid):
         ok = _run_margins(c, conf, record, case)
         if c["checks"]["minimize"]:
             if case.p == 2.0:

@@ -11,7 +11,7 @@ from .errors import CollarGradientError, InvalidArgumentError
 from .forms import P1Forms, model_densities
 # sides_for bound by name, so a wrapper on functionals.sides_for does not
 # also time the calls the checks below make
-from .functionals import InequalityCase, SidePair, sides_for, weighted_hardy_case
+from .functionals import InequalityCase, SidePair, sides_for, weighted_case, weighted_hardy_case
 from .geometry import CoordinateRange, INTERVAL, ModelManifold
 from .grids import GridFunction, RadialGrid, build_grid
 from .optimize import TOL_EIG_GENERAL, descend_quotient, minimize_rayleigh_p2
@@ -112,14 +112,9 @@ def check_poincare_s(p: float, s: float):
 def poincare_eigen_case(pair: EigenPair, s: float) -> InequalityCase:
     """Case wrapper so the suite runner and minimizers can drive (dis:poinc)."""
     check_poincare_s(pair.p, s)
-    return InequalityCase(
-        kind="poincare-eigen",
-        model=pair.model,
-        weight=eigen_weight(pair),
-        params={"p": pair.p, "s": s},
-        formula_constant=poincare_eigen_constant(pair, s),
-        case_id=f"poincare-eigen[{pair.model.kind}|p={pair.p:g}|s={s:g}]",
-    )
+    case_id = f"poincare-eigen[{pair.model.kind}|p={pair.p:g}|s={s:g}]"
+    const = poincare_eigen_constant(pair, s)
+    return weighted_case("poincare-eigen", pair.model, eigen_weight(pair), const, case_id, s=s)
 
 
 def collar_split(model: ModelManifold, grid: RadialGrid, eps_split: float):
@@ -161,14 +156,10 @@ def distance_hardy_constant(pair: EigenPair, eps_split: float) -> float:
 def distance_hardy_case(pair: EigenPair, eps_split: float = 0.1) -> InequalityCase:
     """c int |u|^p / d^p <= int |grad u|^p with the composite constant c:
     the Hardy quotient of rho = d, under a smaller constant."""
-    return InequalityCase(
-        kind="distance-hardy",
-        model=pair.model,
-        weight=rho_catalog_entry("dist-boundary", pair.model, pair.p),
-        params={"p": pair.p, "eps_split": eps_split},
-        formula_constant=distance_hardy_constant(pair, eps_split),
-        case_id=f"distance-hardy[{pair.model.kind}|p={pair.p:g}|eps={eps_split:g}]",
-    )
+    weight = rho_catalog_entry("dist-boundary", pair.model, pair.p)
+    const = distance_hardy_constant(pair, eps_split)
+    case_id = f"distance-hardy[{pair.model.kind}|p={pair.p:g}|eps={eps_split:g}]"
+    return weighted_case("distance-hardy", pair.model, weight, const, case_id, eps_split=eps_split)
 
 
 def distance_hardy_composite(

@@ -66,7 +66,7 @@ class InequalityCase:
     trivial: bool = False
     oracle_shift: float = 0.0  # (pi/L)^2 scale factor when the log oracle applies
     hypothesis_result: CheckResult | None = field(default=None, repr=False)
-    _assembled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _assembled: P1Forms | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.case_id, str):
@@ -86,22 +86,22 @@ class InequalityCase:
 # ---------------------------------------------------------------------------
 # P1 forms of a case
 
-def case_forms(case, grid: RadialGrid, p: float) -> P1Forms:
+def case_forms(case, grid: RadialGrid) -> P1Forms:
     """The P1 forms of the case's densities on grid: those held by an open
-    ``assembled`` block for that grid and p, else assembled anew."""
+    ``assembled`` block for that grid, else assembled anew."""
     held = case._assembled
-    if held and held[0] == p and held[1].grid is grid:
-        return held[1]
+    if held is not None and held.grid is grid:
+        return held
     factors = functools.partial(KINDS[case.kind].densities, case)
-    return P1Forms(grid, model_densities(case.model, p, factors))
+    return P1Forms(grid, model_densities(case.model, case.p, factors))
 
 
 @contextmanager
-def assembled(case, grid: RadialGrid, p: float):
+def assembled(case, grid: RadialGrid):
     """Keep the case's P1 forms on grid for the block, so its side calls
     and minimizations on that grid share one assembly; released on exit."""
     outer = case._assembled
-    case._assembled = (p, case_forms(case, grid, p))
+    case._assembled = case_forms(case, grid)
     try:
         yield
     finally:
@@ -140,7 +140,7 @@ def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     _require_hypothesis(case)
     qs, es = kind.exponents(case) if kind.exponents else ((case.p, case.p), (1, 1))
-    first, *others, grad = case_forms(case, u.grid, case.p).integrals(u.values, qs)
+    first, *others, grad = case_forms(case, u.grid).integrals(u.values, qs)
     c = case.formula_constant
     lhs = first ** es[0]
     rhs = (c if kind.constant_on_rhs else 1.0) * grad ** es[-1]
@@ -246,6 +246,39 @@ def _oracle_shift(model: ModelManifold, weight: WeightSpec, p: float) -> float:
     return 0.0
 
 
+def weighted_case(
+    kind: str,
+    model: ModelManifold,
+    weight: WeightSpec,
+    constant: float,
+    case_id: str = "",
+    hypothesis_mode: str | None = None,
+    **params,
+) -> InequalityCase:
+    """The case of a weighted kind with the given constant, p taken from
+    the weight and put first in its params.  Only a Hardy kind may have
+    the constant 0, which makes its case trivial, and only a Hardy kind
+    carries the log oracle's shift."""
+    p = weight.p
+    hardy = kind in ("hardy", "weighted-hardy")
+    return InequalityCase(
+        kind=kind,
+        model=model,
+        weight=weight,
+        params={"p": p, **params},
+        formula_constant=constant,
+        case_id=case_id,
+        hypothesis_mode=hypothesis_mode,
+        trivial=hardy and constant == 0.0,
+        oracle_shift=_oracle_shift(model, weight, p) if hardy else 0.0,
+    )
+
+
+def _hardy_constant(p: float, alpha: float) -> float:
+    """H = (|p-1-alpha|/p)^p, the Hardy constant of the weight rho^alpha."""
+    return (abs(p - 1.0 - alpha) / p) ** p
+
+
 def weighted_hardy_case(
     model: ModelManifold,
     weight: WeightSpec,
@@ -253,19 +286,9 @@ def weighted_hardy_case(
     case_id: str = "",
 ) -> InequalityCase:
     p = weight.p
-    const = (abs(p - 1.0 - alpha) / p) ** p
     kind = "hardy" if alpha == 0.0 else "weighted-hardy"
-    return InequalityCase(
-        kind=kind,
-        model=model,
-        weight=weight,
-        params={"p": p, "alpha": alpha},
-        formula_constant=const,
-        case_id=case_id,
-        hypothesis_mode=_hypothesis_mode_for_alpha(p, alpha),
-        trivial=(const == 0.0),
-        oracle_shift=_oracle_shift(model, weight, p),
-    )
+    mode = _hypothesis_mode_for_alpha(p, alpha)
+    return weighted_case(kind, model, weight, _hardy_constant(p, alpha), case_id, mode, alpha=alpha)
 
 
 def hardy_case(
@@ -285,16 +308,17 @@ def caccioppoli_case(
 ) -> InequalityCase:
     if q <= -1:
         raise InvalidArgumentError("Caccioppoli needs q > -1")
-    p = weight.p
-    return InequalityCase(
-        kind="caccioppoli",
-        model=model,
-        weight=weight,
-        params={"p": p, "q": q},
-        formula_constant=((q + 1.0) / p) ** p,
-        case_id=case_id,
-        hypothesis_mode="subharmonic",
-    )
+    const = ((q + 1.0) / weight.p) ** weight.p
+    return weighted_case("caccioppoli", model, weight, const, case_id, "subharmonic", q=q)
+
+
+def _distance_power(kind: str, model: ModelManifold, weight: WeightSpec) -> float:
+    """alpha of the case's weight d^alpha; the kind needs |grad d| = 1."""
+    if model.kind == HALF_PLANE:
+        raise UnsupportedModelError(f"{kind} form needs |grad d| = 1 (radial/interval)")
+    if weight.family != "power":
+        raise InvalidArgumentError(f"{kind} case needs a power-of-distance weight d^alpha")
+    return weight.params["beta"]
 
 
 def gn_case(
@@ -303,22 +327,13 @@ def gn_case(
     delta: float,
     case_id: str = "",
 ) -> InequalityCase:
-    if model.kind == HALF_PLANE:
-        raise UnsupportedModelError("GN form needs |grad d| = 1 (radial/interval)")
-    if weight.family != "power":
-        raise InvalidArgumentError("GN case needs a power-of-distance weight d^alpha")
+    alpha = _distance_power("GN", model, weight)
     if delta <= 0:
         raise InvalidArgumentError("need delta > 0")
     p = weight.p
-    alpha = weight.params["beta"]
-    return InequalityCase(
-        kind="gn",
-        model=model,
-        weight=weight,
-        params={"p": p, "alpha": alpha, "delta": delta},
-        formula_constant=(p / (abs(alpha) * (p - 1.0))) ** (p - 1.0),
-        case_id=case_id,
-        hypothesis_mode="superharmonic",
+    const = (p / (abs(alpha) * (p - 1.0))) ** (p - 1.0)
+    return weighted_case(
+        "gn", model, weight, const, case_id, "superharmonic", alpha=alpha, delta=delta
     )
 
 
@@ -329,24 +344,15 @@ def uncertainty_case(
     a: float,
     case_id: str = "",
 ) -> InequalityCase:
-    if model.kind == HALF_PLANE:
-        raise UnsupportedModelError("uncertainty form needs |grad d| = 1")
-    if weight.family != "power":
-        raise InvalidArgumentError("uncertainty case needs a power weight d^alpha")
+    alpha = _distance_power("uncertainty", model, weight)
     p = weight.p
-    alpha = weight.params["beta"]
     if not (s > 0 and a > 1):
         raise InvalidArgumentError("need s > 0 and a > 1")
     if (a * s - p) / (a - 1.0) <= 0:
         raise InvalidArgumentError("exponent (as-p)/(a-1) must be positive")
-    return InequalityCase(
-        kind="uncertainty",
-        model=model,
-        weight=weight,
-        params={"p": p, "alpha": alpha, "s": s, "a": a},
-        formula_constant=(p / (abs(alpha) * (p - 1.0))) ** (p / a),
-        case_id=case_id,
-        hypothesis_mode="superharmonic",
+    const = (p / (abs(alpha) * (p - 1.0))) ** (p / a)
+    return weighted_case(
+        "uncertainty", model, weight, const, case_id, "superharmonic", alpha=alpha, s=s, a=a
     )
 
 
@@ -363,23 +369,19 @@ def hardy_sobolev_case(
         raise InvalidArgumentError("need p* > 0")
     if sobolev_constant is None or sobolev_constant <= 0:
         raise InvalidArgumentError("missing Sobolev constant S_p")
-    H = (abs(p - 1.0 - p * theta) / p) ** p
+    H = _hardy_constant(p, p * theta)
     if H <= 0:
         raise InvalidArgumentError("weighted Hardy constant degenerates at p*theta = p-1")
-    return InequalityCase(
-        kind="hardy-sobolev",
-        model=model,
-        weight=weight,
-        params={
-            "p": p,
-            "theta": theta,
-            "p_star": p_star,
-            "sobolev_constant": sobolev_constant,
-            "H_val": H,
-        },
-        formula_constant=hardy_sobolev_constant(sobolev_constant, H, theta, p),
-        case_id=case_id,
-        hypothesis_mode=_hypothesis_mode_for_alpha(p, p * theta),
+    return weighted_case(
+        "hardy-sobolev",
+        model,
+        weight,
+        hardy_sobolev_constant(sobolev_constant, H, theta, p),
+        case_id,
+        _hypothesis_mode_for_alpha(p, p * theta),
+        theta=theta,
+        p_star=p_star,
+        sobolev_constant=sobolev_constant,
     )
 
 
@@ -417,29 +419,24 @@ def ckn_case(
         raise RelationViolationError("cond1", "gamma relation fails")
     if abs(eps - (theta * a + sigma * (1.0 - a))) > tol:
         raise RelationViolationError("cond2", "eps relation fails")
-    H = (abs(p - 1.0 - p * theta) / p) ** p
+    H = _hardy_constant(p, p * theta)
     c2 = hardy_sobolev_constant(sobolev_constant, H, theta, p)
-    c3 = c2 ** P * H ** (a / p - P / p)
-    return InequalityCase(
-        kind="ckn",
-        model=model,
-        weight=weight,
-        params={
-            "p": p,
-            "theta": theta,
-            "p_star": p_star,
-            "r": r,
-            "a": a,
-            "gamma": gamma,
-            "delta": delta,
-            "eps": eps,
-            "sigma": sigma,
-            "sobolev_constant": sobolev_constant,
-            "H_val": H,
-        },
-        formula_constant=c3,
-        case_id=case_id,
-        hypothesis_mode=_hypothesis_mode_for_alpha(p, p * theta),
+    return weighted_case(
+        "ckn",
+        model,
+        weight,
+        c2 ** P * H ** (a / p - P / p),
+        case_id,
+        _hypothesis_mode_for_alpha(p, p * theta),
+        theta=theta,
+        p_star=p_star,
+        r=r,
+        a=a,
+        gamma=gamma,
+        delta=delta,
+        eps=eps,
+        sigma=sigma,
+        sobolev_constant=sobolev_constant,
     )
 
 

@@ -52,8 +52,11 @@ class Bracket(NamedTuple):
 
 
 def bottom_eigenpair(k_band, m_band) -> Bracket:
-    """Smallest eigenpair of the tridiagonal pencil K u = mu M u, K positive
-    definite and M >= 0, bracketed by spectrum slicing.
+    """Smallest eigenpair of the tridiagonal pencil K u = mu M u, bracketed
+    by spectrum slicing.  K is positive definite with off-diagonals <= 0
+    and M >= 0 entrywise, as in every ``P1Forms.pencil``: so the bottom
+    eigenvector is nonnegative and the start u = 1 is never M-orthogonal
+    to it.  Other pencils may end unconverged.
 
     K - sigma M factors iff sigma < mu1 (Sylvester's law of inertia), up to
     the rounding of the band's diagonal: ``slack`` = eps u^T diag(K) u for
@@ -145,7 +148,7 @@ def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> Minimization
     """Best-constant estimate for a p = 2 case by spectrum slicing."""
     if case.p != 2.0:
         raise InvalidArgumentError("minimize_quotient_p2 needs p = 2")
-    return minimize_rayleigh_p2(case_forms(case, grid, case.p))
+    return minimize_rayleigh_p2(case_forms(case, grid))
 
 
 def descend_quotient(
@@ -258,7 +261,7 @@ def minimize_quotient_general_p(
     p = case.p
     seed = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
     seed[0] = seed[-1] = 0.0
-    return descend_quotient(case_forms(case, grid, p), p, seed, max_iter=max_iter)
+    return descend_quotient(case_forms(case, grid), p, seed, max_iter=max_iter)
 
 
 @dataclass
@@ -286,7 +289,7 @@ def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> 
     for k in range(levels):
         rng = CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k))
         grid = build_grid(rng, n0 * 2 ** k, LOG)
-        with assembled(case, grid, case.p):
+        with assembled(case, grid):
             if case.p != 2.0:
                 res = minimize_quotient_general_p(case, grid)
             else:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
-from .geometry import HALF_PLANE, INTERVAL, ModelManifold
+from .geometry import EUCLIDEAN, HALF_PLANE, HYPERBOLIC, INTERVAL, ModelManifold
 from .grids import RadialGrid, cell_gauss
 
 #: relative tolerance separating quadrature noise from a genuine sign
@@ -56,126 +56,59 @@ class WeightSpec:
         return self.model.gradient_factor(t) * np.abs(self.rho_prime(t))
 
 
-def _power_weight(model: ModelManifold, p: float, beta: float) -> WeightSpec:
+def _power_weight(model: ModelManifold, beta: float):
     if beta == 0:
         raise InvalidArgumentError("power weight needs beta != 0")
-
-    def rho(t):
-        return np.asarray(t, dtype=float) ** beta
-
-    def rho_prime(t):
-        return beta * np.asarray(t, dtype=float) ** (beta - 1.0)
-
-    return WeightSpec(
-        name=f"power:beta={beta:g}",
-        family="power",
-        model=model,
-        p=p,
-        rho=rho,
-        rho_prime=rho_prime,
-        params={"beta": beta},
+    return (
+        lambda t: np.asarray(t, dtype=float) ** beta,
+        lambda t: beta * np.asarray(t, dtype=float) ** (beta - 1.0),
     )
 
 
-def _log_weight(model: ModelManifold, p: float, side: str) -> WeightSpec:
+def _log_weight(model: ModelManifold, side: str):
     """rho = -ln t on (0, 1) (side="inner") or rho = ln t on (1, inf)."""
-    if model.kind in (HALF_PLANE,):
-        raise UnsupportedModelError("log weight defined on radial/interval models")
     if side not in ("inner", "outer"):
         raise InvalidArgumentError(f"log weight side must be inner or outer, got {side!r}")
     sgn = -1.0 if side == "inner" else 1.0
-
-    def rho(t):
-        return sgn * np.log(np.asarray(t, dtype=float))
-
-    def rho_prime(t):
-        return sgn / np.asarray(t, dtype=float)
-
-    return WeightSpec(
-        name=f"log:{side}",
-        family="log",
-        model=model,
-        p=p,
-        rho=rho,
-        rho_prime=rho_prime,
-        params={"side": side},
+    return (
+        lambda t: sgn * np.log(np.asarray(t, dtype=float)),
+        lambda t: sgn / np.asarray(t, dtype=float),
     )
 
 
-def _rlogr_weight(model: ModelManifold, p: float) -> WeightSpec:
+def _rlogr_weight(model: ModelManifold):
     """rho = -t ln t, positive on (0, 1); its p-Laplacian changes sign."""
 
     def rho(t):
         t = np.asarray(t, dtype=float)
         return -t * np.log(t)
 
-    def rho_prime(t):
-        return -(np.log(np.asarray(t, dtype=float)) + 1.0)
+    return rho, lambda t: -(np.log(np.asarray(t, dtype=float)) + 1.0)
 
-    return WeightSpec(
-        name="rlogr",
-        family="rlogr",
-        model=model,
-        p=p,
-        rho=rho,
-        rho_prime=rho_prime,
+
+def _halfplane_height_weight(model: ModelManifold):
+    return (
+        lambda t: np.asarray(t, dtype=float) * 1.0,
+        lambda t: np.ones_like(np.asarray(t, dtype=float)),
     )
 
 
-def _halfplane_height_weight(model: ModelManifold, p: float) -> WeightSpec:
-    if model.kind != HALF_PLANE:
-        raise UnsupportedModelError("height weight lives on the half-plane model")
-
-    def rho(t):
-        return np.asarray(t, dtype=float) * 1.0
-
-    def rho_prime(t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    return WeightSpec(
-        name="halfplane-y",
-        family="halfplane-y",
-        model=model,
-        p=p,
-        rho=rho,
-        rho_prime=rho_prime,
-    )
-
-
-def _distance_to_boundary_weight(model: ModelManifold, p: float) -> WeightSpec:
-    if model.kind != INTERVAL:
-        raise UnsupportedModelError("distance-to-boundary weight needs an interval")
+def _distance_to_boundary_weight(model: ModelManifold):
     a, b = model.a, model.b
 
     def rho(t):
         t = np.asarray(t, dtype=float)
         return np.minimum(t - a, b - t)
 
-    def rho_prime(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.5 * (a + b), 1.0, -1.0)
-
-    return WeightSpec(
-        name="dist-boundary",
-        family="dist-boundary",
-        model=model,
-        p=p,
-        rho=rho,
-        rho_prime=rho_prime,
-    )
+    return rho, lambda t: np.where(np.asarray(t, dtype=float) < 0.5 * (a + b), 1.0, -1.0)
 
 
-def _constant_weight(model: ModelManifold, p: float, c: float) -> WeightSpec:
+def _constant_weight(model: ModelManifold, c: float):
     if c <= 0:
         raise InvalidArgumentError("constant weight needs c > 0")
-    return WeightSpec(
-        name=f"constant:c={c:g}",
-        family="constant",
-        model=model,
-        p=p,
-        rho=lambda t: np.full_like(np.asarray(t, dtype=float), c),
-        rho_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        params={"c": c},
+    return (
+        lambda t: np.full_like(np.asarray(t, dtype=float), c),
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
 
 
@@ -243,36 +176,53 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
         p=p,
         rho=rho,
         rho_prime=rho_prime,
-        params={"hi": grid.hi},
     )
 
 
-#: catalog families: builder, and parameters with their defaults (None: required)
+_ALL_MODELS = (EUCLIDEAN, HYPERBOLIC, HALF_PLANE, INTERVAL)
+
+#: catalog families: builder of (rho, rho'), parameters with their defaults
+#: (None: required) and the model kinds the weight lives on
 _FAMILIES = {
-    "power": (_power_weight, {"beta": None}),
-    "log": (_log_weight, {"side": "inner"}),
-    "rlogr": (_rlogr_weight, {}),
-    "dist-boundary": (_distance_to_boundary_weight, {}),
-    "halfplane-y": (_halfplane_height_weight, {}),
-    "constant": (_constant_weight, {"c": 1.0}),
+    "power": (_power_weight, {"beta": None}, _ALL_MODELS),
+    "log": (_log_weight, {"side": "inner"}, (EUCLIDEAN, HYPERBOLIC, INTERVAL)),
+    "rlogr": (_rlogr_weight, {}, _ALL_MODELS),
+    "dist-boundary": (_distance_to_boundary_weight, {}, (INTERVAL,)),
+    "halfplane-y": (_halfplane_height_weight, {}, (HALF_PLANE,)),
+    "constant": (_constant_weight, {"c": 1.0}, _ALL_MODELS),
 }
 
 
 def rho_catalog_entry(name: str, model: ModelManifold, p: float, **params) -> WeightSpec:
     """Resolve a catalog weight by family name; a missing or unknown
-    parameter is an InvalidArgumentError.
+    parameter is an InvalidArgumentError, a model the family does not live
+    on an UnsupportedModelError.
 
+    The weight is named after its family and parameters: a number as
+    key=value, a string bare ("power:beta=-1", "log:inner", "rlogr").
     Green and eigenfunction weights are built by ``green_weight_radial``
     and ``weight_from_samples`` because they need a grid.
     """
     if name not in _FAMILIES:
         raise InvalidArgumentError(f"unknown weight family {name!r}")
-    build, defaults = _FAMILIES[name]
+    build, defaults, model_kinds = _FAMILIES[name]
     required = {key for key, default in defaults.items() if default is None}
     if params.keys() - defaults.keys() or required - params.keys():
         raise InvalidArgumentError(f"{name} weight takes {sorted(defaults)}, got {sorted(params)}")
-    kw = {**defaults, **params}
-    return build(model, p, **{k: v if k == "side" else float(v) for k, v in kw.items()})
+    kw = {k: v if k == "side" else float(v) for k, v in {**defaults, **params}.items()}
+    if model.kind not in model_kinds:
+        raise UnsupportedModelError(f"{name} weight lives on {'/'.join(model_kinds)} models")
+    rho, rho_prime = build(model, **kw)
+    label = ",".join(v if isinstance(v, str) else f"{k}={v:g}" for k, v in kw.items())
+    return WeightSpec(
+        name=f"{name}:{label}" if label else name,
+        family=name,
+        model=model,
+        p=p,
+        rho=rho,
+        rho_prime=rho_prime,
+        params=kw,
+    )
 
 
 def parse_weight(spec: str, model: ModelManifold, p: float) -> WeightSpec:

@@ -191,7 +191,7 @@ def test_criterion_6_inequality_property_suite():
             assert validate_case_hypothesis(case, grid).passed, case.case_id
         if case.trivial:
             continue
-        with assembled(case, grid, case.p):
+        with assembled(case, grid):
             for u in random_test_functions(grid, 100, seed=1000 + i):
                 pair = sides_for(case, u)
                 rel = pair.margin / max(pair.rhs, 1e-300)
@@ -204,7 +204,7 @@ def test_criterion_6_inequality_property_suite():
     grid = build_grid(rng_mid, 2000, "log")
     for j, field_name in enumerate(["davies-hinz", "killing"]):
         vfc = divergence_case(E3, field_name, 2.0)
-        with assembled(vfc, grid, vfc.p):
+        with assembled(vfc, grid):
             for u in random_test_functions(grid, 100, seed=2000 + j):
                 pair = sides_for(vfc, u)
                 rel = pair.margin / max(pair.rhs, 1e-300)

@@ -63,7 +63,7 @@ def test_euclidean_capacity_scaling():
 
 def test_closed_form_matches_direct_minimization():
     for model, p in [(E3, 2.0), (E2, 3.0)]:
-        closed = radial_capacity(model, p, 1.0, 100.0, n=4000)
+        closed = radial_capacity(model, p, 1.0, 100.0)
         direct = capacity_by_minimization(model, p, 1.0, 100.0, n=4000)
         assert direct == pytest.approx(closed, rel=5e-3)
         assert direct >= closed - 5e-3 * closed  # minimization is an upper bound

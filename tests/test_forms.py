@@ -158,10 +158,10 @@ def test_assembly_scratch_stays_a_block(factory, k):
     e3 = euclidean_radial(3)
     case = factory(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0))
     grid = build_grid(CoordinateRange(1e-2, 1e2), 64_000, "log")
-    case_forms(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"), 2.0)  # warm caches
+    case_forms(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"))  # warm caches
     tracemalloc.start()
     try:
-        forms = case_forms(case, grid, 2.0)
+        forms = case_forms(case, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

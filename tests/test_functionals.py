@@ -62,7 +62,7 @@ def test_zero_function_gives_zero_sides():
 def test_hardy_margin_positive_for_bumps():
     grid = log_grid()
     case = hardy_e3_case()
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 20, seed=7):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -90,7 +90,7 @@ def test_weighted_alpha_zero_equals_hardy():
     case0 = hardy_e3_case()
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case_alpha = weighted_hardy_case(E3, w, 0.0)
-    with assembled(case0, grid, case0.p), assembled(case_alpha, grid, case_alpha.p):
+    with assembled(case0, grid), assembled(case_alpha, grid):
         for u in random_test_functions(grid, 20, seed=11):
             a = sides_for(case0, u)
             b = sides_for(case_alpha, u)
@@ -104,10 +104,10 @@ def test_margin_sweep_reuses_and_releases_its_data():
     for case in (hardy_e3_case(), divergence_case(E3, "davies-hinz", 2.0)):
         fns = random_test_functions(grid, 4, seed=5)
         alone = [sides_for(case, u) for u in fns]
-        with assembled(case, grid, 2.0):
+        with assembled(case, grid):
             held = case._assembled
-            with assembled(case, grid, 2.0):  # nested blocks share the outer forms
-                assert case._assembled[1] is held[1]
+            with assembled(case, grid):  # nested blocks share the outer forms
+                assert case._assembled is held
             assert case._assembled is held
             assert [sides_for(case, u) for u in fns] == alone
         assert case._assembled is None
@@ -158,7 +158,7 @@ def test_caccioppoli_margins_and_hypothesis():
         case = caccioppoli_case(E3, w, q)
         res = validate_case_hypothesis(case, grid)
         assert res.passed  # rho = r^2 is subharmonic
-        with assembled(case, grid, case.p):
+        with assembled(case, grid):
             for u in random_test_functions(grid, 10, seed=3):
                 pair = sides_for(case, u)
                 assert pair.margin >= -1e-6 * pair.rhs
@@ -174,7 +174,7 @@ def test_caccioppoli_interval_distance_q_equals_p():
     case = caccioppoli_case(m, w, 2.0)
     assert case.formula_constant == pytest.approx(((2 + 1) / 2) ** 2)
     validate_case_hypothesis(case, grid)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=5):
             assert sides_for(case, u).margin >= 0.0
 
@@ -196,7 +196,7 @@ def test_divergence_lemma_instances():
     grid = log_grid(1500, CoordinateRange(1e-2, 1e2))
     dh = divergence_case(E3, "davies-hinz", 2.0)
     kf = divergence_case(E3, "killing", 2.0)
-    with assembled(dh, grid, dh.p), assembled(kf, grid, kf.p):
+    with assembled(dh, grid), assembled(kf, grid):
         for u in random_test_functions(grid, 10, seed=13):
             assert sides_for(dh, u).margin >= 0.0
             assert sides_for(kf, u).margin >= 0.0
@@ -238,7 +238,7 @@ def test_gn_margins_and_relation():
     case = gn_case(E3, w, delta=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=17):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -251,7 +251,7 @@ def test_uncertainty_margins_and_dilation_invariance():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = uncertainty_case(E3, w, s=2.0, a=2.0)
     grid = log_grid(1500)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=19):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -274,7 +274,7 @@ def test_hardy_sobolev_theta_zero_is_sobolev():
     case = hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=23):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -284,7 +284,7 @@ def test_hardy_sobolev_weighted_margins():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0)
     grid = log_grid(1500)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 20, seed=29):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -305,7 +305,7 @@ def valid_ckn_case(a=0.75, r=4.0, delta=0.5):
 def test_ckn_margins_valid_tuple():
     case = valid_ckn_case()
     grid = log_grid(1500)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 20, seed=31):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -331,7 +331,7 @@ def test_ckn_a1_reduces_to_hardy_sobolev():
                   delta=0.3, sigma=0.0, sobolev_constant=2.0)
     assert ck.formula_constant == pytest.approx(hs.formula_constant, rel=1e-14)
     grid = log_grid(1500)
-    with assembled(hs, grid, hs.p), assembled(ck, grid, ck.p):
+    with assembled(hs, grid), assembled(ck, grid):
         for u in random_test_functions(grid, 10, seed=37):
             a = sides_for(hs, u)
             b = sides_for(ck, u)
@@ -344,7 +344,7 @@ def test_hardy_gap_nonnegative_and_zero_at_zero():
     grid = log_grid(1200)
     case = hardy_e3_case()
     assert sides_for(case, zero_fn(grid)).margin == 0.0
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=41):
             assert sides_for(case, u).margin > 0.0
 
@@ -370,7 +370,7 @@ def test_interval_distance_hardy_margin():
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=43):
             assert sides_for(case, u).margin >= 0.0
 
@@ -384,7 +384,7 @@ def test_halfspace_distance_hardy_on_interval():
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed  # x is harmonic on the interval
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 10, seed=47):
             pair = sides_for(case, u)
             assert pair.margin >= -1e-6 * pair.rhs
@@ -400,7 +400,7 @@ def test_ckn_a_zero_identity_case():
     )
     assert case.formula_constant == pytest.approx(1.0)
     grid = log_grid(1000)
-    with assembled(case, grid, case.p):
+    with assembled(case, grid):
         for u in random_test_functions(grid, 5, seed=53):
             pair = sides_for(case, u)
             assert pair.margin == pytest.approx(0.0, abs=1e-12 * pair.rhs)

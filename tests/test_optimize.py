@@ -131,7 +131,7 @@ def test_warm_start_not_worse_than_cold():
     coarse_res = minimize_quotient_general_p(case, coarse)
     warm_vals = np.interp(fine.nodes, coarse.nodes, coarse_res.minimizer.values)
     warm_vals[0] = warm_vals[-1] = 0.0
-    warm = descend_quotient(case_forms(case, fine, case.p), case.p, warm_vals)
+    warm = descend_quotient(case_forms(case, fine), case.p, warm_vals)
     assert warm.quotient <= cold.quotient + 1e-10
 
 
@@ -162,7 +162,7 @@ def test_p2_bracket_holds_the_dense_eigenvalue(lo, n):
     case = hardy_e3()
     grid = build_grid(rng, n, "log")
     res = minimize_quotient_p2(case, grid)
-    k_band, m_band = case_forms(case, grid, 2.0).pencil(np.zeros(n), 2.0)
+    k_band, m_band = case_forms(case, grid).pencil(np.zeros(n), 2.0)
     lam = dense_lambda1(interior(k_band), interior(m_band))
     assert res.converged and res.quotient - res.lower <= 1e-10 * res.quotient
     assert res.lower - 1e-10 * lam <= lam <= res.quotient + 1e-10 * lam
@@ -177,7 +177,7 @@ def test_bracket_holds_the_dense_eigenvalue_off_p2():
     case = hardy_case(E4, rho_catalog_entry("power", E4, 3.0, beta=-0.5))
     grid = build_grid(rng, 800, "log")
     u = case.weight.rho(grid.nodes) ** (2.0 / 3.0)
-    bands = case_forms(case, grid, 3.0).pencil(u, 3.0)
+    bands = case_forms(case, grid).pencil(u, 3.0)
     k_band, m_band = map(interior, bands)
     pair = bottom_eigenpair(k_band, m_band)
     v = pair.vector

@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from phardy import weights
-from phardy.errors import InvalidArgumentError, ParabolicModelError
+from phardy.errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
 from phardy.geometry import (
     CoordinateRange,
     euclidean_radial,
@@ -243,6 +243,37 @@ def test_parse_weight_strings():
         parse_weight("mystery", E3, 2.0)
     with pytest.raises(InvalidArgumentError):
         parse_weight("power:beta=0", E3, 2.0)
+
+
+#: each catalog family: its parameters, the weight's documented name and
+#: params, and the model kinds it lives on
+CATALOG = {
+    "power": ({"beta": -1}, "power:beta=-1", {"beta": -1.0}, "EHPI"),
+    "log": ({}, "log:inner", {"side": "inner"}, "EHI"),
+    "rlogr": ({}, "rlogr", {}, "EHPI"),
+    "dist-boundary": ({}, "dist-boundary", {}, "I"),
+    "halfplane-y": ({}, "halfplane-y", {}, "P"),
+    "constant": ({}, "constant:c=1", {"c": 1.0}, "EHPI"),
+}
+MODEL_KINDS = {
+    "E": euclidean_radial(3), "H": hyperbolic_radial(3), "P": half_plane_poincare(),
+    "I": interval(0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("model_key", sorted(MODEL_KINDS))
+@pytest.mark.parametrize("family", sorted(weights._FAMILIES))
+def test_catalog_family_on_each_model_kind(family, model_key):
+    assert CATALOG.keys() == weights._FAMILIES.keys()
+    params, name, weight_params, lives_on = CATALOG[family]
+    model = MODEL_KINDS[model_key]
+    if model_key not in lives_on:
+        with pytest.raises(UnsupportedModelError):
+            rho_catalog_entry(family, model, 2.0, **params)
+        return
+    w = rho_catalog_entry(family, model, 2.0, **params)
+    assert (w.name, w.family, w.params, w.model, w.p) == (name, family, weight_params, model, 2.0)
+    assert parse_weight(name, model, 2.0).params == weight_params
 
 
 def test_weight_from_samples_interpolates():
