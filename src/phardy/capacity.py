@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NonFiniteIntegrandError
+from .errors import InvalidArgumentError, NonFiniteIntegrandError, UnsupportedModelError
 from .geometry import CoordinateRange, ModelManifold
 from .grids import LOG, build_grid, cell_gauss
 
@@ -36,8 +36,8 @@ def radial_capacity(model: ModelManifold, p: float, a: float, b: float) -> float
     """p-capacity of the condenser (B_a, B_b) on a radial model."""
     if not (0 < a < b):
         raise InvalidArgumentError("need 0 < a < b")
-    if model.kind == "interval" and (a < model.a or b > model.b):
-        raise InvalidArgumentError("condenser outside interval model")
+    if not model.is_radial:
+        raise UnsupportedModelError("capacity defined on radial models")
     n = max(800, int(200 * math.log10(b / a)))
     grid = build_grid(CoordinateRange(a, b), n, LOG)
     total = float(np.sum(green_integrals(model, p, grid.nodes)[0]))

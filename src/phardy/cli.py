@@ -37,9 +37,6 @@ from .grids import build_grid
 from .testfunctions import random_test_functions
 from .weights import check_bump_grid, parse_weight
 
-DEFAULT_TOL_DISC = fn.TOL_DISC
-DEFAULT_N_TEST_FUNCTIONS = 50
-
 
 def bundled_config_path():
     return resources.files("phardy").joinpath("data/default_suite.json")
@@ -71,8 +68,7 @@ _TYPE_NAMES = {
     bool: "true or false", dict: "an object", list: "an array",
 }
 _CONFIG_RULES = {
-    "cases": list, "seed": 0, "tol_disc": DEFAULT_TOL_DISC,
-    "n_test_functions": DEFAULT_N_TEST_FUNCTIONS,
+    "cases": list, "seed": 0, "tol_disc": fn.TOL_DISC, "n_test_functions": 50,
 }
 _GRID_RULES = {"lo": float, "hi": float, "n": int, "spacing": "log"}
 _CHECK_RULES = {"hypothesis": True, "minimize": False}
@@ -149,6 +145,8 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     extra = _MODEL_RULES.get(model_kind, {}) if isinstance(model_kind, str) else {}
     model = _checked(f"{where} model", c["model"], {"kind": str, **extra})
     c["model"] = _built(where, "model", model_from_config, model)
+    if name == "classification" and not c["model"].is_radial:
+        raise ConfigError(f"{where}: 'model': classification needs a radial model")
     if name != "classification":
         g = _checked(f"{where} grid", c["grid"], _GRID_RULES)
         c["rng"] = _built(where, "grid", CoordinateRange, g["lo"], g["hi"])
@@ -180,7 +178,7 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     # the runners' weak sign check needs room for one test bump
     case = c.get("case")
     if name == "eigen-hardy" or (
-        case and c["checks"]["hypothesis"] and case.hypothesis_mode and not case.trivial
+        case and c["checks"]["hypothesis"] and case.hypothesis_mode
     ):
         _built(where, "grid", check_bump_grid, c["grid"])
     return c
@@ -289,15 +287,7 @@ def _run_classification_case(c, conf, record):
     cls = capacity_mod.classify_parabolicity(
         model, p, a=a, b_schedule=capacity_mod.default_b_schedule(a, params["decades"])
     )
-    record["classification"] = {
-        "classification": cls.classification,
-        "inconclusive": cls.inconclusive,
-        "liminf_estimate": cls.liminf_estimate,
-        "schedule": cls.schedule,
-        "values": cls.values,
-        "steepest_slope": cls.steepest_slope,
-        "last_over_first": cls.last_over_first,
-    }
+    record["classification"] = dataclasses.asdict(cls)
     expect = c["expect"]
     record["status"] = "pass" if (not expect or cls.classification == expect) else "fail"
 

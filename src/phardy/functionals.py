@@ -206,6 +206,14 @@ def hardy_sobolev_constant(S_p: float, H_val: float, theta: float, p: float) -> 
     return S_p * hroot / (abs(theta) + hroot)
 
 
+def _hardy_sobolev_constants(S_p: float, theta: float, p: float):
+    """(H, C2): the Hardy constant of rho^(p theta) and the Hardy-Sobolev C2."""
+    H = _hardy_constant(p, p * theta)
+    if H <= 0:
+        raise InvalidArgumentError("weighted Hardy constant degenerates at p*theta = p-1")
+    return H, hardy_sobolev_constant(S_p, H, theta, p)
+
+
 def _ckn_factors(case: InequalityCase, t):
     pr, p = case.params, case.p
     rho, grad_rho = case.weight.rho(t), case.weight.grad_norm(t)
@@ -369,14 +377,11 @@ def hardy_sobolev_case(
         raise InvalidArgumentError("need p* > 0")
     if sobolev_constant is None or sobolev_constant <= 0:
         raise InvalidArgumentError("missing Sobolev constant S_p")
-    H = _hardy_constant(p, p * theta)
-    if H <= 0:
-        raise InvalidArgumentError("weighted Hardy constant degenerates at p*theta = p-1")
     return weighted_case(
         "hardy-sobolev",
         model,
         weight,
-        hardy_sobolev_constant(sobolev_constant, H, theta, p),
+        _hardy_sobolev_constants(sobolev_constant, theta, p)[1],
         case_id,
         _hypothesis_mode_for_alpha(p, p * theta),
         theta=theta,
@@ -419,8 +424,7 @@ def ckn_case(
         raise RelationViolationError("cond1", "gamma relation fails")
     if abs(eps - (theta * a + sigma * (1.0 - a))) > tol:
         raise RelationViolationError("cond2", "eps relation fails")
-    H = _hardy_constant(p, p * theta)
-    c2 = hardy_sobolev_constant(sobolev_constant, H, theta, p)
+    H, c2 = _hardy_sobolev_constants(sobolev_constant, theta, p)
     return weighted_case(
         "ckn",
         model,

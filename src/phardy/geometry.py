@@ -142,14 +142,5 @@ def interval(a: float, b: float) -> ModelManifold:
 
 
 def model_from_config(spec: dict) -> ModelManifold:
-    """Build a model from a config mapping like {"kind": "euclidean", "dim": 3}."""
-    kind = spec.get("kind", "")
-    if kind == EUCLIDEAN:
-        return euclidean_radial(int(spec["dim"]))
-    if kind == HYPERBOLIC:
-        return hyperbolic_radial(int(spec["dim"]))
-    if kind == HALF_PLANE:
-        return half_plane_poincare()
-    if kind == INTERVAL:
-        return interval(float(spec["a"]), float(spec["b"]))
-    raise InvalidArgumentError(f"unknown model kind {kind!r}")
+    """The model whose fields a config mapping gives, like {"kind": "euclidean", "dim": 3}."""
+    return ModelManifold(**spec)

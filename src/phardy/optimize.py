@@ -260,7 +260,6 @@ def minimize_quotient_general_p(
     with the formal ground state rho^((p-1)/p), zero at both ends."""
     p = case.p
     seed = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
-    seed[0] = seed[-1] = 0.0
     return descend_quotient(case_forms(case, grid), p, seed, max_iter=max_iter)
 
 

@@ -19,7 +19,7 @@ p-subharmonicity (the Caccioppoli hypothesis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -144,8 +144,10 @@ def weight_from_samples(
 def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> WeightSpec:
     """Radial Green-type profile rho(t) = integral_t^hi s(tau)^(-1/(p-1)) dtau.
 
-    Requires a p-hyperbolic model (the profile degenerates to the constant 0
-    in the parabolic case); the pole sits at the radial origin.
+    A sampled weight of its suffix integrals at the grid nodes, with the
+    exact slope -s^(-1/(p-1)) in place of the cell slopes.  Requires a
+    p-hyperbolic model (the profile degenerates to the constant 0 in the
+    parabolic case); the pole sits at the radial origin.
     """
     from .capacity import classify_parabolicity, green_integrals  # local import, no cycle
 
@@ -160,22 +162,10 @@ def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> Wei
         )
 
     suffix = green_integrals(model, p, grid.nodes)[1]
-    nodes = grid.nodes
-
-    def rho(t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, nodes, suffix)
-
-    def rho_prime(t):
-        return -np.exp(-model.log_volume_density(np.asarray(t, dtype=float)) / (p - 1.0))
-
-    return WeightSpec(
-        name="green",
+    return replace(
+        weight_from_samples("green", model, p, grid, suffix),
         family="green",
-        model=model,
-        p=p,
-        rho=rho,
-        rho_prime=rho_prime,
+        rho_prime=lambda t: -np.exp(-model.log_volume_density(t) / (p - 1.0)),
     )
 
 

@@ -5,12 +5,14 @@ import pytest
 from oracles import capacity_by_minimization, euclidean_annulus_capacity
 
 from phardy.capacity import classify_parabolicity, default_b_schedule, radial_capacity
-from phardy.errors import InvalidArgumentError
+from phardy.errors import InvalidArgumentError, UnsupportedModelError
 from phardy.functionals import hardy_case
 from phardy.geometry import (
     CoordinateRange,
     euclidean_radial,
+    half_plane_poincare,
     hyperbolic_radial,
+    interval,
 )
 from phardy.grids import build_grid
 from phardy.optimize import minimize_quotient_p2
@@ -45,6 +47,14 @@ def test_degenerate_annulus_rejected():
         radial_capacity(E2, 2.0, 1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         radial_capacity(E2, 2.0, 2.0, 1.0)
+
+
+def test_capacity_needs_a_radial_model():
+    # the half-plane reduction is per unit length: its capacities would
+    # call the hyperbolic plane p-parabolic
+    for model in (half_plane_poincare(), interval(0.0, 1.0)):
+        with pytest.raises(UnsupportedModelError, match="radial models"):
+            radial_capacity(model, 2.0, 0.1, 0.5)
 
 
 def test_capacity_monotonicity():

@@ -407,6 +407,16 @@ def _eigen(kind, model=None, **params):
     return mutate
 
 
+def _classification(model):
+    """A mutation that turns the case into a classification case on model."""
+    def mutate(cfg):
+        case = cfg["cases"][0]
+        for key in ("weight", "grid", "checks"):
+            case.pop(key, None)
+        case.update(kind="classification", model=model, params={"p": 2})
+    return mutate
+
+
 def _half_plane(kind, params):
     """A mutation that turns the case into a power-weight case of kind on the
     half-plane, whose distance has |grad d| != 1."""
@@ -464,6 +474,10 @@ BAD_CONFIGS = {
     "half-plane-uncertainty": (
         _half_plane("uncertainty", {"p": 2, "s": 2.0, "a": 2.0}), "'params'", True
     ),
+    "classification-interval": (
+        _classification({"kind": "interval", "a": 0.0, "b": 1.0}), "'model'", True
+    ),
+    "classification-half-plane": (_classification({"kind": "half_plane"}), "'model'", True),
     "minimize-non-quotient-kind": (
         lambda cfg: cfg["cases"][0].update(
             kind="gn", weight="power:beta=-1", params={"p": 2, "delta": 2.0},
@@ -491,7 +505,8 @@ def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
 # parameters, the grid the runners will use or a case its model cannot hold
 @pytest.mark.parametrize(
     "name",
-    [n for n in sorted(BAD_CONFIGS) if n.startswith(("field-", "eigen-", "grid-", "half-plane-"))],
+    [n for n in sorted(BAD_CONFIGS)
+     if n.startswith(("field-", "eigen-", "grid-", "half-plane-", "classification-"))],
 )
 def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
     cfg = ball_config()

@@ -321,6 +321,10 @@ def test_ckn_rejects_infeasible_relations():
         ckn_case(E3, w, theta=-0.5, p_star=6.0, r=4.0, a=0.75, gamma=0.0,
                  delta=0.5, sigma=0.0, sobolev_constant=2.0)
     assert err.value.condition == "cond1"
+    # p*theta = p-1: the weighted Hardy constant H vanishes
+    with pytest.raises(InvalidArgumentError, match=r"degenerates at p\*theta = p-1"):
+        ckn_case(E3, w, theta=0.5, p_star=6.0, r=3.0, a=0.5, gamma=0.0,
+                 delta=0.5, sigma=0.0, sobolev_constant=2.0)
 
 
 def test_ckn_a1_reduces_to_hardy_sobolev():

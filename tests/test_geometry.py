@@ -123,3 +123,5 @@ def test_model_from_config():
         model_from_config({"kind": "torus"})
     with pytest.raises(InvalidArgumentError):
         model_from_config({"kind": "euclidean", "dim": 1})
+    with pytest.raises(InvalidArgumentError):
+        model_from_config({"kind": "euclidean"})

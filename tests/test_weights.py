@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from phardy import weights
+from phardy.capacity import green_integrals
 from phardy.errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
 from phardy.geometry import (
     CoordinateRange,
@@ -208,6 +209,19 @@ def test_green_euclidean3_profile_shape():
     t = grid.nodes[[100, 500, 900, 1300]]
     expected = (1.0 / t - 1.0 / grid.hi) / (4 * math.pi)
     np.testing.assert_allclose(w.rho(t), expected, rtol=1e-10)
+
+
+def test_green_is_sampled_suffix_with_exact_slope():
+    # E3, p = 2: s = 4 pi t^2, so rho' = -1/(4 pi t^2) between the nodes too
+    grid = build_grid(CoordinateRange(0.1, 50.0), 300, "log")
+    w = green_weight_radial(E3, 2.0, grid)
+    assert w.name == w.family == "green"
+    suffix = green_integrals(E3, 2.0, grid.nodes)[1]
+    assert np.array_equal(w.rho(grid.nodes), suffix)
+    mid = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    np.testing.assert_allclose(w.rho_prime(mid), -1.0 / (4 * math.pi * mid**2), rtol=1e-13)
+    cell_slopes = np.diff(suffix) / np.diff(grid.nodes)
+    assert np.all(np.abs(w.rho_prime(mid) - cell_slopes) > 1e-6 * np.abs(cell_slopes))
 
 
 def test_green_parabolic_rejected():
