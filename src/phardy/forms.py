@@ -48,9 +48,17 @@ def load_lapack(root):
 _LAPACK = load_lapack(Path(scipy.__file__).parent)
 dpttrf, dpttrs = _LAPACK.dpttrf, _LAPACK.dpttrs
 
-#: cells whose densities an assembly evaluates in one pass; caps its
-#: scratch arrays at _CELL_BLOCK * 8 doubles whatever the grid size
-_CELL_BLOCK = 1024
+#: cells a Gauss-point pass takes at a time; caps its scratch arrays at
+#: _CELL_BLOCK * 8 doubles whatever the grid size
+_CELL_BLOCK = 4096
+
+
+def _cell_blocks(start: int, stop: int) -> list:
+    """Slices of _CELL_BLOCK cells that cover cells start..stop-1; the last
+    also takes a single leftover cell, since numpy sums the 8 rows of a
+    one-cell block in another order than those of a wider block."""
+    bounds = [*range(start, max(stop - 1, start + 1), _CELL_BLOCK), stop]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def model_densities(model, p: float, factors):
@@ -73,36 +81,42 @@ class P1Forms:
     ``integrals(u, qs)`` gives every side integral.  A density not finite
     at a node where u != 0, or at a Gauss point of such a cell, raises
     NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
-    R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has both functionals and
-    the data of their ``gradients`` from one pass (``evaluate``),
-    ``residual`` and ``pencil``, valid once ``check_quotient`` passed.
-    The densities are evaluated ``_CELL_BLOCK`` cells at a time, so the
-    scratch of an assembly does not grow with the grid.  Gauss-point
-    arrays have shape (8, n-1), one row per point: products stream along
-    the cells and a sum over a cell's points adds 8 rows.  ``n1`` and
-    ``n2`` are the two P1 hats at the Gauss points, (8, 1) columns that
-    are the same in every cell.
+    R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has ``pencil``, and for
+    the descent both functionals and the data of their ``gradients`` from
+    one pass (``evaluate``) and ``residual``, valid once
+    ``check_quotient`` passed.  The forms keep the weighted A's per Gauss
+    point and nothing else of that size.  The assembly, ``integrals`` and
+    ``pencil`` take ``_CELL_BLOCK`` cells at a time, so their scratch does
+    not grow with the grid; ``evaluate`` keeps whole-grid Gauss data,
+    which ``gradients`` reads back, as the descent runs on small grids.
+    Gauss-point arrays have shape (8, cells), one row per point: products
+    stream along the cells and a sum over a cell's points adds 8 rows.
+    ``n1`` and ``n2`` are the two P1 hats at the Gauss points, (8, 1)
+    columns that are the same in every cell.
     """
 
     def __init__(self, grid: RadialGrid, densities):
-        pts, wts = cell_gauss(grid.nodes)
+        nodes, ncells = grid.nodes, grid.n - 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            finite_at_nodes = np.isfinite(densities(grid.nodes))
+            finite_at_nodes = np.isfinite(densities(nodes))
             self.bad_nodes = ~np.all(finite_at_nodes, axis=0)
-            self.a_wts = [np.zeros(pts.shape) for _ in finite_at_nodes[1:]]
-            self.b_cell = np.zeros(grid.n - 1)
-            self.bad_cells = np.zeros(grid.n - 1, dtype=bool)
-            for start in range(0, grid.n - 1, _CELL_BLOCK):
-                cells = slice(start, start + _CELL_BLOCK)
-                *a, b = densities(pts[:, cells])
+            self.a_wts = [np.zeros((8, ncells)) for _ in finite_at_nodes[1:]]
+            self.b_cell = np.zeros(ncells)
+            self.bad_cells = np.zeros(ncells, dtype=bool)
+            for cells in _cell_blocks(0, ncells):
+                pts, wts = cell_gauss(nodes[cells.start:cells.stop + 1])
+                *a, b = densities(pts)
                 weighted = [a_wts[:, cells] for a_wts in self.a_wts] + [np.zeros(b.shape)]
                 for f, out in zip((*a, b), weighted):
                     finite = np.isfinite(f)
                     self.bad_cells[cells] |= ~finite.all(axis=0)
-                    np.multiply(wts[:, cells], f, out=out, where=finite)
+                    np.multiply(wts, f, out=out, where=finite)
                 self.b_cell[cells] = np.sum(weighted[-1], axis=0)
+        # whether a density is non-finite anywhere: only then do the sides
+        # have to look where their u lives
+        self.nonfinite = bool(np.any(self.bad_nodes) or np.any(self.bad_cells))
         self.grid = grid
-        self.h = np.diff(grid.nodes)
+        self.h = np.diff(nodes)
         self.n1, self.n2 = p1_basis()
 
     def check_quotient(self):
@@ -114,41 +128,47 @@ class P1Forms:
             raise InvalidArgumentError("quotient densities must be finite, A >= 0 and B > 0")
 
     def values(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
-        """u at the 8 Gauss points of each cell, shape (8, n-1)."""
+        """u at the 8 Gauss points of each of the cells, shape (8, cells)."""
         ug = self.n1 * u[:-1][cells]
         ug += self.n2 * u[1:][cells]
         return ug
 
     def slopes(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
-        return np.diff(u)[cells] / self.h[cells]
+        """u' on each of the cells, from the nodes of those cells only."""
+        return (u[1:][cells] - u[:-1][cells]) / self.h[cells]
 
     def integrals(self, u: np.ndarray, qs) -> list:
-        """int A_i |u|^q_i and, last, int B |u'|^q, summed over the cells
-        where u is not 0."""
-        live = u != 0.0
-        if np.any(self.bad_nodes & live) or np.any(self.bad_cells & (live[:-1] | live[1:])):
-            raise NonFiniteIntegrandError("non-finite density where u does not vanish")
-        nz = np.flatnonzero(live)
-        cells = slice(max(nz[0] - 1, 0), nz[-1] + 1) if nz.size else slice(0, 0)
-        ug = np.abs(self.values(u, cells))
-        out = [float(np.sum(a_wts[:, cells] * ug ** q)) for a_wts, q in zip(self.a_wts, qs)]
-        return out + [float(np.sum(self.b_cell[cells] * np.abs(self.slopes(u, cells)) ** qs[-1]))]
+        """int A_i |u|^q_i and, last, int B |u'|^q, summed block by block
+        over the cells where u is not 0."""
+        if self.nonfinite:
+            live = u != 0.0
+            if np.any(self.bad_nodes & live) or np.any(self.bad_cells & (live[:-1] | live[1:])):
+                raise NonFiniteIntegrandError("non-finite density where u does not vanish")
+        nz = np.flatnonzero(u)
+        blocks = _cell_blocks(max(nz[0] - 1, 0), min(nz[-1] + 1, u.size - 1)) if nz.size else []
+        sums = [0.0] * len(qs)
+        for cells in blocks:
+            ug = np.abs(self.values(u, cells))
+            for i, (a_wts, q) in enumerate(zip(self.a_wts, qs)):
+                sums[i] += float(np.sum(a_wts[:, cells] * ug ** q))
+            sums[-1] += float(np.sum(self.b_cell[cells] * np.abs(self.slopes(u, cells)) ** qs[-1]))
+        return sums
 
     def pencil(self, u: np.ndarray, p: float):
         """Tridiagonal pencil ((k_diag, k_off), (m_diag, m_off)) of the
         quotient linearized at u: the p-forms with |u'|^(p-2) and |u|^(p-2)
-        frozen at u.  At p = 2 every frozen factor is exactly 1, so this is
-        the stiffness/mass pencil whatever u is."""
+        frozen at u, each floored at 1e-12 of its largest value.  At p = 2
+        every frozen factor is exactly 1, so this is the stiffness/mass
+        pencil whatever u is."""
         n = self.grid.n
         bw = self.b_cell / self.h ** 2
-        aw = self.a_wts[0]
+        blocks = _cell_blocks(0, n - 1)
         if p != 2.0:
             slope = np.abs(self.slopes(u))
             bw = bw * np.maximum(slope, 1e-12 * (1e-300 + np.max(slope))) ** (p - 2.0)
-            aw = np.abs(self.values(u))
-            np.maximum(aw, 1e-12 * (1e-300 + np.max(aw)), out=aw)
-            aw **= p - 2.0
-            aw *= self.a_wts[0]
+            # |u| at the Gauss points, kept per block: the floor needs its maximum
+            frozen = [np.abs(self.values(u, cells)) for cells in blocks]
+            floor = 1e-12 * (1e-300 + max(np.max(ug) for ug in frozen))
         k_diag = np.zeros(n)
         k_off = np.zeros(n - 1)
         k_diag[:-1] += bw
@@ -156,10 +176,17 @@ class P1Forms:
         k_off -= bw
         m_diag = np.zeros(n)
         m_off = np.zeros(n - 1)
-        scratch = np.empty(aw.shape)
-        for hats, out in ((self.n1 ** 2, m_diag[:-1]), (self.n2 ** 2, m_diag[1:]),
-                          (self.n1 * self.n2, m_off)):
-            out += np.sum(np.multiply(aw, hats, out=scratch), axis=0)
+        hats = ((self.n1 ** 2, m_diag[:-1]), (self.n2 ** 2, m_diag[1:]),
+                (self.n1 * self.n2, m_off))
+        for i, cells in enumerate(blocks):
+            aw = self.a_wts[0][:, cells]
+            if p != 2.0:
+                ug = np.maximum(frozen[i], floor, out=frozen[i])
+                ug **= p - 2.0
+                aw = np.multiply(ug, aw, out=ug)
+            scratch = np.empty(aw.shape)
+            for hat, out in hats:
+                out[cells] += np.sum(np.multiply(aw, hat, out=scratch), axis=0)
         return (k_diag, k_off), (m_diag, m_off)
 
     def evaluate(self, u: np.ndarray, p: float):

@@ -264,9 +264,10 @@ def weighted_case(
     **params,
 ) -> InequalityCase:
     """The case of a weighted kind with the given constant, p taken from
-    the weight and put first in its params.  Only a Hardy kind may have
-    the constant 0, which makes its case trivial, and only a Hardy kind
-    carries the log oracle's shift."""
+    the weight and put first in its params.  A Hardy kind's case is
+    trivial at alpha = p - 1, where its constant is 0; a constant that
+    underflows to 0 anywhere else is rejected.  Only a Hardy kind carries
+    the log oracle's shift."""
     p = weight.p
     hardy = kind in ("hardy", "weighted-hardy")
     return InequalityCase(
@@ -277,7 +278,7 @@ def weighted_case(
         formula_constant=constant,
         case_id=case_id,
         hypothesis_mode=hypothesis_mode,
-        trivial=hardy and constant == 0.0,
+        trivial=hardy and params.get("alpha", 0.0) == p - 1.0,
         oracle_shift=_oracle_shift(model, weight, p) if hardy else 0.0,
     )
 

@@ -478,6 +478,12 @@ BAD_CONFIGS = {
         _classification({"kind": "interval", "a": 0.0, "b": 1.0}), "'model'", True
     ),
     "classification-half-plane": (_classification({"kind": "half_plane"}), "'model'", True),
+    "hardy-constant-underflows": (  # ((1e-10)/100)^100 is 0.0, yet alpha != p - 1
+        lambda cfg: cfg["cases"][0].update(
+            kind="weighted-hardy", params={"p": 100, "alpha": 99 + 1e-10}
+        ),
+        "'params'", True,
+    ),
     "minimize-non-quotient-kind": (
         lambda cfg: cfg["cases"][0].update(
             kind="gn", weight="power:beta=-1", params={"p": 2, "delta": 2.0},
@@ -499,6 +505,14 @@ def test_bad_config_exit_2_names_case_and_key(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert ("'hardy-log-ball-p2'" in err) == names_case
+
+
+def test_bundled_degenerate_case_stays_trivial():
+    # alpha = p - 1 makes the Hardy constant 0 and the case trivial
+    cfg = load_config(None)
+    spec = next(c for c in cfg["cases"] if c["id"] == "weighted-hardy-alpha-1-degenerate")
+    report = run_suite({"seed": cfg["seed"], "n_test_functions": 3, "cases": [spec]})
+    assert [r["status"] for r in report["cases"]] == ["trivial"]
 
 
 # the checks that build something of the case: a field, the eigen kinds'

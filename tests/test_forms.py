@@ -18,10 +18,11 @@ from phardy.cli import load_config, run_suite
 from phardy.eigen import first_eigenpair
 from phardy.errors import InvalidArgumentError, ToolkitError
 from phardy.forms import P1Forms, TridiagFactor, interior
-from phardy.functionals import case_forms, gn_case, hardy_case
+from phardy.functionals import assembled, case_forms, gn_case, hardy_case, sides_for
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import build_grid
 from phardy.optimize import (
+    bottom_eigenpair,
     convergence_study,
     minimize_quotient_general_p,
     minimize_quotient_p2,
@@ -53,7 +54,8 @@ def _suite():
     (_suite, 1),  # the margins and the minimization
 ])
 def test_one_assembly_per_case_and_grid(run, assemblies, monkeypatch):
-    # every P1 assembly takes the Gauss points of its grid's cells once
+    # every P1 assembly takes the Gauss points of its grid's cells once,
+    # in one block on these grids
     calls = []
     cell_gauss = phardy.forms.cell_gauss
     monkeypatch.setattr(
@@ -145,6 +147,20 @@ def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
     assert np.max(np.abs(drift)) <= 1e-13 * s ** (p - 1.0) * scale
 
 
+def _traced(run):
+    """run() and the peak of the memory tracemalloc saw allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _power_case(factory):
+    e3 = euclidean_radial(3)
+    return factory(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0))
+
+
 @pytest.mark.parametrize("factory, k", [
     (lambda e3, w: hardy_case(e3, w), 1),
     (lambda e3, w: gn_case(e3, w, delta=2.0), 2),
@@ -152,25 +168,94 @@ def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
 def test_assembly_scratch_stays_a_block(factory, k):
     # the forms hold the A densities per Gauss point, one row per point,
     # and nothing else of that size: the P1 hats are the same (8, 1) columns
-    # in every cell.  The assembly evaluates the densities one block of
-    # cells at a time, so at its peak it holds the Gauss points and
-    # weights, the A's and a block
-    e3 = euclidean_radial(3)
-    case = factory(e3, rho_catalog_entry("power", e3, 2.0, beta=-1.0))
-    grid = build_grid(CoordinateRange(1e-2, 1e2), 64_000, "log")
+    # in every cell.  The assembly takes the Gauss points and evaluates the
+    # densities one block of cells at a time, so beyond the A's its peak
+    # is B per cell, the masks of non-finite densities and one block's
+    # scratch, at most 16 (8, block) arrays
+    case = _power_case(factory)
+    grid = build_grid(CoordinateRange(1e-2, 1e2), 256_000, "log")
     case_forms(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"))  # warm caches
-    tracemalloc.start()
-    try:
-        forms = case_forms(case, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    forms, peak = _traced(lambda: case_forms(case, grid))
     cell_array = (grid.n - 1) * 8 * 8  # bytes of one (8, n - 1) array of doubles
+    vector, block = grid.n * 8, phardy.forms._CELL_BLOCK * 8 * 8
     assert len(forms.a_wts) == k and forms.n1.shape == forms.n2.shape == (8, 1)
     assert all(a.shape == (8, grid.n - 1) for a in forms.a_wts)
     others = [np.shape(v) for name, v in vars(forms).items() if name != "a_wts"]
     assert (8, grid.n - 1) not in others
-    assert peak < (k + 3) * cell_array
+    assert peak < k * cell_array + 2 * vector + 16 * block
+
+
+def test_p2_study_step_holds_no_gauss_array():
+    # a p = 2 study step, the solve and the sides of its minimizer, passes
+    # over the Gauss points a block at a time: beyond the eigen solver's
+    # own vectors its peak is the pencil's bands and block scratch, short
+    # of one (8, n - 1) array
+    case = _power_case(lambda e3, w: hardy_case(e3, w))
+    grid = build_grid(CoordinateRange(1e-2, 1e2), 64_000, "log")
+    minimize_quotient_p2(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"))  # warm caches
+    with assembled(case, grid):
+        forms = case_forms(case, grid)
+        bands = list(map(interior, forms.pencil(np.zeros(grid.n), 2.0)))
+        _, solver = _traced(lambda: bottom_eigenpair(*bands))
+        del bands
+        _, step = _traced(lambda: sides_for(case, minimize_rayleigh_p2(forms).minimizer))
+    assert step - solver < (grid.n - 1) * 8 * 8
+
+
+# A > 0 and B > 0 that vary over the cells, on a grid of two blocks and
+# 1000 cells, and u > 0 from the middle of its first block to the middle
+# of its last
+BLOCK = phardy.forms._CELL_BLOCK
+BLOCK_FORMS = P1Forms(
+    build_grid(CoordinateRange(0.1, 10.0), 2 * BLOCK + 1001, "log"), lambda t: (t ** 2, 1.0 + t)
+)
+
+
+def _supported(n, lo, hi, seed=0):
+    u = np.zeros(n)
+    u[lo:hi] = np.random.default_rng(seed).uniform(0.5, 2.0, hi - lo)
+    return u
+
+
+def _pencil_written_out(forms, u, p):
+    """The pencil of ``P1Forms.pencil`` from the slopes and Gauss values of
+    u on the whole grid at once."""
+    bw, aw = forms.b_cell / forms.h ** 2, forms.a_wts[0]
+    if p != 2.0:
+        slope = np.abs(np.diff(u) / forms.h)
+        ug = np.abs(forms.n1 * u[:-1] + forms.n2 * u[1:])
+        bw = bw * np.maximum(slope, 1e-12 * (1e-300 + np.max(slope))) ** (p - 2.0)
+        aw = aw * np.maximum(ug, 1e-12 * (1e-300 + np.max(ug))) ** (p - 2.0)
+    m_lo, m_hi, m_off = (np.sum(aw * hat, axis=0)
+                         for hat in (forms.n1 ** 2, forms.n2 ** 2, forms.n1 * forms.n2))
+    return ((np.append(bw, 0.0) + np.append(0.0, bw), -bw),
+            (np.append(m_lo, 0.0) + np.append(0.0, m_hi), m_off))
+
+
+def _integrals_written_out(forms, u, qs):
+    """The side integrals of ``P1Forms.integrals`` over u's live cells at once."""
+    nz = np.flatnonzero(u)
+    cells = slice(max(nz[0] - 1, 0), nz[-1] + 1)
+    ug = np.abs(forms.n1 * u[:-1] + forms.n2 * u[1:])[:, cells]
+    slope = np.abs(np.diff(u) / forms.h)[cells]
+    out = [float(np.sum(a[:, cells] * ug ** q)) for a, q in zip(forms.a_wts, qs)]
+    return out + [float(np.sum(forms.b_cell[cells] * slope ** qs[-1]))]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_block_passes_match_the_whole_grid(p):
+    forms = BLOCK_FORMS
+    n = forms.grid.n
+    u = _supported(n, BLOCK // 2, 2 * BLOCK + 500)
+    for got, want in zip(forms.pencil(u, p), _pencil_written_out(forms, u, p)):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    got, want = forms.integrals(u, (p, p)), _integrals_written_out(forms, u, (p, p))
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    # a support within one block, or a grid of one block, is summed in one
+    # pass, as written out
+    for forms, u in ((forms, _supported(n, BLOCK + 100, 2 * BLOCK - 100)),
+                     (GRAD_FORMS, _supported(GRAD_FORMS.grid.n, 1, 23))):
+        assert forms.integrals(u, (p, p)) == _integrals_written_out(forms, u, (p, p))
 
 
 def test_minimizers_take_only_the_forms_of_a_quotient():

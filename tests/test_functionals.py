@@ -123,6 +123,13 @@ def test_weighted_degenerate_alpha():
     assert pair.margin == pair.rhs >= 0.0
 
 
+def test_triviality_follows_alpha_not_an_underflowed_constant():
+    # (1e-12)^100 underflows to 0.0, but alpha != p - 1: no trivial case
+    w = rho_catalog_entry("power", E3, 100.0, beta=-1.0)
+    with pytest.raises(InvalidArgumentError, match="constant must be positive"):
+        weighted_hardy_case(E3, w, 99.0 + 1e-10)
+
+
 def test_margin_sign_invariant_under_scaling():
     grid = log_grid(1000)
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
