@@ -43,7 +43,7 @@ def first_eigenpair(
     """Solve -Delta_p phi = lambda |phi|^{p-2} phi with Dirichlet ends.
 
     p = 2 brackets lambda1 of the P1 pencil by spectrum slicing; p != 2
-    descends the p-Rayleigh quotient with a positivity projection each step.
+    runs inverse power iteration on the p-Rayleigh quotient.
     """
     if not math.isfinite(rng.hi):
         raise InvalidArgumentError("eigenproblem needs a bounded range")

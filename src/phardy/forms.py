@@ -82,13 +82,14 @@ class P1Forms:
     at a node where u != 0, or at a Gauss point of such a cell, raises
     NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
     R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has ``pencil``, and for
-    the descent both functionals and the data of their ``gradients`` from
-    one pass (``evaluate``) and ``residual``, valid once
+    the general-p solve both functionals and the data of their
+    ``gradients`` from one pass (``evaluate``) and ``residual``, valid once
     ``check_quotient`` passed.  The forms keep the weighted A's per Gauss
     point and nothing else of that size.  The assembly, ``integrals`` and
     ``pencil`` take ``_CELL_BLOCK`` cells at a time, so their scratch does
     not grow with the grid; ``evaluate`` keeps whole-grid Gauss data,
-    which ``gradients`` reads back, as the descent runs on small grids.
+    which ``gradients`` reads back, as the general-p solve runs on small
+    grids.
     Gauss-point arrays have shape (8, cells), one row per point: products
     stream along the cells and a sum over a cell's points adds 8 rows.
     ``n1`` and ``n2`` are the two P1 hats at the Gauss points, (8, 1)
@@ -159,7 +160,8 @@ class P1Forms:
         quotient linearized at u: the p-forms with |u'|^(p-2) and |u|^(p-2)
         frozen at u, each floored at 1e-12 of its largest value.  At p = 2
         every frozen factor is exactly 1, so this is the stiffness/mass
-        pencil whatever u is."""
+        pencil whatever u is; the package solves only that one, and the
+        p != 2 pencil serves the tests' reference solvers."""
         n = self.grid.n
         bw = self.b_cell / self.h ** 2
         blocks = _cell_blocks(0, n - 1)

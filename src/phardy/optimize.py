@@ -5,9 +5,9 @@ Gauss quadrature, so the discrete minimum is the true quotient
 of a piecewise-linear admissible function, sitting above the continuum
 infimum and decreasing under nested refinement) to ``bottom_eigenpair``,
 which brackets its smallest eigenvalue by spectrum slicing.  The general-p
-path descends the nonquadratic quotient along the bottom eigenvector of
-the pencil linearized at the iterate, or a preconditioned gradient, with
-Armijo backtracking; descent gives upper bounds, the theorem gives the
+path is inverse power iteration on the nonquadratic quotient, each step
+solving grad E(v) = grad L(u) exactly by integrating the cell fluxes
+(``solve_flux``); its quotients are upper bounds, the theorem gives the
 lower bound, and the sandwich is the verification.
 """
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .grids import GridFunction, LOG, RadialGrid, build_grid
 
 
 BRACKET_RTOL = 1e-10  # relative width of a converged bracket [lower, quotient]
-TOL_EIG_GENERAL = 1e-4  # stationarity residual of a converged general-p descent
-MAX_ITER = 5000  # steps a general-p descent takes at most
+TOL_EIG_GENERAL = 1e-4  # stationarity residual of a converged general-p solve
+MAX_ITER = 5000  # steps a general-p solve takes at most
 
 
 @dataclass
@@ -39,8 +39,8 @@ class MinimizationResult:
     converged: bool
     history: list = field(default_factory=list, repr=False)
     lower: float | None = None  # p = 2: the largest shift at which K - sigma M factored
-    residual: float | None = None  # descent: P1Forms.residual at the minimizer
-    stop: str | None = None  # descent: "no-step" or "max_iter"
+    residual: float | None = None  # general p: P1Forms.residual at the minimizer
+    stop: str | None = None  # general p: "no-step" or "max_iter"
 
 
 class Bracket(NamedTuple):
@@ -151,100 +151,97 @@ def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> Minimization
     return minimize_rayleigh_p2(case_forms(case, grid))
 
 
+def solve_flux(forms: P1Forms, p: float, f: np.ndarray, guess: float) -> np.ndarray:
+    """The v, 0 at both ends, with interior grad E(v) = f for
+    E(v) = int B |v'|^p, exact in O(n).  The flux of cell e at v's slope
+    s_e, phi_e = p b_e |s_e|^(p-2) s_e / h_e (``P1Forms.gradients``'
+    ``dcell``), gives grad E(v)_i = phi_(i-1) - phi_i; so phi_e = c - (f_1
+    + ... + f_e), each slope follows from its flux, and the first flux c is
+    the root of the increasing sum of v's rises h_e s_e, which v's ends pin
+    to 0.  Newton's method from ``guess``, or from the bracket's middle if
+    guess is outside it, finds c to within an ulp, bisecting where a step
+    leaves the bracket or fails to halve."""
+    r = 1.0 / (p - 1.0)
+    coef = forms.h / (p * forms.b_cell)
+    partial = np.concatenate(([0.0], np.cumsum(f[1:-1])))
+
+    def rises(c):
+        # v's rise over each cell at flux c - partial, and |rise| / |flux|
+        phi = c - partial
+        mag = np.abs(phi)
+        rise = forms.h * (mag * coef) ** r
+        return np.copysign(rise, phi), rise / np.maximum(mag, 1e-300)
+
+    lo, hi = float(np.min(partial)), float(np.max(partial))
+    c = guess if lo < guess < hi else 0.5 * (lo + hi)
+    dx_old = hi - lo
+    for _ in range(200):
+        rise, gain = rises(c)
+        end = float(np.sum(rise))
+        if end < 0.0:
+            lo = c
+        elif end > 0.0:
+            hi = c
+        else:  # the root, or a non-finite sum that no c mends
+            break
+        slope = r * float(np.sum(gain))  # d end / dc
+        step = c - end / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if abs(step - c) <= np.spacing(abs(c)):  # a step of an ulp at most: c is the root
+            break
+        if not lo < step < hi or abs(2.0 * (c - step)) > abs(dx_old):
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:  # the bracket is two adjacent floats
+                break
+        c, dx_old = step, c - step
+    else:  # out of steps: the rises at the last c
+        rise, gain = rises(c)
+    # summed in from both ends, v puts the end-sum's rounding on the cell whose flux it moves least
+    k = int(np.argmax(gain))
+    v = np.zeros(f.size)
+    v[1:k + 1] = np.cumsum(rise[:k])
+    v[k + 1:-1] = -np.cumsum(rise[:k:-1])[::-1]
+    return v
+
+
 def descend_quotient(
-    forms: P1Forms,
-    p: float,
-    u0: np.ndarray,
-    max_iter: int = MAX_ITER,
+    forms: P1Forms, p: float, u0: np.ndarray, max_iter: int = MAX_ITER
 ) -> MinimizationResult:
-    """Preconditioned projected gradient descent on R(u)/L(u) over
-    nonnegative u with Dirichlet ends, with Armijo backtracking; only strict
-    decreases are accepted, so the recorded history is monotone.  It stops
-    when no direction lowers the quotient, or after max_iter steps, and
-    ``stop`` says which ("no-step" or "max_iter").
-    Converged means stationary: the ``residual`` of the quotient at the
-    last iterate is <= TOL_EIG_GENERAL."""
+    """Inverse power iteration on E(u)/L(u), E(u) = int B |u'|^p and
+    L(u) = int A |u|^p, over u >= 0 with Dirichlet ends: from u, normalized
+    to L(u) = 1, the next iterate is the v with grad E(v) = grad L(u)
+    (``solve_flux``), which in exact arithmetic never raises the quotient
+    (Hein & Buehler, NIPS 2010).  v is taken only if its quotient is
+    strictly lower, so the history is monotone; else the iteration stops
+    ("no-step"), as it does after max_iter steps ("max_iter").  Each step
+    is one pass over the Gauss points (``P1Forms.evaluate``), whose data
+    give the next right-hand side.  Converged means stationary: the
+    ``residual`` at the last iterate is <= TOL_EIG_GENERAL."""
     forms.check_quotient()
-    grid = forms.grid
-
-    # p = 2 stiffness in the same rhs density, used as descent metric
-    (pk_diag, pk_off), _ = forms.pencil(np.zeros(grid.n), 2.0)
-    pk_diag += 1e-12 * np.max(pk_diag)
-    metric = TridiagFactor(*interior((pk_diag, pk_off)))
-
-    def project(u):
-        u = np.abs(u)
-        u[0] = u[-1] = 0.0
-        return u
-
-    u = project(np.asarray(u0, dtype=float))
+    u = np.abs(np.asarray(u0, dtype=float))
+    u[0] = u[-1] = 0.0
     energy, L, gauss = forms.evaluate(u, p)
     if L <= 0:
         raise ZeroDenominatorError("seed profile has zero mass")
     q = energy / L
     u = u / L ** (1.0 / p)
     history = [(0, q)]
-    grad_step = 1.0
-    eig_step = 1.0
-    eig_sleep = 0  # iterations left before retrying the eigenvector direction
     it, stop = 0, "max_iter"
-
-    def try_direction(u, q, d, t0):
-        # (u, q) normalized to mass 1, the trial's mass and Gauss data, step
-        t = t0
-        for _ in range(60):
-            trial = project(u + t * d)
-            energy, Lt, gauss = forms.evaluate(trial, p)
-            if Lt > 0 and energy / Lt < q:
-                return trial / Lt ** (1.0 / p), energy / Lt, Lt, gauss, t
-            if np.array_equal(trial, u):  # t d is below an ulp of u, as is every smaller step
-                break
-            t *= 0.5
-        return None
-
     for it in range(1, max_iter + 1):
-        accepted = None
-        # primary direction: bottom eigenvector of the quotient linearized
-        # at u (reweighted p = 2 pencil; positive, as K - sigma M is a
-        # Stieltjes matrix); skipped for a stretch while it stops paying off
-        if eig_sleep == 0:
-            try:
-                v = np.zeros_like(u)
-                v[1:-1] = bottom_eigenpair(*map(interior, forms.pencil(u, p))).vector
-                vmass = forms.evaluate(v, p)[1]
-            except ZeroDenominatorError:
-                vmass = 0.0
-            if vmass > 0:
-                v = v / vmass ** (1.0 / p)
-                accepted = try_direction(u, q, v - u, min(2.0 * eig_step, 1.0))
-            if accepted is not None:
-                eig_step = accepted[-1]
-                if eig_step < 1e-3:
-                    eig_sleep = 25
-            else:
-                eig_sleep = 25
-        else:
-            eig_sleep -= 1
-        if accepted is None:
-            # fallback: preconditioned quotient gradient with Armijo; at the
-            # iterate u = trial / L^(1/p) it is (grad E - q grad L)(trial) / L^(1-1/p)
-            ge, gl = forms.gradients(gauss, p)
-            grad = (ge - q * gl) * L ** (1.0 / p - 1.0)
-            d = np.zeros_like(grad)
-            d[1:-1] = metric.solve(grad[1:-1])
-            accepted = try_direction(u, q, -d, grad_step)
-            if accepted is not None:
-                grad_step = min(accepted[-1] * 1.5, 1e3)
-        if accepted is None:
+        # gradients at u = w / L(w)^(1/p) from the pass over w; were u an
+        # eigenfunction, v = u / q^(1/(p-1)) would carry u's fluxes over q
+        ge, gl = (g / L ** (1.0 - 1.0 / p) for g in forms.gradients(gauss, p))
+        v = solve_flux(forms, p, gl, guess=-ge[0] / q)
+        energy, Lv, gauss_v = forms.evaluate(v, p)
+        if not (Lv > 0 and energy / Lv < q):
             history.append((it, q))
             stop = "no-step"
             break
-        u, q, L, gauss, _ = accepted
+        u, q, L, gauss = v / Lv ** (1.0 / p), energy / Lv, Lv, gauss_v
         history.append((it, q))
     residual = forms.residual(u, q, p)
     return MinimizationResult(
         quotient=q,
-        minimizer=GridFunction(grid, u),
+        minimizer=GridFunction(forms.grid, u),
         iterations=it,
         converged=residual <= TOL_EIG_GENERAL,
         history=history,
@@ -256,8 +253,8 @@ def descend_quotient(
 def minimize_quotient_general_p(
     case: InequalityCase, grid: RadialGrid, max_iter: int = MAX_ITER
 ) -> MinimizationResult:
-    """Normalized descent on the discrete quotient for any p > 1, seeded
-    with the formal ground state rho^((p-1)/p), zero at both ends."""
+    """Inverse power iteration on the discrete quotient for any p > 1,
+    seeded with the formal ground state rho^((p-1)/p), zero at both ends."""
     p = case.p
     seed = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
     return descend_quotient(case_forms(case, grid), p, seed, max_iter=max_iter)

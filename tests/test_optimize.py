@@ -27,6 +27,7 @@ from phardy.optimize import (
     minimize_quotient_general_p,
     minimize_quotient_p2,
     minimize_rayleigh_p2,
+    solve_flux,
 )
 from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry
@@ -101,8 +102,8 @@ def test_general_p_lower_bound_and_decrease():
         grid = build_grid(rng, n, "log")
         res = minimize_quotient_general_p(case, grid, max_iter=3000)
         quotients.append(res.quotient)
-        # the eigen-direction solves each linearized pencil to its bracket,
-        # so the descent ends far inside TOL_EIG_GENERAL
+        # each step solves grad E(v) = grad L(u) exactly, so the
+        # iteration ends far inside TOL_EIG_GENERAL
         assert res.converged and res.residual <= 1e-6
         assert res.quotient >= bound - 1e-6
         gap = sides_for(case, res.minimizer).margin
@@ -111,13 +112,55 @@ def test_general_p_lower_bound_and_decrease():
 
 
 def test_general_p_converged_means_stationary():
-    # on [1e-12, 1e12] the line search gives up at a residual near 1:
-    # that stop is not convergence
+    # a stop that is not stationary is not convergence: cut short after two
+    # steps the solve is far from stationary; run out, on [1e-12, 1e12],
+    # it converges
     rng = CoordinateRange(1e-12, 1e12)
     case = hardy_case(E5, rho_catalog_entry("power", E5, 4.0, beta=-1.0 / 3.0))
+    grid = build_grid(rng, 600, "log")
+    cut = minimize_quotient_general_p(case, grid, max_iter=2)
+    assert cut.stop == "max_iter" and cut.residual > TOL_EIG_GENERAL
+    assert cut.converged is False
+    res = minimize_quotient_general_p(case, grid)
+    assert res.stop == "no-step" and res.converged and res.residual <= TOL_EIG_GENERAL
+    assert case.formula_constant - 1e-6 <= res.quotient < cut.quotient
+    assert res.quotient <= 0.34491
+
+
+@pytest.mark.parametrize("p, top", [(1.1, 0.07166), (1.25, 0.13448), (1.5, 0.19526)])
+def test_general_p_below_2_converges(p, top):
+    # the E^5 Green-power Hardy cases below p = 2 (C = 0.07153, 0.13375
+    # and 0.19245): the iteration runs until a step no longer lowers the
+    # quotient, and is stationary there
+    rng = CoordinateRange(1e-2, 1e2)
+    case = hardy_case(E5, rho_catalog_entry("power", E5, p, beta=(p - 5.0) / (p - 1.0)))
     res = minimize_quotient_general_p(case, build_grid(rng, 600, "log"))
-    assert res.residual > TOL_EIG_GENERAL
-    assert res.converged is False
+    assert res.stop == "no-step" and res.converged
+    assert case.formula_constant - 1e-6 <= res.quotient <= top
+    qs = [q for _, q in res.history]
+    assert all(b <= a for a, b in zip(qs, qs[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([1.5, 3.0, 4.0]),
+    f=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=40),
+    decades=st.floats(-3.0, 3.0),
+)
+def test_flux_solve_inverts_the_energy_gradient(p, f, decades):
+    # v is 0 at both ends and its grad E, computed back from v's slopes by
+    # P1Forms.gradients, is f at every interior node.  The fluxes are at
+    # most sum(f); at p < 2 the slopes next to v's peak, differenced from
+    # nearly equal values, carry most of the error (measured 4e-12 of
+    # sum(f) at p = 1.5, 2e-15 at p = 3 and 4)
+    n = len(f) + 2
+    forms = P1Forms(build_grid(CoordinateRange(0.1, 10.0), n, "log"), lambda t: (t ** 2, 1.0 + t))
+    rhs = np.zeros(n)
+    rhs[1:-1] = np.array(f) * 10.0 ** decades
+    v = solve_flux(forms, p, rhs, guess=0.0)  # outside the bracket: its middle
+    assert v[0] == v[-1] == 0.0
+    ge = forms.gradients(forms.evaluate(v, p)[2], p)[0]
+    assert np.max(np.abs(ge[1:-1] - rhs[1:-1])) <= 1e-11 * np.sum(rhs)
 
 
 def test_warm_start_not_worse_than_cold():
