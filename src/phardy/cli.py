@@ -35,7 +35,7 @@ from .errors import ConfigError, ToolkitError
 from .geometry import CoordinateRange, model_from_config
 from .grids import build_grid
 from .testfunctions import random_test_functions
-from .weights import check_bump_grid, parse_weight
+from .weights import check_bump_grid, check_weight_finite, parse_weight
 
 
 def bundled_config_path():
@@ -171,6 +171,7 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         raise ConfigError(f"{where} checks: 'minimize' needs a quotient kind")
     if kind.factory:
         weight = _built(where, "weight", parse_weight, c["weight"], c["model"], params["p"])
+        _built(where, "weight", check_weight_finite, weight, c["grid"])
         others = {k: v for k, v in params.items() if k != "p"}
         c["case"] = _built(
             where, "params", kind.factory, c["model"], weight, case_id=c["id"], **others

@@ -5,8 +5,8 @@ a grid; a quotient kind to R(u) = int B |u'|^p against L(u) = int A |u|^p.
 For a continuous piecewise-linear u these are exact in u once the
 densities are integrated with per-cell Gauss quadrature.  ``P1Forms``
 holds that cell data once per grid and densities: the side integrals, the
-two functionals of the quotient with their gradients, and the tridiagonal
-pencil of the quotient linearized at an iterate.  The factored
+two functionals of the quotient with their gradients, and the p = 2
+stiffness/mass pencil.  The factored
 tridiagonal kernel and the interior block of a pencil live here too,
 so the sides, the minimizers and the eigen solver share one assembly.
 """
@@ -81,15 +81,14 @@ class P1Forms:
     ``integrals(u, qs)`` gives every side integral.  A density not finite
     at a node where u != 0, or at a Gauss point of such a cell, raises
     NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
-    R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has ``pencil``, and for
-    the general-p solve both functionals and the data of their
-    ``gradients`` from one pass (``evaluate``) and ``residual``, valid once
-    ``check_quotient`` passed.  The forms keep the weighted A's per Gauss
-    point and nothing else of that size.  The assembly, ``integrals`` and
-    ``pencil`` take ``_CELL_BLOCK`` cells at a time, so their scratch does
-    not grow with the grid; ``evaluate`` keeps whole-grid Gauss data,
-    which ``gradients`` reads back, as the general-p solve runs on small
-    grids.
+    R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has, once
+    ``check_quotient`` passed, the p = 2 ``pencil`` and, for the general-p
+    solve, both functionals with their gradients from one pass
+    (``evaluate``) and ``residual``.  The forms keep the weighted A's per
+    Gauss point and nothing else of that size.  The assembly, ``integrals``
+    and ``pencil`` take ``_CELL_BLOCK`` cells at a time, so their scratch
+    does not grow with the grid; ``evaluate`` passes over the whole grid
+    at once, as the general-p solve runs on small grids.
     Gauss-point arrays have shape (8, cells), one row per point: products
     stream along the cells and a sum over a cell's points adds 8 rows.
     ``n1`` and ``n2`` are the two P1 hats at the Gauss points, (8, 1)
@@ -155,22 +154,11 @@ class P1Forms:
             sums[-1] += float(np.sum(self.b_cell[cells] * np.abs(self.slopes(u, cells)) ** qs[-1]))
         return sums
 
-    def pencil(self, u: np.ndarray, p: float):
-        """Tridiagonal pencil ((k_diag, k_off), (m_diag, m_off)) of the
-        quotient linearized at u: the p-forms with |u'|^(p-2) and |u|^(p-2)
-        frozen at u, each floored at 1e-12 of its largest value.  At p = 2
-        every frozen factor is exactly 1, so this is the stiffness/mass
-        pencil whatever u is; the package solves only that one, and the
-        p != 2 pencil serves the tests' reference solvers."""
+    def pencil(self):
+        """The p = 2 tridiagonal pencil ((k_diag, k_off), (m_diag, m_off)):
+        the stiffness of int B (u')^2 and the mass of int A u^2."""
         n = self.grid.n
         bw = self.b_cell / self.h ** 2
-        blocks = _cell_blocks(0, n - 1)
-        if p != 2.0:
-            slope = np.abs(self.slopes(u))
-            bw = bw * np.maximum(slope, 1e-12 * (1e-300 + np.max(slope))) ** (p - 2.0)
-            # |u| at the Gauss points, kept per block: the floor needs its maximum
-            frozen = [np.abs(self.values(u, cells)) for cells in blocks]
-            floor = 1e-12 * (1e-300 + max(np.max(ug) for ug in frozen))
         k_diag = np.zeros(n)
         k_off = np.zeros(n - 1)
         k_diag[:-1] += bw
@@ -180,50 +168,41 @@ class P1Forms:
         m_off = np.zeros(n - 1)
         hats = ((self.n1 ** 2, m_diag[:-1]), (self.n2 ** 2, m_diag[1:]),
                 (self.n1 * self.n2, m_off))
-        for i, cells in enumerate(blocks):
+        for cells in _cell_blocks(0, n - 1):
             aw = self.a_wts[0][:, cells]
-            if p != 2.0:
-                ug = np.maximum(frozen[i], floor, out=frozen[i])
-                ug **= p - 2.0
-                aw = np.multiply(ug, aw, out=ug)
             scratch = np.empty(aw.shape)
             for hat, out in hats:
                 out[cells] += np.sum(np.multiply(aw, hat, out=scratch), axis=0)
         return (k_diag, k_off), (m_diag, m_off)
 
     def evaluate(self, u: np.ndarray, p: float):
-        """E(u), L(u) and the Gauss data of their gradients from one pass:
-        u' with |u'|^(p-1) per cell, u with A |u|^(p-1) per Gauss point."""
+        """E(u), L(u), grad E(u) and grad L(u) from one pass over the Gauss
+        points."""
         slope, ug = self.slopes(u), self.values(u)
         slope_abs, ug_abs = np.abs(slope), np.abs(ug)
         slope_pow = slope_abs ** (p - 1.0)
         a_pow = ug_abs ** (p - 1.0)
         a_pow *= self.a_wts[0]
         energy = float(np.sum(self.b_cell * (slope_pow * slope_abs)))
-        # A |u|^p into |u|'s buffer: one (8, n-1) array fewer at the peak
+        # each later product reuses a spent buffer (|u|, u, A |u|^(p-1)):
+        # the pass holds three (8, n-1) arrays at its peak
         mass = float(np.sum(np.multiply(a_pow, ug_abs, out=ug_abs)))
-        return energy, mass, (slope, slope_pow, ug, a_pow)
-
-    def gradients(self, gauss, p: float):
-        """grad E and grad L from the Gauss data of ``evaluate``."""
-        slope, slope_pow, ug, a_pow = gauss
         dcell = self.b_cell * p * np.sign(slope) * slope_pow / self.h
-        core = np.sign(ug)
+        core = np.sign(ug, out=ug)
         core *= a_pow
         core *= p
-        scratch = np.multiply(core, self.n1)
         ge, gl = np.zeros(self.grid.n), np.zeros(self.grid.n)
         ge[1:] += dcell
         ge[:-1] -= dcell
-        gl[:-1] += np.sum(scratch, axis=0)
-        gl[1:] += np.sum(np.multiply(core, self.n2, out=scratch), axis=0)
-        return ge, gl
+        gl[:-1] += np.sum(np.multiply(core, self.n1, out=a_pow), axis=0)
+        gl[1:] += np.sum(np.multiply(core, self.n2, out=a_pow), axis=0)
+        return energy, mass, ge, gl
 
     def residual(self, u: np.ndarray, lam: float, p: float) -> float:
         """Stationarity residual of the quotient at u with value lam: the
         relative norm, over the interior nodes, of the discrete form of
         -div(B |u'|^(p-2) u') - lam A |u|^(p-2) u."""
-        kp, mp = (g / p for g in self.gradients(self.evaluate(u, p)[2], p))
+        kp, mp = (g / p for g in self.evaluate(u, p)[2:])
         r = (kp - lam * mp)[1:-1]
         scale = np.sqrt(np.sum(kp[1:-1] ** 2))
         return float(np.sqrt(np.sum(r ** 2)) / scale) if scale > 0 else 0.0

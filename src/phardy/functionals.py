@@ -200,18 +200,14 @@ def _hardy_sobolev_exponents(case: InequalityCase):
     return (p_star, p), (1.0 / p_star, 1.0 / p)
 
 
-def hardy_sobolev_constant(S_p: float, H_val: float, theta: float, p: float) -> float:
-    """C2 = S(p) H^(1/p) / (|theta| + H^(1/p))."""
-    hroot = H_val ** (1.0 / p)
-    return S_p * hroot / (abs(theta) + hroot)
-
-
 def _hardy_sobolev_constants(S_p: float, theta: float, p: float):
-    """(H, C2): the Hardy constant of rho^(p theta) and the Hardy-Sobolev C2."""
+    """(H, C2): the Hardy constant H of rho^(p theta) and the Hardy-Sobolev
+    C2 = S(p) H^(1/p) / (|theta| + H^(1/p))."""
     H = _hardy_constant(p, p * theta)
     if H <= 0:
         raise InvalidArgumentError("weighted Hardy constant degenerates at p*theta = p-1")
-    return H, hardy_sobolev_constant(S_p, H, theta, p)
+    hroot = H ** (1.0 / p)
+    return H, S_p * hroot / (abs(theta) + hroot)
 
 
 def _ckn_factors(case: InequalityCase, t):

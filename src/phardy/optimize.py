@@ -54,7 +54,7 @@ class Bracket(NamedTuple):
 def bottom_eigenpair(k_band, m_band) -> Bracket:
     """Smallest eigenpair of the tridiagonal pencil K u = mu M u, bracketed
     by spectrum slicing.  K is positive definite with off-diagonals <= 0
-    and M >= 0 entrywise, as in every ``P1Forms.pencil``: so the bottom
+    and M >= 0 entrywise, as in ``P1Forms.pencil``: so the bottom
     eigenvector is nonnegative and the start u = 1 is never M-orthogonal
     to it.  Other pencils may end unconverged.
 
@@ -130,7 +130,7 @@ def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
     forms.check_quotient()
     grid = forms.grid
     full = np.zeros(grid.n)
-    pair = bottom_eigenpair(*map(interior, forms.pencil(full, 2.0)))
+    pair = bottom_eigenpair(*map(interior, forms.pencil()))
     full[1:-1] = pair.vector
     mass, energy = forms.integrals(full, (2.0, 2.0))
     quotient = energy / mass
@@ -154,7 +154,7 @@ def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> Minimization
 def solve_flux(forms: P1Forms, p: float, f: np.ndarray, guess: float) -> np.ndarray:
     """The v, 0 at both ends, with interior grad E(v) = f for
     E(v) = int B |v'|^p, exact in O(n).  The flux of cell e at v's slope
-    s_e, phi_e = p b_e |s_e|^(p-2) s_e / h_e (``P1Forms.gradients``'
+    s_e, phi_e = p b_e |s_e|^(p-2) s_e / h_e (``P1Forms.evaluate``'
     ``dcell``), gives grad E(v)_i = phi_(i-1) - phi_i; so phi_e = c - (f_1
     + ... + f_e), each slope follows from its flux, and the first flux c is
     the root of the increasing sum of v's rises h_e s_e, which v's ends pin
@@ -213,13 +213,13 @@ def descend_quotient(
     (Hein & Buehler, NIPS 2010).  v is taken only if its quotient is
     strictly lower, so the history is monotone; else the iteration stops
     ("no-step"), as it does after max_iter steps ("max_iter").  Each step
-    is one pass over the Gauss points (``P1Forms.evaluate``), whose data
-    give the next right-hand side.  Converged means stationary: the
-    ``residual`` at the last iterate is <= TOL_EIG_GENERAL."""
+    is one pass over the Gauss points (``P1Forms.evaluate``), whose
+    gradients give the next right-hand side.  Converged means stationary:
+    the ``residual`` at the last iterate is <= TOL_EIG_GENERAL."""
     forms.check_quotient()
     u = np.abs(np.asarray(u0, dtype=float))
     u[0] = u[-1] = 0.0
-    energy, L, gauss = forms.evaluate(u, p)
+    energy, L, ge, gl = forms.evaluate(u, p)
     if L <= 0:
         raise ZeroDenominatorError("seed profile has zero mass")
     q = energy / L
@@ -227,16 +227,17 @@ def descend_quotient(
     history = [(0, q)]
     it, stop = 0, "max_iter"
     for it in range(1, max_iter + 1):
-        # gradients at u = w / L(w)^(1/p) from the pass over w; were u an
-        # eigenfunction, v = u / q^(1/(p-1)) would carry u's fluxes over q
-        ge, gl = (g / L ** (1.0 - 1.0 / p) for g in forms.gradients(gauss, p))
-        v = solve_flux(forms, p, gl, guess=-ge[0] / q)
-        energy, Lv, gauss_v = forms.evaluate(v, p)
+        # gradients at u = w / L(w)^(1/p), of degree p - 1, from the pass
+        # over w; were u an eigenfunction, v = u / q^(1/(p-1)) would carry
+        # u's fluxes over q
+        scale = L ** (1.0 - 1.0 / p)
+        v = solve_flux(forms, p, gl / scale, guess=-ge[0] / scale / q)
+        energy, Lv, ge, gl = forms.evaluate(v, p)
         if not (Lv > 0 and energy / Lv < q):
             history.append((it, q))
             stop = "no-step"
             break
-        u, q, L, gauss = v / Lv ** (1.0 / p), energy / Lv, Lv, gauss_v
+        u, q, L = v / Lv ** (1.0 / p), energy / Lv, Lv
         history.append((it, q))
     residual = forms.residual(u, q, p)
     return MinimizationResult(

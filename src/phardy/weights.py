@@ -268,6 +268,15 @@ def _cubic_bump_slope(x, knots, piece):
     return 3.0 * (b[0] / (knots[3] - knots[0]) - b[1] / (knots[4] - knots[1]))
 
 
+def check_weight_finite(w: WeightSpec, grid: RadialGrid):
+    """Raise unless rho and rho' are finite at every interior node of grid."""
+    t = grid.nodes[1:-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        finite = np.all(np.isfinite(w.rho(t))) and np.all(np.isfinite(w.rho_prime(t)))
+    if not finite:
+        raise InvalidArgumentError(f"weight {w.name} is not finite at every interior grid node")
+
+
 def check_bump_grid(grid: RadialGrid):
     """Raise unless grid is fine enough for the narrowest test bump."""
     if grid.n < 2 * min(BUMP_WIDTHS) + 1:

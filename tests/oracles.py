@@ -27,7 +27,7 @@ from scipy.interpolate import BSpline
 from scipy.linalg import eigh
 
 from phardy.errors import ZeroDenominatorError
-from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, interior, model_densities
+from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, model_densities
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
 from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
 from phardy.optimize import BRACKET_RTOL, bottom_eigenpair
@@ -127,7 +127,10 @@ def capacity_by_minimization(
 
     Minimizes the convex discrete P1 p-energy with boundary values
     u(a) = 1, u(b) = 0 by damped Newton steps on the interior values;
-    validates the closed form without using it.
+    validates the closed form without using it.  The Newton Hessian is
+    its own: the tridiagonal second derivative p (p-1) b_e / h_e^2
+    |s_e|^(p-2) of each cell's energy, the slope |s_e| floored at 1e-12
+    of the largest.
     """
     grid = build_grid(CoordinateRange(a, b), n, LOG)
     forms = P1Forms(grid, lambda t: (np.zeros_like(t), np.exp(model.log_volume_density(t))))
@@ -136,11 +139,12 @@ def capacity_by_minimization(
     inner = slice(1, n - 1)
     e = forms.evaluate(u, p)[0]
     for _ in range(200):
-        # Newton: the Hessian is p(p-1) times the stiffness reweighted at u
-        k_diag, k_off = interior(forms.pencil(u, p)[0])
+        slope = np.abs(forms.slopes(u))
+        slope = np.maximum(slope, 1e-12 * np.max(slope))
+        bw = p * (p - 1.0) * forms.b_cell / forms.h ** 2 * slope ** (p - 2.0)
+        hessian = TridiagFactor(bw[:-1] + bw[1:], -bw[1:-1])
         step = np.zeros(n)
-        hessian = TridiagFactor(p * (p - 1.0) * k_diag, p * (p - 1.0) * k_off)
-        step[inner] = hessian.solve(forms.gradients(forms.evaluate(u, p)[2], p)[0][inner])
+        step[inner] = hessian.solve(forms.evaluate(u, p)[2][inner])
         t = 1.0
         for _ in range(50):
             trial = u - t * step
@@ -303,7 +307,7 @@ def estimate_lambda1(
     forms = P1Forms(grid, model_densities(model, 2.0, lambda t: (weight.rho(t),) * 2))
     first = 0 if natural_lo else 1
     u = np.zeros(n)
-    bands = [(diag[first:-1], off[first:-1]) for diag, off in forms.pencil(u, 2.0)]
+    bands = [(diag[first:-1], off[first:-1]) for diag, off in forms.pencil()]
     u[first:-1] = bottom_eigenpair(*bands).vector
-    energy, mass, _ = forms.evaluate(u, 2.0)
+    energy, mass = forms.evaluate(u, 2.0)[:2]
     return energy / mass

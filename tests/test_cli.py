@@ -437,6 +437,9 @@ BAD_CONFIGS = {
     "no-params": (_set(CASE + ("params",), DROP), "'params'", True),
     "model-without-dim": (_set(CASE + ("model", "dim"), DROP), "'dim'", True),
     "weight-unknown-param": (_set(CASE + ("weight",), "power:gamma=2"), "'weight'", True),
+    "weight-overflows": (  # r^-399 overflows at the ball's inner nodes
+        _set(CASE + ("weight",), "power:beta=-399"), "'weight'", True
+    ),
     "p-string": (_set(CASE + ("params", "p"), "two"), "'p'", True),
     "p-nan-string": (_set(CASE + ("params", "p"), "NaN"), "'p'", True),
     "p-nan-literal": (_set(CASE + ("params", "p"), math.nan), "'p'", True),

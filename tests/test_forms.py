@@ -128,20 +128,19 @@ def test_one_evaluation_gives_the_quotient_and_its_gradient(p, inner, s):
     forms = GRAD_FORMS
     u = np.array([0.0, *inner, 0.0])
     assume(np.any(u > 0))
-    energy, mass, gauss = forms.evaluate(u, p)
+    energy, mass, ge, gl = forms.evaluate(u, p)
     # E = int B |u'|^p and L = int A |u|^p, written out
     want_energy = np.dot(forms.b_cell, np.abs(forms.slopes(u)) ** p)
     want_mass = np.sum(forms.a_wts[0] * np.abs(forms.values(u)) ** p)
     assert energy == pytest.approx(want_energy, rel=1e-13)
     assert mass == pytest.approx(want_mass, rel=1e-13)
     q = energy / mass
-    ge, gl = forms.gradients(gauss, p)
     want_e, want_l = _gradients_written_out(forms, u, p)
     scale = np.max(np.abs(want_e)) + q * np.max(np.abs(want_l))
     assert np.max(np.abs((ge - q * gl) - (want_e - q * want_l))) <= 1e-13 * scale
     # p-homogeneity: at s u each gradient is s^(p-1) times the one at u,
     # which is how the descent gets the gradient of its normalized iterate
-    ge_s, gl_s = forms.gradients(forms.evaluate(s * u, p)[2], p)
+    ge_s, gl_s = forms.evaluate(s * u, p)[2:]
     drift = (ge_s - q * gl_s) - s ** (p - 1.0) * (ge - q * gl)
     assert np.max(np.abs(drift)) <= 1e-13 * s ** (p - 1.0) * scale
 
@@ -194,7 +193,7 @@ def test_p2_study_step_holds_no_gauss_array():
     minimize_quotient_p2(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"))  # warm caches
     with assembled(case, grid):
         forms = case_forms(case, grid)
-        bands = list(map(interior, forms.pencil(np.zeros(grid.n), 2.0)))
+        bands = list(map(interior, forms.pencil()))
         _, solver = _traced(lambda: bottom_eigenpair(*bands))
         del bands
         _, step = _traced(lambda: sides_for(case, minimize_rayleigh_p2(forms).minimizer))
@@ -216,15 +215,9 @@ def _supported(n, lo, hi, seed=0):
     return u
 
 
-def _pencil_written_out(forms, u, p):
-    """The pencil of ``P1Forms.pencil`` from the slopes and Gauss values of
-    u on the whole grid at once."""
+def _pencil_written_out(forms):
+    """The p = 2 pencil of ``P1Forms.pencil`` on the whole grid at once."""
     bw, aw = forms.b_cell / forms.h ** 2, forms.a_wts[0]
-    if p != 2.0:
-        slope = np.abs(np.diff(u) / forms.h)
-        ug = np.abs(forms.n1 * u[:-1] + forms.n2 * u[1:])
-        bw = bw * np.maximum(slope, 1e-12 * (1e-300 + np.max(slope))) ** (p - 2.0)
-        aw = aw * np.maximum(ug, 1e-12 * (1e-300 + np.max(ug))) ** (p - 2.0)
     m_lo, m_hi, m_off = (np.sum(aw * hat, axis=0)
                          for hat in (forms.n1 ** 2, forms.n2 ** 2, forms.n1 * forms.n2))
     return ((np.append(bw, 0.0) + np.append(0.0, bw), -bw),
@@ -246,7 +239,7 @@ def test_block_passes_match_the_whole_grid(p):
     forms = BLOCK_FORMS
     n = forms.grid.n
     u = _supported(n, BLOCK // 2, 2 * BLOCK + 500)
-    for got, want in zip(forms.pencil(u, p), _pencil_written_out(forms, u, p)):
+    for got, want in zip(forms.pencil(), _pencil_written_out(forms)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     got, want = forms.integrals(u, (p, p)), _integrals_written_out(forms, u, (p, p))
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -273,7 +266,7 @@ def _interval_pencil(n=60):
     smallest eigenvalue of its dense pencil."""
     grid = build_grid(CoordinateRange(0.0, 1.0), n, "linear")
     forms = P1Forms(grid, lambda t: (np.ones_like(t), np.ones_like(t)))
-    k_band, m_band = map(interior, forms.pencil(np.zeros(n), 2.0))
+    k_band, m_band = map(interior, forms.pencil())
     return k_band, m_band, dense_lambda1(k_band, m_band)
 
 

@@ -1,6 +1,6 @@
 """Structure of the package itself: modules share only public names, and
 the package ships only what its own code, scripts or benchmark use, down
-to the fields of its classes."""
+to the methods and fields of its classes."""
 import ast
 import importlib
 from pathlib import Path
@@ -78,17 +78,32 @@ def test_no_reduction_that_blas_threads():
     assert found == []
 
 
+def _definitions(tree):
+    """(name, label) for every function and class a module defines at its
+    top level and every method of its classes, less the dunder methods
+    Python calls itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    yield method.name, f"{node.name}.{method.name}"
+
+
 def test_every_definition_is_used_outside_the_tests():
-    # reference code that only tests call belongs in tests/oracles.py
+    # reference code that only tests call belongs in tests/oracles.py; the
+    # one method allowed is read by tests alone: ModelManifold.volume_density,
+    # the reference that log_volume_density is checked against
     users = [*SRC.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
     used = {name for path in users for name in _references(path)}
     unused = [
-        f"{path.name}: {node.name}"
+        f"{path.name}: {label}"
         for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+        for name, label in _definitions(ast.parse(path.read_text()))
+        if name not in used
     ]
-    assert unused == []
+    assert unused == ["geometry.py: ModelManifold.volume_density"]
 
 
 def test_every_traced_name_exists():
