@@ -193,30 +193,29 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
 _FUNCTION_BLOCK = 64
 
 
-def seeded_functions(grid, count: int, seed):
-    """(i, u) over ``random_test_functions(grid, count, seed)``, generated
-    _FUNCTION_BLOCK at a time from one stream, so the sweep holds one block."""
+def seeded_blocks(grid, count: int, seed):
+    """(start, block) over ``random_test_functions(grid, count, seed)``:
+    blocks of _FUNCTION_BLOCK functions drawn in turn from one stream, so
+    the sweep holds one block; block[k] is entry start + k of the list."""
     rng = np.random.default_rng(seed)
     for start in range(0, count, _FUNCTION_BLOCK):
-        block = random_test_functions(grid, min(_FUNCTION_BLOCK, count - start), rng)
-        yield from enumerate(block, start)
+        yield start, random_test_functions(grid, min(_FUNCTION_BLOCK, count - start), rng)
 
 
 def _run_margins(c, conf, record, case) -> bool:
     """Record the worst relative margin of the case's sides over its seeded
     test functions, and the index of the function that gave it; True when
-    it is within the tolerance."""
+    it is within the tolerance.  Each block's sides come from one call."""
     # order-independent per-case stream
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = worst_index = None
     worst_rel = math.inf
-    for i, u in seeded_functions(c["grid"], c["n_test_functions"], seed):
-        pair = fn.sides_for(case, u)
-        scale = max(pair.rhs, 1e-300)
-        rel = pair.margin / scale
-        if rel < worst_rel:
-            worst_rel, worst_index = rel, i
-            worst = pair
+    for start, block in seeded_blocks(c["grid"], c["n_test_functions"], seed):
+        pairs = fn.sides_for(case, block)
+        for k, pair in enumerate(pairs):
+            rel = pair.margin / max(pair.rhs, 1e-300)
+            if rel < worst_rel:
+                worst_rel, worst_index, worst = rel, start + k, pairs[k]
     record["sides"] = {
         "n_test_functions": c["n_test_functions"],
         "min_margin_rel": worst_rel,

@@ -61,6 +61,16 @@ def _cell_blocks(start: int, stop: int) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _cell_sums(g):
+    """The sums over the 8 Gauss points of each cell of g, (8, cells),
+    adding its rows in order whatever the width: numpy's own sum over
+    axis 0 adds the rows of an (8, 1) array pairwise."""
+    total = g[0] + g[1]
+    for row in g[2:]:
+        total += row
+    return total
+
+
 def model_densities(model, p: float, factors):
     """t -> the densities of factors(t) = (a_1, ..., a_k, b) on a model:
     each a_i times s(t), and b times g(t)^p s(t), for |grad u|^p."""
@@ -78,9 +88,10 @@ class P1Forms:
     interpolant of nodal values u, integrated by 8-point Gauss quadrature
     per cell.
 
-    ``integrals(u, qs)`` gives every side integral.  A density not finite
-    at a node where u != 0, or at a Gauss point of such a cell, raises
-    NonFiniteIntegrandError there; elsewhere it counts as 0.  The quotient
+    ``integrals(us, qs)`` gives every side integral of each row of a stack
+    of nodal values.  A density not finite at a node where a row u != 0, or
+    at a Gauss point of such a cell, raises NonFiniteIntegrandError there;
+    elsewhere it counts as 0.  The quotient
     R(u) = int B |u'|^p over L(u) = int A_1 |u|^p has, once
     ``check_quotient`` passed, the p = 2 ``pencil`` and, for the general-p
     solve, both functionals with their gradients from one pass
@@ -127,32 +138,73 @@ class P1Forms:
         if np.any(self.bad_cells) or np.any(self.b_cell <= 0) or np.any(self.a_wts[0] < 0):
             raise InvalidArgumentError("quotient densities must be finite, A >= 0 and B > 0")
 
-    def values(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
-        """u at the 8 Gauss points of each of the cells, shape (8, cells)."""
-        ug = self.n1 * u[:-1][cells]
-        ug += self.n2 * u[1:][cells]
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """u at the 8 Gauss points of each cell, shape (8, n - 1)."""
+        ug = self.n1 * u[:-1]
+        ug += self.n2 * u[1:]
         return ug
 
-    def slopes(self, u: np.ndarray, cells=slice(None)) -> np.ndarray:
-        """u' on each of the cells, from the nodes of those cells only."""
-        return (u[1:][cells] - u[:-1][cells]) / self.h[cells]
+    def slopes(self, u: np.ndarray) -> np.ndarray:
+        """u' on each cell."""
+        return (u[1:] - u[:-1]) / self.h
 
-    def integrals(self, u: np.ndarray, qs) -> list:
-        """int A_i |u|^q_i and, last, int B |u'|^q, summed block by block
-        over the cells where u is not 0."""
+    def integrals(self, us: np.ndarray, qs) -> list:
+        """For each row u of the stack us, shape (rows, n): the list of
+        int A_i |u|^q_i and, last, int B |u'|^q, as Python floats.
+
+        A row lives on the cells from the one before its first nonzero node
+        to the one after its last; ``_cell_blocks`` cuts that range into
+        segments, and the segments of all rows are packed in order into
+        passes of at most _CELL_BLOCK cells (a segment of _CELL_BLOCK + 1
+        takes a pass alone).  A pass adds each cell's 8 Gauss points row by
+        row, each segment's cells by ``np.add.reduceat``, and each row
+        adds its segments in cell order: a row gives the same bits alone
+        and in any stack."""
+        rows, n = us.shape
+        live = us != 0.0
         if self.nonfinite:
-            live = u != 0.0
-            if np.any(self.bad_nodes & live) or np.any(self.bad_cells & (live[:-1] | live[1:])):
-                raise NonFiniteIntegrandError("non-finite density where u does not vanish")
-        nz = np.flatnonzero(u)
-        blocks = _cell_blocks(max(nz[0] - 1, 0), min(nz[-1] + 1, u.size - 1)) if nz.size else []
-        sums = [0.0] * len(qs)
-        for cells in blocks:
-            ug = np.abs(self.values(u, cells))
-            for i, (a_wts, q) in enumerate(zip(self.a_wts, qs)):
-                sums[i] += float(np.sum(a_wts[:, cells] * ug ** q))
-            sums[-1] += float(np.sum(self.b_cell[cells] * np.abs(self.slopes(u, cells)) ** qs[-1]))
-        return sums
+            bad = np.any(live & self.bad_nodes, axis=1)
+            bad |= np.any((live[:, :-1] | live[:, 1:]) & self.bad_cells, axis=1)
+            if np.any(bad):
+                raise NonFiniteIntegrandError(
+                    f"non-finite density where row {int(np.argmax(bad))} does not vanish")
+        first = np.argmax(live, axis=1).tolist()
+        last = (n - 1 - np.argmax(live[:, ::-1], axis=1)).tolist()
+        passes, width = [], 0  # segments (row, first cell, cells, offset)
+        for r in np.flatnonzero(np.any(live, axis=1)).tolist():
+            for cells in _cell_blocks(max(first[r] - 1, 0), min(last[r] + 1, n - 1)):
+                size = cells.stop - cells.start
+                if not passes or width + size > _CELL_BLOCK:
+                    passes.append([])
+                    width = 0
+                passes[-1].append((r, cells.start, size, width))
+                width += size
+        widths = [segments[-1][3] + segments[-1][2] for segments in passes]
+        sums = np.zeros((len(qs), rows))
+        # every pass copies its cells into the same scratch: an array of
+        # this size made afresh per pass costs page faults
+        cap = max(widths, default=0)
+        gauss, nodal = np.empty((3, 8 * cap)), np.empty((4, cap))
+        for segments, width in zip(passes, widths):
+            ul, ur, b, h = nodal[:, :width]
+            ug, power, term = (buf[:8 * width].reshape(8, width) for buf in gauss)
+            for r, start, size, at in segments:
+                ul[at:at + size] = us[r, start:start + size]
+                ur[at:at + size] = us[r, start + 1:start + size + 1]
+                b[at:at + size] = self.b_cell[start:start + size]
+                h[at:at + size] = self.h[start:start + size]
+            seg_rows, offsets = np.array([(r, at) for r, _, _, at in segments]).T
+            np.multiply(self.n1, ul, out=ug)
+            ug += np.multiply(self.n2, ur, out=power)
+            np.abs(ug, out=ug)
+            for total, a_wts, q in zip(sums, self.a_wts, qs):
+                for _, start, size, at in segments:
+                    term[:, at:at + size] = a_wts[:, start:start + size]
+                term *= np.power(ug, q, out=power)
+                np.add.at(total, seg_rows, np.add.reduceat(_cell_sums(term), offsets))
+            grad = b * np.abs((ur - ul) / h) ** qs[-1]
+            np.add.at(sums[-1], seg_rows, np.add.reduceat(grad, offsets))
+        return sums.T.tolist()
 
     def pencil(self):
         """The p = 2 tridiagonal pencil ((k_diag, k_off), (m_diag, m_off)):

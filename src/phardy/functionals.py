@@ -130,24 +130,34 @@ def validate_case_hypothesis(case: InequalityCase, grid: RadialGrid) -> CheckRes
 # ---------------------------------------------------------------------------
 # sides: each kind's factors (a_1, ..., a_k, b) and the exponents of its integrals
 
-def sides_for(case: InequalityCase, u: GridFunction) -> SidePair:
+def sides_for(case: InequalityCase, u: GridFunction | list) -> SidePair | list[SidePair]:
     """Sides of any case whose kind has side densities: from the integrals
     I_1, ..., I_k, I_grad of its forms, lhs = I_1^e_1 and rhs = I_grad^e
     I_2^e_2 ... I_k^e_k with the exponents of its kind (see ``Kind``), the
-    constant a factor of the side the kind names."""
+    constant a factor of the side the kind names.  u is one GridFunction,
+    or a list of them on one grid, whose integrals come from one
+    ``P1Forms.integrals`` call over their stacked values, with a SidePair
+    for each; a function gives the same pair alone and in a list."""
     kind = KINDS.get(case.kind)
     if kind is None or kind.densities is None:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     _require_hypothesis(case)
+    us = [u] if isinstance(u, GridFunction) else u
+    grid = us[0].grid
+    if any(v.grid is not grid for v in us):
+        raise InvalidArgumentError("the functions of one sides_for call share a grid")
     qs, es = kind.exponents(case) if kind.exponents else ((case.p, case.p), (1, 1))
-    first, *others, grad = case_forms(case, u.grid).integrals(u.values, qs)
+    rows = us[0].values[None] if len(us) == 1 else np.stack([v.values for v in us])
     c = case.formula_constant
-    lhs = first ** es[0]
-    rhs = (c if kind.constant_on_rhs else 1.0) * grad ** es[-1]
-    for term, e in zip(others, es[1:-1]):
-        rhs *= term ** e
-    margin = rhs - lhs if kind.constant_on_rhs else rhs - c * lhs
-    return SidePair(lhs=lhs, rhs=rhs, constant=c, margin=margin)
+    pairs = []
+    for first, *others, grad in case_forms(case, grid).integrals(rows, qs):
+        lhs = first ** es[0]
+        rhs = (c if kind.constant_on_rhs else 1.0) * grad ** es[-1]
+        for term, e in zip(others, es[1:-1]):
+            rhs *= term ** e
+        margin = rhs - lhs if kind.constant_on_rhs else rhs - c * lhs
+        pairs.append(SidePair(lhs=lhs, rhs=rhs, constant=c, margin=margin))
+    return pairs[0] if isinstance(u, GridFunction) else pairs
 
 
 #: no code calls this alias; it stays only because perfbench/tracer.py wraps

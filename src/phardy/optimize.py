@@ -24,6 +24,7 @@ from . import functionals  # sides_for looked up on the module, where wrappers s
 from .functionals import InequalityCase, assembled, case_forms
 from .geometry import CoordinateRange
 from .grids import GridFunction, LOG, RadialGrid, build_grid
+from .weights import check_weight_finite
 
 
 BRACKET_RTOL = 1e-10  # relative width of a converged bracket [lower, quotient]
@@ -132,7 +133,7 @@ def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
     full = np.zeros(grid.n)
     pair = bottom_eigenpair(*map(interior, forms.pencil()))
     full[1:-1] = pair.vector
-    mass, energy = forms.integrals(full, (2.0, 2.0))
+    [(mass, energy)] = forms.integrals(full[None], (2.0, 2.0))
     quotient = energy / mass
     return MinimizationResult(
         quotient=quotient,
@@ -255,9 +256,13 @@ def minimize_quotient_general_p(
     case: InequalityCase, grid: RadialGrid, max_iter: int = MAX_ITER
 ) -> MinimizationResult:
     """Inverse power iteration on the discrete quotient for any p > 1,
-    seeded with the formal ground state rho^((p-1)/p), zero at both ends."""
+    seeded with the formal ground state rho^((p-1)/p), zero at both ends;
+    a weight not finite at an interior node raises InvalidArgumentError
+    naming it."""
     p = case.p
-    seed = case.weight.rho(grid.nodes) ** ((p - 1.0) / p)
+    check_weight_finite(case.weight, grid)
+    seed = np.zeros(grid.n)
+    seed[1:-1] = case.weight.rho(grid.nodes[1:-1]) ** ((p - 1.0) / p)
     return descend_quotient(case_forms(case, grid), p, seed, max_iter=max_iter)
 
 

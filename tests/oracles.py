@@ -13,8 +13,11 @@ The rest is reference code that only tests run, built on the package's
 public API: the weights of known sign the sign checker is scored
 against, the two-sided sign classification, the chain-rule check, the
 dyadic refinement of a grid, the first eigenvalue of a weighted
-quotient with a natural end (the package's solves are Dirichlet at both)
-and the factorization count of plain bisection on a tridiagonal pencil.
+quotient with a natural end (the package's solves are Dirichlet at both),
+the factorization count of plain bisection on a tridiagonal pencil, and
+the margin sweep one function at a time: test functions drawn by
+``rng.uniform`` and evaluated on the whole grid, and the side integrals
+of one row summed block by block.
 """
 from __future__ import annotations
 
@@ -26,8 +29,14 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline
 from scipy.linalg import eigh
 
-from phardy.errors import ZeroDenominatorError
-from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, model_densities
+from phardy.errors import NonFiniteIntegrandError, ZeroDenominatorError
+from phardy.forms import (
+    _CELL_BLOCK,
+    P1Forms,
+    TridiagFactor,
+    apply_tridiag,
+    model_densities,
+)
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
 from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
 from phardy.optimize import BRACKET_RTOL, bottom_eigenpair
@@ -311,3 +320,55 @@ def estimate_lambda1(
     u[first:-1] = bottom_eigenpair(*bands).vector
     energy, mass = forms.evaluate(u, 2.0)[:2]
     return energy / mass
+
+
+def seeded_functions_one_by_one(grid: RadialGrid, count: int, rng) -> list[np.ndarray]:
+    """The values of ``random_test_functions(grid, count, rng)`` built one
+    function at a time: two ``rng.uniform`` draws, its width and its left
+    end, then the mollifier bump (even entries) or the tent (odd ones)
+    evaluated on the whole grid."""
+    c = grid.coord
+    span = c[-1] - c[0]
+    pad = 0.01 * span
+    out = []
+    for i in range(count):
+        width = rng.uniform(0.15, 0.6) * span
+        c_lo = rng.uniform(c[0] + pad, c[-1] - pad - width)
+        c_hi = c_lo + width
+        if i % 2 == 0:
+            z = (2.0 * (c - c_lo) / (c_hi - c_lo)) - 1.0
+            inside = np.abs(z) < 1.0
+            vals = np.zeros_like(z)
+            with np.errstate(divide="ignore"):
+                vals[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
+        else:
+            mid = 0.5 * (c_lo + c_hi)
+            up = (c - c_lo) / (mid - c_lo)
+            down = (c_hi - c) / (c_hi - mid)
+            vals = np.clip(np.minimum(up, down), 0.0, None)
+        vals[0] = vals[-1] = 0.0
+        out.append(vals)
+    return out
+
+
+def side_integrals_one_row(forms: P1Forms, u: np.ndarray, qs) -> list:
+    """int A_i |u|^q_i and int B |u'|^q of one row u, summed over u's live
+    cells _CELL_BLOCK at a time, each block's Gauss-point products by one
+    np.sum and the blocks in order; a non-finite density where u lives
+    raises NonFiniteIntegrandError."""
+    live = u != 0.0
+    if np.any(forms.bad_nodes & live) or np.any(forms.bad_cells & (live[:-1] | live[1:])):
+        raise NonFiniteIntegrandError("non-finite density where u does not vanish")
+    nz = np.flatnonzero(u)
+    sums = [0.0] * len(qs)
+    if not nz.size:
+        return sums
+    start, stop = max(nz[0] - 1, 0), min(nz[-1] + 1, u.size - 1)
+    for lo in range(start, stop, _CELL_BLOCK):
+        cells = slice(lo, min(lo + _CELL_BLOCK, stop))
+        ug = np.abs(forms.n1 * u[:-1][cells] + forms.n2 * u[1:][cells])
+        for i, (a_wts, q) in enumerate(zip(forms.a_wts, qs)):
+            sums[i] += float(np.sum(a_wts[:, cells] * ug ** q))
+        slope = np.abs((u[1:][cells] - u[:-1][cells]) / forms.h[cells])
+        sums[-1] += float(np.sum(forms.b_cell[cells] * slope ** qs[-1]))
+    return sums

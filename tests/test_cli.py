@@ -26,7 +26,7 @@ from phardy.cli import (
     main,
     report_json,
     run_suite,
-    seeded_functions,
+    seeded_blocks,
 )
 from phardy.errors import ConfigError
 from phardy.functionals import KINDS, hardy_case, sides_for
@@ -102,14 +102,16 @@ def test_sweep_generates_one_stream_block_by_block(count, monkeypatch):
         phardy.cli, "random_test_functions",
         lambda *args: blocks.append(args[1]) or random_test_functions(*args),
     )
-    stream = seeded_functions(grid, count, seed)
+    stream = seeded_blocks(grid, count, seed)
     got = [next(stream)]
     assert len(blocks) == 1
     got += stream
     block = phardy.cli._FUNCTION_BLOCK
     assert block % 2 == 0 and blocks == [min(block, count - i) for i in range(0, count, block)]
-    assert [i for i, _ in got] == list(range(count))
-    assert all(np.array_equal(u.values, w.values) for (_, u), w in zip(got, want))
+    assert [start for start, _ in got] == list(range(0, count, block))
+    funcs = [u for _, us in got for u in us]
+    assert len(funcs) == count
+    assert all(np.array_equal(u.values, w.values) for u, w in zip(funcs, want))
 
 
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
-from oracles import dense, dense_lambda1
+from oracles import dense, dense_lambda1, side_integrals_one_row
 
 import phardy.forms
 from phardy.cli import load_config, run_suite
 from phardy.eigen import first_eigenpair
-from phardy.errors import InvalidArgumentError, ToolkitError
+from phardy.errors import InvalidArgumentError, NonFiniteIntegrandError, ToolkitError
 from phardy.forms import P1Forms, TridiagFactor, interior
 from phardy.functionals import assembled, case_forms, gn_case, hardy_case, sides_for
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
@@ -225,7 +225,30 @@ def _pencil_written_out(forms):
 
 
 def _integrals_written_out(forms, u, qs):
-    """The side integrals of ``P1Forms.integrals`` over u's live cells at once."""
+    """The side integrals of ``P1Forms.integrals`` for a row whose live cells
+    make one segment, written out: each cell's 8 Gauss points added in
+    order, then the first cell plus the pairwise sum of the others, which
+    is how np.add.reduceat adds a segment."""
+    nz = np.flatnonzero(u)
+    cells = slice(max(nz[0] - 1, 0), nz[-1] + 1)
+    ug = np.abs(forms.n1 * u[:-1] + forms.n2 * u[1:])[:, cells]
+    slope = np.abs(np.diff(u) / forms.h)[cells]
+
+    def segment(per_cell):
+        return float(per_cell[0] + np.sum(per_cell[1:]))
+
+    def cell_sums(g):
+        total = g[0] + g[1]
+        for row in g[2:]:
+            total = total + row
+        return total
+
+    out = [segment(cell_sums(a[:, cells] * ug ** q)) for a, q in zip(forms.a_wts, qs)]
+    return out + [segment(forms.b_cell[cells] * slope ** qs[-1])]
+
+
+def _whole_grid(forms, u, qs):
+    """The side integrals of u over its live cells by one np.sum each."""
     nz = np.flatnonzero(u)
     cells = slice(max(nz[0] - 1, 0), nz[-1] + 1)
     ug = np.abs(forms.n1 * u[:-1] + forms.n2 * u[1:])[:, cells]
@@ -241,13 +264,95 @@ def test_block_passes_match_the_whole_grid(p):
     u = _supported(n, BLOCK // 2, 2 * BLOCK + 500)
     for got, want in zip(forms.pencil(), _pencil_written_out(forms)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    got, want = forms.integrals(u, (p, p)), _integrals_written_out(forms, u, (p, p))
-    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-    # a support within one block, or a grid of one block, is summed in one
-    # pass, as written out
+    [got] = forms.integrals(u[None], (p, p))
+    assert got == pytest.approx(_whole_grid(forms, u, (p, p)), rel=1e-14, abs=0.0)
+    # a support within one block, or a grid of one block, is one segment,
+    # summed as written out
     for forms, u in ((forms, _supported(n, BLOCK + 100, 2 * BLOCK - 100)),
                      (GRAD_FORMS, _supported(GRAD_FORMS.grid.n, 1, 23))):
-        assert forms.integrals(u, (p, p)) == _integrals_written_out(forms, u, (p, p))
+        assert forms.integrals(u[None], (p, p)) == [_integrals_written_out(forms, u, (p, p))]
+
+
+# side densities (A_1, A_2, B) on a grid of a few cells
+THREE_FORMS = P1Forms(
+    build_grid(CoordinateRange(0.1, 10.0), 9, "log"), lambda t: (t ** 2, 1.0 / t, 1.0 + t)
+)
+SIDE_FORMS = {"block": (BLOCK_FORMS, (2.0, 3.0)), "grad": (GRAD_FORMS, (1.5, 2.0)),
+              "three": (THREE_FORMS, (2.0, 4.0, 2.0))}
+
+
+@st.composite
+def _stacks(draw):
+    """A name in SIDE_FORMS and a stack of rows on its grid: rows that
+    vanish, rows with one nonzero node (an end node gives a one-cell row),
+    and rows live on a random run of nodes, up to the whole grid."""
+    name = draw(st.sampled_from(sorted(SIDE_FORMS)))
+    n = SIDE_FORMS[name][0].grid.n
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        u = np.zeros(n)
+        shape = draw(st.sampled_from(["zero", "node", "run"]))
+        if shape == "node":
+            u[draw(st.integers(0, n - 1))] = draw(st.floats(-4.0, 4.0).filter(bool))
+        elif shape == "run":
+            lo = draw(st.integers(0, n - 1))
+            hi = draw(st.integers(lo + 1, n))
+            u[lo:hi] = np.random.default_rng(draw(st.integers(0, 2 ** 16))).uniform(-2, 2, hi - lo)
+        rows.append(u)
+    return name, np.array(rows)
+
+
+def _one_node(name, i, value=1.0):
+    u = np.zeros(SIDE_FORMS[name][0].grid.n)
+    u[i] = value
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stacks())
+@example(case=("grad", np.array([_one_node("grad", 0), _supported(24, 1, 23)])))
+@example(case=("grad", np.array([_one_node("grad", 23, -2.0), _one_node("grad", 0)])))
+@example(case=("block", np.array([_supported(BLOCK_FORMS.grid.n, 0, BLOCK_FORMS.grid.n),
+                                  _one_node("block", 5), np.zeros(BLOCK_FORMS.grid.n)])))
+@example(case=("block", np.array([_supported(BLOCK_FORMS.grid.n, 3, BLOCK + 5),
+                                  _supported(BLOCK_FORMS.grid.n, 10, 2 * BLOCK + 12, seed=1)])))
+def test_each_row_sums_the_same_alone_and_in_any_stack(case):
+    name, stack = case
+    forms, qs = SIDE_FORMS[name]
+    got = forms.integrals(stack, qs)
+    assert all(type(x) is float for row in got for x in row)
+    assert [forms.integrals(u[None], qs)[0] for u in stack] == got
+    assert forms.integrals(stack[::-1], qs)[::-1] == got
+    for u, sums in zip(stack, got):
+        assert sums == pytest.approx(side_integrals_one_row(forms, u, qs), rel=1e-14, abs=0.0)
+
+
+# A = 1/|t - 1/2|, infinite at the node 1/2, and B not a number past 0.8:
+# at those nodes and on the cells from 3/4 on
+BAD_FORMS = P1Forms(
+    build_grid(CoordinateRange(0.0, 1.0), 9, "linear"),
+    lambda t: (1.0 / np.abs(t - 0.5), np.where(t > 0.8, np.nan, 1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(live=st.lists(st.lists(st.booleans(), min_size=9, max_size=9), min_size=1, max_size=4))
+def test_a_non_finite_density_where_a_row_lives_raises(live):
+    stack = np.where(live, 1.5, 0.0)
+    qs = (2.0, 2.0)
+    expect_raise = False
+    for u in stack:
+        try:
+            side_integrals_one_row(BAD_FORMS, u, qs)
+        except NonFiniteIntegrandError:
+            expect_raise = True
+    if expect_raise:
+        with pytest.raises(NonFiniteIntegrandError):
+            BAD_FORMS.integrals(stack, qs)
+    else:
+        for u, sums in zip(stack, BAD_FORMS.integrals(stack, qs)):
+            want = side_integrals_one_row(BAD_FORMS, u, qs)
+            assert np.isfinite(sums).all() and sums == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_minimizers_take_only_the_forms_of_a_quotient():

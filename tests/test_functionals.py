@@ -110,7 +110,15 @@ def test_margin_sweep_reuses_and_releases_its_data():
                 assert case._assembled is held
             assert case._assembled is held
             assert [sides_for(case, u) for u in fns] == alone
+            assert sides_for(case, fns) == alone  # one call for the block
         assert case._assembled is None
+
+
+def test_sides_of_a_list_need_one_grid():
+    fns = random_test_functions(log_grid(500), 2, seed=5)
+    other = random_test_functions(log_grid(500), 1, seed=5)  # equal nodes, another grid
+    with pytest.raises(InvalidArgumentError):
+        sides_for(hardy_e3_case(), fns + other)
 
 
 def test_weighted_degenerate_alpha():

@@ -57,8 +57,8 @@ def test_integrate_rejects_non_finite():
     g = build_grid(CoordinateRange(0, 1), 5, "linear")
     sides = P1Forms(g, lambda t: (1.0 / np.abs(t - 0.5), np.ones_like(t)))
     with pytest.raises(NonFiniteIntegrandError):
-        sides.integrals(np.ones(5), (1.0, 1.0))
-    lhs, rhs = sides.integrals(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), (1.0, 1.0))
+        sides.integrals(np.ones((1, 5)), (1.0, 1.0))
+    [(lhs, rhs)] = sides.integrals(np.array([[1.0, 0.0, 0.0, 0.0, 1.0]]), (1.0, 1.0))
     assert np.isfinite(lhs) and rhs == pytest.approx(2.0)
 
 

@@ -354,3 +354,13 @@ def test_minimize_p2_rejects_other_p():
     grid = build_grid(CoordinateRange(0.1, 10), 300, "log")
     with pytest.raises(InvalidArgumentError):
         minimize_quotient_p2(case, grid)
+
+
+def test_general_p_names_a_weight_that_overflows_before_seeding(recwarn):
+    # rho = r^-399 overflows at the inner nodes of [1e-2, 1e2]; the seed
+    # rho^((p-1)/p) would warn on it before the forms could reject it
+    w = rho_catalog_entry("power", E5, 1.01, beta=-399.0)
+    grid = build_grid(CoordinateRange(1e-2, 1e2), 200, "log")
+    with pytest.raises(InvalidArgumentError, match="power:beta=-399"):
+        minimize_quotient_general_p(hardy_case(E5, w), grid)
+    assert len(recwarn) == 0

@@ -64,18 +64,36 @@ def test_banded_solver_imported_only_by_forms():
 def test_no_reduction_that_blas_threads():
     # OpenBLAS splits a long dot product across threads, which reorders its
     # sum, so a report would depend on the thread count; np.sum of the
-    # product sums pairwise in one thread
-    threaded = {"dot", "vdot", "inner", "matmul", "norm"}
-    found = [
+    # product sums pairwise in one thread.  tensordot, and einsum once it
+    # may optimize its contraction, hand their products to BLAS too
+    assert _blas_reductions(SRC.glob("*.py")) == []
+
+
+def _blas_reductions(paths):
+    threaded = {"dot", "vdot", "inner", "matmul", "norm", "tensordot"}
+    return [
         f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(paths)
         for node in ast.walk(ast.parse(path.read_text()))
         if (isinstance(node, ast.Attribute) and node.attr in threaded)
         or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
         or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
             and threaded & {alias.name for alias in node.names})
+        or (_call_name(node) == "einsum" and any(k.arg == "optimize" for k in node.keywords))
     ]
-    assert found == []
+
+
+def test_blas_guard_names_tensordot_and_optimized_einsum(tmp_path):
+    source = tmp_path / "mod.py"
+    lines = [
+        "import numpy as np",
+        "a = np.tensordot(x, y, axes=1)",
+        "b = np.einsum('ij,j->i', x, y, optimize=True)",
+        "c = np.einsum('ij,j->i', x, y)",
+        "from numpy import tensordot",
+    ]
+    source.write_text("\n".join(lines))
+    assert sorted(_blas_reductions([source])) == ["mod.py:2", "mod.py:3", "mod.py:5"]
 
 
 def _definitions(tree):
@@ -141,11 +159,12 @@ def _call_name(node):
 def _field_reads(trees):
     """Field names read in the trees: attribute loads, getattr with a literal
     name, and every field of a class whose instance goes through
-    dataclasses.asdict, the class named by the return annotation of the call
-    its argument was assigned from."""
-    returns = {
-        node.name: node.returns.id for tree in trees for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name)
+    dataclasses.asdict, each class named by the return annotation of the
+    call its argument, or the list it is an element of, was assigned from."""
+    returns = {  # every class a return annotation names: SidePair | list[SidePair]
+        node.name: [n.id for n in ast.walk(node.returns) if isinstance(n, ast.Name)]
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
     }
     fields = {}
     for tree in trees:
@@ -171,10 +190,13 @@ def _field_reads(trees):
                 seen, todo = set(), [node.args[0].id]
                 while todo:
                     for value in assigned.get(todo.pop(), []):
+                        if isinstance(value, ast.Subscript):  # an element of a list
+                            value = value.value
                         if isinstance(value, ast.Name) and value.id not in seen:
                             seen.add(value.id)
                             todo.append(value.id)
-                        yield from fields.get(returns.get(_call_name(value)), [])
+                        for cls in returns.get(_call_name(value), []):
+                            yield from fields.get(cls, [])
 
 
 def test_every_field_is_read_outside_the_tests():
@@ -217,6 +239,31 @@ def worst_of(us):
     tree = ast.parse(source)
     reads = set(_field_reads([tree]))
     assert [f"{cls}.{name}" for cls, name in _fields(tree) if name not in reads] == []
+
+
+def test_field_reads_follow_list_elements():
+    # asdict(worst) of an element of the list a call returns reads every field
+    # of the class its return annotation names
+    source = """
+from dataclasses import asdict, dataclass
+
+@dataclass
+class SidePair:
+    lhs: float
+    constant: float
+
+def sides_for(u) -> SidePair | list[SidePair]:
+    return [SidePair(v, 1.0) for v in u]
+
+def worst_of(us):
+    pairs = sides_for(us)
+    worst = pairs[0]
+    return asdict(worst)
+"""
+    tree = ast.parse(source)
+    assert {"lhs", "constant"} <= set(_field_reads([tree]))
+    unlisted = source.replace("worst = pairs[0]", "worst = min(pairs)")
+    assert not {"lhs", "constant"} & set(_field_reads([ast.parse(unlisted)]))
 
 
 def test_hardy_case_keeps_the_benchmark_range_slot():
