@@ -71,6 +71,13 @@ def _cell_sums(g):
     return total
 
 
+def _power(x, q, out):
+    """x ** q into out; at q = 2 one multiply, the bits of numpy's x ** 2."""
+    if q == 2:
+        return np.multiply(x, x, out=out)
+    return np.power(x, q, out=out)
+
+
 def model_densities(model, p: float, factors):
     """t -> the densities of factors(t) = (a_1, ..., a_k, b) on a model:
     each a_i times s(t), and b times g(t)^p s(t), for |grad u|^p."""
@@ -153,13 +160,14 @@ class P1Forms:
         int A_i |u|^q_i and, last, int B |u'|^q, as Python floats.
 
         A row lives on the cells from the one before its first nonzero node
-        to the one after its last; ``_cell_blocks`` cuts that range into
-        segments, and the segments of all rows are packed in order into
-        passes of at most _CELL_BLOCK cells (a segment of _CELL_BLOCK + 1
-        takes a pass alone).  A pass adds each cell's 8 Gauss points row by
-        row, each segment's cells by ``np.add.reduceat``, and each row
-        adds its segments in cell order: a row gives the same bits alone
-        and in any stack."""
+        to the one after its last: one segment if they fit in _CELL_BLOCK
+        cells, else the segments of ``_cell_blocks``.  The segments of all
+        rows are packed in order into passes of at most _CELL_BLOCK cells
+        (a segment of _CELL_BLOCK + 1 takes a pass alone).  A pass adds
+        each cell's 8 Gauss points row by row, each segment's cells by
+        ``np.add.reduceat``, and each row adds its segments in cell order:
+        a row gives the same bits alone and in any stack.  A power q = 2 is
+        one multiply, which needs no ``abs`` first."""
         rows, n = us.shape
         live = us != 0.0
         if self.nonfinite:
@@ -172,7 +180,9 @@ class P1Forms:
         last = (n - 1 - np.argmax(live[:, ::-1], axis=1)).tolist()
         passes, width = [], 0  # segments (row, first cell, cells, offset)
         for r in np.flatnonzero(np.any(live, axis=1)).tolist():
-            for cells in _cell_blocks(max(first[r] - 1, 0), min(last[r] + 1, n - 1)):
+            start, stop = max(first[r] - 1, 0), min(last[r] + 1, n - 1)
+            for cells in ((slice(start, stop),) if stop - start <= _CELL_BLOCK
+                          else _cell_blocks(start, stop)):
                 size = cells.stop - cells.start
                 if not passes or width + size > _CELL_BLOCK:
                     passes.append([])
@@ -181,6 +191,7 @@ class P1Forms:
                 width += size
         widths = [segments[-1][3] + segments[-1][2] for segments in passes]
         sums = np.zeros((len(qs), rows))
+        squares = all(q == 2 for q in qs[:-1])
         # every pass copies its cells into the same scratch: an array of
         # this size made afresh per pass costs page faults
         cap = max(widths, default=0)
@@ -196,13 +207,20 @@ class P1Forms:
             seg_rows, offsets = np.array([(r, at) for r, _, _, at in segments]).T
             np.multiply(self.n1, ul, out=ug)
             ug += np.multiply(self.n2, ur, out=power)
-            np.abs(ug, out=ug)
+            if not squares:
+                np.abs(ug, out=ug)
             for total, a_wts, q in zip(sums, self.a_wts, qs):
                 for _, start, size, at in segments:
                     term[:, at:at + size] = a_wts[:, start:start + size]
-                term *= np.power(ug, q, out=power)
+                term *= _power(ug, q, power)
                 np.add.at(total, seg_rows, np.add.reduceat(_cell_sums(term), offsets))
-            grad = b * np.abs((ur - ul) / h) ** qs[-1]
+            # u' in the spent nodal buffers
+            slope = np.subtract(ur, ul, out=ur)
+            slope /= h
+            if qs[-1] != 2:
+                np.abs(slope, out=slope)
+            grad = _power(slope, qs[-1], slope)
+            grad *= b
             np.add.at(sums[-1], seg_rows, np.add.reduceat(grad, offsets))
         return sums.T.tolist()
 

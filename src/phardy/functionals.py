@@ -28,7 +28,7 @@ from .errors import (
 )
 from .forms import P1Forms, model_densities
 from .geometry import EUCLIDEAN, HALF_PLANE, ModelManifold
-from .grids import GridFunction, RadialGrid
+from .grids import FunctionBlock, GridFunction, RadialGrid
 from .weights import CheckResult, WeightSpec, weak_superharmonicity_check
 
 #: discretization tolerance for margin/bound checks (n >= 2000 grids)
@@ -135,19 +135,25 @@ def sides_for(case: InequalityCase, u: GridFunction | list) -> SidePair | list[S
     I_1, ..., I_k, I_grad of its forms, lhs = I_1^e_1 and rhs = I_grad^e
     I_2^e_2 ... I_k^e_k with the exponents of its kind (see ``Kind``), the
     constant a factor of the side the kind names.  u is one GridFunction,
-    or a list of them on one grid, whose integrals come from one
-    ``P1Forms.integrals`` call over their stacked values, with a SidePair
-    for each; a function gives the same pair alone and in a list."""
+    or a list (or FunctionBlock) of them on one grid, whose integrals come
+    from one ``P1Forms.integrals`` call over their values, with a SidePair
+    for each; a function gives the same pair alone and in a list.  A
+    FunctionBlock's rows go in as they are; a list is stacked."""
     kind = KINDS.get(case.kind)
     if kind is None or kind.densities is None:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     _require_hypothesis(case)
     us = [u] if isinstance(u, GridFunction) else u
+    if not us:
+        return []
     grid = us[0].grid
     if any(v.grid is not grid for v in us):
         raise InvalidArgumentError("the functions of one sides_for call share a grid")
     qs, es = kind.exponents(case) if kind.exponents else ((case.p, case.p), (1, 1))
-    rows = us[0].values[None] if len(us) == 1 else np.stack([v.values for v in us])
+    if isinstance(u, FunctionBlock):
+        rows = u.rows
+    else:
+        rows = us[0].values[None] if len(us) == 1 else np.stack([v.values for v in us])
     c = case.formula_constant
     pairs = []
     for first, *others, grad in case_forms(case, grid).integrals(rows, qs):

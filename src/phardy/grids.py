@@ -93,6 +93,19 @@ class GridFunction:
             raise InvalidArgumentError("a grid function vanishes at both ends")
 
 
+class FunctionBlock(tuple):
+    """GridFunctions on one grid whose values are the rows of ``rows``, a
+    (count, n) array, so a side integral over the block reads that array
+    as it stands.  A tuple, so the functions and their rows stay in step."""
+
+    rows: np.ndarray
+
+    def __new__(cls, grid: RadialGrid, rows: np.ndarray):
+        block = super().__new__(cls, (GridFunction(grid, row) for row in rows))
+        block.rows = rows
+        return block
+
+
 @functools.cache
 def _gauss8():
     return np.polynomial.legendre.leggauss(8)

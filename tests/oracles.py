@@ -15,9 +15,9 @@ against, the two-sided sign classification, the chain-rule check, the
 dyadic refinement of a grid, the first eigenvalue of a weighted
 quotient with a natural end (the package's solves are Dirichlet at both),
 the factorization count of plain bisection on a tridiagonal pencil, and
-the margin sweep one function at a time: test functions drawn by
-``rng.uniform`` and evaluated on the whole grid, and the side integrals
-of one row summed block by block.
+the margin sweep one function at a time: test functions (bumps and
+tents) drawn by ``rng.uniform`` and evaluated on the whole grid, and the
+side integrals of one row summed block by block.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from phardy.forms import (
     model_densities,
 )
 from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
-from phardy.grids import LOG, RadialGrid, build_grid, cell_gauss
+from phardy.grids import LOG, GridFunction, RadialGrid, build_grid, cell_gauss
 from phardy.optimize import BRACKET_RTOL, bottom_eigenpair
 from phardy.weights import WeightSpec, rho_catalog_entry, weak_superharmonicity_check
 
@@ -322,6 +322,40 @@ def estimate_lambda1(
     return energy / mass
 
 
+def _bump_values(c, c_lo, c_hi):
+    """The mollifier bump of (c_lo, c_hi) at every coordinate of c."""
+    z = (2.0 * (c - c_lo) / (c_hi - c_lo)) - 1.0
+    inside = np.abs(z) < 1.0
+    vals = np.zeros_like(z)
+    with np.errstate(divide="ignore"):
+        vals[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
+    return vals
+
+
+def _tent_values(c, c_lo, c_hi):
+    """The hat of (c_lo, c_hi), 1 at its midpoint, at every coordinate of c."""
+    mid = 0.5 * (c_lo + c_hi)
+    up = (c - c_lo) / (mid - c_lo)
+    down = (c_hi - c) / (c_hi - mid)
+    return np.clip(np.minimum(up, down), 0.0, None)
+
+
+def _zero_ends(values):
+    values[0] = values[-1] = 0.0
+    return values
+
+
+def bump(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
+    """Smooth bump supported on (c_lo, c_hi) in the grid coordinate,
+    evaluated on the whole grid and set to 0 at its two ends."""
+    return GridFunction(grid, _zero_ends(_bump_values(grid.coord, c_lo, c_hi)))
+
+
+def tent(grid: RadialGrid, c_lo: float, c_hi: float) -> GridFunction:
+    """Piecewise-linear hat peaking at the midpoint of (c_lo, c_hi)."""
+    return GridFunction(grid, _zero_ends(_tent_values(grid.coord, c_lo, c_hi)))
+
+
 def seeded_functions_one_by_one(grid: RadialGrid, count: int, rng) -> list[np.ndarray]:
     """The values of ``random_test_functions(grid, count, rng)`` built one
     function at a time: two ``rng.uniform`` draws, its width and its left
@@ -334,20 +368,8 @@ def seeded_functions_one_by_one(grid: RadialGrid, count: int, rng) -> list[np.nd
     for i in range(count):
         width = rng.uniform(0.15, 0.6) * span
         c_lo = rng.uniform(c[0] + pad, c[-1] - pad - width)
-        c_hi = c_lo + width
-        if i % 2 == 0:
-            z = (2.0 * (c - c_lo) / (c_hi - c_lo)) - 1.0
-            inside = np.abs(z) < 1.0
-            vals = np.zeros_like(z)
-            with np.errstate(divide="ignore"):
-                vals[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
-        else:
-            mid = 0.5 * (c_lo + c_hi)
-            up = (c - c_lo) / (mid - c_lo)
-            down = (c_hi - c) / (c_hi - mid)
-            vals = np.clip(np.minimum(up, down), 0.0, None)
-        vals[0] = vals[-1] = 0.0
-        out.append(vals)
+        values = _bump_values if i % 2 == 0 else _tent_values
+        out.append(_zero_ends(values(c, c_lo, c_lo + width)))
     return out
 
 

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import seeded_functions_one_by_one
+
 import phardy
 import phardy.cli
 from phardy.cli import (
@@ -31,7 +33,7 @@ from phardy.cli import (
 from phardy.errors import ConfigError
 from phardy.functionals import KINDS, hardy_case, sides_for
 from phardy.geometry import CoordinateRange, euclidean_radial
-from phardy.grids import build_grid
+from phardy.grids import GridFunction, build_grid
 from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry
 
@@ -112,6 +114,26 @@ def test_sweep_generates_one_stream_block_by_block(count, monkeypatch):
     funcs = [u for _, us in got for u in us]
     assert len(funcs) == count
     assert all(np.array_equal(u.values, w.values) for u, w in zip(funcs, want))
+
+
+def test_bundled_suite_report_matches_the_one_by_one_sweep(tmp_path, monkeypatch):
+    # the sweep draws each block as one array and integrates its rows as they
+    # stand; `phardy run` on the bundled suite at 200 test functions per case
+    # writes the same bytes when every function is drawn, evaluated on the
+    # whole grid and stacked one at a time
+    cfg = json.loads(bundled_config_path().read_text())
+    cfg["n_test_functions"] = 200
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "block")]) == 0
+    monkeypatch.setattr(
+        phardy.cli, "random_test_functions",
+        lambda grid, count, rng: [GridFunction(grid, v)
+                                  for v in seeded_functions_one_by_one(grid, count, rng)],
+    )
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "one")]) == 0
+    block, one = ((tmp_path / out / "report.json").read_bytes() for out in ("block", "one"))
+    assert block == one
 
 
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):

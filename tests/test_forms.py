@@ -277,8 +277,9 @@ def test_block_passes_match_the_whole_grid(p):
 THREE_FORMS = P1Forms(
     build_grid(CoordinateRange(0.1, 10.0), 9, "log"), lambda t: (t ** 2, 1.0 / t, 1.0 + t)
 )
+# "squares": every exponent 2, so the integrals square without an abs
 SIDE_FORMS = {"block": (BLOCK_FORMS, (2.0, 3.0)), "grad": (GRAD_FORMS, (1.5, 2.0)),
-              "three": (THREE_FORMS, (2.0, 4.0, 2.0))}
+              "three": (THREE_FORMS, (2.0, 4.0, 2.0)), "squares": (THREE_FORMS, (2.0, 2.0, 2.0))}
 
 
 @st.composite

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scaled
+from oracles import bump, scaled, tent
 
 from phardy.errors import (
     InvalidArgumentError,
@@ -27,7 +27,7 @@ from phardy.functionals import (
 )
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import GridFunction, build_grid
-from phardy.testfunctions import bump, random_test_functions, tent
+from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry, weight_from_samples
 
 E3 = euclidean_radial(3)
@@ -111,7 +111,14 @@ def test_margin_sweep_reuses_and_releases_its_data():
             assert case._assembled is held
             assert [sides_for(case, u) for u in fns] == alone
             assert sides_for(case, fns) == alone  # one call for the block
+            assert sides_for(case, list(fns)) == alone  # stacked
         assert case._assembled is None
+
+
+def test_sides_of_an_empty_list_are_an_empty_list():
+    case = hardy_e3_case()
+    assert sides_for(case, []) == []
+    assert sides_for(case, random_test_functions(log_grid(500), 0, seed=5)) == []
 
 
 def test_sides_of_a_list_need_one_grid():

@@ -1,14 +1,16 @@
 """The seeded test functions: the margin sweep's generator draws a block's
-uniforms at once and evaluates each function only where it lives, and is
-value for value the one-function-at-a-time construction it replaced."""
+uniforms at once and writes each function, only where it lives, into its
+row of one array, and is value for value the one-function-at-a-time
+construction it replaced."""
 import numpy as np
 import pytest
 
-from oracles import seeded_functions_one_by_one
+from oracles import bump, seeded_functions_one_by_one, tent
 
+from phardy.errors import InvalidArgumentError
 from phardy.geometry import CoordinateRange
 from phardy.grids import RadialGrid, build_grid
-from phardy.testfunctions import bump, random_test_functions, tent
+from phardy.testfunctions import random_test_functions
 
 GRIDS = [
     (CoordinateRange(1e-2, 1e2), "log"),
@@ -66,3 +68,18 @@ def test_bump_and_tent_vanish_off_their_support_and_at_the_ends():
         assert wide[0] == wide[-1] == 0.0 and np.all(wide[1:-1] > 0.0)
         inner = make(grid, grid.coord[3], grid.coord[7]).values  # ends on nodes
         assert np.flatnonzero(inner).tolist() == [4, 5, 6]
+
+
+def test_a_block_is_one_array_of_rows():
+    grid = build_grid(CoordinateRange(1e-2, 1e2), 300, "log")
+    block = random_test_functions(grid, 9, seed=4)
+    assert len(block) == 9 and block.rows.shape == (9, 300)
+    assert all(np.shares_memory(u.values, row) and np.array_equal(u.values, row)
+               for u, row in zip(block, block.rows))
+
+
+def test_a_negative_count_is_named():
+    grid = build_grid(CoordinateRange(0.0, 1.0), 11, "linear")
+    assert len(random_test_functions(grid, 0, seed=1)) == 0
+    with pytest.raises(InvalidArgumentError, match="count"):
+        random_test_functions(grid, -1, seed=1)
