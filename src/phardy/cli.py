@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -120,8 +119,8 @@ def _built(where: str, key: str, build, *args, **kwargs):
 
 def _checked_case(i: int, spec, conf: dict) -> dict:
     """One case checked against its kind's rules, with its model, grid,
-    checks and, for kinds built from a config or a vector field, its
-    InequalityCase constructed."""
+    checks and, unless its kind is a check on the model, its
+    InequalityCase built from the source its kind's row names."""
     if not isinstance(spec, dict):
         raise ConfigError(f"'cases'[{i}] must be an object, got {spec!r}")
     where = f"case {spec.get('id', i)!r}"
@@ -131,9 +130,9 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         raise ConfigError(f"{where}: unknown 'kind' {name!r}")
     rules = {"kind": str, "model": dict, "params": dict, "grid": dict, "id": "",
              "n_test_functions": conf["n_test_functions"]}
-    if kind.factory:
+    if kind.source == "weight":
         rules.update(weight=str, checks={}, max_iter=opt.MAX_ITER)
-    if name == "classification":
+    if kind.source == "model":
         rules.update(grid={}, expect="")
     c = _checked(where, spec, rules)
     params = c["params"] = _checked(f"{where} params", c["params"], kind.params)
@@ -145,42 +144,37 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     extra = _MODEL_RULES.get(model_kind, {}) if isinstance(model_kind, str) else {}
     model = _checked(f"{where} model", c["model"], {"kind": str, **extra})
     c["model"] = _built(where, "model", model_from_config, model)
-    if name == "classification" and not c["model"].is_radial:
-        raise ConfigError(f"{where}: 'model': classification needs a radial model")
-    if name != "classification":
-        g = _checked(f"{where} grid", c["grid"], _GRID_RULES)
-        c["rng"] = _built(where, "grid", CoordinateRange, g["lo"], g["hi"])
-        c["grid"] = _built(where, "grid", build_grid, c["rng"], g["n"], g["spacing"])
-        _built(where, "grid", c["model"].check_domain, c["grid"].nodes)
-    if name == "divergence-lemma":
-        c["case"] = _built(
-            where, "params", fn.divergence_case, c["model"], params["field"], params["p"],
-            case_id=c["id"],
-        )
-    if name == "eigen-hardy":
-        _built(where, "alpha", eigen_mod.check_eigen_hardy_alpha, params["p"], params["alpha"])
-    if name == "poincare-eigen":
-        _built(where, "s", eigen_mod.check_poincare_s, params["p"], params["s"])
-    if name == "distance-hardy":
-        _built(
-            where, "eps_split", eigen_mod.collar_split, c["model"], c["grid"], params["eps_split"]
-        )
+    if kind.source == "model":
+        if not c["model"].is_radial:
+            raise ConfigError(f"{where}: 'model': {name} needs a radial model")
+        return c
+    g = _checked(f"{where} grid", c["grid"], _GRID_RULES)
+    c["rng"] = _built(where, "grid", CoordinateRange, g["lo"], g["hi"])
+    c["grid"] = _built(where, "grid", build_grid, c["rng"], g["n"], g["spacing"])
+    _built(where, "grid", c["model"].check_domain, c["grid"].nodes)
     # a kind without a 'checks' key runs with the default checks
     c["checks"] = _checked(f"{where} checks", c.get("checks", {}), _CHECK_RULES)
     if c["checks"]["minimize"] and kind.exponents:
         raise ConfigError(f"{where} checks: 'minimize' needs a quotient kind")
-    if kind.factory:
+    others = {k: v for k, v in params.items() if k != "p"}
+    if kind.source == "weight":
         weight = _built(where, "weight", parse_weight, c["weight"], c["model"], params["p"])
         _built(where, "weight", check_weight_finite, weight, c["grid"])
-        others = {k: v for k, v in params.items() if k != "p"}
-        c["case"] = _built(
-            where, "params", kind.factory, c["model"], weight, case_id=c["id"], **others
-        )
-    # the runners' weak sign check needs room for one test bump
-    case = c.get("case")
-    if name == "eigen-hardy" or (
-        case and c["checks"]["hypothesis"] and case.hypothesis_mode
-    ):
+        source = (c["model"], weight)
+    elif kind.source == "eigenpair":
+        try:
+            c["pair"] = eigen_mod.first_eigenpair(
+                c["model"], params["p"], c["rng"], grid=c["grid"]
+            )
+        except ToolkitError as exc:
+            exc.case_id = c["id"] or f"case-{i}"
+            raise
+        source = (c["pair"],)
+    else:
+        source, others = (c["model"],), params
+    c["case"] = _built(where, "params", kind.factory, *source, case_id=c["id"], **others)
+    # the runner's weak sign check needs room for one test bump
+    if c["checks"]["hypothesis"] and c["case"].hypothesis_mode:
         _built(where, "grid", check_bump_grid, c["grid"])
     return c
 
@@ -246,8 +240,17 @@ def _run_hypothesis(c, record, case) -> bool:
 
 
 def _run_inequality_case(c, conf, record):
+    """Check the case; one built from an eigenpair records the pair, and
+    fails when the pair did not converge."""
     case, grid = c["case"], c["grid"]
     record["case_id"] = case.case_id
+    pair = c.get("pair")
+    if pair is not None:
+        record["eigen"] = {
+            "lambda1": pair.lambda1,
+            "residual": pair.residual,
+            "converged": pair.converged,
+        }
     if case.trivial:
         record["status"] = "trivial"
         record["note"] = "degenerate constant: inequality trivially satisfied"
@@ -277,7 +280,7 @@ def _run_inequality_case(c, conf, record):
                 record["minimization"]["extrapolated"] = opt.extrapolated(case, res.quotient, grid)
             ok = ok and bound_ok
 
-    record["status"] = "pass" if ok else "fail"
+    record["status"] = "pass" if ok and (pair is None or pair.converged) else "fail"
 
 
 def _run_classification_case(c, conf, record):
@@ -290,34 +293,6 @@ def _run_classification_case(c, conf, record):
     record["classification"] = dataclasses.asdict(cls)
     expect = c["expect"]
     record["status"] = "pass" if (not expect or cls.classification == expect) else "fail"
-
-
-def _run_eigen_case(build, c, conf, record):
-    """Solve the first eigenpair, then check the case ``build`` makes of it;
-    it fails when the eigenpair did not converge."""
-    params = c["params"]
-    p = params["p"]
-    record["case_id"] = c["id"] or f"{c['kind']}[{c['model'].kind}|p={p:g}]"
-    pair = eigen_mod.first_eigenpair(c["model"], p, c["rng"], grid=c["grid"])
-    record["eigen"] = {
-        "lambda1": pair.lambda1,
-        "residual": pair.residual,
-        "converged": pair.converged,
-    }
-    case = build(pair, **{k: v for k, v in params.items() if k != "p"})
-    case.case_id = record["case_id"]
-    _run_inequality_case(dict(c, case=case), conf, record)
-    if record["status"] == "pass" and not pair.converged:
-        record["status"] = "fail"
-
-
-#: every other kind in fn.KINDS runs as an InequalityCase
-_RUNNERS = {
-    "classification": _run_classification_case,
-    "eigen-hardy": functools.partial(_run_eigen_case, eigen_mod.eigen_hardy_case),
-    "poincare-eigen": functools.partial(_run_eigen_case, eigen_mod.poincare_eigen_case),
-    "distance-hardy": functools.partial(_run_eigen_case, eigen_mod.distance_hardy_case),
-}
 
 
 def run_suite(cfg: dict) -> dict:
@@ -338,7 +313,7 @@ def run_suite(cfg: dict) -> dict:
             "seed": conf["seed"],
         }
         try:
-            _RUNNERS.get(c["kind"], _run_inequality_case)(c, conf, record)
+            (_run_inequality_case if "case" in c else _run_classification_case)(c, conf, record)
         except ToolkitError as exc:
             exc.case_id = record.get("case_id", c["id"] or f"case-{i}")
             raise

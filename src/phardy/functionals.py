@@ -7,9 +7,10 @@ g(t)|u'(t)|.  ``sides_for`` combines them into a SidePair whose margin has
 the source inequality's orientation, so an inequality holds iff
 margin >= 0 up to discretization tolerance.
 
-``KINDS`` lists each kind once: its config parameters, case factory,
-catalog formula, the factors of its side densities and, unless it is a
-quotient kind, the exponents of its side integrals.
+``KINDS`` lists each kind once: its config parameters, case factory and
+what the factory builds from, catalog formula, the factors of its side
+densities and, unless it is a quotient kind, the exponents of its side
+integrals.
 """
 from __future__ import annotations
 
@@ -21,15 +22,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    CollarGradientError,
     HypothesisViolationError,
     InvalidArgumentError,
     RelationViolationError,
     UnsupportedModelError,
 )
 from .forms import P1Forms, model_densities
-from .geometry import EUCLIDEAN, HALF_PLANE, ModelManifold
+from .geometry import EUCLIDEAN, HALF_PLANE, INTERVAL, ModelManifold
 from .grids import FunctionBlock, GridFunction, RadialGrid
-from .weights import CheckResult, WeightSpec, weak_superharmonicity_check
+from .weights import (
+    CheckResult, WeightSpec, rho_catalog_entry, weak_superharmonicity_check, weight_from_samples
+)
 
 #: discretization tolerance for margin/bound checks (n >= 2000 grids)
 TOL_DISC = 1e-6
@@ -494,26 +498,107 @@ def killing_field(model: ModelManifold, p: float):
 
 def divergence_case(
     model: ModelManifold,
-    field_name: str,
+    field: str,
     p: float,
     case_id: str = "",
 ) -> InequalityCase:
     """int |u|^p A_h <= p^p int |h|^p / A_h^(p-1) |grad u|^p for the radial
-    field called ``field_name``; no weight, |h| and A_h in the params."""
-    if field_name == "davies-hinz":
+    field called ``field``; no weight, |h| and A_h in the params."""
+    if field == "davies-hinz":
         h_mag, a_h = davies_hinz_field(model)
-    elif field_name == "killing":
+    elif field == "killing":
         h_mag, a_h = killing_field(model, p)
     else:
-        raise InvalidArgumentError(f"unknown 'field' {field_name!r}")
+        raise InvalidArgumentError(f"unknown 'field' {field!r}")
     return InequalityCase(
         kind="divergence-lemma",
         model=model,
         weight=None,
-        params={"p": p, "field": field_name, "h_mag": h_mag, "a_h": a_h},
+        params={"p": p, "field": field, "h_mag": h_mag, "a_h": a_h},
         formula_constant=p ** p,
-        case_id=case_id or f"divergence-lemma[{model.kind}|{field_name}|p={p:g}]",
+        case_id=case_id or f"divergence-lemma[{model.kind}|{field}|p={p:g}]",
     )
+
+
+# ---------------------------------------------------------------------------
+# eigenfunction case factories: each takes the first eigenpair ``pair`` of
+# eigen.first_eigenpair, whose grid is the one the case is checked on
+
+def eigen_weight(pair):
+    """The first eigenfunction as a catalog weight."""
+    return weight_from_samples(
+        "eigenfunction", pair.model, pair.p, pair.phi1.grid, pair.phi1.values
+    )
+
+
+def eigen_hardy_case(pair, alpha: float = 0.0, case_id: str = "") -> InequalityCase:
+    if alpha >= pair.p - 1.0:
+        raise InvalidArgumentError("eigenfunction Hardy needs 'alpha' < p-1")
+    return weighted_hardy_case(
+        pair.model,
+        eigen_weight(pair),
+        alpha,
+        case_id or f"eigen-hardy[{pair.model.kind}|p={pair.p:g}|alpha={alpha:g}]",
+    )
+
+
+def poincare_eigen_constant(pair, s: float) -> float:
+    p = pair.p
+    return pair.lambda1 * (p - 1.0 - s) ** (p - 1.0) / p ** p
+
+
+def poincare_eigen_case(pair, s: float, case_id: str = "") -> InequalityCase:
+    """lambda1 (p-1-s)^(p-1)/p^p  int phi1^s |u|^p  <=  int phi1^s |grad u|^p."""
+    if not (0.0 < s < pair.p - 1.0):
+        raise InvalidArgumentError("need 0 < 's' < p-1")
+    case_id = case_id or f"poincare-eigen[{pair.model.kind}|p={pair.p:g}|s={s:g}]"
+    const = poincare_eigen_constant(pair, s)
+    return weighted_case("poincare-eigen", pair.model, eigen_weight(pair), const, case_id, s=s)
+
+
+def collar_split(model: ModelManifold, grid: RadialGrid, eps_split: float):
+    """The nodes within eps_split of the interval's ends (the collar) and
+    the cells between two such nodes; both it and the rest must be nonempty."""
+    if model.kind != INTERVAL:
+        raise InvalidArgumentError("composite constant implemented on intervals")
+    collar = np.minimum(grid.nodes - model.a, model.b - grid.nodes) < eps_split
+    collar_cells = collar[:-1] & collar[1:]
+    if not np.any(collar_cells) or not np.any(~collar):
+        raise InvalidArgumentError("'eps_split' leaves an empty collar or interior")
+    return collar, collar_cells
+
+
+def distance_hardy_constant(pair, eps_split: float) -> float:
+    """Composite constant for the distance-from-boundary Hardy inequality.
+
+    Splits the interval into a boundary collar (where the eigenfunction
+    Hardy inequality controls 1/d^p through the collar gradient bound) and
+    the interior (where the Poincare-type inequality does, at s = (p-1)/2),
+    and takes half the worse of the two explicit constants.  The gradient
+    bounds are the cell slopes of phi1: the least over cells inside the
+    collar, the largest over all cells.
+    """
+    p = pair.p
+    s = 0.5 * (p - 1.0)
+    collar, collar_cells = collar_split(pair.model, pair.phi1.grid, eps_split)
+    slope = np.abs(np.diff(pair.phi1.values) / np.diff(pair.phi1.grid.nodes))
+    b_min = float(np.min(slope[collar_cells]))
+    if b_min <= 0:
+        raise CollarGradientError("eigenfunction gradient vanishes on the collar")
+    lip = float(np.max(slope))
+    l_eps = float(np.min(pair.phi1.values[~collar]))
+    c_collar = ((p - 1.0) / p) ** p * b_min ** p / lip ** p
+    c_inner = poincare_eigen_constant(pair, s) * l_eps ** s * eps_split ** p
+    return 0.5 * min(c_collar, c_inner)
+
+
+def distance_hardy_case(pair, eps_split: float = 0.1, case_id: str = "") -> InequalityCase:
+    """c int |u|^p / d^p <= int |grad u|^p with the composite constant c:
+    the Hardy quotient of rho = d, under a smaller constant."""
+    weight = rho_catalog_entry("dist-boundary", pair.model, pair.p)
+    const = distance_hardy_constant(pair, eps_split)
+    case_id = case_id or f"distance-hardy[{pair.model.kind}|p={pair.p:g}|eps={eps_split:g}]"
+    return weighted_case("distance-hardy", pair.model, weight, const, case_id, eps_split=eps_split)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +629,11 @@ class Kind:
 
     ``params`` maps each config parameter to its type (required) or to its
     default (optional, of the default's type; None: an optional number).
-    ``factory(model, weight, case_id=, **params)`` builds the case
-    from a config, p coming with the weight; the CLI builds the other kinds
-    from an eigenpair or a vector field, or runs them as checks.
+    ``source`` says what ``factory`` builds a case from, given ``case_id=``
+    and the params: ``"weight"``, ``factory(model, weight, **params)``;
+    ``"field"``, ``factory(model, **params)``; ``"eigenpair"``,
+    ``factory(pair, **params)`` (weight and pair bring p); ``"model"``: no
+    factory, the kind is a check on the model, not an inequality case.
     ``densities(case, t)`` gives the factors (a_1, ..., a_k, b) of the side
     integrals I_i = int a_i s |u|^q_i and I_grad = int b g^p s |u'|^q.
     ``exponents(case)`` gives ((q_1, ..., q_k, q), (e_1, ..., e_k, e)):
@@ -562,6 +649,7 @@ class Kind:
     densities: Callable | None = None
     exponents: Callable | None = None
     constant_on_rhs: bool = False
+    source: str = "weight"
 
 
 KINDS = {
@@ -604,18 +692,21 @@ KINDS = {
         _ckn_factors,
         _ckn_exponents,
     ),
-    "eigen-hardy": Kind({"p": float, "alpha": 0.0}, "((p-1-alpha)/p)^p"),
+    "eigen-hardy": Kind(
+        {"p": float, "alpha": 0.0}, "((p-1-alpha)/p)^p", eigen_hardy_case, source="eigenpair"
+    ),
     "poincare-eigen": Kind(
-        {"p": float, "s": float}, "lam1 (p-1-s)^(p-1)/p^p", densities=_poincare_factors
+        {"p": float, "s": float}, "lam1 (p-1-s)^(p-1)/p^p", poincare_eigen_case,
+        _poincare_factors, source="eigenpair",
     ),
     "distance-hardy": Kind(
         {"p": float, "eps_split": 0.1},
         "min(((p-1)/p)^p b^p/L^p, lam1 (p-1-s)^(p-1)/p^p l^s eps^p)/2",
-        densities=_hardy_factors,
+        distance_hardy_case, _hardy_factors, source="eigenpair",
     ),
     "divergence-lemma": Kind(
-        {"p": float, "field": "davies-hinz"}, "p^p", densities=_field_factors,
-        constant_on_rhs=True,
+        {"p": float, "field": "davies-hinz"}, "p^p", divergence_case, _field_factors,
+        constant_on_rhs=True, source="field",
     ),
-    "classification": Kind({"p": float, "a": 1.0, "decades": 13}),
+    "classification": Kind({"p": float, "a": 1.0, "decades": 13}, source="model"),
 }

@@ -661,13 +661,13 @@ def _case(name):
     params = _mostly(params, params.map(lambda d: {**d, "z": 1}))
     required = {"kind": st.just(name), "model": _MODELS, "params": params, "grid": _GRIDS}
     optional = {"id": st.text(max_size=3)}
-    if kind.factory:
+    if kind.source == "weight":
         required["weight"] = _WEIGHTS
         optional["checks"] = st.dictionaries(
             st.sampled_from(["hypothesis", "minimize", "minimise"]), st.booleans(), max_size=2
         )
         optional["max_iter"] = st.integers(0, 50)
-    if name == "classification":
+    if kind.source == "model":
         optional["expect"] = st.sampled_from(["p_parabolic", "p_hyperbolic"])
     return st.fixed_dictionaries(required, optional=optional)
 

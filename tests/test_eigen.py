@@ -5,19 +5,19 @@ import pytest
 
 from oracles import plaplace_lambda1_shooting
 
-from phardy.eigen import (
-    distance_hardy_case,
-    distance_hardy_composite,
-    eigen_weight,
-    distance_hardy_constant,
-    eigen_hardy_case,
-    first_eigenpair,
-    poincare_eigen_case,
-    poincare_eigen_check,
-)
+from phardy.eigen import distance_hardy_composite, first_eigenpair, poincare_eigen_check
 from phardy.errors import InvalidArgumentError
 from phardy.forms import P1Forms
-from phardy.functionals import hardy_case, sides_for, validate_case_hypothesis
+from phardy.functionals import (
+    distance_hardy_case,
+    distance_hardy_constant,
+    eigen_hardy_case,
+    eigen_weight,
+    hardy_case,
+    poincare_eigen_case,
+    sides_for,
+    validate_case_hypothesis,
+)
 from phardy.geometry import CoordinateRange, interval
 from phardy.grids import GridFunction, build_grid
 from phardy.optimize import descend_quotient, minimize_quotient_p2
