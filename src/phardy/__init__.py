@@ -4,7 +4,6 @@ from .geometry import (
     CoordinateRange,
     ModelManifold,
     euclidean_radial,
-    half_plane_poincare,
     hyperbolic_radial,
     interval,
 )

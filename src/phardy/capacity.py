@@ -43,7 +43,13 @@ def radial_capacity(model: ModelManifold, p: float, a: float, b: float) -> float
     total = float(np.sum(green_integrals(model, p, grid.nodes)[0]))
     if not np.isfinite(total) or total <= 0:
         raise NonFiniteIntegrandError("capacity integrand not integrable on (a, b)")
-    return total ** (1.0 - p)
+    try:
+        cap = total ** (1.0 - p)
+    except OverflowError:
+        cap = math.inf
+    if not 0.0 < cap < math.inf:
+        raise NonFiniteIntegrandError(f"capacity of (a, b) = ({a:g}, {b:g}) is {cap} at p = {p:g}")
+    return cap
 
 
 @dataclass

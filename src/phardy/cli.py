@@ -160,7 +160,7 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     if kind.source == "weight":
         weight = _built(where, "weight", parse_weight, c["weight"], c["model"], params["p"])
         _built(where, "weight", check_weight_finite, weight, c["grid"])
-        source = (c["model"], weight)
+        args = (c["model"], weight)
     elif kind.source == "eigenpair":
         try:
             c["pair"] = eigen_mod.first_eigenpair(
@@ -169,10 +169,10 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         except ToolkitError as exc:
             exc.case_id = c["id"] or f"case-{i}"
             raise
-        source = (c["pair"],)
-    else:
-        source, others = (c["model"],), params
-    c["case"] = _built(where, "params", kind.factory, *source, case_id=c["id"], **others)
+        args = (c["pair"],)
+    else:  # a field's factory takes p with the other params
+        args, others = (c["model"],), params
+    c["case"] = _built(where, "params", kind.factory, *args, case_id=c["id"], **others)
     # the runner's weak sign check needs room for one test bump
     if c["checks"]["hypothesis"] and c["case"].hypothesis_mode:
         _built(where, "grid", check_bump_grid, c["grid"])
@@ -199,24 +199,32 @@ def seeded_blocks(grid, count: int, seed):
 def _run_margins(c, conf, record, case) -> bool:
     """Record the worst relative margin of the case's sides over its seeded
     test functions, and the index of the function that gave it; True when
-    it is within the tolerance.  Each block's sides come from one call."""
+    it is within the tolerance and no margin is non-finite (a side that
+    overflowed), which the record counts.  Each block's sides come from
+    one call."""
     # order-independent per-case stream
     seed = [conf["seed"], zlib.crc32(record["case_id"].encode())]
     worst = worst_index = None
     worst_rel = math.inf
+    nonfinite = 0
     for start, block in seeded_blocks(c["grid"], c["n_test_functions"], seed):
         pairs = fn.sides_for(case, block)
         for k, pair in enumerate(pairs):
+            if not math.isfinite(pair.margin):
+                nonfinite += 1
+                continue
             rel = pair.margin / max(pair.rhs, 1e-300)
             if rel < worst_rel:
                 worst_rel, worst_index, worst = rel, start + k, pairs[k]
     record["sides"] = {
         "n_test_functions": c["n_test_functions"],
-        "min_margin_rel": worst_rel,
+        "min_margin_rel": worst_rel if worst else None,
         "worst_index": worst_index,
-        "worst": dataclasses.asdict(worst),
-        "passed": bool(worst_rel >= -conf["tol_disc"]),
+        "worst": dataclasses.asdict(worst) if worst else {},
+        "passed": bool(worst_rel >= -conf["tol_disc"]) and not nonfinite,
     }
+    if nonfinite:
+        record["sides"]["n_nonfinite"] = nonfinite
     return record["sides"]["passed"]
 
 
@@ -381,7 +389,7 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> list[Path]:
             r["case_id"], r["kind"], r["status"],
             *(repr(worst.get(k, "")) if worst else ""
               for k in ("lhs", "rhs", "constant", "margin")),
-            repr(sides["min_margin_rel"]) if sides else "",
+            repr(sides["min_margin_rel"]) if worst else "",
             *(grid.get(k, "") for k in ("n", "lo", "hi", "spacing")), r.get("seed", ""),
         ])
     tables = {

@@ -25,6 +25,7 @@ from .errors import (
     CollarGradientError,
     HypothesisViolationError,
     InvalidArgumentError,
+    NonFiniteIntegrandError,
     RelationViolationError,
     UnsupportedModelError,
 )
@@ -142,7 +143,9 @@ def sides_for(case: InequalityCase, u: GridFunction | list) -> SidePair | list[S
     or a list (or FunctionBlock) of them on one grid, whose integrals come
     from one ``P1Forms.integrals`` call over their values, with a SidePair
     for each; a function gives the same pair alone and in a list.  A
-    FunctionBlock's rows go in as they are; a list is stacked."""
+    FunctionBlock's rows go in as they are; a list is stacked.  An
+    integral that overflows gives a pair that is not finite; a side whose
+    outer power overflows raises NonFiniteIntegrandError."""
     kind = KINDS.get(case.kind)
     if kind is None or kind.densities is None:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
@@ -159,12 +162,17 @@ def sides_for(case: InequalityCase, u: GridFunction | list) -> SidePair | list[S
     else:
         rows = us[0].values[None] if len(us) == 1 else np.stack([v.values for v in us])
     c = case.formula_constant
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = case_forms(case, grid).integrals(rows, qs)
     pairs = []
-    for first, *others, grad in case_forms(case, grid).integrals(rows, qs):
-        lhs = first ** es[0]
-        rhs = (c if kind.constant_on_rhs else 1.0) * grad ** es[-1]
-        for term, e in zip(others, es[1:-1]):
-            rhs *= term ** e
+    for first, *others, grad in sums:
+        try:
+            lhs = first ** es[0]
+            rhs = (c if kind.constant_on_rhs else 1.0) * grad ** es[-1]
+            for term, e in zip(others, es[1:-1]):
+                rhs *= term ** e
+        except OverflowError:
+            raise NonFiniteIntegrandError("a side integral overflows under its power") from None
         margin = rhs - lhs if kind.constant_on_rhs else rhs - c * lhs
         pairs.append(SidePair(lhs=lhs, rhs=rhs, constant=c, margin=margin))
     return pairs[0] if isinstance(u, GridFunction) else pairs

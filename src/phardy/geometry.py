@@ -133,10 +133,6 @@ def hyperbolic_radial(n: int) -> ModelManifold:
     return ModelManifold(HYPERBOLIC, dim=n)
 
 
-def half_plane_poincare() -> ModelManifold:
-    return ModelManifold(HALF_PLANE)
-
-
 def interval(a: float, b: float) -> ModelManifold:
     return ModelManifold(INTERVAL, a=a, b=b)
 

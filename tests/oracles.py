@@ -37,7 +37,7 @@ from phardy.forms import (
     apply_tridiag,
     model_densities,
 )
-from phardy.geometry import CoordinateRange, euclidean_radial, half_plane_poincare, interval
+from phardy.geometry import CoordinateRange, ModelManifold, euclidean_radial, interval
 from phardy.grids import LOG, GridFunction, RadialGrid, build_grid, cell_gauss
 from phardy.optimize import BRACKET_RTOL, bottom_eigenpair
 from phardy.weights import WeightSpec, rho_catalog_entry, weak_superharmonicity_check
@@ -283,7 +283,7 @@ def signed_catalog() -> list[SignedCatalogEntry]:
         (rho_catalog_entry("dist-boundary", interval(0.0, 1.0), 2.0), unit, "superharmonic"),
         (rho_catalog_entry("log", e3, 2.0, side="inner"), ball, "superharmonic"),
         (rho_catalog_entry("log", e3, 2.0, side="outer"), outer, "subharmonic"),
-        (rho_catalog_entry("halfplane-y", half_plane_poincare(), 2.0), wide, "harmonic"),
+        (rho_catalog_entry("halfplane-y", ModelManifold("half_plane"), 2.0), wide, "harmonic"),
     )]
 
 

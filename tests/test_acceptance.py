@@ -38,8 +38,8 @@ from phardy.functionals import (
 )
 from phardy.geometry import (
     CoordinateRange,
+    ModelManifold,
     euclidean_radial,
-    half_plane_poincare,
     hyperbolic_radial,
     interval,
 )
@@ -78,7 +78,7 @@ def test_criterion_1_euclidean_hardy_sandwich():
 
 
 def test_criterion_2_halfplane_hardy_poincare():
-    hp = half_plane_poincare()
+    hp = ModelManifold("half_plane")
     w = rho_catalog_entry("halfplane-y", hp, 2.0)
     rng = CoordinateRange(1e-3, 1e3)
     grid = build_grid(rng, 2000, "log")

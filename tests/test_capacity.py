@@ -9,8 +9,8 @@ from phardy.errors import InvalidArgumentError, UnsupportedModelError
 from phardy.functionals import hardy_case
 from phardy.geometry import (
     CoordinateRange,
+    ModelManifold,
     euclidean_radial,
-    half_plane_poincare,
     hyperbolic_radial,
     interval,
 )
@@ -52,7 +52,7 @@ def test_degenerate_annulus_rejected():
 def test_capacity_needs_a_radial_model():
     # the half-plane reduction is per unit length: its capacities would
     # call the hyperbolic plane p-parabolic
-    for model in (half_plane_poincare(), interval(0.0, 1.0)):
+    for model in (ModelManifold("half_plane"), interval(0.0, 1.0)):
         with pytest.raises(UnsupportedModelError, match="radial models"):
             radial_capacity(model, 2.0, 0.1, 0.5)
 

@@ -385,11 +385,16 @@ def test_bundled_config_loads_and_validates():
         load_config("/definitely/not/here.json")
 
 
+def bundled_config(*ids, n_test_functions=3):
+    """The bundled suite cut down to the cases of the given ids, copied."""
+    cfg = load_config(None)
+    cases = [copy.deepcopy(c) for i in ids for c in cfg["cases"] if c["id"] == i]
+    return {"seed": cfg["seed"], "n_test_functions": n_test_functions, "cases": cases}
+
+
 def ball_config():
     """The bundled suite cut down to its hardy-log-ball-p2 case."""
-    cfg = load_config(None)
-    spec = next(c for c in cfg["cases"] if c["id"] == "hardy-log-ball-p2")
-    return {"seed": cfg["seed"], "n_test_functions": 3, "cases": [spec]}
+    return bundled_config("hardy-log-ball-p2")
 
 
 DROP = object()
@@ -561,6 +566,90 @@ def test_bad_field_stops_the_run_before_any_case(name, monkeypatch):
     with pytest.raises(ConfigError, match="'later'"):
         run_suite(cfg)
     assert ran == []
+
+
+def run_main(cfg, tmp_path, capsys):
+    """main's exit code, stderr and report on the config cfg."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    report = tmp_path / "out" / "report.json"
+    return code, capsys.readouterr().err, json.loads(report.read_text()) if code < 2 else None
+
+
+@pytest.mark.parametrize("case_id, count, nonfinite", [
+    ("caccioppoli-q0", 40, 35),
+    ("caccioppoli-q2", 40, 37),
+    ("divergence-davies-hinz", 40, 36),
+    ("divergence-davies-hinz", 8, 8),
+])
+def test_non_finite_margins_fail_the_case(case_id, count, nonfinite, tmp_path, capsys):
+    # on a grid from 1e-300 the first cells are so narrow that the square of
+    # a test function's slope there overflows, and inf times the vanishing B
+    # is NaN: each such margin is counted, and the case fails however good
+    # the finite ones are; with none finite there is no worst function
+    cfg = bundled_config(case_id, n_test_functions=count)
+    cfg["cases"][0]["grid"]["lo"] = 1e-300
+    code, _, report = run_main(cfg, tmp_path, capsys)
+    assert code == 1
+    record = report["cases"][0]
+    sides = record["sides"]
+    assert record["status"] == "fail" and not sides["passed"]
+    assert sides["n_nonfinite"] == nonfinite
+    if nonfinite == count:
+        assert sides["worst"] == {} and sides["min_margin_rel"] is None
+        row = (tmp_path / "out" / "sides.csv").read_text().splitlines()[1].split(",")
+        assert row[3:8] == [""] * 5
+    else:
+        assert math.isfinite(sides["min_margin_rel"]) and sides["worst"]
+
+
+@pytest.mark.parametrize("case_id, key, value", [
+    ("hardy-sobolev-euclidean3", "p_star", 1e-300),  # a side's power 1/p* overflows
+    ("classify-euclidean2-p2", "p", 1e300),  # every capacity underflows to 0
+])
+def test_an_overflow_exits_3_naming_the_case(case_id, key, value, tmp_path, capsys):
+    cfg = bundled_config(case_id)
+    cfg["cases"][0]["params"][key] = value
+    code, err, _ = run_main(cfg, tmp_path, capsys)
+    assert code == 3 and err.startswith(f"numerical error in case {case_id}:")
+
+
+@pytest.mark.parametrize("key, value", [
+    (("model", "a"), -1.0), (("model", "b"), 2.0), (("grid", "lo"), 0.5),
+])
+def test_distance_hardy_constant_that_vanishes_exits_2(key, value, tmp_path, capsys):
+    # the grid ends inside the interval, where the eigenfunction vanishes but
+    # the distance does not: the interior bound, and so the constant, is 0
+    cfg = bundled_config("distance-hardy-interval")
+    cfg["cases"][0][key[0]][key[1]] = value
+    code, err, _ = run_main(cfg, tmp_path, capsys)
+    assert code == 2 and err.startswith("config error: case 'distance-hardy-interval'")
+    assert "'params'" in err
+
+
+def test_eigen_cases_without_an_id_get_their_builders_ids():
+    cfg = bundled_config("eigen-hardy-interval", "eigen-hardy-interval")
+    for case, alpha in zip(cfg["cases"], (0, 0.5)):
+        del case["id"]
+        case["params"]["alpha"] = alpha
+    records = run_suite(cfg)["cases"]
+    assert sorted(r["case_id"] for r in records) == [
+        "eigen-hardy[interval|p=2|alpha=0.5]", "eigen-hardy[interval|p=2|alpha=0]"
+    ]
+    assert all(r["status"] == "pass" and r["eigen"]["converged"] for r in records)
+
+
+def test_an_eigen_solve_error_exits_3_naming_the_case(tmp_path, capsys):
+    # sinh^2 overflows on the hyperbolic grid out to 800, so the solve, which
+    # the config check runs, finds its densities not finite
+    cfg = bundled_config("eigen-hardy-interval")
+    cfg["cases"][0].update(
+        model={"kind": "hyperbolic", "dim": 3},
+        grid={"lo": 0.01, "hi": 800.0, "n": 200, "spacing": "linear"},
+    )
+    code, err, _ = run_main(cfg, tmp_path, capsys)
+    assert code == 3 and err.startswith("numerical error in case eigen-hardy-interval:")
 
 
 def test_negative_tol_disc_flag_exit_2(tmp_path, capsys):

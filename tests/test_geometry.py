@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from phardy.errors import DomainError, InvalidArgumentError, UnsupportedModelError
 from phardy.geometry import (
     CoordinateRange,
+    ModelManifold,
     euclidean_radial,
-    half_plane_poincare,
     hyperbolic_radial,
     interval,
     model_from_config,
@@ -23,7 +23,7 @@ def test_euclidean_density_unit_circle():
 
 
 def test_half_plane_density():
-    m = half_plane_poincare()
+    m = ModelManifold("half_plane")
     assert m.volume_density(2.0) == pytest.approx(0.25, rel=1e-15)
 
 
@@ -35,7 +35,7 @@ def test_hyperbolic_density_matches_library_sinh():
 
 def test_gradient_factors():
     assert interval(0, 1).gradient_factor(0.5) == 1.0
-    assert half_plane_poincare().gradient_factor(3.0) == 3.0
+    assert ModelManifold("half_plane").gradient_factor(3.0) == 3.0
     assert euclidean_radial(3).gradient_factor(7.0) == 1.0
 
 
@@ -46,7 +46,7 @@ def test_distance_laplacian():
     )
     assert euclidean_radial(2).laplacian_of_distance(0.5) == pytest.approx(2.0)
     with pytest.raises(UnsupportedModelError):
-        half_plane_poincare().laplacian_of_distance(1.0)
+        ModelManifold("half_plane").laplacian_of_distance(1.0)
     with pytest.raises(UnsupportedModelError):
         interval(0, 1).laplacian_of_distance(0.5)
 
@@ -55,14 +55,14 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         euclidean_radial(3).volume_density(-1.0)
     with pytest.raises(DomainError):
-        half_plane_poincare().gradient_factor(0.0)
+        ModelManifold("half_plane").gradient_factor(0.0)
     with pytest.raises(DomainError):
         interval(0, 1).volume_density(1.5)
 
 
 def test_positivity_on_range():
     t = np.geomspace(1e-6, 1e2, 200)
-    for m in (euclidean_radial(2), hyperbolic_radial(4), half_plane_poincare()):
+    for m in (euclidean_radial(2), hyperbolic_radial(4), ModelManifold("half_plane")):
         assert np.all(m.volume_density(t) > 0)
         assert np.all(m.gradient_factor(t) > 0)
 
@@ -90,7 +90,7 @@ def test_hyperbolic_dominates_euclidean():
 
 def test_log_density_consistent_and_stable():
     t = np.geomspace(0.1, 50.0, 50)
-    for m in (euclidean_radial(3), hyperbolic_radial(3), half_plane_poincare()):
+    for m in (euclidean_radial(3), hyperbolic_radial(3), ModelManifold("half_plane")):
         np.testing.assert_allclose(
             m.log_volume_density(t), np.log(m.volume_density(t)), rtol=1e-12
         )

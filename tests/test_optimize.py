@@ -13,8 +13,8 @@ from phardy.forms import P1Forms, TridiagFactor, interior
 from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
+    ModelManifold,
     euclidean_radial,
-    half_plane_poincare,
     interval,
 )
 from phardy.grids import build_grid
@@ -71,7 +71,7 @@ def test_hardy_quotient_matches_log_oracle():
 
 
 def test_halfplane_quotient_matches_oracle():
-    hp = half_plane_poincare()
+    hp = ModelManifold("half_plane")
     w = rho_catalog_entry("halfplane-y", hp, 2.0)
     rng = CoordinateRange(1e-3, 1e3)
     grid = build_grid(rng, 2000, "log")

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import phardy
+import phardy.cli
 from phardy.errors import InvalidArgumentError
-from phardy.functionals import hardy_case, weighted_hardy_case
+from phardy.functionals import KINDS, hardy_case, weighted_hardy_case
 from phardy.geometry import CoordinateRange, euclidean_radial
 from phardy.weights import rho_catalog_entry
 
@@ -37,8 +38,9 @@ def test_no_private_names_imported_across_modules():
 
 
 def _references(path):
-    """Every name a source file uses: names, attributes, string constants
-    (a name handed over as a string) and, in __init__.py, its exports."""
+    """Every name a source file uses: names, attributes and string constants
+    (a name handed over as a string); an import, __init__.py's exports
+    included, is no use of its own."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             yield node.id
@@ -46,8 +48,6 @@ def _references(path):
             yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
-        elif isinstance(node, ast.alias) and path.name == "__init__.py":
-            yield node.name
 
 
 def test_banded_solver_imported_only_by_forms():
@@ -110,9 +110,11 @@ def _definitions(tree):
 
 
 def test_every_definition_is_used_outside_the_tests():
-    # reference code that only tests call belongs in tests/oracles.py; the
-    # one method allowed is read by tests alone: ModelManifold.volume_density,
-    # the reference that log_volume_density is checked against
+    # reference code that only tests call belongs in tests/oracles.py, and an
+    # export alone does not keep a definition; the two allowed are
+    # ModelManifold.volume_density, read by tests alone as the reference that
+    # log_volume_density is checked against, and green_weight_radial, the
+    # Green weight a p-hyperbolic classification is to be witnessed with
     users = [*SRC.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
     used = {name for path in users for name in _references(path)}
     unused = [
@@ -121,7 +123,62 @@ def test_every_definition_is_used_outside_the_tests():
         for name, label in _definitions(ast.parse(path.read_text()))
         if name not in used
     ]
-    assert unused == ["geometry.py: ModelManifold.volume_density"]
+    assert unused == [
+        "geometry.py: ModelManifold.volume_density", "weights.py: green_weight_radial"
+    ]
+
+
+def _kind_names(path, blocks=()):
+    """file:line of every place a source file compares something with the
+    name of an inequality kind (a key of KINDS) or matches a case pattern
+    against one, and of every dict literal keyed and every subscript taken
+    by one, less the names in blocks (report blocks named like a kind)."""
+    def named(node, names):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(named(elt, names) for elt in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value in names
+
+    keys = KINDS.keys() - set(blocks)
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            found = any(named(side, KINDS) for side in (node.left, *node.comparators))
+        elif isinstance(node, ast.MatchValue):
+            found = named(node.value, KINDS)
+        elif isinstance(node, ast.Dict):
+            found = any(key is not None and named(key, keys) for key in node.keys)
+        elif isinstance(node, ast.Subscript):
+            found = named(node.slice, keys)
+        else:
+            continue
+        if found:
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_cli_names_no_kind():
+    # every per-kind fact is a column of the kind's KINDS row, so the runner
+    # treats each kind by its row, never by its name; a classification's
+    # record block is called "classification" too, which is no kind test
+    assert _kind_names(SRC / "cli.py", phardy.cli._REPORT_BLOCKS) == []
+
+
+def test_kind_name_guard_finds_each_form(tmp_path):
+    source = tmp_path / "mod.py"
+    lines = [
+        "if name == 'classification': pass",
+        "runners = {'eigen-hardy': run}",
+        "ok = name in ('gn', 'x')",
+        "row = KINDS['hardy']",
+        "ok = kind.source == 'model' and name != 'x' and {'p': 1}['p']",
+        "blocks = {'classification': set()}; block = record['classification']",
+        "match name:\n    case 'ckn': pass",
+    ]
+    source.write_text("\n".join(lines))
+    want = ["mod.py:1", "mod.py:2", "mod.py:3", "mod.py:4", "mod.py:8"]
+    assert sorted(_kind_names(source, {"classification"})) == want
+    assert sorted(_kind_names(source)) == sorted(want + ["mod.py:6", "mod.py:6"])
 
 
 def test_every_traced_name_exists():

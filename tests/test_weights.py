@@ -18,8 +18,8 @@ from phardy.capacity import green_integrals
 from phardy.errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
 from phardy.geometry import (
     CoordinateRange,
+    ModelManifold,
     euclidean_radial,
-    half_plane_poincare,
     hyperbolic_radial,
     interval,
 )
@@ -41,7 +41,7 @@ def wide_grid(n=900):
 
 
 def test_halfplane_height_harmonic():
-    w = rho_catalog_entry("halfplane-y", half_plane_poincare(), 2.0)
+    w = rho_catalog_entry("halfplane-y", ModelManifold("half_plane"), 2.0)
     t = np.geomspace(0.1, 10, 20)
     assert np.all(w.grad_norm(t) == t)
 
@@ -270,7 +270,7 @@ CATALOG = {
     "constant": ({}, "constant:c=1", {"c": 1.0}, "EHPI"),
 }
 MODEL_KINDS = {
-    "E": euclidean_radial(3), "H": hyperbolic_radial(3), "P": half_plane_poincare(),
+    "E": euclidean_radial(3), "H": hyperbolic_radial(3), "P": ModelManifold("half_plane"),
     "I": interval(0.0, 1.0),
 }
 
