@@ -28,6 +28,7 @@ from .functionals import (
 from .optimize import (
     MinimizationResult,
     convergence_study,
+    minimize_quotient,
     minimize_quotient_general_p,
     minimize_quotient_p2,
 )

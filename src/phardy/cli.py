@@ -71,6 +71,7 @@ _CONFIG_RULES = {
 }
 _GRID_RULES = {"lo": float, "hi": float, "n": int, "spacing": "log"}
 _CHECK_RULES = {"hypothesis": True, "minimize": False}
+_VERDICTS = ("", "p_parabolic", "p_hyperbolic")  # a classification's 'expect'
 _MODEL_RULES = {
     "euclidean": {"dim": int}, "hyperbolic": {"dim": int}, "half_plane": {},
     "interval": {"a": float, "b": float},
@@ -147,6 +148,10 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     if kind.source == "model":
         if not c["model"].is_radial:
             raise ConfigError(f"{where}: 'model': {name} needs a radial model")
+        if c["expect"] not in _VERDICTS:
+            raise ConfigError(f"{where}: unknown 'expect' {c['expect']!r}")
+        m = c["model"]
+        c["id"] = c["id"] or f"classification[{m.kind}|N={m.dim}|p={params['p']:g}]"
         return c
     g = _checked(f"{where} grid", c["grid"], _GRID_RULES)
     c["rng"] = _built(where, "grid", CoordinateRange, g["lo"], g["hi"])
@@ -173,6 +178,7 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
     else:  # a field's factory takes p with the other params
         args, others = (c["model"],), params
     c["case"] = _built(where, "params", kind.factory, *args, case_id=c["id"], **others)
+    c["id"] = c["case"].case_id
     # the runner's weak sign check needs room for one test bump
     if c["checks"]["hypothesis"] and c["case"].hypothesis_mode:
         _built(where, "grid", check_bump_grid, c["grid"])
@@ -251,7 +257,7 @@ def _run_inequality_case(c, conf, record):
     """Check the case; one built from an eigenpair records the pair, and
     fails when the pair did not converge."""
     case, grid = c["case"], c["grid"]
-    record["case_id"] = case.case_id
+    record["case_id"] = c["id"]
     pair = c.get("pair")
     if pair is not None:
         record["eigen"] = {
@@ -266,27 +272,23 @@ def _run_inequality_case(c, conf, record):
     if c["checks"]["hypothesis"] and not _run_hypothesis(c, record, case):
         return
 
-    with fn.assembled(case, grid):
-        ok = _run_margins(c, conf, record, case)
-        if c["checks"]["minimize"]:
-            if case.p == 2.0:
-                res = opt.minimize_quotient_p2(case, grid)
-            else:
-                res = opt.minimize_quotient_general_p(case, grid, max_iter=c["max_iter"])
-            bound_ok = res.quotient >= case.formula_constant - conf["tol_disc"]
-            record["minimization"] = {
-                "quotient": res.quotient,
-                "iterations": res.iterations,
-                "converged": res.converged,
-                "bound_ok": bound_ok,
-            }
-            optional = (("lower", res.lower), ("residual", res.residual), ("stop", res.stop))
-            for key, value in optional:
-                if value is not None:
-                    record["minimization"][key] = value
-            if case.oracle_shift > 0:
-                record["minimization"]["extrapolated"] = opt.extrapolated(case, res.quotient, grid)
-            ok = ok and bound_ok
+    ok = _run_margins(c, conf, record, case)
+    if c["checks"]["minimize"]:
+        res = opt.minimize_quotient(case, grid, max_iter=c["max_iter"])
+        bound_ok = res.quotient >= case.formula_constant - conf["tol_disc"]
+        record["minimization"] = {
+            "quotient": res.quotient,
+            "iterations": res.iterations,
+            "converged": res.converged,
+            "bound_ok": bound_ok,
+        }
+        optional = (("lower", res.lower), ("residual", res.residual), ("stop", res.stop))
+        for key, value in optional:
+            if value is not None:
+                record["minimization"][key] = value
+        if case.oracle_shift > 0:
+            record["minimization"]["extrapolated"] = opt.extrapolated(case, res.quotient, grid)
+        ok = ok and bound_ok
 
     record["status"] = "pass" if ok and (pair is None or pair.converged) else "fail"
 
@@ -294,7 +296,7 @@ def _run_inequality_case(c, conf, record):
 def _run_classification_case(c, conf, record):
     model, params = c["model"], c["params"]
     p, a = params["p"], params["a"]
-    record["case_id"] = c["id"] or f"classification[{model.kind}|N={model.dim}|p={p:g}]"
+    record["case_id"] = c["id"]
     cls = capacity_mod.classify_parabolicity(
         model, p, a=a, b_schedule=capacity_mod.default_b_schedule(a, params["decades"])
     )
@@ -309,8 +311,11 @@ def run_suite(cfg: dict) -> dict:
     if conf["tol_disc"] < 0:
         raise ConfigError(f"config: 'tol_disc' must be >= 0, got {conf['tol_disc']!r}")
     cases = [_checked_case(i, spec, conf) for i, spec in enumerate(conf["cases"])]
+    for i, c in enumerate(cases):
+        if c["id"] in (d["id"] for d in cases[:i]):
+            raise ConfigError(f"case {c['id']!r}: duplicate 'id'")
     records = []
-    for i, (spec, c) in enumerate(zip(conf["cases"], cases)):
+    for spec, c in zip(conf["cases"], cases):
         # the grid that was checked, spacing as build_grid normalized it
         grid = {"lo": c["rng"].lo, "hi": c["rng"].hi, "n": c["grid"].n,
                 "spacing": c["grid"].spacing} if "rng" in c else {}
@@ -323,10 +328,8 @@ def run_suite(cfg: dict) -> dict:
         try:
             (_run_inequality_case if "case" in c else _run_classification_case)(c, conf, record)
         except ToolkitError as exc:
-            exc.case_id = record.get("case_id", c["id"] or f"case-{i}")
+            exc.case_id = c["id"]
             raise
-        if record["case_id"] in {r["case_id"] for r in records}:
-            raise ConfigError(f"case {record['case_id']!r}: duplicate 'id'")
         records.append(record)
     records.sort(key=lambda r: r["case_id"])
     summary = {

@@ -15,7 +15,6 @@ integrals.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,7 +70,6 @@ class InequalityCase:
     trivial: bool = False
     oracle_shift: float = 0.0  # (pi/L)^2 scale factor when the log oracle applies
     hypothesis_result: CheckResult | None = field(default=None, repr=False)
-    _assembled: P1Forms | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.case_id, str):
@@ -91,26 +89,22 @@ class InequalityCase:
 # ---------------------------------------------------------------------------
 # P1 forms of a case
 
+_last = None  # (case, grid, forms) of the last assembly case_forms made
+
+
 def case_forms(case, grid: RadialGrid) -> P1Forms:
-    """The P1 forms of the case's densities on grid: those held by an open
-    ``assembled`` block for that grid, else assembled anew."""
-    held = case._assembled
-    if held is not None and held.grid is grid:
-        return held
+    """The P1 forms of the case's densities on grid: the last ones made if
+    they were for this case and grid, else new forms, made once the held
+    ones are dropped, so no more than one set is alive."""
+    global _last
+    held = _last
+    if held is not None and held[0] is case and held[1] is grid:
+        return held[2]
+    _last = held = None
     factors = functools.partial(KINDS[case.kind].densities, case)
-    return P1Forms(grid, model_densities(case.model, case.p, factors))
-
-
-@contextmanager
-def assembled(case, grid: RadialGrid):
-    """Keep the case's P1 forms on grid for the block, so its side calls
-    and minimizations on that grid share one assembly; released on exit."""
-    outer = case._assembled
-    case._assembled = case_forms(case, grid)
-    try:
-        yield
-    finally:
-        case._assembled = outer
+    forms = P1Forms(grid, model_densities(case.model, case.p, factors))
+    _last = (case, grid, forms)
+    return forms
 
 
 def _require_hypothesis(case: InequalityCase):
@@ -135,32 +129,26 @@ def validate_case_hypothesis(case: InequalityCase, grid: RadialGrid) -> CheckRes
 # ---------------------------------------------------------------------------
 # sides: each kind's factors (a_1, ..., a_k, b) and the exponents of its integrals
 
-def sides_for(case: InequalityCase, u: GridFunction | list) -> SidePair | list[SidePair]:
+def sides_for(case: InequalityCase, u: GridFunction | FunctionBlock) -> SidePair | list[SidePair]:
     """Sides of any case whose kind has side densities: from the integrals
     I_1, ..., I_k, I_grad of its forms, lhs = I_1^e_1 and rhs = I_grad^e
     I_2^e_2 ... I_k^e_k with the exponents of its kind (see ``Kind``), the
     constant a factor of the side the kind names.  u is one GridFunction,
-    or a list (or FunctionBlock) of them on one grid, whose integrals come
-    from one ``P1Forms.integrals`` call over their values, with a SidePair
-    for each; a function gives the same pair alone and in a list.  A
-    FunctionBlock's rows go in as they are; a list is stacked.  An
-    integral that overflows gives a pair that is not finite; a side whose
-    outer power overflows raises NonFiniteIntegrandError."""
+    or a FunctionBlock whose rows go to one ``P1Forms.integrals`` call,
+    with a SidePair for each; a function gives the same pair alone and in
+    a block.  An integral that overflows gives a pair that is not finite;
+    a side whose outer power overflows raises NonFiniteIntegrandError."""
     kind = KINDS.get(case.kind)
     if kind is None or kind.densities is None:
         raise InvalidArgumentError(f"no sides evaluator for kind {case.kind!r}")
     _require_hypothesis(case)
-    us = [u] if isinstance(u, GridFunction) else u
-    if not us:
+    block = isinstance(u, FunctionBlock)
+    if not (block or isinstance(u, GridFunction)):
+        raise InvalidArgumentError(f"sides_for takes a function or a block, got {type(u).__name__}")
+    if block and not u:
         return []
-    grid = us[0].grid
-    if any(v.grid is not grid for v in us):
-        raise InvalidArgumentError("the functions of one sides_for call share a grid")
+    grid, rows = (u[0].grid, u.rows) if block else (u.grid, u.values[None])
     qs, es = kind.exponents(case) if kind.exponents else ((case.p, case.p), (1, 1))
-    if isinstance(u, FunctionBlock):
-        rows = u.rows
-    else:
-        rows = us[0].values[None] if len(us) == 1 else np.stack([v.values for v in us])
     c = case.formula_constant
     with np.errstate(over="ignore", invalid="ignore"):
         sums = case_forms(case, grid).integrals(rows, qs)

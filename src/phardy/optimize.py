@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ZeroDenominatorError
 from .forms import P1Forms, TridiagFactor, apply_tridiag, interior
 from . import functionals  # sides_for looked up on the module, where wrappers see it
-from .functionals import InequalityCase, assembled, case_forms
+from .functionals import InequalityCase, case_forms
 from .geometry import CoordinateRange
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 from .weights import check_weight_finite
@@ -266,6 +266,13 @@ def minimize_quotient_general_p(
     return descend_quotient(case_forms(case, grid), p, seed, max_iter=max_iter)
 
 
+def minimize_quotient(case: InequalityCase, grid: RadialGrid, max_iter: int = MAX_ITER):
+    """minimize_quotient_p2 at p = 2, else minimize_quotient_general_p."""
+    if case.p == 2.0:
+        return minimize_quotient_p2(case, grid)
+    return minimize_quotient_general_p(case, grid, max_iter=max_iter)
+
+
 @dataclass
 class StudyResult:
     grids: list
@@ -287,24 +294,16 @@ def extrapolated(case: InequalityCase, quotient: float, grid: RadialGrid) -> flo
 def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> StudyResult:
     """Minimize on the widening ranges (1e-2-k, 1e2+k) with n0 2^k nodes,
     k < levels, and extrapolate each quotient by ``extrapolated``."""
-    grids, results, quotients, gaps, extrapolations = [], [], [], [], []
-    for k in range(levels):
-        rng = CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k))
-        grid = build_grid(rng, n0 * 2 ** k, LOG)
-        with assembled(case, grid):
-            if case.p != 2.0:
-                res = minimize_quotient_general_p(case, grid)
-            else:
-                res = minimize_quotient_p2(case, grid)
-            gaps.append(functionals.sides_for(case, res.minimizer).margin)
-        grids.append(grid)
-        results.append(res)
-        quotients.append(res.quotient)
-        extrapolations.append(extrapolated(case, res.quotient, grid))
+    grids = [build_grid(CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k)), n0 * 2 ** k, LOG)
+             for k in range(levels)]
+    results, gaps = [], []
+    for grid in grids:  # the gap of each minimizer on the forms of its solve
+        results.append(minimize_quotient(case, grid))
+        gaps.append(functionals.sides_for(case, results[-1].minimizer).margin)
     return StudyResult(
         grids=grids,
         results=results,
-        quotients=quotients,
+        quotients=[res.quotient for res in results],
         gaps=gaps,
-        extrapolated=extrapolations,
+        extrapolated=[extrapolated(case, res.quotient, g) for g, res in zip(grids, results)],
     )

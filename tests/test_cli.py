@@ -31,9 +31,9 @@ from phardy.cli import (
     seeded_blocks,
 )
 from phardy.errors import ConfigError
-from phardy.functionals import KINDS, hardy_case, sides_for
+from phardy.functionals import KINDS, InequalityCase, hardy_case, sides_for
 from phardy.geometry import CoordinateRange, euclidean_radial
-from phardy.grids import GridFunction, build_grid
+from phardy.grids import FunctionBlock, build_grid
 from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry
 
@@ -119,8 +119,8 @@ def test_sweep_generates_one_stream_block_by_block(count, monkeypatch):
 def test_bundled_suite_report_matches_the_one_by_one_sweep(tmp_path, monkeypatch):
     # the sweep draws each block as one array and integrates its rows as they
     # stand; `phardy run` on the bundled suite at 200 test functions per case
-    # writes the same bytes when every function is drawn, evaluated on the
-    # whole grid and stacked one at a time
+    # writes the same bytes when every function is drawn and evaluated on the
+    # whole grid one at a time, and the block stacked from them
     cfg = json.loads(bundled_config_path().read_text())
     cfg["n_test_functions"] = 200
     path = tmp_path / "cfg.json"
@@ -128,8 +128,9 @@ def test_bundled_suite_report_matches_the_one_by_one_sweep(tmp_path, monkeypatch
     assert main(["run", str(path), "--out-dir", str(tmp_path / "block")]) == 0
     monkeypatch.setattr(
         phardy.cli, "random_test_functions",
-        lambda grid, count, rng: [GridFunction(grid, v)
-                                  for v in seeded_functions_one_by_one(grid, count, rng)],
+        lambda grid, count, rng: FunctionBlock(
+            grid, np.stack(seeded_functions_one_by_one(grid, count, rng))
+        ),
     )
     assert main(["run", str(path), "--out-dir", str(tmp_path / "one")]) == 0
     block, one = ((tmp_path / out / "report.json").read_bytes() for out in ("block", "one"))
@@ -438,13 +439,14 @@ def _eigen(kind, model=None, **params):
     return mutate
 
 
-def _classification(model):
-    """A mutation that turns the case into a classification case on model."""
+def _classification(model, **keys):
+    """A mutation that turns the case into a classification case on model,
+    with the given keys."""
     def mutate(cfg):
         case = cfg["cases"][0]
         for key in ("weight", "grid", "checks"):
             case.pop(key, None)
-        case.update(kind="classification", model=model, params={"p": 2})
+        case.update(kind="classification", model=model, params={"p": 2}, **keys)
     return mutate
 
 
@@ -512,6 +514,9 @@ BAD_CONFIGS = {
         _classification({"kind": "interval", "a": 0.0, "b": 1.0}), "'model'", True
     ),
     "classification-half-plane": (_classification({"kind": "half_plane"}), "'model'", True),
+    "classification-expect-misspelt": (
+        _classification({"kind": "euclidean", "dim": 2}, expect="parabolic"), "'expect'", True
+    ),
     "hardy-constant-underflows": (  # ((1e-10)/100)^100 is 0.0, yet alpha != p - 1
         lambda cfg: cfg["cases"][0].update(
             kind="weighted-hardy", params={"p": 100, "alpha": 99 + 1e-10}
@@ -547,6 +552,70 @@ def test_bundled_degenerate_case_stays_trivial():
     spec = next(c for c in cfg["cases"] if c["id"] == "weighted-hardy-alpha-1-degenerate")
     report = run_suite({"seed": cfg["seed"], "n_test_functions": 3, "cases": [spec]})
     assert [r["status"] for r in report["cases"]] == ["trivial"]
+
+
+@pytest.mark.parametrize("ids, drop_ids", [
+    (["hardy-euclidean3-p2"] * 2, False),
+    (["hardy-euclidean3-p2"] + ["classify-euclidean2-p2"] * 2, False),
+    # two classifications of one model at one p share their default id
+    (["hardy-euclidean3-p2"] + ["classify-euclidean2-p2"] * 2, True),
+])
+def test_duplicate_ids_stop_the_run_before_any_case(ids, drop_ids, monkeypatch):
+    cfg = bundled_config(*ids)
+    if drop_ids:
+        for case in cfg["cases"][1:]:
+            del case["id"]
+    ran = []
+    for runner in ("_run_inequality_case", "_run_classification_case"):
+        monkeypatch.setattr(phardy.cli, runner, lambda *args: ran.append(args))
+    with pytest.raises(ConfigError, match="duplicate 'id'"):
+        run_suite(cfg)
+    assert ran == []
+
+
+# the cases whose evidence fails each constant made f times stronger, with
+# the blocks that failed them (ROADMAP item 8)
+STRONGER_FAILS = {
+    1.0: {},
+    1.1: {
+        "halfplane-hardy-alpha-neg1": ["minimization"],
+        "halfplane-hardy-alpha3": ["minimization"],
+    },
+    2.0: {
+        "divergence-davies-hinz": ["sides"],
+        "halfplane-hardy-alpha-neg1": ["sides", "minimization"],
+        "halfplane-hardy-alpha0": ["minimization"],
+        "halfplane-hardy-alpha3": ["sides", "minimization"],
+        "hardy-euclidean3-p2": ["minimization"],
+        "hardy-hyperbolic3-p2": ["minimization"],
+        "weighted-hardy-alpha-neg1": ["sides"],
+    },
+}
+
+
+@pytest.mark.parametrize("f", sorted(STRONGER_FAILS))
+def test_constants_made_stronger_fail_the_pinned_cases(f, monkeypatch):
+    # every constant f times stronger: times f, or over f where it is a
+    # factor of rhs; the bundled suite runs as shipped
+    post_init = InequalityCase.__post_init__
+
+    def stronger(case):
+        post_init(case)
+        if KINDS[case.kind].constant_on_rhs:
+            case.formula_constant /= f
+        else:
+            case.formula_constant *= f
+
+    monkeypatch.setattr(InequalityCase, "__post_init__", stronger)
+    report = run_suite(load_config(None))
+    checks = {"sides": "passed", "minimization": "bound_ok"}
+    failed = {
+        r["case_id"]: [block for block, ok in checks.items() if block in r and not r[block][ok]]
+        for r in report["cases"] if r["status"] == "fail"
+    }
+    assert failed == STRONGER_FAILS[f]
+    assert report["summary"]["n_trivial"] == 1
+    assert report["summary"]["n_pass"] == 23 - len(failed)
 
 
 # the checks that build something of the case: a field, the eigen kinds'

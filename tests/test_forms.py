@@ -18,7 +18,7 @@ from phardy.cli import load_config, run_suite
 from phardy.eigen import first_eigenpair
 from phardy.errors import InvalidArgumentError, NonFiniteIntegrandError, ToolkitError
 from phardy.forms import P1Forms, TridiagFactor, interior
-from phardy.functionals import assembled, case_forms, gn_case, hardy_case, sides_for
+from phardy.functionals import case_forms, gn_case, hardy_case, sides_for
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import build_grid
 from phardy.optimize import (
@@ -191,12 +191,11 @@ def test_p2_study_step_holds_no_gauss_array():
     case = _power_case(lambda e3, w: hardy_case(e3, w))
     grid = build_grid(CoordinateRange(1e-2, 1e2), 64_000, "log")
     minimize_quotient_p2(case, build_grid(CoordinateRange(1e-2, 1e2), 50, "log"))  # warm caches
-    with assembled(case, grid):
-        forms = case_forms(case, grid)
-        bands = list(map(interior, forms.pencil()))
-        _, solver = _traced(lambda: bottom_eigenpair(*bands))
-        del bands
-        _, step = _traced(lambda: sides_for(case, minimize_rayleigh_p2(forms).minimizer))
+    forms = case_forms(case, grid)
+    bands = list(map(interior, forms.pencil()))
+    _, solver = _traced(lambda: bottom_eigenpair(*bands))
+    del bands
+    _, step = _traced(lambda: sides_for(case, minimize_rayleigh_p2(forms).minimizer))
     assert step - solver < (grid.n - 1) * 8 * 8
 
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from phardy.errors import (
     RelationViolationError,
 )
 from phardy.functionals import (
-    assembled,
     caccioppoli_case,
+    case_forms,
     ckn_case,
     divergence_case,
     gn_case,
@@ -25,6 +26,7 @@ from phardy.functionals import (
     validate_case_hypothesis,
     weighted_hardy_case,
 )
+from phardy.forms import P1Forms
 from phardy.geometry import CoordinateRange, euclidean_radial, interval
 from phardy.grids import GridFunction, build_grid
 from phardy.testfunctions import random_test_functions
@@ -62,11 +64,10 @@ def test_zero_function_gives_zero_sides():
 def test_hardy_margin_positive_for_bumps():
     grid = log_grid()
     case = hardy_e3_case()
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 20, seed=7):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
-            assert pair.constant == 0.25
+    for u in random_test_functions(grid, 20, seed=7):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
+        assert pair.constant == 0.25
 
 
 def test_log_tent_quotient_matches_substitution_oracle():
@@ -90,42 +91,47 @@ def test_weighted_alpha_zero_equals_hardy():
     case0 = hardy_e3_case()
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case_alpha = weighted_hardy_case(E3, w, 0.0)
-    with assembled(case0, grid), assembled(case_alpha, grid):
-        for u in random_test_functions(grid, 20, seed=11):
-            a = sides_for(case0, u)
-            b = sides_for(case_alpha, u)
-            assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
-            assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
-            assert b.margin == pytest.approx(a.margin, rel=1e-12)
+    fns = random_test_functions(grid, 20, seed=11)
+    for a, b in zip(sides_for(case0, fns), sides_for(case_alpha, fns)):
+        assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
+        assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
+        assert b.margin == pytest.approx(a.margin, rel=1e-12)
 
 
-def test_margin_sweep_reuses_and_releases_its_data():
+def test_margin_sweep_reuses_and_releases_its_data(monkeypatch):
+    # one P1Forms serves every sides_for call on a case and grid; forms for
+    # another case or grid are made only once the held ones are freed
+    made, alive = [], []
+    init = P1Forms.__init__
+
+    def counted(self, *args):
+        alive.append(sum(ref() is not None for ref in made))
+        made.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(P1Forms, "__init__", counted)
     grid = log_grid(500)
     for case in (hardy_e3_case(), divergence_case(E3, "davies-hinz", 2.0)):
         fns = random_test_functions(grid, 4, seed=5)
         alone = [sides_for(case, u) for u in fns]
-        with assembled(case, grid):
-            held = case._assembled
-            with assembled(case, grid):  # nested blocks share the outer forms
-                assert case._assembled is held
-            assert case._assembled is held
-            assert [sides_for(case, u) for u in fns] == alone
-            assert sides_for(case, fns) == alone  # one call for the block
-            assert sides_for(case, list(fns)) == alone  # stacked
-        assert case._assembled is None
+        assert sides_for(case, fns) == alone  # one call for the block
+        assert case_forms(case, grid) is made[-1]()
+        for other_case, other_grid in ((hardy_e3_case(), grid), (case, log_grid(500))):
+            case_forms(other_case, other_grid)
+            assert made[-2]() is None and made[-1]() is not None
+    assert len(made) == 6 and alive == [0] * 6
 
 
-def test_sides_of_an_empty_list_are_an_empty_list():
+def test_sides_of_an_empty_block_are_an_empty_list():
     case = hardy_e3_case()
-    assert sides_for(case, []) == []
     assert sides_for(case, random_test_functions(log_grid(500), 0, seed=5)) == []
 
 
-def test_sides_of_a_list_need_one_grid():
+def test_sides_take_a_function_or_a_block():
     fns = random_test_functions(log_grid(500), 2, seed=5)
-    other = random_test_functions(log_grid(500), 1, seed=5)  # equal nodes, another grid
-    with pytest.raises(InvalidArgumentError):
-        sides_for(hardy_e3_case(), fns + other)
+    for u in (list(fns), [], fns.rows, None):
+        with pytest.raises(InvalidArgumentError, match="a function or a block"):
+            sides_for(hardy_e3_case(), u)
 
 
 def test_weighted_degenerate_alpha():
@@ -180,10 +186,9 @@ def test_caccioppoli_margins_and_hypothesis():
         case = caccioppoli_case(E3, w, q)
         res = validate_case_hypothesis(case, grid)
         assert res.passed  # rho = r^2 is subharmonic
-        with assembled(case, grid):
-            for u in random_test_functions(grid, 10, seed=3):
-                pair = sides_for(case, u)
-                assert pair.margin >= -1e-6 * pair.rhs
+        for u in random_test_functions(grid, 10, seed=3):
+            pair = sides_for(case, u)
+            assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         caccioppoli_case(E3, w, -1.0)
 
@@ -196,9 +201,8 @@ def test_caccioppoli_interval_distance_q_equals_p():
     case = caccioppoli_case(m, w, 2.0)
     assert case.formula_constant == pytest.approx(((2 + 1) / 2) ** 2)
     validate_case_hypothesis(case, grid)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=5):
-            assert sides_for(case, u).margin >= 0.0
+    for u in random_test_functions(grid, 10, seed=5):
+        assert sides_for(case, u).margin >= 0.0
 
 
 def test_caccioppoli_rejects_superharmonic_weight():
@@ -218,10 +222,8 @@ def test_divergence_lemma_instances():
     grid = log_grid(1500, CoordinateRange(1e-2, 1e2))
     dh = divergence_case(E3, "davies-hinz", 2.0)
     kf = divergence_case(E3, "killing", 2.0)
-    with assembled(dh, grid), assembled(kf, grid):
-        for u in random_test_functions(grid, 10, seed=13):
-            assert sides_for(dh, u).margin >= 0.0
-            assert sides_for(kf, u).margin >= 0.0
+    fns = random_test_functions(grid, 10, seed=13)
+    assert all(pair.margin >= 0.0 for pair in sides_for(dh, fns) + sides_for(kf, fns))
     z = zero_fn(grid)
     assert sides_for(dh, z).margin == 0.0
 
@@ -260,10 +262,9 @@ def test_gn_margins_and_relation():
     case = gn_case(E3, w, delta=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=17):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+    for u in random_test_functions(grid, 10, seed=17):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
     case.params["s"] = 3.0  # violates s = p-1+delta/p = 2
     with pytest.raises(RelationViolationError):
         sides_for(case, bump(grid, -1.0, 1.0))
@@ -273,10 +274,9 @@ def test_uncertainty_margins_and_dilation_invariance():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = uncertainty_case(E3, w, s=2.0, a=2.0)
     grid = log_grid(1500)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=19):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+    for u in random_test_functions(grid, 10, seed=19):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
     # dilation u -> u(lam x): rhs/lhs is invariant (both sides scale alike)
     u = bump(grid, -2.0, 2.0)
     base = sides_for(case, u)
@@ -296,20 +296,18 @@ def test_hardy_sobolev_theta_zero_is_sobolev():
     case = hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=2.0)
     assert case.formula_constant == pytest.approx(2.0)
     grid = log_grid(1500)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=23):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+    for u in random_test_functions(grid, 10, seed=23):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_hardy_sobolev_weighted_margins():
     w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
     case = hardy_sobolev_case(E3, w, theta=-0.5, p_star=6.0, sobolev_constant=2.0)
     grid = log_grid(1500)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 20, seed=29):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+    for u in random_test_functions(grid, 20, seed=29):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
     with pytest.raises(InvalidArgumentError):
         hardy_sobolev_case(E3, w, theta=0.0, p_star=6.0, sobolev_constant=-1.0)
 
@@ -327,10 +325,9 @@ def valid_ckn_case(a=0.75, r=4.0, delta=0.5):
 def test_ckn_margins_valid_tuple():
     case = valid_ckn_case()
     grid = log_grid(1500)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 20, seed=31):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+    for u in random_test_functions(grid, 20, seed=31):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_ckn_rejects_infeasible_relations():
@@ -357,22 +354,19 @@ def test_ckn_a1_reduces_to_hardy_sobolev():
                   delta=0.3, sigma=0.0, sobolev_constant=2.0)
     assert ck.formula_constant == pytest.approx(hs.formula_constant, rel=1e-14)
     grid = log_grid(1500)
-    with assembled(hs, grid), assembled(ck, grid):
-        for u in random_test_functions(grid, 10, seed=37):
-            a = sides_for(hs, u)
-            b = sides_for(ck, u)
-            assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
-            assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
-            assert b.margin == pytest.approx(a.margin, rel=1e-12)
+    fns = random_test_functions(grid, 10, seed=37)
+    for a, b in zip(sides_for(hs, fns), sides_for(ck, fns)):
+        assert b.lhs == pytest.approx(a.lhs, rel=1e-12)
+        assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
+        assert b.margin == pytest.approx(a.margin, rel=1e-12)
 
 
 def test_hardy_gap_nonnegative_and_zero_at_zero():
     grid = log_grid(1200)
     case = hardy_e3_case()
     assert sides_for(case, zero_fn(grid)).margin == 0.0
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=41):
-            assert sides_for(case, u).margin > 0.0
+    for u in random_test_functions(grid, 10, seed=41):
+        assert sides_for(case, u).margin > 0.0
 
 
 def test_non_finite_integrand_raises():
@@ -396,9 +390,8 @@ def test_interval_distance_hardy_margin():
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=43):
-            assert sides_for(case, u).margin >= 0.0
+    for u in random_test_functions(grid, 10, seed=43):
+        assert sides_for(case, u).margin >= 0.0
 
 
 def test_halfspace_distance_hardy_on_interval():
@@ -410,10 +403,9 @@ def test_halfspace_distance_hardy_on_interval():
     case = hardy_case(m, w)
     res = validate_case_hypothesis(case, grid)
     assert res.passed  # x is harmonic on the interval
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 10, seed=47):
-            pair = sides_for(case, u)
-            assert pair.margin >= -1e-6 * pair.rhs
+    for u in random_test_functions(grid, 10, seed=47):
+        pair = sides_for(case, u)
+        assert pair.margin >= -1e-6 * pair.rhs
 
 
 def test_ckn_a_zero_identity_case():
@@ -426,7 +418,6 @@ def test_ckn_a_zero_identity_case():
     )
     assert case.formula_constant == pytest.approx(1.0)
     grid = log_grid(1000)
-    with assembled(case, grid):
-        for u in random_test_functions(grid, 5, seed=53):
-            pair = sides_for(case, u)
-            assert pair.margin == pytest.approx(0.0, abs=1e-12 * pair.rhs)
+    for u in random_test_functions(grid, 5, seed=53):
+        pair = sides_for(case, u)
+        assert pair.margin == pytest.approx(0.0, abs=1e-12 * pair.rhs)

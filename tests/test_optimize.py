@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import bisection_factorizations, dense_lambda1, estimate_lambda1, refine, scaled
 
+import phardy.optimize
 from phardy.cli import load_config, run_suite
 from phardy.errors import InvalidArgumentError
 from phardy.forms import P1Forms, TridiagFactor, interior
@@ -24,6 +25,7 @@ from phardy.optimize import (
     bottom_eigenpair,
     convergence_study,
     descend_quotient,
+    minimize_quotient,
     minimize_quotient_general_p,
     minimize_quotient_p2,
     minimize_rayleigh_p2,
@@ -340,12 +342,23 @@ def test_sides_of_minimizer_reproduce_its_quotient(dim, p, beta, lo, n):
     rng = CoordinateRange(lo, 1.0 / lo)
     case = hardy_case(model, rho_catalog_entry("power", model, p, beta=beta))
     grid = build_grid(rng, n, "log")
-    if p == 2.0:
-        res = minimize_quotient_p2(case, grid)
-    else:
-        res = minimize_quotient_general_p(case, grid)
+    res = minimize_quotient(case, grid)
     pair = sides_for(case, res.minimizer)
     assert pair.rhs / pair.lhs == pytest.approx(res.quotient, rel=1e-12)
+
+
+def test_minimize_quotient_picks_the_solver_by_p(monkeypatch):
+    # each solver is looked up on the module, where a wrapper on it sees the call
+    calls = []
+    monkeypatch.setattr(phardy.optimize, "minimize_quotient_p2", lambda *a: calls.append("p2"))
+    monkeypatch.setattr(
+        phardy.optimize, "minimize_quotient_general_p",
+        lambda *a, max_iter: calls.append(("general", max_iter)),
+    )
+    grid = build_grid(CoordinateRange(0.1, 10), 300, "log")
+    minimize_quotient(hardy_e3(), grid, max_iter=7)
+    minimize_quotient(hardy_case(E3, rho_catalog_entry("power", E3, 3.0, beta=-0.5)), grid, 7)
+    assert calls == ["p2", ("general", 7)]
 
 
 def test_minimize_p2_rejects_other_p():
