@@ -7,6 +7,9 @@ evaluates margins over seeded random test functions, optionally
 minimizes the Rayleigh quotient against the theorem's lower bound, and
 writes a deterministic JSON report plus CSV tables.
 
+The checked cases run in forked worker processes, one per usable CPU;
+the report does not depend on how many there are.
+
 Exit codes: 0 when no inequality check failed, 1 when one did, 2 for
 config errors (the message names the case and the key), 3 for runtime
 numerical errors (the offending case is named).
@@ -19,7 +22,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import warnings
 import zlib
 from importlib import resources
 from pathlib import Path
@@ -305,6 +312,121 @@ def _run_classification_case(c, conf, record):
     record["status"] = "pass" if (not expect or cls.classification == expect) else "fail"
 
 
+def _run_case(spec, c, conf):
+    """The record of one checked case, or the ToolkitError it raised, which
+    names the case."""
+    # the grid that was checked, spacing as build_grid normalized it
+    grid = {"lo": c["rng"].lo, "hi": c["rng"].hi, "n": c["grid"].n,
+            "spacing": c["grid"].spacing} if "rng" in c else {}
+    record = {
+        "kind": c["kind"],
+        "params": spec["params"],
+        "grid": grid,
+        "seed": conf["seed"],
+    }
+    try:
+        (_run_inequality_case if "case" in c else _run_classification_case)(c, conf, record)
+    except ToolkitError as exc:
+        exc.case_id = c["id"]
+        return exc
+    return record
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _first_results(run, indices) -> dict:
+    """{i: run(i)} over indices in order, up to and including the first
+    exception run returns: the cases after it would not run on one CPU."""
+    got = {}
+    for i in indices:
+        got[i] = run(i)
+        if isinstance(got[i], Exception):
+            break
+    return got
+
+
+def _worker_results(run, indices, ids, parent: int) -> dict:
+    """_first_results in a worker, where an exception that is no ToolkitError
+    comes back as a RuntimeError carrying its traceback text; the worker
+    leaves before a case once its parent process is gone."""
+    def run_or_trace(i):
+        if os.getppid() != parent:  # killed: nothing will read the results
+            os._exit(1)
+        try:
+            return run(i)
+        except Exception:
+            import traceback  # only a worker that hit a bug needs it
+
+            return RuntimeError(f"case {ids[i]!r} in a worker:\n{traceback.format_exc()}")
+    return _first_results(run_or_trace, indices)
+
+
+def _run_cases(run, ids: list) -> list:
+    """[run(i) for i in range(len(ids))], the first exception in that order
+    raised instead; run returns a record or the ToolkitError of case i.
+
+    One process per usable CPU: jobs - 1 forked workers take cases k,
+    k + jobs, ... and this process takes 0, jobs, ...; each worker pickles
+    its results into its own pipe and leaves with os._exit.  A worker that
+    ends without a result fails its first case with exit 3.  However this
+    returns or raises, no worker is left running or unreaped."""
+    n, parent = len(ids), os.getpid()
+    jobs = max(1, min(_usable_cpus(), n))
+    workers = []  # (first case, pid, read end) of each worker not yet reaped
+    try:
+        for k in range(1, jobs):
+            r, w = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns of a fork while threads (OpenBLAS's)
+                    # exist; as an error it would raise after the worker
+                    # exists and lose its pid
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        pickle.dump(_worker_results(run, range(k, n, jobs), ids, parent), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers.append((k, pid, r))
+            os.close(w)
+        results = _first_results(run, range(0, n, jobs))
+        while workers:
+            k, pid, r = workers[0]
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            os.close(r)
+            if code == 0:
+                results.update(pickle.loads(data))
+            else:
+                results[k] = ToolkitError(f"its worker ended without a result (exit code {code})")
+                results[k].case_id = ids[k]
+    finally:
+        for _, pid, r in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    out = []
+    for i in range(n):
+        if isinstance(results[i], Exception):
+            raise results[i]
+        out.append(results[i])
+    return out
+
+
 def run_suite(cfg: dict) -> dict:
     """Check the whole config, then execute every case and assemble the report."""
     conf = _checked("config", cfg, _CONFIG_RULES)
@@ -314,23 +436,8 @@ def run_suite(cfg: dict) -> dict:
     for i, c in enumerate(cases):
         if c["id"] in (d["id"] for d in cases[:i]):
             raise ConfigError(f"case {c['id']!r}: duplicate 'id'")
-    records = []
-    for spec, c in zip(conf["cases"], cases):
-        # the grid that was checked, spacing as build_grid normalized it
-        grid = {"lo": c["rng"].lo, "hi": c["rng"].hi, "n": c["grid"].n,
-                "spacing": c["grid"].spacing} if "rng" in c else {}
-        record = {
-            "kind": c["kind"],
-            "params": spec["params"],
-            "grid": grid,
-            "seed": conf["seed"],
-        }
-        try:
-            (_run_inequality_case if "case" in c else _run_classification_case)(c, conf, record)
-        except ToolkitError as exc:
-            exc.case_id = c["id"]
-            raise
-        records.append(record)
+    records = _run_cases(lambda i: _run_case(conf["cases"][i], cases[i], conf),
+                         [c["id"] for c in cases])
     records.sort(key=lambda r: r["case_id"])
     summary = {
         "n_pass": sum(r["status"] == "pass" for r in records),

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 import zlib
 from pathlib import Path
 
@@ -315,14 +317,15 @@ def test_every_listed_weight_passes_the_config_check(monkeypatch):
          "grid": {"lo": 0.05, "hi": 0.95, "n": 200, "spacing": "linear"}}
         for family, spec in specs
     ]
-    ran = []
 
+    # the cases may run in forked workers, so each one writes its weight
+    # into its own record rather than into this process's memory
     def skip(c, conf, record):
-        ran.append(c["case"].weight.name)
-        record.update(case_id=c["id"], status="pass")
+        record.update(case_id=c["id"], status="pass", weight=c["case"].weight.name)
 
     monkeypatch.setattr(phardy.cli, "_run_inequality_case", skip)
-    run_suite({"cases": cases})
+    records = {r["case_id"]: r for r in run_suite({"cases": cases})["cases"]}
+    ran = [records[case["id"]]["weight"] for case in cases]
     assert ran == [spec for _, spec in specs] and len(ran) == 7
 
 
@@ -719,6 +722,135 @@ def test_an_eigen_solve_error_exits_3_naming_the_case(tmp_path, capsys):
     )
     code, err, _ = run_main(cfg, tmp_path, capsys)
     assert code == 3 and err.startswith("numerical error in case eigen-hardy-interval:")
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make cli see `cpus` usable CPUs; a list that counts its forks."""
+    monkeypatch.setattr(phardy.cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(phardy.cli.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    # every worker was reaped: no child, running or zombie, is left to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("config", ["bundled-200", "general_p.json"])
+def test_report_does_not_depend_on_the_number_of_cpus(config, monkeypatch):
+    # the cases share out round-robin between this process and a worker per
+    # further CPU; on 1, 2 and 3 CPUs the report has the same bytes
+    if config == "bundled-200":
+        cfg = load_config(None)
+        cfg["n_test_functions"] = 200
+    else:
+        cfg = load_config(str(Path(__file__).parent / "data" / config))
+    reports = []
+    for cpus in (1, 2, 3):
+        forks = usable_cpus(monkeypatch, cpus)
+        reports.append(report_json(run_suite(cfg)))
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_warning_at_fork_loses_no_worker(monkeypatch):
+    # Python 3.12 warns in the parent when it forks while threads exist;
+    # under `filterwarnings = error` that warning must not raise after the
+    # worker exists, which would lose its pid and its cases
+    usable_cpus(monkeypatch, 2)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("fork with threads", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(phardy.cli.os, "fork", warning_fork)
+    report = run_suite(bundled_config("hardy-euclidean3-p2", "caccioppoli-q0"))
+    assert report["summary"]["n_pass"] == 2
+    assert_no_child_left()
+
+
+def test_no_cases_or_no_cpu_affinity_fork_nothing(monkeypatch):
+    # zero cases make one job, not zero; a platform without CPU affinity one
+    forks = usable_cpus(monkeypatch, 2)
+    assert run_suite({"cases": []})["cases"] == []
+    monkeypatch.delattr(phardy.cli.os, "sched_getaffinity")
+    assert run_suite(small_config())["summary"]["n_pass"] == 1
+    assert forks == []
+
+
+@pytest.mark.parametrize("order", [("first", "second", "good"), ("good", "first", "second")])
+def test_the_first_error_in_config_order_names_the_case(order, tmp_path, capsys, monkeypatch):
+    # two cases that exit 3 land in different processes on 2 CPUs; either
+    # way the message names the first in config order, as on one CPU
+    cfg = bundled_config(*["hardy-sobolev-euclidean3"] * 3)
+    for case, name in zip(cfg["cases"], order):
+        case["id"] = name
+        if name != "good":
+            case["params"]["p_star"] = 1e-300
+    errs = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        code, err, _ = run_main(cfg, tmp_path, capsys)
+        assert code == 3
+        errs.append(err)
+        assert_no_child_left()
+    assert errs[0] == errs[1] and errs[0].startswith("numerical error in case first:")
+
+
+@pytest.mark.parametrize("how", ["exit", "raise"])
+def test_a_worker_that_fails_outside_the_checks_is_reported(how, tmp_path, capsys, monkeypatch):
+    # a worker that dies without a result fails its first case with exit 3;
+    # one that raises something other than a ToolkitError sends back its
+    # traceback; the run neither hangs nor leaves the worker behind
+    cfg = bundled_config("hardy-euclidean3-p2", "caccioppoli-q0", "caccioppoli-q2")
+    parent, run = os.getpid(), phardy.cli._run_inequality_case
+
+    def in_worker(c, conf, record):
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(9)
+            raise TypeError("a bug in a worker")
+        run(c, conf, record)
+
+    monkeypatch.setattr(phardy.cli, "_run_inequality_case", in_worker)
+    usable_cpus(monkeypatch, 2)
+    if how == "exit":
+        code, err, _ = run_main(cfg, tmp_path, capsys)
+        assert code == 3 and err == (
+            "numerical error in case caccioppoli-q0: "
+            "its worker ended without a result (exit code 9)\n"
+        )
+    else:
+        with pytest.raises(RuntimeError, match="'caccioppoli-q0' in a worker") as info:
+            run_suite(cfg)
+        assert "Traceback" in str(info.value) and "TypeError: a bug in a worker" in str(info.value)
+    assert_no_child_left()
+
+
+def test_an_interrupted_run_kills_its_workers(monkeypatch):
+    # the worker would check for a minute; interrupting this process's own
+    # share kills and reaps it at once
+    cfg = bundled_config("hardy-euclidean3-p2", "caccioppoli-q0")
+    parent = os.getpid()
+
+    def interrupted(c, conf, record):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(phardy.cli, "_run_inequality_case", interrupted)
+    usable_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(cfg)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def test_negative_tol_disc_flag_exit_2(tmp_path, capsys):
