@@ -279,7 +279,10 @@ def weighted_case(
     the weight and put first in its params.  A Hardy kind's case is
     trivial at alpha = p - 1, where its constant is 0; a constant that
     underflows to 0 anywhere else is rejected.  Only a Hardy kind carries
-    the log oracle's shift."""
+    the log oracle's shift.  The weight must live on the case's model,
+    where its sign check and the sides are both taken."""
+    if weight.model != model:
+        raise InvalidArgumentError(f"weight {weight.name} is built on another model than the case")
     p = weight.p
     hardy = kind in ("hardy", "weighted-hardy")
     return InequalityCase(

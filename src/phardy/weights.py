@@ -12,13 +12,12 @@ reductions used here the weak functional becomes
     integral s(t) g(t)^p |rho'|^(p-2) rho' phi' dt,
 
 with s the volume density and g the gradient factor, which is what
-``weak_superharmonicity_check`` evaluates over a family of bump test
-functions.  ``sign=+1`` tests p-superharmonicity, ``sign=-1`` tests
+``weak_superharmonicity_check`` evaluates on the hat functions of a P1
+grid.  ``sign=+1`` tests p-superharmonicity, ``sign=-1`` tests
 p-subharmonicity (the Caccioppoli hypothesis).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -31,9 +30,6 @@ from .grids import RadialGrid, cell_gauss
 #: relative tolerance separating quadrature noise from a genuine sign
 #: violation (calibrated for n >= 500 node grids)
 TOL_WEAK = 1e-8
-
-#: bump half-widths in grid cells used by the checker
-BUMP_WIDTHS = (3, 9)
 
 
 @dataclass
@@ -234,38 +230,15 @@ def parse_weight(spec: str, model: ModelManifold, p: float) -> WeightSpec:
 
 @dataclass
 class CheckResult:
-    """Outcome of the weak-form sign check; ``worst_center`` (in t) and
-    ``worst_width`` (in cells) locate the bump that gave ``worst_value``."""
+    """Outcome of the weak-form sign check; ``worst_center`` is the node
+    (in t) of the hat that gave ``worst_value``, ``n_bumps`` the number of
+    hats tested."""
 
     passed: bool
     worst_value: float
     worst_raw: float
     n_bumps: int
     worst_center: float
-    worst_width: int
-
-
-#: bumps evaluated per numpy pass; caps the scratch arrays at
-#: _BUMP_BLOCK * 2w * 8 doubles whatever the grid size
-_BUMP_BLOCK = 256
-
-
-def _cubic_bump_slope(x, knots, piece):
-    """Cox-de Boor recursion for the derivative of cubic B-splines on 5
-    knots, a batch at once.
-
-    ``x`` has shape (bumps, L, q), ``knots`` shape (5, bumps, 1, 1) and
-    ``piece[l]`` is the knot interval holding ``x[:, l]`` (4: right of the
-    support).
-    """
-    b = [(piece == m)[:, None].astype(float) for m in range(4)]
-    for d in (1, 2):
-        b = [
-            (x - knots[j]) / (knots[j + d] - knots[j]) * b[j]
-            + (knots[j + d + 1] - x) / (knots[j + d + 1] - knots[j + 1]) * b[j + 1]
-            for j in range(4 - d)
-        ]
-    return 3.0 * (b[0] / (knots[3] - knots[0]) - b[1] / (knots[4] - knots[1]))
 
 
 def check_weight_finite(w: WeightSpec, grid: RadialGrid):
@@ -277,52 +250,30 @@ def check_weight_finite(w: WeightSpec, grid: RadialGrid):
         raise InvalidArgumentError(f"weight {w.name} is not finite at every interior grid node")
 
 
-def check_bump_grid(grid: RadialGrid):
-    """Raise unless grid is fine enough for the narrowest test bump."""
-    if grid.n < 2 * min(BUMP_WIDTHS) + 1:
-        raise InvalidArgumentError("grid too coarse for any test bump")
-
-
 def weak_superharmonicity_check(w: WeightSpec, grid: RadialGrid, sign: int = 1) -> CheckResult:
-    """Test sign * (-Delta_p rho) >= 0 in the weak sense over bump functions.
+    """Test sign * (-Delta_p rho) >= 0 in the weak sense on the P1 hats.
 
-    Bumps are cubic B-splines on knots ``[c-w, c-half, c, c+half, c+w]``,
-    width 3 before 9, centred so that adjacent supports overlap (a kink
-    anywhere is straddled) and never fewer than 8 per width.  The flux of
-    the weight ``w`` is evaluated once, times the Gauss weights on all
-    cells, shape (n-1, 8); bumps of one width meet it ``_BUMP_BLOCK`` at a
-    time through their derivatives at the Gauss points.  A sampled weight
-    comes in as ``weight_from_samples``: on its own grid its flux is
-    constant per cell and the 8-point rule is exact.  Each bump value,
-    raw = sign * weak integral, is normalized by the same integral taken
-    with absolute values (0 where that is 0 or not finite), so
-    ``worst_value`` is dimensionless and insensitive to scaling of rho and
-    phi.
+    Every nonnegative P1 function on the grid that vanishes at its ends is
+    a nonnegative combination of the hats of the interior nodes, so
+    testing each hat once decides the sign on that whole cone.  With F_e
+    the integral of the flux of ``w`` over cell e (8 Gauss points) and
+    A_e that of its absolute value, hat i has the weak integral
+    raw = sign * (F_{i-1}/h_{i-1} - F_i/h_i), normalized by
+    A_{i-1}/h_{i-1} + A_i/h_i (0 where that is 0 or not finite), so
+    ``worst_value`` is dimensionless and insensitive to scaling of rho.
+    A sampled weight (``weight_from_samples``) has a constant slope on
+    each cell of its own grid: its kinks sit at the nodes, between the
+    cells the 8-point rule integrates over.
     """
-    check_bump_grid(grid)
     nodes, model, p = grid.nodes, w.model, w.p
-    # (ncells, 8) views: the bumps gather the flux cell by cell
-    t, wts = (a.T for a in cell_gauss(nodes))
+    t, wts = cell_gauss(nodes)
     slope = w.rho_prime(t)
     s_gp = np.exp(model.log_volume_density(t)) * model.gradient_factor(t) ** p
     flux = wts * (s_gp * np.sign(slope) * np.abs(slope) ** (p - 1.0))
-
-    raw, norm, centre, width = [], [], [], []
-    for bw in (bw for bw in BUMP_WIDTHS if 2 * bw + 1 <= grid.n):
-        count = max(8, math.ceil((grid.n - 1) / bw) + 1)
-        centres = np.unique(np.round(np.linspace(bw, grid.n - 1 - bw, count)).astype(int))
-        offsets = np.array([-bw, -max(1, bw // 2), 0, max(1, bw // 2), bw])
-        local = np.arange(2 * bw)
-        piece = np.sum(local[:, None] >= offsets[1:] + bw, axis=1)
-        for c in np.split(centres, range(_BUMP_BLOCK, centres.size, _BUMP_BLOCK)):
-            knots = nodes[c + offsets[:, None]][..., None, None]
-            span = c[:, None] - bw + local
-            terms = (flux[span] * _cubic_bump_slope(t[span], knots, piece)).reshape(c.size, -1)
-            raw.append(sign * terms.sum(axis=1))
-            norm.append(np.abs(terms).sum(axis=1))
-        centre.append(nodes[centres])
-        width += [bw] * centres.size
-    raw, norm = np.concatenate(raw), np.concatenate(norm)
+    h = np.diff(nodes)
+    f, a = flux.sum(axis=0) / h, np.abs(flux).sum(axis=0) / h
+    raw = sign * (f[:-1] - f[1:])
+    norm = a[:-1] + a[1:]
     ratio = np.divide(raw, norm, out=np.zeros_like(raw), where=(norm > 0) & (norm < np.inf))
     i = int(np.argmin(ratio))
     return CheckResult(
@@ -330,6 +281,5 @@ def weak_superharmonicity_check(w: WeightSpec, grid: RadialGrid, sign: int = 1) 
         worst_value=float(ratio[i]),
         worst_raw=float(raw[i]),
         n_bumps=ratio.size,
-        worst_center=float(np.concatenate(centre)[i]),
-        worst_width=width[i],
+        worst_center=float(nodes[i + 1]),
     )

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the package's own discretizations: the
 eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, the
 quadrature helpers use closed antiderivatives, the weak sign check is
-redone one scipy B-spline per bump, and the smallest eigenvalue of a
-tridiagonal pencil comes from LAPACK's dense symmetric-definite solver.
+redone one hat at a time with adaptive quadrature, and the smallest
+eigenvalue of a tridiagonal pencil comes from LAPACK's dense
+symmetric-definite solver.
 The capacity oracle minimizes the P1 p-energy of ``phardy.forms``
 directly, so it checks the closed-form capacity without using the closed
 form.
@@ -25,8 +26,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import BSpline
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh
 
 from phardy.errors import NonFiniteIntegrandError, ZeroDenominatorError
@@ -169,42 +169,47 @@ def capacity_by_minimization(
     return e
 
 
-def weak_check_bspline_loop(w, grid, n_tests=8, sign=1):
-    """Reference weak sign check: one ``scipy.interpolate.BSpline`` bump at
-    a time, with the flux evaluated afresh at each bump's Gauss points.
+def weight_flux(w: WeightSpec):
+    """The flux s g^p |rho'|^(p-2) rho' of the weak functional, with the
+    model's density s g^p in closed form; t a float or an array."""
+    m, p = w.model, w.p
+    sigma = 2.0 * math.pi ** (m.dim / 2.0) / math.gamma(m.dim / 2.0) if m.dim else 0.0
+    density = {
+        "euclidean": lambda t: sigma * t ** (m.dim - 1),
+        "hyperbolic": lambda t: sigma * np.sinh(t) ** (m.dim - 1),
+        "half_plane": lambda t: t ** (p - 2.0),
+        "interval": lambda t: 1.0,
+    }[m.kind]
 
-    Same bump set and scoring as ``phardy.weights.weak_superharmonicity_check``:
-    widths 3 and 9 cells, knots ``[c-w, c-half, c, c+half, c+w]`` on grid
-    nodes and 8 Gauss points per cell.  Returns
-    ``(worst_value, worst_raw, n_bumps)``.
+    def flux(t):
+        slope = w.rho_prime(t)
+        return density(t) * np.sign(slope) * np.abs(slope) ** (p - 1.0)
+
+    return flux
+
+
+def weak_check_hat_loop(w: WeightSpec, grid: RadialGrid):
+    """Reference weak sign check: one hat at a time, from integrals of
+    ``weight_flux`` by ``scipy.integrate.quad`` on the hat's two cells.
+
+    Hat i has slope 1/h on its left cell and -1/h on its right one; its
+    weak integral and that of the absolute integrand (the normalizer of
+    ``phardy.weights.weak_superharmonicity_check``) are returned, for
+    sign = +1, as two lists over the interior nodes.
     """
-    nodes = grid.nodes
-    z, gw = np.polynomial.legendre.leggauss(8)
-    model, p = w.model, w.p
+    flux = weight_flux(w)
 
-    def flux(t, slope):
-        s = np.exp(model.log_volume_density(t))
-        return s * model.gradient_factor(t) ** p * np.sign(slope) * np.abs(slope) ** (p - 1.0)
+    def mean(f, a, b):
+        return quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0] / (b - a)
 
-    worst, worst_raw, n_bumps = np.inf, np.inf, 0
-    for width in (3, 9):
-        if 2 * width + 1 > grid.n:
-            continue
-        half = max(1, width // 2)
-        count = max(n_tests, math.ceil((grid.n - 1) / width) + 1)
-        for c in np.unique(np.round(np.linspace(width, grid.n - 1 - width, count)).astype(int)):
-            kn = [c - width, c - half, c, c + half, c + width]
-            spline = BSpline.basis_element(nodes[kn], extrapolate=False)
-            xl, xr = nodes[kn[0] : kn[-1], None], nodes[kn[0] + 1 : kn[-1] + 1, None]
-            pts = 0.5 * (xr + xl) + 0.5 * (xr - xl) * z
-            terms = 0.5 * (xr - xl) * gw * flux(pts, w.rho_prime(pts))
-            terms = terms * np.nan_to_num(spline.derivative()(pts))
-            raw, norm = sign * float(np.sum(terms)), float(np.sum(np.abs(terms)))
-            rel = raw / norm if norm > 0 else 0.0
-            n_bumps += 1
-            if rel < worst:
-                worst, worst_raw = rel, raw
-    return worst, worst_raw, n_bumps
+    cells = list(zip(grid.nodes[:-1], grid.nodes[1:]))
+    f = [mean(flux, a, b) for a, b in cells]
+    g = [mean(lambda t: abs(flux(t)), a, b) for a, b in cells]
+    raw, norm = [], []
+    for i in range(1, grid.n - 1):  # hat i: cells i - 1 and i
+        raw.append(f[i - 1] - f[i])
+        norm.append(g[i - 1] + g[i])
+    return raw, norm
 
 
 def cell_gauss_integrate(nodes: np.ndarray, fn) -> float:

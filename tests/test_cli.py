@@ -71,10 +71,22 @@ def test_run_suite_minimal_pass():
 
 
 def test_report_locates_worst_bump():
+    # one hat per interior node: the worst one is named by its node
     hyp = run_suite(small_config())["cases"][0]["hypothesis"]
-    grid = small_config()["cases"][0]["grid"]
-    assert hyp["worst_width"] in (3, 9)
-    assert grid["lo"] < hyp["worst_center"] < grid["hi"]
+    g = small_config()["cases"][0]["grid"]
+    grid = build_grid(CoordinateRange(g["lo"], g["hi"]), g["n"], g["spacing"])
+    assert sorted(hyp) == ["mode", "n_bumps", "passed", "worst_center", "worst_value"]
+    assert hyp["n_bumps"] == grid.n - 2
+    assert hyp["worst_center"] in grid.nodes[1:-1]
+
+
+def test_coarse_grid_runs_its_sign_check():
+    # a grid of 5 nodes has 3 hats; it is checked like any other
+    cfg = ball_config()
+    cfg["cases"][0]["grid"] = {"lo": 0.001, "hi": 0.999, "n": 5, "spacing": "log"}
+    record = run_suite(cfg)["cases"][0]
+    assert record["status"] == "pass"
+    assert record["hypothesis"]["passed"] and record["hypothesis"]["n_bumps"] == 3
 
 
 def test_report_names_the_worst_test_function():
@@ -369,7 +381,7 @@ def test_eigen_hardy_record_carries_its_hypothesis():
     record = run_suite(cfg)["cases"][0]
     assert record["status"] == "pass"
     assert record["hypothesis"]["mode"] == "superharmonic"
-    assert record["hypothesis"]["passed"] and record["hypothesis"]["n_bumps"] > 0
+    assert record["hypothesis"]["passed"] and record["hypothesis"]["n_bumps"] == 398
 
 
 def test_emit_empty_report_has_headers(tmp_path):
@@ -500,10 +512,6 @@ BAD_CONFIGS = {
         "'grid'", True,
     ),
     "grid-open-lo": (_set(CASE + ("grid", "open_lo"), True), "'open_lo'", True),
-    "grid-too-coarse-for-sign-check": (
-        _set(CASE + ("grid",), {"lo": 0.001, "hi": 0.999, "n": 5, "spacing": "log"}),
-        "'grid'", True,
-    ),
     "eigen-eps-split-empties-interior": (
         _eigen("distance-hardy", eps_split=0.9), "'eps_split'", True
     ),

@@ -27,7 +27,7 @@ from phardy.functionals import (
     weighted_hardy_case,
 )
 from phardy.forms import P1Forms
-from phardy.geometry import CoordinateRange, euclidean_radial, interval
+from phardy.geometry import CoordinateRange, euclidean_radial, hyperbolic_radial, interval
 from phardy.grids import GridFunction, build_grid
 from phardy.testfunctions import random_test_functions
 from phardy.weights import rho_catalog_entry, weight_from_samples
@@ -149,6 +149,16 @@ def test_triviality_follows_alpha_not_an_underflowed_constant():
     w = rho_catalog_entry("power", E3, 100.0, beta=-1.0)
     with pytest.raises(InvalidArgumentError, match="constant must be positive"):
         weighted_hardy_case(E3, w, 99.0 + 1e-10)
+
+
+def test_weight_on_another_model_is_rejected():
+    # the sign check would test the weight's model and the sides the case's
+    e4_weight = rho_catalog_entry("power", euclidean_radial(4), 2.0, beta=-1.0)
+    with pytest.raises(InvalidArgumentError, match="another model"):
+        hardy_case(hyperbolic_radial(3), e4_weight)
+    with pytest.raises(InvalidArgumentError, match="another model"):
+        caccioppoli_case(E3, e4_weight, 0.0)
+    assert hardy_case(euclidean_radial(4), e4_weight).weight is e4_weight
 
 
 def test_margin_sign_invariant_under_scaling():

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -10,7 +11,8 @@ from oracles import (
     classify_weight_sign,
     scaled,
     signed_catalog,
-    weak_check_bspline_loop,
+    weak_check_hat_loop,
+    weight_flux,
 )
 
 from phardy import weights
@@ -117,19 +119,56 @@ def _catalog_weights():
         yield weight_from_samples(w.name, w.model, w.p, e.grid, w.rho(e.grid.nodes)), e.grid
 
 
-def test_weak_check_matches_bspline_loop_oracle():
-    # absolute agreement: on harmonic entries worst_value is ~1e-14 roundoff
-    for w, grid in _catalog_weights():
+CATALOG_WEIGHTS = list(_catalog_weights())
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_hats(k):
+    """The hat-loop oracle's (raw, norm) lists of CATALOG_WEIGHTS[k]."""
+    return weak_check_hat_loop(*CATALOG_WEIGHTS[k])
+
+
+def _oracle_worst(raw, norm, sign):
+    return min(sign * r / a if 0.0 < a < math.inf else 0.0 for r, a in zip(raw, norm))
+
+
+def test_weak_check_matches_hat_loop_oracle():
+    # absolute agreement: on harmonic entries worst_value is ~1e-15 roundoff
+    for k, (w, grid) in enumerate(CATALOG_WEIGHTS):
+        raw, norm = _catalog_hats(k)
         for sign in (+1, -1):
             res = weak_superharmonicity_check(w, grid, sign=sign)
-            worst, _, n_bumps = weak_check_bspline_loop(w, grid, sign=sign)
+            worst = _oracle_worst(raw, norm, sign)
             assert res.passed == (worst >= -weights.TOL_WEAK)
-            assert res.n_bumps == n_bumps
+            assert res.n_bumps == len(raw) == grid.n - 2
             assert abs(res.worst_value - worst) <= 1e-12, (sign, res.worst_value, worst)
 
 
+@given(
+    pick=st.sampled_from([(k, sign) for k in range(len(CATALOG_WEIGHTS)) for sign in (1, -1)]),
+    seed=st.integers(0, 2**32 - 1),
+    support=st.floats(0.0, 1.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_passing_weight_holds_on_every_nonnegative_p1_function(pick, seed, support):
+    # the hats span the cone of nonnegative P1 functions: when each passes,
+    # sign * l(u) >= -TOL_WEAK * sum_i u_i N_i with N_i hat i's normalizer;
+    # l(u) = int flux u' is integrated directly, 12 Gauss points per cell
+    k, sign = pick
+    w, grid = CATALOG_WEIGHTS[k]
+    assume(weak_superharmonicity_check(w, grid, sign=sign).passed)
+    rng = np.random.default_rng(seed)
+    u = rng.exponential(size=grid.n - 2) * (rng.random(grid.n - 2) < support)
+    slope = np.diff(np.concatenate(([0.0], u, [0.0]))) / np.diff(grid.nodes)
+    z, gw = np.polynomial.legendre.leggauss(12)
+    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
+    flux = weight_flux(w)(0.5 * (a + b) + 0.5 * (b - a) * z)
+    ell = float(np.sum(0.5 * (b - a) * gw * flux * slope[:, None]))
+    assert sign * ell >= -weights.TOL_WEAK * float(np.dot(u, _catalog_hats(k)[1]))
+
+
 def test_classify_matches_both_one_sided_checks():
-    for w, grid in _catalog_weights():
+    for w, grid in CATALOG_WEIGHTS:
         sup = weak_superharmonicity_check(w, grid, sign=+1).passed
         sub = weak_superharmonicity_check(w, grid, sign=-1).passed
         expected = {(True, True): "harmonic", (True, False): "superharmonic",
@@ -137,49 +176,49 @@ def test_classify_matches_both_one_sided_checks():
         assert classify_weight_sign(w, grid) == expected
 
 
-@pytest.mark.parametrize("n", range(3, 7))
-def test_weak_check_rejects_grid_without_bumps(n):
-    w = rho_catalog_entry("power", E3, 2.0, beta=-1.0)
-    with pytest.raises(InvalidArgumentError, match="too coarse"):
-        weak_superharmonicity_check(w, wide_grid(n))
-
-
-@pytest.mark.parametrize("n", range(7, 19))
-def test_weak_check_small_grids_use_width_3_only(n):
-    # width 9 needs 19 nodes; width-3 centres are the integers 3..n-4, 8 at most
+@pytest.mark.parametrize("n", range(3, 19))
+def test_weak_check_tests_every_interior_node(n):
+    # no grid is too coarse: each of its n - 2 interior nodes has a hat
     w = rho_catalog_entry("power", E3, 2.0, beta=2.0)
-    res = weak_superharmonicity_check(w, wide_grid(n))
-    assert res.n_bumps == min(8, n - 6) == weak_check_bspline_loop(w, wide_grid(n))[2]
-    assert res.worst_width == 3
+    grid = wide_grid(n)
+    res = weak_superharmonicity_check(w, grid)
+    raw, norm = weak_check_hat_loop(w, grid)
+    assert res.n_bumps == len(raw) == n - 2
+    assert abs(res.worst_value - _oracle_worst(raw, norm, 1)) <= 1e-12
+    assert res.worst_center in grid.nodes[1:-1]
 
 
-def test_weak_check_block_size_is_invisible(monkeypatch):
-    cases = list(_catalog_weights())
-    before = [weak_superharmonicity_check(w, g, sign=s) for w, g in cases for s in (1, -1)]
-    monkeypatch.setattr(weights, "_BUMP_BLOCK", 7)
-    after = [weak_superharmonicity_check(w, g, sign=s) for w, g in cases for s in (1, -1)]
-    assert after == before
+def test_weak_check_three_nodes_test_one_hat():
+    # one interior node, 1/2: its hat alone decides.  For rho = min(x, 1-x)
+    # the flux is 1 then -1, for rho = x^2 it is 2x (means 1/2 and 3/2)
+    m = interval(0.0, 1.0)
+    grid = build_grid(CoordinateRange(0.0, 1.0), 3, "linear")
+    for w, worst in ((rho_catalog_entry("dist-boundary", m, 2.0), 1.0),
+                     (rho_catalog_entry("power", m, 2.0, beta=2.0), -0.5)):
+        res = weak_superharmonicity_check(w, grid)
+        assert (res.n_bumps, res.worst_center) == (1, 0.5)
+        assert res.worst_value == pytest.approx(worst, abs=1e-15)
 
 
 def test_weak_check_zero_flux_bumps_score_zero():
-    # a constant weight has zero flux: every bump is 0/0 and scores +0.0
+    # a constant weight has zero flux: every hat is 0/0 and scores +0.0
     w = rho_catalog_entry("constant", interval(0, 1), 2.0, c=2.5)
     grid = build_grid(CoordinateRange(0.0, 1.0), 101, "linear")
     for sign in (+1, -1):
         res = weak_superharmonicity_check(w, grid, sign=sign)
         assert res.passed and math.copysign(1.0, res.worst_value) == 1.0
-        assert res.worst_value == 0.0 and (res.worst_center, res.worst_width) == (grid.nodes[3], 3)
+        assert (res.worst_value, res.worst_center, res.n_bumps) == (0.0, grid.nodes[1], 99)
     assert classify_weight_sign(w, grid) == "harmonic"
 
 
 def test_weak_check_locates_the_kink():
     # rho = min(x, 1-x) is p-superharmonic with a point mass at the kink 1/2:
-    # the subharmonic check fails worst on the width-3 bump centred there
+    # the subharmonic check fails worst on the hat of the node there
     m = interval(0.0, 1.0)
     grid = build_grid(CoordinateRange(0, 1), 901, "linear")
     res = weak_superharmonicity_check(rho_catalog_entry("dist-boundary", m, 2.0), grid, sign=-1)
     assert res.worst_value == pytest.approx(-1.0)
-    assert (res.worst_center, res.worst_width) == (0.5, 3)
+    assert res.worst_center == 0.5
 
 
 def test_chain_rule_constant_weight_guarded():
