@@ -553,7 +553,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", nargs="?", default=None,
                        help="config path (default: bundled suite)")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--tol-disc", type=float, default=None)
     p_run.add_argument("--out-dir", default="reports")
     sub.add_parser("list", help="print the model/weight/inequality catalog")
     p_emit = sub.add_parser("emit", help="re-emit tables from a report")
@@ -585,8 +584,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.tol_disc is not None:
-            cfg["tol_disc"] = args.tol_disc
         report = run_suite(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -38,10 +38,6 @@ class RelationViolationError(ToolkitError, ValueError):
         super().__init__(f"{condition}: {message}" if message else condition)
 
 
-class HypothesisViolationError(ToolkitError, ValueError):
-    """Weight does not satisfy the sign hypothesis the inequality needs."""
-
-
 class ParabolicModelError(ToolkitError, ValueError):
     """Green-type construction attempted on a p-parabolic model."""
 

@@ -220,12 +220,12 @@ def test_caccioppoli_rejects_superharmonic_weight():
     rng = CoordinateRange(1e-2, 1e2)
     case = caccioppoli_case(euclidean_radial(4), w, 0.0)
     grid = build_grid(rng, 900, "log")
+    fns = random_test_functions(grid, 10, seed=3)
+    before = sides_for(case, fns)
     res = validate_case_hypothesis(case, grid)
     assert not res.passed
-    from phardy.errors import HypothesisViolationError
-
-    with pytest.raises(HypothesisViolationError):
-        sides_for(case, bump(grid, -1.0, 1.0))
+    # the check leaves nothing on the case: the sides depend on it and u alone
+    assert sides_for(case, fns) == before
 
 
 def test_divergence_lemma_instances():
@@ -275,9 +275,6 @@ def test_gn_margins_and_relation():
     for u in random_test_functions(grid, 10, seed=17):
         pair = sides_for(case, u)
         assert pair.margin >= -1e-6 * pair.rhs
-    case.params["s"] = 3.0  # violates s = p-1+delta/p = 2
-    with pytest.raises(RelationViolationError):
-        sides_for(case, bump(grid, -1.0, 1.0))
 
 
 def test_uncertainty_margins_and_dilation_invariance():
