@@ -18,13 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ZeroDenominatorError
+from .errors import InvalidArgumentError, ToolkitError, ZeroDenominatorError
 from .forms import P1Forms, TridiagFactor, apply_tridiag, interior
 from . import functionals  # sides_for looked up on the module, where wrappers see it
 from .functionals import InequalityCase, case_forms
 from .geometry import CoordinateRange
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 from .weights import check_weight_finite
+from . import workers
 
 
 BRACKET_RTOL = 1e-10  # relative width of a converged bracket [lower, quotient]
@@ -293,17 +294,30 @@ def extrapolated(case: InequalityCase, quotient: float, grid: RadialGrid) -> flo
 
 def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> StudyResult:
     """Minimize on the widening ranges (1e-2-k, 1e2+k) with n0 2^k nodes,
-    k < levels, and extrapolate each quotient by ``extrapolated``."""
+    k < levels, and extrapolate each quotient by ``extrapolated``.  The
+    levels share nothing but the case, so they run on every usable CPU,
+    like the runner's cases (``workers.run_shared``, a level's cost its
+    node count): the largest level runs first, in this process, and the
+    results do not depend on the number of CPUs."""
     grids = [build_grid(CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k)), n0 * 2 ** k, LOG)
              for k in range(levels)]
-    results, gaps = [], []
-    for grid in grids:  # the gap of each minimizer on the forms of its solve
-        results.append(minimize_quotient(case, grid))
-        gaps.append(functionals.sides_for(case, results[-1].minimizer).margin)
+
+    def solve(k):
+        # the gap of the minimizer on the forms of its solve
+        try:
+            res = minimize_quotient(case, grids[k])
+            return res, functionals.sides_for(case, res.minimizer).margin
+        except ToolkitError as exc:
+            return exc
+
+    solved = workers.run_shared(solve, [g.n for g in grids], range(levels), "level")
+    results = [res for res, _ in solved]
+    for grid, res in zip(grids, results):
+        res.minimizer.grid = grid  # a worker's result comes with a copy
     return StudyResult(
         grids=grids,
         results=results,
         quotients=[res.quotient for res in results],
-        gaps=gaps,
+        gaps=[gap for _, gap in solved],
         extrapolated=[extrapolated(case, res.quotient, g) for g, res in zip(grids, results)],
     )

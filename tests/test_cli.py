@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forking import assert_no_child_left, usable_cpus
 from oracles import seeded_functions_one_by_one
 
 import phardy
 import phardy.cli
+import phardy.workers
 from phardy.cli import (
     bundled_config_path,
     emit_tables,
@@ -740,20 +742,6 @@ def test_an_eigen_solve_error_exits_3_naming_the_case(tmp_path, capsys):
     assert code == 3 and err.startswith("numerical error in case eigen-hardy-interval:")
 
 
-def usable_cpus(monkeypatch, cpus):
-    """Make cli see `cpus` usable CPUs; a list that counts its forks."""
-    monkeypatch.setattr(phardy.cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks, fork = [], os.fork
-    monkeypatch.setattr(phardy.cli.os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def assert_no_child_left():
-    # every worker was reaped: no child, running or zombie, is left to wait for
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("config", ["bundled-200", "general_p.json"])
 def test_report_does_not_depend_on_the_number_of_cpus(config, monkeypatch):
     # the cases share out round-robin between this process and a worker per
@@ -785,7 +773,7 @@ def test_a_warning_at_fork_loses_no_worker(monkeypatch):
             warnings.warn("fork with threads", DeprecationWarning)
         return pid
 
-    monkeypatch.setattr(phardy.cli.os, "fork", warning_fork)
+    monkeypatch.setattr(phardy.workers.os, "fork", warning_fork)
     report = run_suite(bundled_config("hardy-euclidean3-p2", "caccioppoli-q0"))
     assert report["summary"]["n_pass"] == 2
     assert_no_child_left()
@@ -795,7 +783,7 @@ def test_no_cases_or_no_cpu_affinity_fork_nothing(monkeypatch):
     # zero cases make one job, not zero; a platform without CPU affinity one
     forks = usable_cpus(monkeypatch, 2)
     assert run_suite({"cases": []})["cases"] == []
-    monkeypatch.delattr(phardy.cli.os, "sched_getaffinity")
+    monkeypatch.delattr(phardy.workers.os, "sched_getaffinity")
     assert run_suite(small_config())["summary"]["n_pass"] == 1
     assert forks == []
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
+from forking import usable_cpus
 from oracles import dense, dense_lambda1, side_integrals_one_row
 
 import phardy.forms
@@ -55,7 +56,9 @@ def _suite():
 ])
 def test_one_assembly_per_case_and_grid(run, assemblies, monkeypatch):
     # every P1 assembly takes the Gauss points of its grid's cells once,
-    # in one block on these grids
+    # in one block on these grids; on one CPU, as the calls of forked
+    # workers (the study's levels) are not counted here
+    usable_cpus(monkeypatch, 1)
     calls = []
     cell_gauss = phardy.forms.cell_gauss
     monkeypatch.setattr(

@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forking import assert_no_child_left, usable_cpus
 from oracles import bisection_factorizations, dense_lambda1, estimate_lambda1, refine, scaled
 
 import phardy.optimize
@@ -32,6 +34,7 @@ from phardy.optimize import (
     solve_flux,
 )
 from phardy.testfunctions import random_test_functions
+from phardy.workers import assign
 from phardy.weights import rho_catalog_entry
 
 E3 = euclidean_radial(3)
@@ -293,6 +296,77 @@ def test_convergence_study_widening():
     assert study.extrapolated[-1] == pytest.approx(0.25, rel=5e-3)
     assert all(g > 0 for g in study.gaps)
 
+
+def study_bytes(study):
+    """What a convergence study computed, level by level, as comparable values."""
+    return [
+        (g.n, res.quotient, res.lower, res.iterations, res.converged, res.history, gap, ex,
+         res.minimizer.values.tobytes())
+        for g, res, gap, ex in zip(study.grids, study.results, study.gaps, study.extrapolated)
+    ]
+
+
+def test_convergence_study_does_not_depend_on_the_number_of_cpus(monkeypatch):
+    # the levels share out over this process and a worker per further CPU,
+    # the largest first; on 1, 2 and 3 CPUs the study computes the same bits
+    case, studies = hardy_e3(), []
+    for cpus in (1, 2, 3):
+        forks = usable_cpus(monkeypatch, cpus)
+        study = convergence_study(case, levels=4, n0=500)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        assert all(res.minimizer.grid is g for g, res in zip(study.grids, study.results))
+        studies.append(study_bytes(study))
+    assert studies[0] == studies[1] == studies[2]
+
+
+def test_assign_deals_the_largest_cost_first_to_the_least_loaded_process():
+    # equal costs give round robin; the constants benchmark's study (7
+    # levels of 4k to 256k nodes) on 2 CPUs leaves this process the largest
+    assert assign([1] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
+    assert assign([4000 * 2 ** k for k in range(7)], 2) == [[6], [5, 4, 3, 2, 1, 0]]
+
+
+def test_a_study_level_error_is_the_same_on_any_number_of_cpus(monkeypatch):
+    # levels 3 and 1 raise, in different processes on 2 CPUs; either way
+    # the error raised is that of the largest level, the one that runs first
+    solve, order = phardy.optimize.minimize_quotient, []
+
+    def failing(case, grid):
+        order.append(grid.n)
+        if grid.n in (1000, 4000):
+            raise InvalidArgumentError(f"no solve at n = {grid.n}")
+        return solve(case, grid)
+
+    monkeypatch.setattr(phardy.optimize, "minimize_quotient", failing)
+    errors = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(InvalidArgumentError) as info:
+            convergence_study(hardy_e3(), levels=4, n0=500)
+        errors.append((type(info.value), str(info.value)))
+        assert_no_child_left()
+    assert errors == [(InvalidArgumentError, "no solve at n = 4000")] * 2
+    # this process ran only the largest level: on one CPU it raised first
+    assert order == [4000, 4000]
+
+
+def test_a_study_worker_that_fails_outside_the_checks_is_reported(monkeypatch):
+    # on 2 CPUs the levels of 2000, 1000 and 500 nodes run in the worker,
+    # whose TypeError comes back with its traceback and the level's index
+    parent, solve = os.getpid(), phardy.optimize.minimize_quotient
+
+    def in_worker(case, grid):
+        if os.getpid() != parent and grid.n == 1000:
+            raise TypeError("a bug in a worker")
+        return solve(case, grid)
+
+    monkeypatch.setattr(phardy.optimize, "minimize_quotient", in_worker)
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^level 1 in a worker:") as info:
+        convergence_study(hardy_e3(), levels=4, n0=500)
+    assert "Traceback" in str(info.value) and "TypeError: a bug in a worker" in str(info.value)
+    assert_no_child_left()
 
 def test_estimate_lambda1_interval():
     # closed-form first eigenvalue pi^2 at n = 4000 within 1e-6 absolute
