@@ -50,8 +50,8 @@ def load_config(path: str | None) -> dict:
         if path is None:
             text = bundled_config_path().read_text()
         else:
-            text = Path(path).read_text()
-    except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     try:
         cfg = json.loads(text)
@@ -448,6 +448,13 @@ def list_catalog() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _out_dir_error(out_dir, exc: OSError) -> int:
+    """Exit code 2, with a message naming the output directory that could
+    not be made or written."""
+    print(f"error: cannot write to --out-dir {str(out_dir)!r}: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="phardy", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -469,23 +476,31 @@ def main(argv=None) -> int:
 
     if args.command == "emit":
         try:
-            report = json.loads(Path(args.report).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"error: cannot read report: {exc}", file=sys.stderr)
             return 2
         cases = report.get("cases") if isinstance(report, dict) else None
         if not isinstance(cases, list) or not all(map(_is_record, cases)):
             print("error: not a phardy report", file=sys.stderr)
             return 2
-        paths = emit_tables(report, args.out_dir, args.format)
+        try:
+            paths = emit_tables(report, args.out_dir, args.format)
+        except OSError as exc:
+            return _out_dir_error(args.out_dir, exc)
         for p in paths:
             print(p)
         return 0
 
+    out = Path(args.out_dir)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        try:
+            out.mkdir(parents=True, exist_ok=True)  # before any case runs
+        except OSError as exc:
+            return _out_dir_error(out, exc)
         report = run_suite(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -494,10 +509,11 @@ def main(argv=None) -> int:
         case = getattr(exc, "case_id", "<unknown>")
         print(f"numerical error in case {case}: {exc}", file=sys.stderr)
         return 3
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report_json(report))
-    emit_tables(report, out, "csv")
+    try:
+        (out / "report.json").write_text(report_json(report))
+        emit_tables(report, out, "csv")
+    except OSError as exc:
+        return _out_dir_error(out, exc)
     s = report["summary"]
     print(
         f"pass={s['n_pass']} fail={s['n_fail']} trivial={s['n_trivial']} "

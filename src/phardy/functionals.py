@@ -134,10 +134,20 @@ def sides_for(case: InequalityCase, u: GridFunction | FunctionBlock) -> SidePair
     if block and not u:
         return []
     grid, rows = (u[0].grid, u.rows) if block else (u.grid, u.values[None])
-    qs, es = kind.exponents(case) if kind.exponents else ((case.p, case.p), (1, 1))
-    c = case.formula_constant
+    qs = kind.exponents(case)[0] if kind.exponents else (case.p, case.p)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = case_forms(case, grid).integrals(rows, qs)
+    pairs = side_pairs(case, sums)
+    return pairs[0] if isinstance(u, GridFunction) else pairs
+
+
+def side_pairs(case: InequalityCase, sums) -> list[SidePair]:
+    """The SidePair of each row (I_1, ..., I_k, I_grad) of side integrals,
+    in the order and with the powers ``P1Forms.integrals`` takes them for
+    the case's kind (see ``sides_for``)."""
+    kind = KINDS[case.kind]
+    es = kind.exponents(case)[1] if kind.exponents else (1, 1)
+    c = case.formula_constant
     pairs = []
     for first, *others, grad in sums:
         try:
@@ -149,7 +159,7 @@ def sides_for(case: InequalityCase, u: GridFunction | FunctionBlock) -> SidePair
             raise NonFiniteIntegrandError("a side integral overflows under its power") from None
         margin = rhs - lhs if kind.constant_on_rhs else rhs - c * lhs
         pairs.append(SidePair(lhs=lhs, rhs=rhs, constant=c, margin=margin))
-    return pairs[0] if isinstance(u, GridFunction) else pairs
+    return pairs
 
 
 #: no code calls this alias; it stays only because perfbench/tracer.py wraps

@@ -109,11 +109,12 @@ class ModelManifold:
         return np.zeros_like(t)
 
     def gradient_factor(self, t):
-        """Factor g(t) with |grad u| = g(t) |u'(t)| for u depending on t only."""
+        """Factor g(t) with |grad u| = g(t) |u'(t)| for u depending on t only:
+        t on the half-plane, else the scalar 1.0, which multiplies exactly."""
         t = self.check_domain(t)
         if self.kind == HALF_PLANE:
             return t
-        return np.ones_like(t)
+        return 1.0
 
     def laplacian_of_distance(self, t):
         """Delta r on the radial models ((N-1)/r Euclidean, (N-1) coth r hyperbolic)."""

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ToolkitError, ZeroDenominatorError
 from .forms import P1Forms, TridiagFactor, apply_tridiag, interior
-from . import functionals  # sides_for looked up on the module, where wrappers see it
-from .functionals import InequalityCase, case_forms
+from .functionals import InequalityCase, case_forms, side_pairs
 from .geometry import CoordinateRange
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 from .weights import check_weight_finite
@@ -39,6 +38,7 @@ class MinimizationResult:
     minimizer: GridFunction
     iterations: int
     converged: bool
+    sums: tuple  # (L, E) of the minimizer as its solve summed them; general p: L = 1
     history: list = field(default_factory=list, repr=False)
     lower: float | None = None  # p = 2: the largest shift at which K - sigma M factored
     residual: float | None = None  # general p: P1Forms.residual at the minimizer
@@ -74,25 +74,35 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
     while the bracket is no wider than plain bisection's after as many
     factorizations, so the slicing factors at most once more than plain
     bisection.  Inverse steps shifted to lower, until the quotient moves
-    by at most tol relative, give ``vector``, M-normalized; ``quotients``
-    holds u^T K u after each inverse step.
+    by at most tol relative, give ``vector``, M-normalized.
+
+    A step takes one band product.  Its solve gives (K - sigma M) v = M u,
+    so K v = M u + sigma M v, and the iterate's Rayleigh quotient
+    v^T K v / v^T M v is sigma + v^T (M u) / v^T (M v): ``quotients`` holds
+    that value after each inverse step, and M v over the M-norm of v is
+    the next step's right-hand side.  The two forms differ by rounding
+    only, a few times ``slack``.
     """
     tol = BRACKET_RTOL
     quotients = []
 
-    def step(factor, u):
-        # the M-normalized solution v of (K - sigma M) v = M u
-        v = factor.solve(apply_tridiag(*m_band, u))
-        mnorm = math.sqrt(float(np.sum(v * apply_tridiag(*m_band, v))))
-        if mnorm == 0.0:
+    def step(factor, sigma, mu):
+        # the M-normalized solution v of (K - sigma M) v = M u, and M v
+        v = factor.solve(mu)
+        mv = apply_tridiag(*m_band, v)
+        vmv = float(np.sum(v * mv))
+        if vmv == 0.0:
             raise ZeroDenominatorError("mass norm vanished in inverse iteration")
-        v = v / mnorm
-        quotients.append(float(np.sum(v * apply_tridiag(*k_band, v))))
-        return v
+        quotients.append(sigma + float(np.sum(v * mu)) / vmv)
+        mnorm = math.sqrt(vmv)
+        v /= mnorm
+        mv /= mnorm
+        return v, mv
 
     factor = TridiagFactor(*k_band)
-    u = step(factor, np.ones(k_band[0].size))
+    u, mu = step(factor, 0.0, apply_tridiag(*m_band, np.ones(k_band[0].size)))
     slack = float(np.finfo(float).eps * np.sum(u * (k_band[0] * u)))
+    u = None  # the slicing holds M u alone; the last inverse steps give the vector
     lower, upper, factorizations = 0.0, quotients[-1], 1
     missed = 1  # inverse steps taken when a guided shift last failed to factor
     while upper - lower > 0.5 * max(tol * upper, slack):
@@ -110,14 +120,14 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
         factorizations += 1
         if trial.definite:
             lower, factor = sigma, trial
-            u = step(factor, u)
+            mu = step(factor, sigma, mu)[1]
             upper = min(upper, quotients[-1])
         elif guided:
             upper, missed = sigma, len(quotients)
         else:
             upper = sigma
     for _ in range(10):  # a shift this close converges in two or three steps
-        u = step(factor, u)
+        u, mu = step(factor, lower, mu)
         if abs(quotients[-2] - quotients[-1]) <= tol * quotients[-1]:
             break
     return Bracket(lower, slack, u, quotients, factorizations)
@@ -127,7 +137,8 @@ def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
     """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
     quotient forms (A, B) by ``bottom_eigenpair``: converged means quotient -
     lower <= max(BRACKET_RTOL * quotient, slack); ``iterations`` counts
-    factorizations plus back-solves, ``history`` the inverse steps' quotients.
+    factorizations plus back-solves, ``history`` the inverse steps' quotients;
+    ``sums`` are L and E of the minimizer from one ``integrals`` pass.
     """
     forms.check_quotient()
     grid = forms.grid
@@ -140,6 +151,7 @@ def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
         quotient=quotient,
         minimizer=GridFunction(grid, full),
         iterations=pair.factorizations + len(pair.quotients),
+        sums=(mass, energy),
         converged=quotient - pair.lower <= max(BRACKET_RTOL * quotient, pair.slack),
         history=list(enumerate(pair.quotients, 1)),
         lower=pair.lower,
@@ -247,6 +259,7 @@ def descend_quotient(
         minimizer=GridFunction(forms.grid, u),
         iterations=it,
         converged=residual <= TOL_EIG_GENERAL,
+        sums=(1.0, q),
         history=history,
         residual=residual,
         stop=stop,
@@ -294,30 +307,28 @@ def extrapolated(case: InequalityCase, quotient: float, grid: RadialGrid) -> flo
 
 def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> StudyResult:
     """Minimize on the widening ranges (1e-2-k, 1e2+k) with n0 2^k nodes,
-    k < levels, and extrapolate each quotient by ``extrapolated``.  The
-    levels share nothing but the case, so they run on every usable CPU,
-    like the runner's cases (``workers.run_shared``, a level's cost its
-    node count): the largest level runs first, in this process, and the
-    results do not depend on the number of CPUs."""
+    k < levels, and extrapolate each quotient by ``extrapolated``.  A
+    level's gap is the margin of its minimizer, from the sums its solve
+    made.  The levels share nothing but the case, so they run on every
+    usable CPU, like the runner's cases (``workers.run_shared``, a level's
+    cost its node count): the largest level runs first, in this process,
+    and the results do not depend on the number of CPUs."""
     grids = [build_grid(CoordinateRange(10.0 ** (-2 - k), 10.0 ** (2 + k)), n0 * 2 ** k, LOG)
              for k in range(levels)]
 
     def solve(k):
-        # the gap of the minimizer on the forms of its solve
         try:
-            res = minimize_quotient(case, grids[k])
-            return res, functionals.sides_for(case, res.minimizer).margin
+            return minimize_quotient(case, grids[k])
         except ToolkitError as exc:
             return exc
 
-    solved = workers.run_shared(solve, [g.n for g in grids], range(levels), "level")
-    results = [res for res, _ in solved]
+    results = workers.run_shared(solve, [g.n for g in grids], range(levels), "level")
     for grid, res in zip(grids, results):
         res.minimizer.grid = grid  # a worker's result comes with a copy
     return StudyResult(
         grids=grids,
         results=results,
         quotients=[res.quotient for res in results],
-        gaps=[gap for _, gap in solved],
+        gaps=[pair.margin for pair in side_pairs(case, [res.sums for res in results])],
         extrapolated=[extrapolated(case, res.quotient, g) for g, res in zip(grids, results)],
     )

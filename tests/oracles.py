@@ -113,7 +113,9 @@ def bisection_factorizations(k_band, m_band) -> int:
     """Factorizations that plain bisection on whether K - sigma M factors
     takes to the bracket of ``optimize.bottom_eigenpair``: the same first
     inverse step with K from u = 1, the same slack and the same stop rule,
-    every further shift the midpoint of [lower, upper]."""
+    every further shift the midpoint of [lower, upper].  As the reference,
+    it takes that step's quotient by the direct formula v^T K v for the
+    M-normalized v, not by the solver's sigma + v^T (M u) / v^T (M v)."""
     v = TridiagFactor(*k_band).solve(apply_tridiag(*m_band, np.ones(k_band[0].size)))
     v = v / math.sqrt(float(np.sum(v * apply_tridiag(*m_band, v))))
     lower, upper = 0.0, float(np.sum(v * apply_tridiag(*k_band, v)))

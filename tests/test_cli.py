@@ -249,6 +249,41 @@ def test_invalid_json_exit_2(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    ("run", "config error: cannot read config: "),
+    ("emit", "error: cannot read report: "),
+])
+def test_input_that_is_not_utf8_exits_2(command, message, tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(small_config()).encode("utf-16-le"))
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_into_an_out_dir_that_is_a_file_exits_2_before_any_case(
+    tmp_path, capsys, monkeypatch
+):
+    # exit 1 would say an inequality failed; the run stops before its cases
+    path, out = tmp_path / "cfg.json", tmp_path / "taken"
+    path.write_text(json.dumps(small_config()))
+    out.write_text("a file")
+    ran = []
+    monkeypatch.setattr(phardy.cli, "run_suite", lambda cfg: ran.append(cfg))
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert ran == [] and out.read_text() == "a file"
+    assert capsys.readouterr().err.startswith(f"error: cannot write to --out-dir {str(out)!r}: ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_into_an_out_dir_that_is_a_file_exits_2(fmt, tmp_path, capsys):
+    report, out = tmp_path / "report.json", tmp_path / "taken"
+    report.write_text(report_json(run_suite(small_config(n_test_functions=1))))
+    out.write_text("a file")
+    assert main(["emit", str(report), "--format", fmt, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write to --out-dir {str(out)!r}: ")
+
+
 def test_unknown_kind_exit_2(tmp_path):
     cfg = small_config()
     cfg["cases"][0]["kind"] = "wirtinger"

@@ -50,7 +50,7 @@ def _suite():
 
 
 @pytest.mark.parametrize("run, assemblies", [
-    (_study, 2),  # one per level: the solve and the gap of its minimizer share it
+    (_study, 2),  # one per level: the gap comes from the sums of its solve
     (_eigenpair, 1),  # the solve and the weak residual
     (_suite, 1),  # the margins and the minimization
 ])

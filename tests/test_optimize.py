@@ -12,7 +12,7 @@ from oracles import bisection_factorizations, dense_lambda1, estimate_lambda1, r
 import phardy.optimize
 from phardy.cli import load_config, run_suite
 from phardy.errors import InvalidArgumentError
-from phardy.forms import P1Forms, TridiagFactor, interior
+from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, interior
 from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
 from phardy.geometry import (
     CoordinateRange,
@@ -266,6 +266,57 @@ def test_guided_slicing_brackets_the_eigenvalue(pencil):
     assert pair.lower - pair.slack - dense_error <= lam <= quotient + dense_error
     assert quotient - pair.lower <= max(BRACKET_RTOL * quotient, pair.slack)
     assert pair.factorizations <= bisection_factorizations(k_band, m_band) + 1
+
+
+@settings(deadline=None)
+@given(pencil=pencils())
+@example(pencil=NEAR_DOUBLE)
+def test_each_quotient_is_the_rayleigh_quotient_of_its_iterate(pencil):
+    # a step's quotient sigma + v^T (M u) / v^T (M v) and the direct
+    # v^T K v / v^T M v of its iterate agree up to the rounding of diag(K):
+    # both formulas round by about slack, so they differ by a few slacks
+    # (2 ulps, 1.3 slack, on a 2 x 2 pencil; at most 4.4 over 23,000 drawn
+    # pencils); the step's one band product, M v, sees each iterate v
+    k_band, m_band = pencil
+    products = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phardy.optimize, "apply_tridiag",
+                   lambda diag, off, x: products.append(x.copy()) or apply_tridiag(diag, off, x))
+        pair = bottom_eigenpair(k_band, m_band)
+    iterates = products[1:]  # after M 1, the start's right-hand side
+    assert len(iterates) == len(pair.quotients)
+    for q, v in zip(pair.quotients, iterates):
+        direct = float(v @ apply_tridiag(*k_band, v)) / float(v @ apply_tridiag(*m_band, v))
+        assert abs(q - direct) <= 8.0 * pair.slack
+
+
+def test_a_p2_study_level_takes_one_band_product_per_inverse_step(monkeypatch):
+    # one M v per inverse step, and M 1 for the start, serves the right-hand
+    # side, the M-norm and the quotient; the level's gap comes from the one
+    # integrals pass of its solve
+    calls = {"apply_tridiag": 0, "integrals": 0}
+
+    def counted(name, original):
+        return lambda *args: calls.update({name: calls[name] + 1}) or original(*args)
+
+    monkeypatch.setattr(phardy.optimize, "apply_tridiag",
+                        counted("apply_tridiag", phardy.optimize.apply_tridiag))
+    monkeypatch.setattr(P1Forms, "integrals", counted("integrals", P1Forms.integrals))
+    usable_cpus(monkeypatch, 1)
+    study = convergence_study(hardy_e3(), levels=1, n0=2000)
+    [res] = study.results
+    assert calls == {"apply_tridiag": len(res.history) + 1, "integrals": 1}
+
+
+def test_study_gaps_are_the_margins_of_the_minimizers(monkeypatch):
+    # the gap from the sums of a level's solve has the bits of the sides of
+    # its minimizer, whichever process solved the level
+    case = hardy_e3()
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        study = convergence_study(case, levels=3, n0=500)
+        assert study.gaps == [sides_for(case, res.minimizer).margin for res in study.results]
+        assert_no_child_left()
 
 
 def test_bundled_p2_minimization_takes_few_iterations():
