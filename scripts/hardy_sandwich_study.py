@@ -2,10 +2,12 @@
 """Truncation study for the Euclidean Hardy best constant.
 
 Minimizes the discrete Rayleigh quotient for the inverse-distance weight
-on widening annuli and prints the quotient, the log-substitution
-prediction 1/4 + (pi/ln(R/eps))^2, the extrapolated limit and the gap of
-the discrete minimizer (positive at every level: the constant is not
-attained).
+on widening annuli and prints the bracket's lower end (the largest shift
+sigma at which K - sigma M factored, so every P1 function on the level's
+grid has quotient >= lower, at or above the theorem's 1/4), the quotient,
+the log-substitution prediction 1/4 + (pi/ln(R/eps))^2, the extrapolated
+limit and the gap of the discrete minimizer (positive at every level: the
+constant is not attained).
 """
 import argparse
 import math
@@ -27,13 +29,13 @@ def main():
     case = hardy_case(model, rho_catalog_entry("power", model, 2.0, beta=-1.0))
     study = convergence_study(case, levels=args.levels, n0=args.n0)
     limit = case.formula_constant
-    print(f"{'eps':>9} {'R':>9} {'n':>6} {'quotient':>12} "
+    print(f"{'eps':>9} {'R':>9} {'n':>6} {'lower':>12} {'quotient':>12} "
           f"{'predicted':>12} {'extrapolated':>13} {'gap(minimizer)':>15}")
-    for grid, q, extrapolated, gap in zip(
-        study.grids, study.quotients, study.extrapolated, study.gaps
+    for grid, res, extrapolated, gap in zip(
+        study.grids, study.results, study.extrapolated, study.gaps
     ):
         corr = (math.pi / math.log(grid.hi / grid.lo)) ** 2
-        print(f"{grid.lo:9.1e} {grid.hi:9.1e} {grid.n:6d} {q:12.8f} "
+        print(f"{grid.lo:9.1e} {grid.hi:9.1e} {grid.n:6d} {res.lower:12.8f} {res.quotient:12.8f} "
               f"{limit + corr:12.8f} {extrapolated:13.8f} {gap:15.6e}")
     print(f"\ntheoretical lower bound ((p-1)/p)^p = {limit}")
 

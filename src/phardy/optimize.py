@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ToolkitError, ZeroDenominatorError
 from .forms import P1Forms, TridiagFactor, apply_tridiag, interior
-from .functionals import InequalityCase, case_forms, side_pairs
+from .functionals import KINDS, TOL_DISC, InequalityCase, case_forms, side_pairs
 from .geometry import CoordinateRange
 from .grids import GridFunction, LOG, RadialGrid, build_grid
 from .weights import check_weight_finite
@@ -53,28 +53,39 @@ class Bracket(NamedTuple):
     factorizations: int
 
 
-def bottom_eigenpair(k_band, m_band) -> Bracket:
+def bottom_eigenpair(k_band, m_band, floor: float = 0.0) -> Bracket:
     """Smallest eigenpair of the tridiagonal pencil K u = mu M u, bracketed
-    by spectrum slicing.  K is positive definite with off-diagonals <= 0
-    and M >= 0 entrywise, as in ``P1Forms.pencil``: so the bottom
-    eigenvector is nonnegative and the start u = 1 is never M-orthogonal
-    to it.  Other pencils may end unconverged.
+    by spectrum slicing from a floor >= 0.  K is positive definite with
+    off-diagonals <= 0 and M >= 0 entrywise, as in ``P1Forms.pencil``: so
+    the bottom eigenvector is nonnegative and the start u = 1 is never
+    M-orthogonal to it.  Other pencils may end unconverged.
 
     K - sigma M factors iff sigma < mu1 (Sylvester's law of inertia), up to
     the rounding of the band's diagonal: ``slack`` = eps u^T diag(K) u for
     M-normalized u, which grows like 1/h^2.  The bracket [lower, upper]
-    starts from one inverse step with K and narrows to half of
-    max(tol * upper, slack), tol = BRACKET_RTOL, ``lower`` the largest
-    sigma that factored.  Every shift that factors takes one more inverse
-    step with its factor, and the step's Rayleigh quotient, an upper
-    bound, lowers ``upper``.  Once a step has moved that quotient by at
-    most a quarter of max(tol * upper, slack), the next shift is tried that
-    far below ``upper``, which closes the bracket if the quotient has
-    converged; otherwise the shifts bisect.  A guided shift is tried only
-    while the bracket is no wider than plain bisection's after as many
-    factorizations, so the slicing factors at most once more than plain
-    bisection.  Inverse steps shifted to lower, until the quotient moves
-    by at most tol relative, give ``vector``, M-normalized.
+    narrows to half of max(tol * upper, slack), tol = BRACKET_RTOL,
+    ``lower`` the largest sigma that factored.  The first factorization is
+    at the floor.  If it factors, lower starts there and the first inverse
+    step from u = 1 is shifted by it; if not, upper starts there and the
+    first step is with K, so a floor above mu1 never shows up in lower.
+
+    A floor above 0 that factors is a shift just below mu1 (a case's
+    constant), where inverse steps converge at (mu1 - floor) / (mu2 -
+    floor): they stay there until the quotient settles, or until as many
+    bisections would have closed the bracket.  Past that, every shift that
+    factors takes one inverse step with its factor.  Each step's Rayleigh
+    quotient, an upper bound, lowers upper.  Once a step has moved that
+    quotient by at most a quarter of max(tol * upper, slack), the next
+    shift is tried that far below upper, which closes the bracket if the
+    quotient has converged; otherwise the shifts bisect.  A guided shift is
+    tried only while the bracket is no wider than that of plain bisection
+    from the same start after as many factorizations, so the slicing
+    factors at most once more than plain bisection from [floor, first
+    quotient] (from [0, min(floor, first quotient)] after a floor that did
+    not factor).  A trial that does not factor is dropped before the next
+    is built: at most two factors are alive.  Inverse steps shifted to
+    lower, until the quotient moves by at most tol relative, give
+    ``vector``, M-normalized.
 
     A step takes one band product.  Its solve gives (K - sigma M) v = M u,
     so K v = M u + sigma M v, and the iterate's Rayleigh quotient
@@ -85,6 +96,9 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
     """
     tol = BRACKET_RTOL
     quotients = []
+
+    def shifted(sigma):
+        return TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
 
     def step(factor, sigma, mu):
         # the M-normalized solution v of (K - sigma M) v = M u, and M v
@@ -99,24 +113,32 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
         mv /= mnorm
         return v, mv
 
-    factor = TridiagFactor(*k_band)
-    u, mu = step(factor, 0.0, apply_tridiag(*m_band, np.ones(k_band[0].size)))
+    factor, lower, upper, factorizations = shifted(floor), floor, math.inf, 1
+    if not factor.definite:
+        factor, lower, upper, factorizations = TridiagFactor(*k_band), 0.0, floor, 2
+    u, mu = step(factor, lower, apply_tridiag(*m_band, np.ones(k_band[0].size)))
     slack = float(np.finfo(float).eps * np.sum(u * (k_band[0] * u)))
     u = None  # the slicing holds M u alone; the last inverse steps give the vector
-    lower, upper, factorizations = 0.0, quotients[-1], 1
+    upper = min(upper, quotients[-1])
+    # plain bisection from here is width / 2^(f - first) wide after f factorizations
+    width, first = upper - lower, factorizations
+    at_floor = lower > 0.0  # a floor that factored, where the steps stay for now
     missed = 1  # inverse steps taken when a guided shift last failed to factor
     while upper - lower > 0.5 * max(tol * upper, slack):
         target = max(tol * upper, slack)
-        # guided: the last step settled the quotient, no guided shift has
-        # missed since, and plain bisection, whose bracket after f
-        # factorizations is quotients[0] / 2^(f - 1) wide, is not ahead
-        guided = (
-            len(quotients) > missed
-            and quotients[-2] - quotients[-1] <= 0.25 * target
-            and upper - lower <= quotients[0] * 0.5 ** (factorizations - 1)
-        )
+        # settled: the last step moved the quotient by at most a quarter of
+        # the target, and no guided shift has missed since
+        settled = len(quotients) > missed and quotients[-2] - quotients[-1] <= 0.25 * target
+        # at the floor until settled, or until bisection would have closed
+        # the bracket with a factorization per step taken there
+        at_floor = at_floor and not settled and width * 0.5 ** (len(quotients) - 1) > 0.5 * target
+        if at_floor:
+            mu = step(factor, lower, mu)[1]
+            upper = min(upper, quotients[-1])
+            continue
+        guided = settled and upper - lower <= width * 0.5 ** (factorizations - first)
         sigma = upper - 0.25 * target if guided else 0.5 * (lower + upper)
-        trial = TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
+        trial = shifted(sigma)
         factorizations += 1
         if trial.definite:
             lower, factor = sigma, trial
@@ -126,6 +148,7 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
             upper, missed = sigma, len(quotients)
         else:
             upper = sigma
+        trial = None
     for _ in range(10):  # a shift this close converges in two or three steps
         u, mu = step(factor, lower, mu)
         if abs(quotients[-2] - quotients[-1]) <= tol * quotients[-1]:
@@ -133,17 +156,18 @@ def bottom_eigenpair(k_band, m_band) -> Bracket:
     return Bracket(lower, slack, u, quotients, factorizations)
 
 
-def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
+def minimize_rayleigh_p2(forms: P1Forms, floor: float = 0.0) -> MinimizationResult:
     """Smallest discrete eigenvalue of int B (u')^2 / int A u^2 on the
-    quotient forms (A, B) by ``bottom_eigenpair``: converged means quotient -
-    lower <= max(BRACKET_RTOL * quotient, slack); ``iterations`` counts
-    factorizations plus back-solves, ``history`` the inverse steps' quotients;
-    ``sums`` are L and E of the minimizer from one ``integrals`` pass.
+    quotient forms (A, B) by ``bottom_eigenpair`` from floor: converged
+    means quotient - lower <= max(BRACKET_RTOL * quotient, slack);
+    ``iterations`` counts factorizations plus back-solves, ``history`` the
+    inverse steps' quotients; ``sums`` are L and E of the minimizer from one
+    ``integrals`` pass.
     """
     forms.check_quotient()
     grid = forms.grid
     full = np.zeros(grid.n)
-    pair = bottom_eigenpair(*map(interior, forms.pencil()))
+    pair = bottom_eigenpair(*map(interior, forms.pencil()), floor)
     full[1:-1] = pair.vector
     [(mass, energy)] = forms.integrals(full[None], (2.0, 2.0))
     quotient = energy / mass
@@ -159,10 +183,18 @@ def minimize_rayleigh_p2(forms: P1Forms) -> MinimizationResult:
 
 
 def minimize_quotient_p2(case: InequalityCase, grid: RadialGrid) -> MinimizationResult:
-    """Best-constant estimate for a p = 2 case by spectrum slicing."""
+    """Best-constant estimate for a p = 2 case by spectrum slicing from the
+    floor C' (1 - TOL_DISC), C' the constant the theorem puts under the
+    quotient: ``formula_constant``, or its reciprocal for a kind with
+    ``constant_on_rhs``.  So ``lower`` >= C' (1 - TOL_DISC) proves the
+    case's inequality on the grid's P1 space, and a constant too strong
+    for the grid never shows up in ``lower``."""
     if case.p != 2.0:
         raise InvalidArgumentError("minimize_quotient_p2 needs p = 2")
-    return minimize_rayleigh_p2(case_forms(case, grid))
+    c = case.formula_constant
+    if KINDS[case.kind].constant_on_rhs:  # never trivial: c > 0
+        c = 1.0 / c
+    return minimize_rayleigh_p2(case_forms(case, grid), c * (1.0 - TOL_DISC))
 
 
 def solve_flux(forms: P1Forms, p: float, f: np.ndarray, guess: float) -> np.ndarray:
@@ -318,13 +350,15 @@ def convergence_study(case: InequalityCase, levels: int = 3, n0: int = 1000) -> 
 
     def solve(k):
         try:
-            return minimize_quotient(case, grids[k])
+            res = minimize_quotient(case, grids[k])
         except ToolkitError as exc:
             return exc
+        res.minimizer.grid = None  # a worker sends no copy of a grid this process holds
+        return res
 
     results = workers.run_shared(solve, [g.n for g in grids], range(levels), "level")
     for grid, res in zip(grids, results):
-        res.minimizer.grid = grid  # a worker's result comes with a copy
+        res.minimizer.grid = grid
     return StudyResult(
         grids=grids,
         results=results,

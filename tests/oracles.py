@@ -109,22 +109,33 @@ def dense_lambda1(k_band, m_band) -> float:
     return float(eigh(dense(k_band), dense(m_band), subset_by_index=[0, 0], eigvals_only=True)[0])
 
 
-def bisection_factorizations(k_band, m_band) -> int:
+def bisection_factorizations(k_band, m_band, floor: float = 0.0) -> int:
     """Factorizations that plain bisection on whether K - sigma M factors
-    takes to the bracket of ``optimize.bottom_eigenpair``: the same first
-    inverse step with K from u = 1, the same slack and the same stop rule,
-    every further shift the midpoint of [lower, upper].  As the reference,
-    it takes that step's quotient by the direct formula v^T K v for the
-    M-normalized v, not by the solver's sigma + v^T (M u) / v^T (M v)."""
-    v = TridiagFactor(*k_band).solve(apply_tridiag(*m_band, np.ones(k_band[0].size)))
+    takes to the bracket of ``optimize.bottom_eigenpair`` from floor: the
+    same start, the same slack and the same stop rule, every further
+    shift the midpoint of [lower, upper].  The start is one inverse step
+    from u = 1, shifted to the floor when K - floor M factors, with the
+    bracket [floor, quotient]; else unshifted with K, after the failed
+    factorization, with the bracket [0, min(floor, quotient)].  As the
+    reference, it takes that step's quotient by the direct formula v^T K v
+    for the M-normalized v, not by the solver's sigma + v^T (M u) /
+    v^T (M v)."""
+    def shifted(sigma):
+        return TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
+
+    factor, lower, count = shifted(floor), floor, 1
+    if not factor.definite:
+        factor, lower, count = TridiagFactor(*k_band), 0.0, 2
+    v = factor.solve(apply_tridiag(*m_band, np.ones(k_band[0].size)))
     v = v / math.sqrt(float(np.sum(v * apply_tridiag(*m_band, v))))
-    lower, upper = 0.0, float(np.sum(v * apply_tridiag(*k_band, v)))
+    upper = float(np.sum(v * apply_tridiag(*k_band, v)))
+    if count == 2:
+        upper = min(upper, floor)
     slack = float(np.finfo(float).eps * np.sum(v * (k_band[0] * v)))
-    count = 1
     while upper - lower > 0.5 * max(BRACKET_RTOL * upper, slack):
         sigma = 0.5 * (lower + upper)
         count += 1
-        if TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1]).definite:
+        if shifted(sigma).definite:
             lower = sigma
         else:
             upper = sigma

@@ -1,5 +1,8 @@
 import math
 import os
+import pickle
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,15 +13,19 @@ from forking import assert_no_child_left, usable_cpus
 from oracles import bisection_factorizations, dense_lambda1, estimate_lambda1, refine, scaled
 
 import phardy.optimize
+import phardy.workers
 from phardy.cli import load_config, run_suite
 from phardy.errors import InvalidArgumentError
 from phardy.forms import P1Forms, TridiagFactor, apply_tridiag, interior
-from phardy.functionals import case_forms, hardy_case, sides_for, weighted_hardy_case
+from phardy.functionals import (
+    TOL_DISC, case_forms, divergence_case, hardy_case, sides_for, weighted_hardy_case
+)
 from phardy.geometry import (
     CoordinateRange,
     ModelManifold,
     euclidean_radial,
     interval,
+    model_from_config,
 )
 from phardy.grids import build_grid
 from phardy.optimize import (
@@ -242,30 +249,59 @@ def pencils(draw):
 # two eigenvalues 1e-8 apart: the Rayleigh quotient settles near both
 # long before the bracket separates them, so guided shifts keep missing
 NEAR_DOUBLE = ((np.array([1.0, 1.0 + 1e-8, 2.0, 3.0]), np.zeros(3)), (np.ones(4), np.zeros(3)))
+# two eigenvalues 1e-2 apart: from a floor near 1/2 the steps converge at
+# 0.98, and would take 455 of them to settle the quotient
+CLOSE_PAIR = ((np.array([1.0, 1.01, 2.0, 3.0]), np.zeros(3)), (np.ones(4), np.zeros(3)))
 
 
 @settings(deadline=None)
-@given(pencil=pencils())
-@example(pencil=NEAR_DOUBLE)
-def test_guided_slicing_brackets_the_eigenvalue(pencil):
-    # diagonally dominant K and M of the package's sign pattern: the
-    # largest shift that factored is below the dense lambda1 (up to the
-    # inertia roundoff), the last Rayleigh quotient above it, the two
-    # within the bracket tolerance; the guided shifts cost at most one
-    # factorization more than plain bisection, the one guided shift that
-    # may miss before the slicing has any lead on bisection
+@given(
+    pencil=pencils(),
+    side=st.sampled_from(["below", "above"]),
+    fraction=st.floats(0.0, 1.0),
+)
+@example(pencil=NEAR_DOUBLE, side="below", fraction=0.0)
+@example(pencil=NEAR_DOUBLE, side="below", fraction=0.5)
+@example(pencil=NEAR_DOUBLE, side="above", fraction=0.5)
+@example(pencil=CLOSE_PAIR, side="below", fraction=0.5)
+def test_guided_slicing_brackets_the_eigenvalue(pencil, side, fraction):
+    # diagonally dominant K and M of the package's sign pattern, sliced from
+    # a floor below or above the dense lambda1: the largest shift that
+    # factored is below lambda1 (up to the inertia roundoff), the last
+    # Rayleigh quotient above it, the two within the bracket tolerance; the
+    # guided shifts cost at most one factorization more than plain
+    # bisection from the same start, the one guided shift that may miss
+    # before the slicing has any lead on bisection, and the steps at the
+    # floor no more than bisection's factorizations.  A floor below lambda1
+    # starts the bracket and leaves it where floor 0 puts it; one above
+    # lambda1 never shows up in lower
     k_band, m_band = pencil
-    pair = bottom_eigenpair(k_band, m_band)
-    quotient = pair.quotients[-1]
     lam = dense_lambda1(k_band, m_band)
     # the dense solver errs by a few ulps of the largest eigenvalue, one
     # over the smallest of the pencil M v = mu K v
     dense_error = 1e-13 / dense_lambda1(m_band, k_band)
+    if side == "below":
+        floor = fraction * max(0.0, lam - dense_error) * (1.0 - 1e-6)
+    else:
+        floor = (lam + dense_error) * (1.0 + 1e-6) * (1.0 + 9.0 * fraction)
+    pair = bottom_eigenpair(k_band, m_band, floor)
+    quotient = pair.quotients[-1]
     lower_band = (k_band[0] - pair.lower * m_band[0], k_band[1] - pair.lower * m_band[1])
     assert TridiagFactor(*lower_band).definite
     assert pair.lower - pair.slack - dense_error <= lam <= quotient + dense_error
     assert quotient - pair.lower <= max(BRACKET_RTOL * quotient, pair.slack)
-    assert pair.factorizations <= bisection_factorizations(k_band, m_band) + 1
+    bisection = bisection_factorizations(k_band, m_band, floor)
+    assert pair.factorizations <= bisection + 1
+    # a step per factorization that factored, and up to 10 for the vector
+    assert len(pair.quotients) <= bisection + pair.factorizations + 10
+    if side == "below":
+        plain = bottom_eigenpair(k_band, m_band)
+        slack = max(BRACKET_RTOL * quotient, pair.slack, plain.slack)
+        assert pair.lower >= floor
+        assert abs(quotient - plain.quotients[-1]) <= slack
+        assert abs(pair.lower - plain.lower) <= slack
+    else:
+        assert pair.lower < floor
 
 
 @settings(deadline=None)
@@ -327,6 +363,58 @@ def test_bundled_p2_minimization_takes_few_iterations():
     assert report["cases"][0]["minimization"]["iterations"] <= 20
 
 
+def test_bundled_hyperbolic_minimization_starts_at_its_constant():
+    # the first steps from u = 1 sit at the outer end (quotients 1540, 1041,
+    # then 850 unshifted or 201 shifted, against lambda1 = 0.446): bisection
+    # from [0, 1540] took 29 iterations, slicing from the floor C (1 -
+    # TOL_DISC) takes 15
+    cfg = load_config(None)
+    spec = next(c for c in cfg["cases"] if c["id"] == "hardy-hyperbolic3-p2")
+    report = run_suite({"seed": cfg["seed"], "n_test_functions": 1, "cases": [spec]})
+    minimization = report["cases"][0]["minimization"]
+    assert minimization["iterations"] <= 16
+    assert minimization["lower"] >= 0.25 * (1.0 - TOL_DISC)
+
+
+@pytest.mark.parametrize("case, constant", [
+    (hardy_case(E3, rho_catalog_entry("power", E3, 2.0, beta=-1.0)), 0.25),
+    (divergence_case(E3, "davies-hinz", 2.0), 0.25),  # 1 / p^p: the constant is on rhs
+])
+def test_a_p2_case_is_sliced_from_its_own_constant(case, constant, monkeypatch):
+    # the first factorization is at C' (1 - TOL_DISC), and it factors: lower
+    # proves the case's constant on the grid's P1 space
+    floors, slice_from = [], phardy.optimize.bottom_eigenpair
+    monkeypatch.setattr(phardy.optimize, "bottom_eigenpair",
+                        lambda k, m, floor: floors.append(floor) or slice_from(k, m, floor))
+    res = minimize_quotient_p2(case, build_grid(CoordinateRange(1e-2, 1e2), 2000, "log"))
+    assert floors == [constant * (1.0 - TOL_DISC)]
+    assert res.converged and floors[0] <= res.lower <= res.quotient
+
+
+def test_a_failed_factor_is_dropped_before_the_next_is_built(monkeypatch):
+    # the slicing keeps the factor at lower; a shift that does not factor
+    # is dropped before the next factorization, so at most two factors, two
+    # n-vectors each, are alive at once.  On the H^3 Hardy pencil (lambda1
+    # = 0.446) the floor 1 misses before K is factored, and the midpoint
+    # 1/2 of [0, 1] misses before the next shift
+    alive, others, definite = weakref.WeakSet(), [], []
+
+    class Counted(TridiagFactor):
+        def __init__(self, diag, off):
+            others.append(len(alive))
+            super().__init__(diag, off)
+            alive.add(self)
+            definite.append(self.definite)
+
+    monkeypatch.setattr(phardy.optimize, "TridiagFactor", Counted)
+    h3 = model_from_config({"kind": "hyperbolic", "dim": 3})
+    case = hardy_case(h3, rho_catalog_entry("power", h3, 2.0, beta=-1.0))
+    grid = build_grid(CoordinateRange(1e-3, 30.0), 2000, "log")
+    pair = bottom_eigenpair(*map(interior, case_forms(case, grid).pencil()), 1.0)
+    assert definite[:3] == [False, True, False] and pair.lower < 0.5
+    assert max(others) <= 1
+
+
 def test_p2_bracket_converges_past_the_inertia_roundoff():
     # at 8k linear nodes the rounding of diag(K) blurs the inertia test by
     # about 5e-10 relative; the bracket stops at that level and the
@@ -346,6 +434,11 @@ def test_convergence_study_widening():
     )
     assert study.extrapolated[-1] == pytest.approx(0.25, rel=5e-3)
     assert all(g > 0 for g in study.gaps)
+    # each level's lower is a shift at which K - lower M factored, at or
+    # above the floor C (1 - TOL_DISC): the sandwich C <= lower <= quotient
+    for res in study.results:
+        assert res.converged
+        assert case.formula_constant * (1.0 - 1e-6) <= res.lower <= res.quotient
 
 
 def study_bytes(study):
@@ -369,6 +462,25 @@ def test_convergence_study_does_not_depend_on_the_number_of_cpus(monkeypatch):
         assert all(res.minimizer.grid is g for g, res in zip(study.grids, study.results))
         studies.append(study_bytes(study))
     assert studies[0] == studies[1] == studies[2]
+
+
+def test_a_study_worker_sends_no_copy_of_its_grids(monkeypatch):
+    # the grids exist before the fork: a worker's results come back without
+    # them, and each result gets its grid from this process
+    loaded = []
+
+    def loads(data):
+        results = pickle.loads(data)
+        loaded.append({i: res.minimizer.grid for i, res in results.items()})
+        return results
+
+    monkeypatch.setattr(phardy.workers, "pickle", SimpleNamespace(dump=pickle.dump, loads=loads))
+    usable_cpus(monkeypatch, 2)
+    study = convergence_study(hardy_e3(), levels=3, n0=500)
+    assert_no_child_left()
+    [sent] = loaded
+    assert sent == {0: None, 1: None}
+    assert all(res.minimizer.grid is g for g, res in zip(study.grids, study.results))
 
 
 def test_assign_deals_the_largest_cost_first_to_the_least_loaded_process():
