@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Capacity-based parabolicity table for the model manifolds.
 
-Prints cap_p(B_1, B_b) trends and the resulting p-parabolic /
-p-hyperbolic classification for Euclidean models over a (N, p) grid and
+Prints the last capacity cap_p(B_1, B_b) of each schedule, the numbers
+the rule tests and the resulting p-parabolic / p-hyperbolic
+classification for Euclidean models over a (N, p) grid and
 for the hyperbolic plane.
 """
 import argparse
@@ -14,10 +15,10 @@ from phardy.geometry import euclidean_radial, hyperbolic_radial
 def row(model, name, p):
     cls = classify_parabolicity(model, p)
     flag = " (inconclusive)" if cls.inconclusive else ""
+    ratio = "-" if cls.ratio is None else f"{cls.ratio:.6f}"
+    tail = "-" if cls.tail_share is None else f"{cls.tail_share:.2e}"
     print(f"{name:>14} p={p:<4g} {cls.classification:<14} "
-          f"liminf={cls.liminf_estimate:10.3e} "
-          f"last/first={cls.last_over_first:8.2e} "
-          f"steepest slope={cls.steepest_slope:7.3f}{flag}")
+          f"last cap={cls.values[-1]:10.3e} ratio={ratio:>8} tail share={tail:>8}{flag}")
 
 
 def main():

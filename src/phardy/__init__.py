@@ -10,7 +10,6 @@ from .geometry import (
 from .grids import GridFunction, RadialGrid, build_grid
 from .weights import (
     WeightSpec,
-    green_weight_radial,
     rho_catalog_entry,
     weak_superharmonicity_check,
 )

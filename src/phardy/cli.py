@@ -122,10 +122,11 @@ def _built(where: str, key: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {key!r}: {exc}") from None
 
 
-def _checked_case(i: int, spec, conf: dict) -> dict:
+def _checked_case(i: int, spec, conf: dict, pairs: dict) -> dict:
     """One case checked against its kind's rules, with its model, grid,
     checks and, unless its kind is a check on the model, its
-    InequalityCase built from the source its kind's row names."""
+    InequalityCase built from the source its kind's row names; cases built
+    from an eigenpair share one solve in ``pairs`` per model, p and grid."""
     if not isinstance(spec, dict):
         raise ConfigError(f"'cases'[{i}] must be an object, got {spec!r}")
     where = f"case {spec.get('id', i)!r}"
@@ -171,13 +172,17 @@ def _checked_case(i: int, spec, conf: dict) -> dict:
         _built(where, "weight", check_weight_finite, weight, c["grid"])
         args = (c["model"], weight)
     elif kind.source == "eigenpair":
-        try:
-            c["pair"] = eigen_mod.first_eigenpair(
-                c["model"], params["p"], c["rng"], grid=c["grid"]
-            )
-        except ToolkitError as exc:
-            exc.case_id = c["id"] or f"case-{i}"
-            raise
+        key = (c["model"], params["p"], c["rng"], c["grid"].n, c["grid"].spacing)
+        if key not in pairs:
+            try:
+                pairs[key] = eigen_mod.first_eigenpair(
+                    c["model"], params["p"], c["rng"], grid=c["grid"]
+                )
+            except ToolkitError as exc:
+                exc.case_id = c["id"] or f"case-{i}"
+                raise
+        c["pair"] = pairs[key]
+        c["grid"] = c["pair"].phi1.grid
         args = (c["pair"],)
     else:  # a field's factory takes p with the other params
         args, others = (c["model"],), params
@@ -330,7 +335,8 @@ def run_suite(cfg: dict) -> dict:
     conf = _checked("config", cfg, _CONFIG_RULES)
     if conf["tol_disc"] < 0:
         raise ConfigError(f"config: 'tol_disc' must be >= 0, got {conf['tol_disc']!r}")
-    cases = [_checked_case(i, spec, conf) for i, spec in enumerate(conf["cases"])]
+    pairs: dict = {}
+    cases = [_checked_case(i, spec, conf, pairs) for i, spec in enumerate(conf["cases"])]
     for i, c in enumerate(cases):
         if c["id"] in (d["id"] for d in cases[:i]):
             raise ConfigError(f"case {c['id']!r}: duplicate 'id'")
@@ -364,7 +370,7 @@ def report_json(report: dict) -> str:
 _REPORT_BLOCKS = {
     "grid": set(),
     "sides": {"min_margin_rel", "worst"},
-    "classification": {"classification", "inconclusive", "liminf_estimate"},
+    "classification": {"classification", "inconclusive", "ratio", "tail_share", "resolution"},
     "minimization": {"quotient", "iterations", "converged", "bound_ok"},
 }
 
@@ -407,8 +413,9 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> list[Path]:
             sides_rows,
         ),
         "classification.csv": (
-            ["case_id", "classification", "inconclusive", "liminf_estimate"],
-            [[r["case_id"], c["classification"], c["inconclusive"], repr(c["liminf_estimate"])]
+            ["case_id", "classification", "inconclusive", "ratio", "tail_share", "resolution"],
+            [[r["case_id"], c["classification"], c["inconclusive"],
+              *("" if c[k] is None else repr(c[k]) for k in ("ratio", "tail_share", "resolution"))]
              for r in report["cases"] if (c := r.get("classification"))],
         ),
         "minimization.csv": (

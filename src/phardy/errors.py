@@ -38,10 +38,6 @@ class RelationViolationError(ToolkitError, ValueError):
         super().__init__(f"{condition}: {message}" if message else condition)
 
 
-class ParabolicModelError(ToolkitError, ValueError):
-    """Green-type construction attempted on a p-parabolic model."""
-
-
 class CollarGradientError(ToolkitError, ValueError):
     """Eigenfunction gradient vanishes on the boundary collar."""
 

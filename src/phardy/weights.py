@@ -18,12 +18,12 @@ p-subharmonicity (the Caccioppoli hypothesis).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
+from .errors import InvalidArgumentError, UnsupportedModelError
 from .geometry import EUCLIDEAN, HALF_PLANE, HYPERBOLIC, INTERVAL, ModelManifold
 from .grids import RadialGrid, cell_gauss
 
@@ -137,34 +137,6 @@ def weight_from_samples(
     )
 
 
-def green_weight_radial(model: ModelManifold, p: float, grid: RadialGrid) -> WeightSpec:
-    """Radial Green-type profile rho(t) = integral_t^hi s(tau)^(-1/(p-1)) dtau.
-
-    A sampled weight of its suffix integrals at the grid nodes, with the
-    exact slope -s^(-1/(p-1)) in place of the cell slopes.  Requires a
-    p-hyperbolic model (the profile degenerates to the constant 0 in the
-    parabolic case); the pole sits at the radial origin.
-    """
-    from .capacity import classify_parabolicity, green_integrals  # local import, no cycle
-
-    if not model.is_radial:
-        raise UnsupportedModelError("Green profile defined on radial models")
-    if grid.lo <= 0:
-        raise InvalidArgumentError("Green profile needs grid.lo > 0")
-    cls = classify_parabolicity(model, p, a=grid.lo)
-    if cls.classification == "p_parabolic":
-        raise ParabolicModelError(
-            f"{model.kind}(N={model.dim}) is {p}-parabolic: Green integral diverges"
-        )
-
-    suffix = green_integrals(model, p, grid.nodes)[1]
-    return replace(
-        weight_from_samples("green", model, p, grid, suffix),
-        family="green",
-        rho_prime=lambda t: -np.exp(-model.log_volume_density(t) / (p - 1.0)),
-    )
-
-
 _ALL_MODELS = (EUCLIDEAN, HYPERBOLIC, HALF_PLANE, INTERVAL)
 
 #: catalog families: builder of (rho, rho'), parameters with their defaults
@@ -186,8 +158,8 @@ def rho_catalog_entry(name: str, model: ModelManifold, p: float, **params) -> We
 
     The weight is named after its family and parameters: a number as
     key=value, a string bare ("power:beta=-1", "log:inner", "rlogr").
-    Green and eigenfunction weights are built by ``green_weight_radial``
-    and ``weight_from_samples`` because they need a grid.
+    Eigenfunction weights are built by ``weight_from_samples`` because
+    they need a grid.
     """
     if name not in _FAMILIES:
         raise InvalidArgumentError(f"unknown weight family {name!r}")

@@ -765,6 +765,39 @@ def test_eigen_cases_without_an_id_get_their_builders_ids():
     assert all(r["status"] == "pass" and r["eigen"]["converged"] for r in records)
 
 
+def _eigen_solves(monkeypatch, cfg) -> list:
+    """The (p, grid size) of each eigenpair solve that run_suite(cfg) makes."""
+    solves = []
+    solve = phardy.eigen.first_eigenpair
+
+    def counted(model, p, rng, grid=None, n=2000):
+        solves.append((p, grid.n))
+        return solve(model, p, rng, grid=grid, n=n)
+
+    monkeypatch.setattr(phardy.eigen, "first_eigenpair", counted)
+    assert all(r["status"] == "pass" for r in run_suite(cfg)["cases"] if "eigen" in r)
+    return solves
+
+
+INTERVAL_CASES = ("eigen-hardy-interval", "poincare-eigen-interval", "distance-hardy-interval")
+
+
+def test_interval_cases_that_share_model_p_and_grid_share_one_solve(monkeypatch):
+    assert _eigen_solves(monkeypatch, load_config(None)) == [(2.0, 2000)]
+    # a shared solve gives each case the record it gets alone
+    together = run_suite(bundled_config(*INTERVAL_CASES))["cases"]
+    alone = [run_suite(bundled_config(i))["cases"][0] for i in INTERVAL_CASES]
+    assert sorted(together, key=lambda r: r["case_id"]) == sorted(alone, key=lambda r: r["case_id"])
+
+
+@pytest.mark.parametrize("key, value, second", [("n", 1000, (2.0, 1000)), ("p", 3, (3.0, 2000))])
+def test_interval_cases_on_another_grid_or_p_solve_again(key, value, second, monkeypatch):
+    cfg = bundled_config(*INTERVAL_CASES)
+    last = cfg["cases"][-1]
+    (last["grid"] if key == "n" else last["params"])[key] = value
+    assert _eigen_solves(monkeypatch, cfg) == [(2.0, 2000), second]
+
+
 def test_an_eigen_solve_error_exits_3_naming_the_case(tmp_path, capsys):
     # sinh^2 overflows on the hyperbolic grid out to 800, so the solve, which
     # the config check runs, finds its densities not finite

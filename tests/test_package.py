@@ -111,10 +111,9 @@ def _definitions(tree):
 
 def test_every_definition_is_used_outside_the_tests():
     # reference code that only tests call belongs in tests/oracles.py, and an
-    # export alone does not keep a definition; the two allowed are
+    # export alone does not keep a definition; the one allowed is
     # ModelManifold.volume_density, read by tests alone as the reference that
-    # log_volume_density is checked against, and green_weight_radial, the
-    # Green weight a p-hyperbolic classification is to be witnessed with
+    # log_volume_density is checked against
     users = [*SRC.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
     used = {name for path in users for name in _references(path)}
     unused = [
@@ -123,9 +122,7 @@ def test_every_definition_is_used_outside_the_tests():
         for name, label in _definitions(ast.parse(path.read_text()))
         if name not in used
     ]
-    assert unused == [
-        "geometry.py: ModelManifold.volume_density", "weights.py: green_weight_radial"
-    ]
+    assert unused == ["geometry.py: ModelManifold.volume_density"]
 
 
 def _kind_names(path, blocks=()):

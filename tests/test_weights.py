@@ -16,8 +16,7 @@ from oracles import (
 )
 
 from phardy import weights
-from phardy.capacity import green_integrals
-from phardy.errors import InvalidArgumentError, ParabolicModelError, UnsupportedModelError
+from phardy.errors import InvalidArgumentError, UnsupportedModelError
 from phardy.geometry import (
     CoordinateRange,
     ModelManifold,
@@ -27,7 +26,6 @@ from phardy.geometry import (
 )
 from phardy.grids import build_grid
 from phardy.weights import (
-    green_weight_radial,
     parse_weight,
     rho_catalog_entry,
     weak_superharmonicity_check,
@@ -240,49 +238,6 @@ def test_chain_rule_sqrt_case():
     w = rho_catalog_entry("power", m, 2.0, beta=1.0)
     grid = build_grid(CoordinateRange(0.1, 1.0), 1001, "linear")
     assert chain_rule_identity_check(w, 0.5, grid) < 1e-4
-
-
-def test_green_euclidean3_profile_shape():
-    grid = build_grid(CoordinateRange(0.1, 50.0), 1500, "log")
-    w = green_weight_radial(E3, 2.0, grid)
-    t = grid.nodes[[100, 500, 900, 1300]]
-    expected = (1.0 / t - 1.0 / grid.hi) / (4 * math.pi)
-    np.testing.assert_allclose(w.rho(t), expected, rtol=1e-10)
-
-
-def test_green_is_sampled_suffix_with_exact_slope():
-    # E3, p = 2: s = 4 pi t^2, so rho' = -1/(4 pi t^2) between the nodes too
-    grid = build_grid(CoordinateRange(0.1, 50.0), 300, "log")
-    w = green_weight_radial(E3, 2.0, grid)
-    assert w.name == w.family == "green"
-    suffix = green_integrals(E3, 2.0, grid.nodes)[1]
-    assert np.array_equal(w.rho(grid.nodes), suffix)
-    mid = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    np.testing.assert_allclose(w.rho_prime(mid), -1.0 / (4 * math.pi * mid**2), rtol=1e-13)
-    cell_slopes = np.diff(suffix) / np.diff(grid.nodes)
-    assert np.all(np.abs(w.rho_prime(mid) - cell_slopes) > 1e-6 * np.abs(cell_slopes))
-
-
-def test_green_parabolic_rejected():
-    grid = build_grid(CoordinateRange(0.1, 50.0), 500, "log")
-    with pytest.raises(ParabolicModelError):
-        green_weight_radial(euclidean_radial(2), 2.0, grid)
-
-
-def test_green_hyperbolic_value():
-    # integral_1^inf csch = -ln tanh(1/2) = 0.7719368... (closed antiderivative)
-    grid = build_grid(CoordinateRange(1.0, 60.0), 2500, "log")
-    w = green_weight_radial(hyperbolic_radial(2), 2.0, grid)
-    val = w.rho(grid.nodes[:1])[0] * 2 * math.pi
-    assert val == pytest.approx(0.7719368329053048, abs=1e-9)
-
-
-def test_green_passes_superharmonicity():
-    grid = build_grid(CoordinateRange(0.1, 50.0), 1200, "log")
-    w = green_weight_radial(E3, 2.0, grid)
-    sub = build_grid(CoordinateRange(0.2, 20.0), 800, "log")
-    res = weak_superharmonicity_check(w, sub)
-    assert res.passed and abs(res.worst_value) < 1e-6
 
 
 def test_parse_weight_strings():
