@@ -278,36 +278,49 @@ class P1Forms:
         return float(np.sqrt(np.sum(r ** 2)) / scale) if scale > 0 else 0.0
 
 
-def apply_tridiag(diag, off, x):
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
+def apply_tridiag(diag, off, x, out=None, scratch=None):
+    """The band product (diag, off) x, into out (not x) if given; the two
+    off-diagonal terms go through scratch, a vector of at least off's
+    size, if given.  Without them it allocates the product and one term
+    at a time."""
+    y = np.multiply(diag, x, out=out)
+    term = None if scratch is None else scratch[:off.size]
+    y[:-1] += np.multiply(off, x[1:], out=term)
+    y[1:] += np.multiply(off, x[:-1], out=term)
     return y
+
+
+def _finite(x) -> bool:
+    """Whether every entry of x is finite, with no mask of x's size: a NaN
+    makes both extremes NaN, an infinity one of them."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
 class TridiagFactor:
     """LDL^T of the symmetric tridiagonal band (diag, off) by LAPACK's
-    dpttrf, factored once for any number of solves.  ``definite`` says
-    whether every pivot is positive: for K - sigma M with M >= 0, whether
-    sigma lies below the pencil's smallest eigenvalue (Sylvester's law of
-    inertia).  A non-finite band or right-hand side raises
-    InvalidArgumentError, a ValueError; ``solve`` on a band that is not
-    definite raises IndefiniteBandError, a LinAlgError.
+    dpttrf, factored once for any number of solves.  With ``overwrite``
+    the factor takes the band's own arrays, which the caller gives up;
+    otherwise it factors a copy.  ``definite`` says whether every pivot is
+    positive: for K - sigma M with M >= 0, whether sigma lies below the
+    pencil's smallest eigenvalue (Sylvester's law of inertia).  A
+    non-finite band or right-hand side raises InvalidArgumentError, a
+    ValueError; ``solve`` on a band that is not definite raises
+    IndefiniteBandError, a LinAlgError.
     """
 
-    def __init__(self, diag, off):
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+    def __init__(self, diag, off, overwrite=False):
+        if not (_finite(diag) and _finite(off)):
             raise InvalidArgumentError("tridiagonal band must be finite")
         if diag.size == 1:  # the LAPACK wrappers reject a 1 x 1 band
             self.d, self.e, info = diag, off, int(diag[0] <= 0)
         else:
-            self.d, self.e, info = dpttrf(diag, off)
+            self.d, self.e, info = dpttrf(diag, off, overwrite_d=overwrite, overwrite_e=overwrite)
         self.definite = info == 0
 
     def solve(self, rhs):
         if not self.definite:
             raise IndefiniteBandError("tridiagonal band is not positive definite")
-        if not np.isfinite(rhs).all():
+        if not _finite(rhs):
             raise InvalidArgumentError("right-hand side must be finite")
         if self.d.size == 1:
             return rhs / self.d

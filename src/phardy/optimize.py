@@ -82,10 +82,8 @@ def bottom_eigenpair(k_band, m_band, floor: float = 0.0) -> Bracket:
     from the same start after as many factorizations, so the slicing
     factors at most once more than plain bisection from [floor, first
     quotient] (from [0, min(floor, first quotient)] after a floor that did
-    not factor).  A trial that does not factor is dropped before the next
-    is built: at most two factors are alive.  Inverse steps shifted to
-    lower, until the quotient moves by at most tol relative, give
-    ``vector``, M-normalized.
+    not factor).  Inverse steps shifted to lower, until the quotient moves
+    by at most tol relative, give ``vector``, M-normalized.
 
     A step takes one band product.  Its solve gives (K - sigma M) v = M u,
     so K v = M u + sigma M v, and the iterate's Rayleigh quotient
@@ -93,21 +91,37 @@ def bottom_eigenpair(k_band, m_band, floor: float = 0.0) -> Bracket:
     that value after each inverse step, and M v over the M-norm of v is
     the next step's right-hand side.  The two forms differ by rounding
     only, a few times ``slack``.
+
+    The slicing holds at most five n-vectors beyond the pencil.  A trial
+    band is built in two fresh arrays, which its factor takes over, and a
+    trial that does not factor is dropped before the next is built: a
+    factorization holds the kept factor, the trial and the right-hand
+    side.  A step takes v^T (M u) first and then writes M v over the spent
+    M u, through one scratch for the sums and the product's terms: it
+    holds the factor, v, M v and the scratch.  The pencil's arrays are
+    never written; K itself is factored on a copy.
     """
     tol = BRACKET_RTOL
     quotients = []
 
     def shifted(sigma):
-        return TridiagFactor(k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1])
+        # K - sigma M, each part built in one fresh array that its factor takes over
+        diag, off = np.multiply(m_band[0], sigma), np.multiply(m_band[1], sigma)
+        np.subtract(k_band[0], diag, out=diag)
+        np.subtract(k_band[1], off, out=off)
+        return TridiagFactor(diag, off, overwrite=True)
 
     def step(factor, sigma, mu):
         # the M-normalized solution v of (K - sigma M) v = M u, and M v
+        # written over the spent M u; one scratch takes every product
         v = factor.solve(mu)
-        mv = apply_tridiag(*m_band, v)
-        vmv = float(np.sum(v * mv))
+        scratch = np.multiply(v, mu)
+        vmu = float(np.sum(scratch))
+        mv = apply_tridiag(*m_band, v, out=mu, scratch=scratch)
+        vmv = float(np.sum(np.multiply(v, mv, out=scratch)))
         if vmv == 0.0:
             raise ZeroDenominatorError("mass norm vanished in inverse iteration")
-        quotients.append(sigma + float(np.sum(v * mu)) / vmv)
+        quotients.append(sigma + vmu / vmv)
         mnorm = math.sqrt(vmv)
         v /= mnorm
         mv /= mnorm
@@ -117,7 +131,8 @@ def bottom_eigenpair(k_band, m_band, floor: float = 0.0) -> Bracket:
     if not factor.definite:
         factor, lower, upper, factorizations = TridiagFactor(*k_band), 0.0, floor, 2
     u, mu = step(factor, lower, apply_tridiag(*m_band, np.ones(k_band[0].size)))
-    slack = float(np.finfo(float).eps * np.sum(u * (k_band[0] * u)))
+    u *= k_band[0] * u  # the terms of u^T diag(K) u
+    slack = float(np.finfo(float).eps * np.sum(u))
     u = None  # the slicing holds M u alone; the last inverse steps give the vector
     upper = min(upper, quotients[-1])
     # plain bisection from here is width / 2^(f - first) wide after f factorizations
@@ -150,6 +165,7 @@ def bottom_eigenpair(k_band, m_band, floor: float = 0.0) -> Bracket:
             upper = sigma
         trial = None
     for _ in range(10):  # a shift this close converges in two or three steps
+        u = None  # the last iterate goes before the next one is solved
         u, mu = step(factor, lower, mu)
         if abs(quotients[-2] - quotients[-1]) <= tol * quotients[-1]:
             break
@@ -166,8 +182,8 @@ def minimize_rayleigh_p2(forms: P1Forms, floor: float = 0.0) -> MinimizationResu
     """
     forms.check_quotient()
     grid = forms.grid
-    full = np.zeros(grid.n)
     pair = bottom_eigenpair(*map(interior, forms.pencil()), floor)
+    full = np.zeros(grid.n)  # made once the pencil and the slicing's vectors are gone
     full[1:-1] = pair.vector
     [(mass, energy)] = forms.integrals(full[None], (2.0, 2.0))
     quotient = energy / mass

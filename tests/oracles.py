@@ -5,7 +5,10 @@ eigenvalue oracle integrates the 1D p-Laplacian ODE by shooting, the
 quadrature helpers use closed antiderivatives, the weak sign check is
 redone one hat at a time with adaptive quadrature, and the smallest
 eigenvalue of a tridiagonal pencil comes from LAPACK's dense
-symmetric-definite solver.
+symmetric-definite solver.  The band kernels of ``phardy.forms`` that
+write into buffers they are given have references here that allocate
+their results: the band product, and LAPACK's public dpttrf on copies
+of the band.
 The capacity oracle minimizes the P1 p-energy of ``phardy.forms``
 directly, so it checks the closed-form capacity without using the closed
 form.
@@ -27,14 +30,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, lapack
 
 from phardy.errors import NonFiniteIntegrandError, ZeroDenominatorError
 from phardy.forms import (
     _CELL_BLOCK,
     P1Forms,
     TridiagFactor,
-    apply_tridiag,
     model_densities,
 )
 from phardy.geometry import CoordinateRange, ModelManifold, euclidean_radial, interval
@@ -103,6 +105,30 @@ def dense(band) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def band_product(diag, off, x) -> np.ndarray:
+    """The product of the symmetric tridiagonal band (diag, off) with x,
+    in arrays allocated afresh."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
+def copied_factor(diag, off):
+    """LDL^T of the band (diag, off) by the public dpttrf, which factors
+    copies: (d, e, definite, solve).  A 1 x 1 band, which the LAPACK
+    wrappers reject, is its own pivot."""
+    if diag.size == 1:
+        d, e, info = diag.copy(), off.copy(), int(diag[0] <= 0)
+    else:
+        d, e, info = lapack.dpttrf(diag, off)
+
+    def solve(rhs):
+        return rhs / d if d.size == 1 else lapack.dpttrs(d, e, rhs)[0]
+
+    return d, e, info == 0, solve
+
+
 def dense_lambda1(k_band, m_band) -> float:
     """Smallest eigenvalue of the pencil K u = lambda M u, by the dense
     symmetric-definite eigensolver."""
@@ -126,9 +152,9 @@ def bisection_factorizations(k_band, m_band, floor: float = 0.0) -> int:
     factor, lower, count = shifted(floor), floor, 1
     if not factor.definite:
         factor, lower, count = TridiagFactor(*k_band), 0.0, 2
-    v = factor.solve(apply_tridiag(*m_band, np.ones(k_band[0].size)))
-    v = v / math.sqrt(float(np.sum(v * apply_tridiag(*m_band, v))))
-    upper = float(np.sum(v * apply_tridiag(*k_band, v)))
+    v = factor.solve(band_product(*m_band, np.ones(k_band[0].size)))
+    v = v / math.sqrt(float(np.sum(v * band_product(*m_band, v))))
+    upper = float(np.sum(v * band_product(*k_band, v)))
     if count == 2:
         upper = min(upper, floor)
     slack = float(np.finfo(float).eps * np.sum(v * (k_band[0] * v)))

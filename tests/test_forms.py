@@ -202,6 +202,19 @@ def test_p2_study_step_holds_no_gauss_array():
     assert step - solver < (grid.n - 1) * 8 * 8
 
 
+def test_the_slicing_holds_five_vectors_beyond_its_pencil():
+    # at a factorization the kept factor and the trial (two n-vectors
+    # each) and the right-hand side; at a step the factor, v, M v and one
+    # scratch: at most five n-vectors beyond the pencil, however many
+    # shifts the 100k-node slicing tries
+    n = 100_000
+    k_band = (np.full(n, 2.0 + 1e-3), np.full(n - 1, -1.0))
+    m_band = (np.full(n, 2.0 / 3.0), np.full(n - 1, 1.0 / 6.0))
+    pair, peak = _traced(lambda: bottom_eigenpair(k_band, m_band))
+    assert pair.factorizations > 10
+    assert peak <= 5 * 8 * n + 64 * 1024
+
+
 # A > 0 and B > 0 that vary over the cells, on a grid of two blocks and
 # 1000 cells, and u > 0 from the middle of its first block to the middle
 # of its last

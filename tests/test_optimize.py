@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forking import assert_no_child_left, usable_cpus
-from oracles import bisection_factorizations, dense_lambda1, estimate_lambda1, refine, scaled
+from oracles import (
+    band_product, bisection_factorizations, copied_factor, dense_lambda1, estimate_lambda1,
+    refine, scaled,
+)
 
 import phardy.optimize
 import phardy.workers
@@ -317,13 +320,49 @@ def test_each_quotient_is_the_rayleigh_quotient_of_its_iterate(pencil):
     products = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phardy.optimize, "apply_tridiag",
-                   lambda diag, off, x: products.append(x.copy()) or apply_tridiag(diag, off, x))
+                   lambda diag, off, x, **buffers: products.append(x.copy())
+                   or apply_tridiag(diag, off, x, **buffers))
         pair = bottom_eigenpair(k_band, m_band)
     iterates = products[1:]  # after M 1, the start's right-hand side
     assert len(iterates) == len(pair.quotients)
     for q, v in zip(pair.quotients, iterates):
         direct = float(v @ apply_tridiag(*k_band, v)) / float(v @ apply_tridiag(*m_band, v))
         assert abs(q - direct) <= 8.0 * pair.slack
+
+
+ONE_NODE = ((np.array([2.0]), np.zeros(0)), (np.array([0.5]), np.zeros(0)))
+TWO_NODES = ((np.array([2.0, 3.0]), np.array([-1.0])), (np.array([0.5, 0.5]), np.array([0.25])))
+
+
+@settings(deadline=None)
+@given(pencil=pencils(), fraction=st.floats(0.0, 2.0))
+@example(pencil=ONE_NODE, fraction=0.5)
+@example(pencil=ONE_NODE, fraction=1.5)
+@example(pencil=TWO_NODES, fraction=0.5)
+@example(pencil=TWO_NODES, fraction=1.5)
+def test_in_place_band_kernels_match_their_references(pencil, fraction):
+    # the slicing's kernels write into buffers: the band product M v over
+    # the spent right-hand side, its terms through a scratch, and the
+    # factor of a trial band K - sigma M in that band's own arrays.  They
+    # give the bits of the allocating product and of the copying dpttrf,
+    # on either side of lambda1, and the slicing leaves the pencil as it was
+    k_band, m_band = pencil
+    n = k_band[0].size
+    rhs = band_product(*m_band, np.ones(n))
+    v = TridiagFactor(*k_band).solve(rhs)
+    mv = apply_tridiag(*m_band, v, out=rhs, scratch=np.multiply(v, rhs))
+    assert mv is rhs and np.array_equal(mv, band_product(*m_band, v))
+    sigma = fraction * dense_lambda1(k_band, m_band)
+    diag, off = k_band[0] - sigma * m_band[0], k_band[1] - sigma * m_band[1]
+    d, e, definite, solve = copied_factor(diag, off)
+    factor = TridiagFactor(diag.copy(), off.copy(), overwrite=True)
+    assert np.array_equal(factor.d, d) and np.array_equal(factor.e, e)
+    assert factor.definite == definite
+    if definite:
+        assert np.array_equal(factor.solve(mv), solve(mv))
+    before = [part.copy() for part in (*k_band, *m_band)]
+    bottom_eigenpair(k_band, m_band, sigma)
+    assert all(map(np.array_equal, (*k_band, *m_band), before))
 
 
 def test_a_p2_study_level_takes_one_band_product_per_inverse_step(monkeypatch):
@@ -333,7 +372,8 @@ def test_a_p2_study_level_takes_one_band_product_per_inverse_step(monkeypatch):
     calls = {"apply_tridiag": 0, "integrals": 0}
 
     def counted(name, original):
-        return lambda *args: calls.update({name: calls[name] + 1}) or original(*args)
+        return lambda *args, **kwargs: calls.update({name: calls[name] + 1}) or original(
+            *args, **kwargs)
 
     monkeypatch.setattr(phardy.optimize, "apply_tridiag",
                         counted("apply_tridiag", phardy.optimize.apply_tridiag))
@@ -400,9 +440,9 @@ def test_a_failed_factor_is_dropped_before_the_next_is_built(monkeypatch):
     alive, others, definite = weakref.WeakSet(), [], []
 
     class Counted(TridiagFactor):
-        def __init__(self, diag, off):
+        def __init__(self, diag, off, overwrite=False):
             others.append(len(alive))
-            super().__init__(diag, off)
+            super().__init__(diag, off, overwrite)
             alive.add(self)
             definite.append(self.definite)
 
